@@ -141,7 +141,25 @@ class ContactGraph:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         if self.indptr.shape != (self.n + 1,):
             raise ValueError("indptr must have shape (n + 1,)")
+        if self.indices.ndim != 1:
+            raise ValueError("indices must be a 1-D array")
         self.degrees = np.diff(self.indptr)
+        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
+            raise ValueError(
+                f"indptr must run from 0 to len(indices)={len(self.indices)}, "
+                f"got {self.indptr[0]}..{self.indptr[-1]}"
+            )
+        if (self.degrees < 0).any():
+            raise ValueError("indptr must be non-decreasing")
+        if len(self.indices) and not (
+            0 <= self.indices.min() and self.indices.max() < self.n
+        ):
+            raise ValueError(f"indices must lie in [0, n={self.n})")
+        #: The common degree of a regular graph (``None`` otherwise, and
+        #: for a graph without edges): every structural draw then hits a
+        #: neighbor, and the degree is a scalar draw bound.
+        d0 = int(self.degrees[0]) if self.n else 0
+        self._regular_degree = d0 if d0 > 0 and (self.degrees == d0).all() else None
         self._edge_keys_cache: Optional[np.ndarray] = None
         self._alive_epoch: Optional[int] = None
         self._alive_indptr = self.indptr
@@ -230,24 +248,11 @@ class ContactGraph:
 
         Returns an int64 array parallel to ``callers``; entries are
         ``-1`` for callers with no alive neighbor.  With ``alive=None``
-        every node counts as alive (the structural draw).  Draws are a
-        single ``rng.integers`` call for the whole batch — no
-        Python-level per-node loop.
+        every node counts as alive (the structural draw).  This is the
+        one-row case of :meth:`sample_contacts_batch`: the same single
+        ``rng.integers`` call, the same targets and generator state.
         """
-        callers = np.asarray(callers, dtype=np.int64)
-        if alive is None:
-            indptr, indices, counts = self.indptr, self.indices, self.degrees[callers]
-        else:
-            self._remask(np.asarray(alive, dtype=bool), epoch)
-            indptr, indices = self._alive_indptr, self._alive_indices
-            counts = self._alive_counts[callers]
-        draws = rng.integers(0, np.maximum(counts, 1), size=len(callers), dtype=np.int64)
-        targets = np.full(len(callers), -1, dtype=np.int64)
-        has = counts > 0
-        if has.any():
-            pos = indptr[callers[has]] + draws[has]
-            targets[has] = indices[pos]
-        return targets
+        return self.sample_contacts_batch(1, callers, rng, alive=alive, epoch=epoch)[0]
 
     def sample_contacts_batch(
         self,
@@ -260,11 +265,11 @@ class ContactGraph:
     ) -> np.ndarray:
         """``(reps, len(callers))`` independent alive-neighbor draws.
 
-        The batched counterpart of :meth:`sample_contacts` for the
-        ``(R, n)`` vector executors: each row is one replication's
-        per-caller draw, with the same contract (uniform over the alive
-        neighborhood, never the caller itself, ``-1`` exactly when a
-        caller has no alive neighbor).
+        The one contact sampler on a bound graph: the ``(R, n)`` vector
+        executors call it directly and :meth:`sample_contacts` is its
+        one-row case.  Each row is one replication's per-caller draw:
+        uniform over the alive neighborhood, never the caller itself,
+        ``-1`` exactly when a caller has no alive neighbor.
 
         ``alive`` may be ``None`` (structural draw), a shared ``(n,)``
         mask (remasked once through the epoch cache), or a per-rep
@@ -273,17 +278,27 @@ class ContactGraph:
         draws by rank, so it costs O(reps * E) and is meant for
         moderate-size graphs (per-rep failure dynamics), not the
         planet-scale structural path.
+
+        When every edge is live (``alive=None``, or a shared mask that
+        keeps every edge) on a regular graph, the draw skips the ``-1``
+        bookkeeping and is bounded by the scalar degree — numpy's bounded
+        draw yields the same values and generator state for a scalar
+        bound as for an all-equal array.
         """
         callers = np.asarray(callers, dtype=np.int64)
         C = len(callers)
         if alive is None or np.ndim(alive) == 1:
             if alive is None:
-                indptr, indices = self.indptr, self.indices
-                counts = self.degrees[callers]
+                indptr, indices, degrees = self.indptr, self.indices, self.degrees
             else:
                 self._remask(np.asarray(alive, dtype=bool), epoch)
                 indptr, indices = self._alive_indptr, self._alive_indices
-                counts = self._alive_counts[callers]
+                degrees = self._alive_counts
+            if indices is self.indices and self._regular_degree is not None:
+                pos = rng.integers(0, self._regular_degree, size=(reps, C), dtype=np.int64)
+                pos += indptr[callers]
+                return indices[pos]
+            counts = degrees[callers]
             draws = rng.integers(
                 0, np.maximum(counts, 1)[None, :], size=(reps, C), dtype=np.int64
             )
@@ -320,14 +335,22 @@ class ContactGraph:
 
 
 def _csr_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Symmetric CSR arrays from an undirected edge list (both ends)."""
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    """Symmetric CSR arrays from an undirected edge list (both ends).
+
+    Entries sort by the combined key ``src * n + dst`` — collision-free
+    and below ``n**2`` — so one in-place sort orders them by source,
+    then neighbor, and ``key % n`` recovers the neighbor in place.
+    """
+    m = len(u)
+    keys = np.concatenate([u, v]).astype(np.int64, copy=False)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(src, minlength=n))
-    return indptr, dst.astype(np.int64, copy=False)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    keys *= n
+    keys[:m] += v
+    keys[m:] += u
+    keys.sort()
+    keys %= n
+    return indptr, keys
 
 
 # ---------------------------------------------------------------------------
@@ -1034,8 +1057,8 @@ class RandomRegular(Topology):
             )
         stubs = np.repeat(np.arange(n, dtype=np.int64), self.d)
         rng.shuffle(stubs)
+        u, v = stubs[0::2], stubs[1::2]
         for _ in range(self.max_repair_sweeps):
-            u, v = stubs[0::2], stubs[1::2]
             bad = self._bad_pairs(n, u, v)
             if not bad.any():
                 break
@@ -1051,22 +1074,31 @@ class RandomRegular(Topology):
             positions = np.concatenate([2 * sel, 2 * sel + 1])
             pool = stubs[positions]
             rng.shuffle(pool)
-            stubs[positions] = pool
-        u, v = stubs[0::2], stubs[1::2]
-        keep = ~self._bad_pairs(n, u, v)
-        indptr, indices = _csr_from_edges(n, u[keep], v[keep])
+            stubs[positions] = pool  # u, v are views: they see the repair
+        else:
+            # Out of sweeps: drop the pairs that are still bad.
+            keep = ~self._bad_pairs(n, u, v)
+            u, v = u[keep], v[keep]
+        indptr, indices = _csr_from_edges(n, u, v)
         return ContactGraph(self.describe(), n, indptr, indices)
 
     @staticmethod
     def _bad_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Mask of pairs that are self-loops or duplicate edges."""
+        """Mask of pairs that are self-loops or repeat an earlier pair.
+
+        A plain sort finds the few duplicated edge keys; only the pairs
+        carrying one of them are then ranked by position, so every
+        occurrence after the first is marked.
+        """
         bad = u == v
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = lo * n + hi
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        dup_sorted = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1]) + 1
-        bad[order[dup_sorted]] = True
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        s = np.sort(keys)
+        dup_keys = s[1:][s[1:] == s[:-1]]
+        if len(dup_keys):
+            hits = np.flatnonzero(np.isin(keys, dup_keys))
+            order = np.argsort(keys[hits], kind="stable")
+            hit_keys = keys[hits[order]]
+            bad[hits[order[1:][hit_keys[1:] == hit_keys[:-1]]]] = True
         return bad
 
     def diameter_hint(self, n: int) -> int:

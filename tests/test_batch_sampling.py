@@ -1,11 +1,12 @@
 """Sampling contract of :meth:`ContactGraph.sample_contacts_batch`.
 
-The batched draw backs the vector executors on restricted topologies;
-its contract is the 1-D :meth:`sample_contacts` contract applied per
-row: every draw is uniform over the caller's alive neighborhood, never
-the caller itself, and ``-1`` exactly when the caller has no alive
-neighbor — for a structural draw (``alive=None``), a shared ``(n,)``
-mask, and a per-replication ``(reps, n)`` mask alike.
+The batched draw is the one contact sampler on restricted topologies:
+the vector executors call it directly, and the 1-D
+:meth:`sample_contacts` is its one-row case.  Every row obeys the same
+contract: every draw is uniform over the caller's alive neighborhood,
+never the caller itself, and ``-1`` exactly when the caller has no
+alive neighbor — for a structural draw (``alive=None``), a shared
+``(n,)`` mask, and a per-replication ``(reps, n)`` mask alike.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ topologies = st.one_of(
 
 
 def _assert_contract(graph, callers, targets, alive_row):
-    """One row of the batch obeys the 1-D sampling contract."""
+    """One row of the batch obeys the sampling contract."""
     has = graph.alive_degree(callers, alive_row) > 0
     assert ((targets == -1) == ~has).all()
     hit = targets >= 0
