@@ -67,6 +67,7 @@ def cluster2(
     """
     trace = trace if trace is not None else null_trace()
     p = params if params is not None else profile.cluster2(sim.net.n)
+    p.check_n(sim.net.n)
     cl = Clustering(sim.net)
     if sim.telemetry is not None:
         sim.telemetry.add_probe("clusters", lambda s, cl=cl: float(cl.cluster_count()))
@@ -117,6 +118,7 @@ def cluster2_task_transport(
     pipeline of :func:`repro.tasks.transports.run_cluster_task` computes
     the task over it."""
     p = params if params is not None else profile.cluster2(sim.net.n)
+    p.check_n(sim.net.n)
 
     def build(sim: Simulator, cl: Clustering, trace: Trace) -> None:
         grow_initial_clusters_v2(sim, cl, p, trace)

@@ -113,6 +113,22 @@ class Cluster2Params:
     bounded_push_rounds_cap: int
     pull_rounds: int
 
+    @property
+    def dissolve_floor(self) -> int:
+        """SquareClusters opens with ClusterDissolve at this size:
+        smaller clusters disband."""
+        return max(2, self.square_floor // 2)
+
+    def check_n(self, n: int) -> None:
+        """Raise ``ValueError`` when ``n`` is below :attr:`dissolve_floor`:
+        no cluster can reach it, so the square phase would disband every
+        cluster and the run could only fail."""
+        if n < self.dissolve_floor:
+            raise ValueError(
+                f"cluster2 needs n >= {self.dissolve_floor} (its square phase "
+                f"disbands every smaller cluster), got n={n}"
+            )
+
 
 @dataclass(frozen=True)
 class Cluster3Params:

@@ -137,7 +137,7 @@ def square_clusters_v2(
     history: List[int] = []
     with sim.metrics.phase("square"):
         s = params.square_floor
-        cluster_dissolve(sim, cl, max(2, s // 2))
+        cluster_dissolve(sim, cl, params.dissolve_floor)
         iterations = 0
         while s <= target:
             cluster_resize(sim, cl, s)

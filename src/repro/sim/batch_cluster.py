@@ -9,19 +9,29 @@ whole clustering state of R replications lives in ``(R, n)`` arrays
 activation flags, and ``uid`` a per-replication random total order that
 stands in for the ID space (only uid *order* is ever consulted).
 
-The primitives are *member-centric*: each gathers its ``follow`` rows
-once (a view when the whole batch is active), indexes the clustered
-members (flat positions in the local ``A * n`` space, their rep row /
-node column / leader column), and then does all work — coins, contact
-draws, receiver digests, accounting — on those 1-D member arrays,
-scattering mutations straight back into the state.  Random-contact
-targets are drawn only for actual senders, and receiver digests reduce
-the delivered ``(dst, value)`` pairs with one combined-key sort (or a
-dense scatter when deliveries saturate the space), mirroring
-:mod:`repro.sim.delivery` semantics without materialising dense
-per-node digests.  This keeps the per-round cost proportional to the
-work actually happening, which is what buys the batch its amortised
-speedup over R sequential runs.
+The primitives are *member-centric*: each indexes the clustered
+members of its ``follow`` rows (flat positions in the local ``A * n``
+space, their rep row / node column / leader column), and then does all
+work — coins, contact draws, receiver digests, accounting — on those
+1-D member arrays, writing mutations straight back into the state by
+flat position.  Three habits keep the passes over those arrays few:
+
+- a subset of the members is selected by index (one ``flatnonzero``,
+  then integer gathers) rather than by gathering each array through a
+  boolean mask;
+- member arrays are in flat, rep-major order, so per-rep tallies are
+  binary searches over sorted row arrays rather than ``bincount``
+  passes;
+- the member view is cached until ``follow`` changes, and patched
+  rather than rebuilt when a write changes only who leads a cluster
+  (ClusterResize, ClusterMerge).
+
+Random-contact targets are drawn only for actual senders.  Receiver
+digests mirror :mod:`repro.sim.delivery` semantics: a uniformly random
+choice among a destination's deliveries is one ordered scatter into a
+dense digest (last write wins, the write order drawn from one
+permutation), and a minimum-uid choice is one combined-key sort (or a
+min-scatter when deliveries saturate the space).
 
 A structural invariant makes that cheap: ``follow`` pointers always aim
 *directly* at true leaders except transiently inside ClusterMerge (grow
@@ -42,7 +52,8 @@ undelivered); pull responses are charged iff the responder has content;
 fan-in is the per-round reduction of *arrived* pushes plus pull requests.
 Like the uniform batch runners, the draws form a different (identically
 distributed) stream than R sequential runs, so this path is validated
-statistically against the ``reset`` engine, never by fingerprint.
+statistically against the ``reset`` engine, never by the fingerprint
+corpus; ``tests/test_batch_cluster_pin.py`` pins its own outputs.
 """
 
 from __future__ import annotations
@@ -71,6 +82,24 @@ __all__ = ["ClusterBatch", "batched_cluster1", "batched_cluster2"]
 _MAX_MERGE_HOPS = 64
 
 
+def _row_counts(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Entries per local rep row of a *sorted* row array.
+
+    Member arrays are in flat, rep-major order, and any in-order
+    selection of them stays sorted, so ``n_rows + 1`` binary searches
+    replace a ``bincount`` pass over every entry.
+    """
+    return np.diff(np.searchsorted(rows, np.arange(n_rows + 1)))
+
+
+def _run_heads(d: np.ndarray) -> np.ndarray:
+    """Positions of the first entry of each run of equal values in the
+    sorted array ``d``."""
+    first = np.ones(len(d), dtype=bool)
+    first[1:] = d[1:] != d[:-1]
+    return np.flatnonzero(first)
+
+
 class _Members:
     """One act-block member view (see :meth:`ClusterBatch._members`).
 
@@ -81,6 +110,10 @@ class _Members:
     / ``foll`` the leader/follower masks; ``lead`` the positions *into
     the member arrays* of the leaders (so ``r[lead]``/``c[lead]`` are
     cheap integer gathers instead of repeated boolean scans).
+
+    The arrays are never written in place: a single-row view passes
+    ``c`` as ``flat`` itself (its flat positions are node columns), and
+    then ``seg`` is ``ldr`` itself.
     """
 
     __slots__ = (
@@ -88,20 +121,36 @@ class _Members:
         "_foll", "_n_memb", "_n_foll", "_counts", "_size_fan",
     )
 
-    def __init__(self, flatF, flat, r, c, ldr, seg, is_l, lead):
+    def __init__(self, flatF, flat, r, c, ldr):
         self.flatF = flatF
         self.flat = flat
         self.r = r
         self.c = c
         self.ldr = ldr
-        self.seg = seg
-        self.is_l = is_l
-        self.lead = lead
+        if c is flat:
+            self.seg = ldr
+        else:
+            self.seg = flat - c
+            self.seg += ldr
+        self.is_l = ldr == c
+        self.lead = np.flatnonzero(self.is_l)
         self._foll = None
         self._n_memb = None
         self._n_foll = None
         self._counts = None
         self._size_fan = None
+
+    def releaded(self, idx: np.ndarray, ldr: np.ndarray) -> "_Members":
+        """The same members with those at ``idx`` (positions into the
+        member arrays) following leader columns ``ldr`` — the view after
+        a write that changes who leads a cluster, never who is in it.
+        Only ``ldr`` is scattered; whole-array recomputes of the derived
+        fields are cheaper than gathering and scattering them at ``idx``."""
+        new_ldr = self.ldr.copy()
+        new_ldr[idx] = ldr
+        view = _Members(self.flatF, self.flat, self.r, self.c, new_ldr)
+        view._n_memb = self._n_memb
+        return view
 
     @property
     def foll(self) -> np.ndarray:
@@ -114,15 +163,15 @@ class _Members:
         """Members per local rep row (cached — the all-member push
         rounds charge exactly this histogram)."""
         if self._n_memb is None or len(self._n_memb) != n_rows:
-            self._n_memb = np.bincount(self.r, minlength=n_rows)
+            self._n_memb = _row_counts(self.r, n_rows)
         return self._n_memb
 
     def n_foll(self, n_rows: int) -> np.ndarray:
         """Followers per local rep row (cached — every two-round
         primitive charges this same histogram)."""
         if self._n_foll is None or len(self._n_foll) != n_rows:
-            self._n_foll = self.n_memb(n_rows) - np.bincount(
-                self.r[self.lead], minlength=n_rows
+            self._n_foll = self.n_memb(n_rows) - _row_counts(
+                self.r[self.lead], n_rows
             )
         return self._n_foll
 
@@ -199,6 +248,10 @@ class ClusterBatch:
         self.sizes = MessageSizes(self.n, rumor_bits=message_bits)
         self.follow = np.full((reps, n), UNCLUSTERED, dtype=np.int64)
         self.active = np.zeros((reps, n), dtype=bool)
+        # The primitives write both through ``ravel()``, which silently
+        # copies a non-contiguous array; they are only ever written in
+        # place, so this holds for the batch's lifetime.
+        assert self.follow.flags.c_contiguous and self.active.flags.c_contiguous
         # A per-replication uniform random total order over the nodes:
         # everything the algorithms do with IdSpace uids is order
         # comparisons, for which a random permutation is equidistributed.
@@ -232,9 +285,8 @@ class ClusterBatch:
         if len(arrived) * 8 >= n_rows * self.n:
             return per_rep_max_fanin(arrived, n_rows, self.n)
         dst = np.sort(arrived)
-        step = np.flatnonzero(dst[1:] != dst[:-1])
-        starts = np.concatenate(([0], step + 1))
-        lens = np.diff(np.concatenate((starts, [len(dst)])))
+        starts = _run_heads(dst)
+        lens = np.diff(np.append(starts, len(dst)))
         rep = self._rowcol(dst[starts])[0]  # nondecreasing (dst sorted)
         fan = np.zeros(n_rows, dtype=np.int64)
         rstep = np.flatnonzero(rep[1:] != rep[:-1])
@@ -261,13 +313,6 @@ class ClusterBatch:
             self.max_fanin[act] = np.maximum(self.max_fanin[act], fan)
         if self.telemetry is not None:
             self._probe()
-
-    def _member_round(self, act, sender_rows, bits_per, arrived, fan=None) -> None:
-        """One follower↔leader round where every contact in
-        ``sender_rows`` carries (or pulls) a ``bits_per``-bit message —
-        the shared shape of ClusterActivate/Size/Dissolve rounds."""
-        counts = np.bincount(sender_rows, minlength=len(act))
-        self._charge(act, counts, counts * int(bits_per), arrived, fan=fan)
 
     def idle_round(self, act) -> None:
         """A round in which the given replications do nothing (counted).
@@ -351,7 +396,9 @@ class ClusterBatch:
         the saturated phases of the grow loops, where every push lands
         on a clustered receiver) reuse one scan instead of re-deriving
         the identical index arrays primitive after primitive.  Every
-        mutation site bumps ``_follow_ver`` iff it actually wrote.
+        mutation site bumps ``_follow_ver`` iff it actually wrote;
+        re-leading writes install a patched view under the new version
+        (:meth:`_relead`).
         """
         g = np.asarray(act)
         cached = self._view
@@ -365,21 +412,38 @@ class ClusterBatch:
         _, F = self._gather(act)
         flatF = F.ravel()
         flat = np.flatnonzero(flatF != UNCLUSTERED)
-        r, c = self._rowcol(flat)
-        ldr = flatF[flat]
-        is_l = ldr == c
-        view = _Members(
-            flatF, flat, r, c, ldr, flat + ldr - c, is_l, np.flatnonzero(is_l)
-        )
+        # A single row (the default vector chunk at n >= 2^16) needs no split:
+        # its flat positions are its node columns.
+        if len(g) == 1:
+            r, c = np.zeros(len(flat), dtype=flat.dtype), flat
+        else:
+            r, c = self._rowcol(flat)
+        view = _Members(flatF, flat, r, c, flatF[flat])
         self._view = (self._follow_ver, g, view)
         return view
 
-    def _active_at(self, g: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        """Activation flags at local flat positions ``seg``."""
+    def _global(self, g: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """Batch-wide flat positions (into ``follow``/``active``/``uid``
+        raveled) of local flat positions ``flat`` at rows ``g`` — the
+        identity when ``g`` is the whole batch."""
         if len(g) == self.reps:
-            return self.active.ravel()[seg]
-        r, c = self._rowcol(seg)
-        return self.active[g[r], c]
+            return flat
+        r, c = self._rowcol(flat)
+        return g[r] * self.n + c
+
+    def _relead(self, g: np.ndarray, m: _Members, idx, ldr) -> None:
+        """Point the members at ``idx`` (positions into the member
+        arrays of ``m``) to leader columns ``ldr``.
+
+        ClusterResize and ClusterMerge change who leads a cluster, never
+        who is in it, so a whole-batch view (whose ``flatF`` aliases
+        ``follow``) is patched in place of a rebuild; a subset view holds
+        a copy of the old rows and is left to go stale.
+        """
+        self.follow.ravel()[self._global(g, m.flat[idx])] = ldr
+        self._follow_ver += 1
+        if len(g) == self.reps:
+            self._view = (self._follow_ver, g, m.releaded(idx, ldr))
 
     def _draw_targets(self, cols: np.ndarray) -> np.ndarray:
         """One random contact per calling node column: a uniform other
@@ -401,7 +465,7 @@ class ClusterBatch:
         per-destination minimum selects min key, ties toward min value
         — keys are uids, injective per replication, so ties cannot even
         arise).  Sparse deliveries: one combined-key sort over what
-        actually arrived.
+        actually arrived, keeping the head of each destination's run.
         """
         m = len(dst)
         if m == 0:
@@ -413,33 +477,40 @@ class ClusterBatch:
             d = np.flatnonzero(digest != sentinel)
             return d, digest[d] % self.n
         order = np.argsort(dst * np.int64(self.n) + keys)
-        d = dst[order]
-        first = np.ones(m, dtype=bool)
-        first[1:] = d[1:] != d[:-1]
-        return d[first], vals[order][first]
+        # Indices, not a mask: gathering through a random mask is much slower.
+        heads = order[_run_heads(dst[order])]
+        return dst[heads], vals[heads]
+
+    def _any_order(self, m: int, size: int) -> np.ndarray:
+        """The write order of ``m`` deliveries into a ``size``-slot
+        digest under which the last write per destination is a
+        uniformly random one of its deliveries (one ``permutation(m)``
+        draw).
+
+        Dense regime (``4m >= size``): the permuted order itself.
+        Sparse regime: each destination's winner is its delivery of
+        smallest priority ``perm[i]``; writing in descending priority
+        (the reversed inverse permutation) lands that write last.
+        """
+        perm = self.rng.permutation(m)
+        if m * 4 >= size:
+            return perm
+        inv = np.empty(m, dtype=np.int64)
+        inv[perm] = np.arange(m)
+        return inv[::-1]
 
     def _receive_any_pairs(self, dst, vals, size):
         """Per distinct ``dst``, a uniformly random received value — the
-        sparse mirror of :func:`repro.sim.delivery.receive_any`.
-
-        Sparse path: random unique priorities, one combined-key sort,
-        keep each destination's minimum-priority delivery (uniform).
-        When deliveries saturate the ``size`` space, a dense permuted
-        scatter (last write wins, as in the delivery module) is cheaper
-        than sorting.
-        """
+        ``(dst, value)`` pairs of :func:`repro.sim.delivery.receive_any`:
+        one ordered scatter into a dense digest (last write wins, as in
+        the delivery module; :meth:`_any_order` picks the order), read
+        back in destination order."""
         m = len(dst)
         if m == 0:
             return dst, vals
-        perm = self.rng.permutation(m)
-        if m * 4 < size:
-            order = np.argsort(dst * np.int64(m) + perm)
-            d = dst[order]
-            first = np.ones(m, dtype=bool)
-            first[1:] = d[1:] != d[:-1]
-            return d[first], vals[order][first]
+        order = self._any_order(m, size)
         digest = np.full(size, NOTHING, dtype=np.int64)
-        digest[dst[perm]] = vals[perm]
+        digest[dst[order]] = vals[order]
         d = np.flatnonzero(digest != NOTHING)
         return d, digest[d]
 
@@ -456,7 +527,7 @@ class ClusterBatch:
         coins = self.rng.random((self.reps, self.n)) < prob
         empty = ~coins.any(axis=1)
         coins[empty, 0] = True
-        self.follow = np.where(coins, self._cols[None, :], self.follow)
+        np.copyto(self.follow, self._cols, where=coins)
         self.active |= coins
         self._follow_ver += 1
 
@@ -467,16 +538,19 @@ class ClusterBatch:
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValueError(f"activation probability must be in [0,1], got {p}")
         g = np.asarray(act)
+        A = len(g)
         m = self._members(act)
         self.active[g] = False
-        lr, lc = m.r[m.lead], m.c[m.lead]
-        if p is None:
-            self.active[g[lr], lc] = True
-        else:
-            coin = self.rng.random(len(lr)) < p
-            self.active[g[lr[coin]], lc[coin]] = True
-        self._member_round(act, m.r[m.foll], self.sizes.flag_bits, m.seg[m.foll])
-        if self.overlay is not None:  # followers pull from their leader
+        lead = self._global(g, m.flat[m.lead])
+        if p is not None:
+            lead = lead[self.rng.random(len(lead)) < p]
+        self.active.ravel()[lead] = True
+        # Every follower pulls its leader's flag.
+        n_foll = m.n_foll(A)
+        self._charge(
+            act, n_foll, n_foll * self.sizes.flag_bits, fan=m.size_fan(A, self.n)
+        )
+        if self.overlay is not None:
             self._fold_clock(g, m.r[m.foll], m.c[m.foll], m.ldr[m.foll])
 
     def cluster_size(self, act) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -523,11 +597,11 @@ class ClusterBatch:
         self._charge(act, n_foll, n_foll * self.sizes.id_bits, fan=fan)
         if self.overlay is not None:
             self._fold_clock(g, fr, fc, fl)
-        doomed = counts[m.seg] < s
-        if doomed.any():
-            self.follow[g[m.r[doomed]], m.c[doomed]] = UNCLUSTERED
-            dl = doomed & m.is_l
-            self.active[g[m.r[dl]], m.c[dl]] = False
+        doomed = np.flatnonzero(counts[m.seg] < s)
+        if len(doomed):
+            self.follow.ravel()[self._global(g, m.flat[doomed])] = UNCLUSTERED
+            dl = doomed[m.is_l[doomed]]
+            self.active.ravel()[self._global(g, m.flat[dl])] = False
             self._follow_ver += 1
 
     def cluster_resize(self, act, s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -543,24 +617,28 @@ class ClusterBatch:
         if s < 1:
             raise ValueError(f"target size must be >= 1, got {s}")
         g = np.asarray(act)
-        A = len(g)
+        A, n = len(g), self.n
         m = self._members(act)
-        r, c, seg = m.r, m.c, m.seg
-        counts = m.counts(A, self.n)
-        fan = m.size_fan(A, self.n)
+        counts = m.counts(A, n)
+        fan = m.size_fan(A, n)
         n_foll = m.n_foll(A)
         self._charge(act, n_foll, n_foll * self.sizes.id_bits, fan=fan)  # ID push
         if self.overlay is not None:  # pre-split membership, both rounds
             fr, fc, fl = m.r[m.foll], m.c[m.foll], m.ldr[m.foll]
             self._fold_clock(g, fr, fc, fl)
 
-        k_member = np.maximum(counts[seg] // int(s), 1)  # own cluster's k
-        sel = np.flatnonzero(k_member > 1)
+        # Per leader: its cluster's size and chunk count k (1: no split).
+        lr = m.r[m.lead]
+        size = counts[m.flat[m.lead]]
+        k = np.maximum(size // int(s), 1)
+        split = np.flatnonzero(k > 1)
         # Pull round: k * id_bits per follower — the one-id baseline
-        # plus (k - 1) extras for followers of splitting clusters.
-        fsel = sel[~m.is_l[sel]]
+        # plus (k - 1) extras for each of a splitting cluster's size - 1
+        # followers.
         extra = np.bincount(
-            r[fsel], weights=(k_member[fsel] - 1).astype(np.float64), minlength=A
+            lr[split],
+            weights=((k[split] - 1) * (size[split] - 1)).astype(np.float64),
+            minlength=A,
         ).astype(np.int64)
         self._charge(
             act, n_foll, (n_foll + extra) * self.sizes.id_bits, fan=fan
@@ -568,47 +646,65 @@ class ClusterBatch:
         if self.overlay is not None:
             self._fold_clock(g, fr, fc, fl)
 
-        keep = k_member[m.lead] == 1  # leaders of unsplit clusters
-        lead_u = m.lead[keep]
-        rows_u, cols_u = r[lead_u], c[lead_u]
-        sizes_u = counts[m.flat[lead_u]]
-        if not len(sel):
+        keep = np.flatnonzero(k == 1)  # leaders of unsplit clusters
+        rows_u, cols_u, sizes_u = lr[keep], m.c[m.lead[keep]], size[keep]
+        if not len(split):
             return rows_u, cols_u, sizes_u
-        self._follow_ver += 1
-        # Segment key = (rep, leader); members sorted by uid within it.
-        # uid is injective per replication, so seg * n + uid is a
-        # collision-free combined key — one sort instead of a lexsort.
-        u = self.uid[g[r[sel]], c[sel]]
-        sel = sel[np.argsort(seg[sel] * np.int64(self.n) + u)]
-        rs = r[sel]
-        cs = c[sel]
-        seg_s = seg[sel]
-        ks = k_member[sel]
-        new_seg = np.ones(len(seg_s), dtype=bool)
-        new_seg[1:] = seg_s[1:] != seg_s[:-1]
-        seg_id = np.cumsum(new_seg) - 1
-        starts = np.flatnonzero(new_seg)
-        seg_sizes = np.diff(np.append(starts, len(seg_s)))
-        rank = np.arange(len(seg_s)) - starts[seg_id]
-        chunk = (rank * ks) // seg_sizes[seg_id]
+        # Members of the splitting clusters, through a per-segment flag.
+        splitting = np.zeros(A * n, dtype=bool)
+        splitting[m.flat[m.lead[split]]] = True
+        sel = np.flatnonzero(splitting[m.seg])
+        # Sort them by (segment, uid): uid is injective per replication,
+        # so seg * n + uid is a collision-free combined key — one sort
+        # instead of a lexsort.  Segments then come in leader order, the
+        # order of ``split``.
+        pos = self._global(g, m.flat[sel])
+        order = np.argsort(m.seg[sel] * np.int64(n) + self.uid.ravel()[pos])
+        sel, pos = sel[order], pos[order]
+        seg_size, seg_k = size[split], k[split]
+        starts = np.cumsum(seg_size) - seg_size
+        seg_id = np.repeat(np.arange(len(split)), seg_size)
+        rank = np.arange(len(sel)) - starts[seg_id]
+        chunk = (rank * seg_k[seg_id]) // seg_size[seg_id]
         # Runs of equal (segment, chunk); the last member of each run has
         # the chunk's largest uid and becomes its leader.
-        new_run = new_seg.copy()
+        new_run = np.zeros(len(sel), dtype=bool)
+        new_run[starts] = True
         new_run[1:] |= chunk[1:] != chunk[:-1]
         run_id = np.cumsum(new_run) - 1
         run_starts = np.flatnonzero(new_run)
-        run_last = np.append(run_starts[1:], len(seg_s)) - 1
-        lead_r, lead_c = rs[run_last], cs[run_last]
-        old_lead_c = seg_s[run_last] - lead_r * self.n
-        old_active = self.active[g[lead_r], old_lead_c]  # read before writes
-        self.follow[g[rs], cs] = lead_c[run_id]
-        self.active[g[lead_r], lead_c] = old_active
-        run_sizes = np.diff(np.append(run_starts, len(seg_s)))
+        run_last = np.append(run_starts[1:], len(sel)) - 1
+        heads = sel[run_last]
+        lead_r, lead_c = m.r[heads], m.c[heads]
+        active = self.active.ravel()
+        old_active = active[self._global(g, m.seg[heads])]  # read before writes
+        self._relead(g, m, sel, lead_c[run_id])
+        active[pos[run_last]] = old_active
+        run_sizes = np.diff(np.append(run_starts, len(sel)))
         return (
             np.concatenate((rows_u, lead_r)),
             np.concatenate((cols_u, lead_c)),
             np.concatenate((sizes_u, run_sizes)),
         )
+
+    def _senders(self, g: np.ndarray, m: _Members, active_only: bool):
+        """The pushing members' ``(rows, cols, leader cols, per-rep
+        count)``: every member, or (``active_only``) the members of
+        active clusters."""
+        A = len(g)
+        if active_only:
+            # Indices, not a mask: gathering through a random mask is much slower.
+            idx = np.flatnonzero(self.active.ravel()[self._global(g, m.seg)])
+            if len(idx) < len(m.flat):
+                s_r = m.r[idx]
+                return s_r, m.c[idx], m.ldr[idx], _row_counts(s_r, A)
+        return m.r, m.c, m.ldr, m.n_memb(A)
+
+    def _uid_at(self, g: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """uids at local rep rows ``rows``, node columns ``cols``."""
+        if len(g) != self.reps:
+            rows = g[rows]
+        return self.uid.ravel()[rows * self.n + cols]
 
     def cluster_push(self, act, senders: str, reduce: str):
         """ClusterPUSH (two rounds: push + relay-to-leader).
@@ -622,21 +718,12 @@ class ClusterBatch:
         """
         if reduce not in ("min", "any"):
             raise ValueError(f"reduce must be 'min' or 'any', got {reduce!r}")
+        if senders not in ("active", "clustered"):
+            raise ValueError(f"senders must be 'active' or 'clustered', got {senders!r}")
         g = np.asarray(act)
         A, n = len(g), self.n
         m = self._members(act)
-        flatF = m.flatF
-        if senders == "active":
-            send = self._active_at(g, m.seg)
-            if send.all():
-                s_r, s_c, s_ldr, n_send = m.r, m.c, m.ldr, m.n_memb(A)
-            else:
-                s_r, s_c, s_ldr = m.r[send], m.c[send], m.ldr[send]
-                n_send = np.bincount(s_r, minlength=A)
-        elif senders == "clustered":
-            s_r, s_c, s_ldr, n_send = m.r, m.c, m.ldr, m.n_memb(A)
-        else:
-            raise ValueError(f"senders must be 'active' or 'clustered', got {senders!r}")
+        s_r, s_c, s_ldr, n_send = self._senders(g, m, senders == "active")
 
         targets = self._draw_targets(s_c)  # voids charged, not delivered
         if self.graph is None:  # complete graph: every push arrives
@@ -650,33 +737,33 @@ class ClusterBatch:
             self._fold_clock(g, s_r, s_c, targets)
         if reduce == "min":  # each member pushes its cluster's ID
             d1, v1 = self._receive_min_pairs(
-                dst, vals, self.uid[g[d_r], vals], A * n
+                dst, vals, self._uid_at(g, d_r, vals), A * n
             )
         else:
             d1, v1 = self._receive_any_pairs(dst, vals, A * n)
 
-        recv_F = flatF[d1]
-        cl_w = np.flatnonzero(recv_F != UNCLUSTERED)  # clustered receivers
-        uncl_w = np.flatnonzero(recv_F == UNCLUSTERED)
-        d_cl = d1[cl_w]
-        F_cl = recv_F[cl_w]
-        own = F_cl == self._rowcol(d_cl)[1]
+        recv_F = m.flatF[d1]
+        clustered = recv_F != UNCLUSTERED
+        cl_w = np.flatnonzero(clustered)  # clustered receivers
+        uncl_w = np.flatnonzero(~clustered)
+        d_cl, F_cl = d1[cl_w], recv_F[cl_w]
+        r_cl, c_cl = self._rowcol(d_cl)
+        own = F_cl == c_cl
         lead_w = cl_w[own]  # leaders holding their own digest
 
         # Relay round: followers holding a digest push it to their leader
         # (the follower's segment is exactly the leader's flat position).
-        rel_dst = (d_cl + F_cl - self._rowcol(d_cl)[1])[~own]
-        rel_r = self._rowcol(rel_dst)[0]
-        rel_vals = v1[cl_w[~own]]
-        n_rel = np.bincount(rel_r, minlength=A)
+        rel = np.flatnonzero(~own)
+        rel_r = r_cl[rel]
+        rel_dst = d_cl[rel] - c_cl[rel] + F_cl[rel]
+        rel_vals = v1[cl_w[rel]]
+        n_rel = _row_counts(rel_r, A)
         self._charge(act, n_rel, n_rel * self.sizes.id_bits, rel_dst)
         if self.overlay is not None:  # relayers contact their own leader
-            self._fold_clock(
-                g, rel_r, self._rowcol(d_cl)[1][~own], F_cl[~own]
-            )
+            self._fold_clock(g, rel_r, c_cl[rel], F_cl[rel])
         if reduce == "min":
             d2, v2 = self._receive_min_pairs(
-                rel_dst, rel_vals, self.uid[g[rel_r], rel_vals], A * n
+                rel_dst, rel_vals, self._uid_at(g, rel_r, rel_vals), A * n
             )
         else:
             d2, v2 = self._receive_any_pairs(rel_dst, rel_vals, A * n)
@@ -685,7 +772,7 @@ class ClusterBatch:
         cand_d = np.concatenate((d2, d1[lead_w]))
         cand_v = np.concatenate((v2, v1[lead_w]))
         if reduce == "min":
-            keys = self.uid[g[self._rowcol(cand_d)[0]], cand_v]
+            keys = self._uid_at(g, self._rowcol(cand_d)[0], cand_v)
             lead_d, lead_v = self._receive_min_pairs(cand_d, cand_v, keys, A * n)
         else:
             # Relayed digests win over a leader's own receipt (the
@@ -693,10 +780,8 @@ class ClusterBatch:
             pref = np.zeros(len(cand_d), dtype=np.int64)
             pref[len(d2):] = 1
             order = np.argsort(cand_d * np.int64(2) + pref)
-            dd = cand_d[order]
-            first = np.ones(len(dd), dtype=bool)
-            first[1:] = dd[1:] != dd[:-1]
-            lead_d, lead_v = dd[first], cand_v[order][first]
+            heads = order[_run_heads(cand_d[order])]
+            lead_d, lead_v = cand_d[heads], cand_v[heads]
         return lead_d, lead_v, d1[uncl_w], v1[uncl_w]
 
     def cluster_merge(self, act, m_flat: np.ndarray, m_target: np.ndarray) -> None:
@@ -737,14 +822,13 @@ class ClusterBatch:
 
         m = self._members(act)
         mw = np.flatnonzero(merging[m.seg])  # merging-cluster members
-        rm, cm, sm = m.r[mw], m.c[mw], m.seg[mw]
-        pull = ~m.is_l[mw]
-        self._member_round(act, rm[pull], self.sizes.id_bits, sm[pull])
+        pull = mw[~m.is_l[mw]]  # their followers pull the new leader ID
+        n_pull = _row_counts(m.r[pull], A)
+        self._charge(act, n_pull, n_pull * self.sizes.id_bits, m.seg[pull])
         if self.overlay is not None:
-            self._fold_clock(g, rm[pull], cm[pull], m.ldr[mw][pull])
-        self.follow[g[rm], cm] = target[sm]
-        self.active[g[m_r], m_c] = False
-        self._follow_ver += 1
+            self._fold_clock(g, m.r[pull], m.c[pull], m.ldr[pull])
+        self.active.ravel()[self._global(g, m_flat)] = False
+        self._relead(g, m, mw, target[m.seg[mw]])
 
     def cluster_share(self, act, informed: np.ndarray) -> np.ndarray:
         """ClusterShare(rumor) (two rounds); returns the updated informed
@@ -756,18 +840,22 @@ class ClusterBatch:
         m = self._members(act)
 
         # Informed followers push the rumor to their leader.
-        send = m.foll & flat_inf[m.flat]
+        # Indices, not a mask: gathering through a random mask is much slower.
+        send = np.flatnonzero(m.foll & flat_inf[m.flat])
         arrived = m.seg[send]
-        n_send = np.bincount(m.r[send], minlength=A)
+        s_r = m.r[send]
+        n_send = _row_counts(s_r, A)
         self._charge(act, n_send, n_send * self.sizes.rumor_bits, arrived)
         if self.overlay is not None:
-            self._fold_clock(g, m.r[send], m.c[send], m.ldr[send])
+            self._fold_clock(g, s_r, m.c[send], m.ldr[send])
         flat_inf[arrived] = True
 
         # All followers pull; leaders of informed clusters answer.
-        responds = m.foll & flat_inf[m.seg]
-        n_resp = np.bincount(m.r[responds], minlength=A)
-        self._charge(act, n_resp, n_resp * self.sizes.rumor_bits, m.seg[m.foll])
+        responds = np.flatnonzero(m.foll & flat_inf[m.seg])
+        n_resp = _row_counts(m.r[responds], A)
+        self._charge(
+            act, n_resp, n_resp * self.sizes.rumor_bits, fan=m.size_fan(A, self.n)
+        )
         if self.overlay is not None:
             self._fold_clock(g, m.r[m.foll], m.c[m.foll], m.ldr[m.foll])
         flat_inf[m.flat[responds]] = True
@@ -784,15 +872,7 @@ class ClusterBatch:
         g = np.asarray(act)
         A, n = len(g), self.n
         m = self._members(act)
-        if active_only:
-            send = self._active_at(g, m.seg)
-            if send.all():
-                s_r, s_c, s_ldr, n_send = m.r, m.c, m.ldr, m.n_memb(A)
-            else:
-                s_r, s_c, s_ldr = m.r[send], m.c[send], m.ldr[send]
-                n_send = np.bincount(s_r, minlength=A)
-        else:
-            s_r, s_c, s_ldr, n_send = m.r, m.c, m.ldr, m.n_memb(A)
+        s_r, s_c, s_ldr, n_send = self._senders(g, m, active_only)
         targets = self._draw_targets(s_c)
         if self.graph is None:  # complete graph: every push arrives
             dst, vals = s_r * n + targets, s_ldr
@@ -805,13 +885,15 @@ class ClusterBatch:
         # Only unclustered receivers consult the digest (to join), so the
         # reduction runs over their deliveries alone; per receiver the
         # delivery multiset is unchanged by the filter.
-        u_sel = m.flatF[dst] == UNCLUSTERED
-        d1, v1 = self._receive_any_pairs(dst[u_sel], vals[u_sel], A * n)
-        if len(d1):
-            # Joiners adopt the sender's leader pointer, which already
-            # aims at a true leader — no chain to compress.
-            jr, jc = self._rowcol(d1)
-            self.follow[g[jr], jc] = v1
+        # Indices, not a mask: gathering through a random mask is much slower.
+        u = np.flatnonzero(m.flatF[dst] == UNCLUSTERED)
+        if len(u):
+            # The digest's ordered scatter, written straight into
+            # ``follow``: joiners adopt the last-written sender's leader
+            # pointer, which already aims at a true leader — no chain to
+            # compress.
+            w = u[self._any_order(len(u), A * n)]
+            self.follow.ravel()[self._global(g, dst[w])] = vals[w]
             self._follow_ver += 1
 
     def unclustered_pull_round(self, act) -> None:
@@ -823,19 +905,18 @@ class ClusterBatch:
         uflat = np.flatnonzero(flatF == UNCLUSTERED)
         p_r, p_c = self._rowcol(uflat)
         targets = self._draw_targets(p_c)
-        valid = targets >= 0
-        t_flat = (p_r * n + targets)[valid]
+        valid = np.flatnonzero(targets >= 0)
+        t_flat = p_r[valid] * n + targets[valid]
         resp_F = flatF[t_flat]
-        responds = resp_F != UNCLUSTERED
-        n_resp = np.bincount(p_r[valid][responds], minlength=A)
+        hit = np.flatnonzero(resp_F != UNCLUSTERED)  # clustered responders
+        joined = valid[hit]
+        n_resp = _row_counts(p_r[joined], A)
         # Pull requests are free; every arrived request counts as fan-in.
         self._charge(act, n_resp, n_resp * self.sizes.id_bits, t_flat)
         if self.overlay is not None:
             self._fold_clock(g, p_r, p_c, targets)
-        joined = uflat[valid][responds]
         if len(joined):
-            jr, jc = self._rowcol(joined)
-            self.follow[g[jr], jc] = resp_F[responds]
+            self.follow.ravel()[self._global(g, uflat[joined])] = resp_F[hit]
             self._follow_ver += 1
 
 
@@ -1134,6 +1215,7 @@ def batched_cluster2(
     if isinstance(profile, str):
         profile = get_profile(profile)
     p = params if params is not None else profile.cluster2(n)
+    p.check_n(n)
     state = ClusterBatch(
         n,
         reps,
@@ -1150,7 +1232,7 @@ def batched_cluster2(
         _square(
             state,
             s0=p.square_floor,
-            dissolve_at=max(2, p.square_floor // 2),
+            dissolve_at=p.dissolve_floor,
             target=p.square_target,
             step=p.square_step,
             reduce="any",

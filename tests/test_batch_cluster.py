@@ -16,7 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.broadcast import run_replications
+from repro.cli import main
+from repro.core.broadcast import broadcast, run_replications
 from repro.registry import get_algorithm
 from repro.sim.batch_cluster import batched_cluster1, batched_cluster2
 from repro.sim.rng import make_rng
@@ -111,6 +112,37 @@ class TestRestrictedTopology:
         assert vec.success_rate == 1.0 and ref.success_rate == 1.0
         v, r = vec.spread_rounds.mean, ref.spread_rounds.mean
         assert abs(v - r) <= 0.2 * r, f"spread_rounds: vector {v} vs reset {r}"
+
+
+class TestCluster2SizeFloor:
+    """Cluster2's square phase opens by dissolving every cluster smaller
+    than ``max(2, square_floor // 2)`` (4 on every profile), so below
+    that n no node could stay clustered and every run would fail.  Each
+    entry point refuses such an n with a one-line config error."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("engine", ["reset", "vector"])
+    def test_replications_below_floor_raise(self, n, engine):
+        with pytest.raises(ValueError, match="cluster2 needs n >= 4"):
+            run_replications(n, "cluster2", reps=3, engine=engine)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_run_and_task_transport_below_floor_raise(self, n):
+        with pytest.raises(ValueError, match="cluster2 needs n >= 4"):
+            broadcast(n, "cluster2", seed=1)
+        with pytest.raises(ValueError, match="cluster2 needs n >= 4"):
+            broadcast(n, "cluster2", seed=1, task="push-sum")
+        with pytest.raises(ValueError, match="cluster2 needs n >= 4"):
+            batched_cluster2(n, 2, make_rng(0))
+
+    def test_cli_reports_config_error(self, capsys):
+        assert main(["run", "--algorithm", "cluster2", "--n", "3"]) == 2
+        assert "error: cluster2 needs n >= 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["reset", "vector"])
+    def test_smallest_valid_n_succeeds(self, engine):
+        s = run_replications(4, "cluster2", reps=20, base_seed=0, engine=engine)
+        assert s.engine == engine and s.success_rate == 1.0
 
 
 class TestShardedIdentity:
