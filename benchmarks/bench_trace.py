@@ -185,7 +185,7 @@ def test_e20_trace_layer():
     path = report.extras["critical_path"]
     slow = SLOWDOWN.bind(
         E20_N, None, make_rng(derive_seed(7, "delay"))
-    )._slow
+    )._slow[0]
     slow_set = set(np.nonzero(slow)[0].tolist())
     top_node, top_share = path.top_nodes(1)[0]
     assert top_node in slow_set, (

@@ -7,11 +7,13 @@ guides, not rigorous bounds — benches report them alongside min/max.)
 
 For large replication suites (hundreds of seeds) the batch helpers above
 are joined by **streaming** aggregation: :class:`StreamingSummary` folds
-one observation at a time into Welford's online mean/variance recurrence
-plus a compact scalar buffer for quantiles, and
-:class:`ReplicationSummary` groups one such stream per figure of merit.
-A 500-seed suite therefore never materialises 500 records — each
-replication is reduced to a handful of floats the moment it finishes.
+one observation at a time into an exact sum and sum of squares (rounded
+once, when the mean or variance is read) plus a compact scalar buffer
+for quantiles, and :class:`ReplicationSummary` groups one such stream
+per figure of merit.  A 500-seed suite therefore never materialises 500
+records — each replication is reduced to a handful of numbers the moment
+it finishes — and a summary is the same whether it was folded serially
+or merged from shards.
 """
 
 from __future__ import annotations
@@ -73,38 +75,65 @@ def success_rate(flags: Sequence[bool]) -> float:
 
 
 class StreamingSummary:
-    """Online summary of a scalar stream (Welford's algorithm).
+    """Online summary of a scalar stream, exact in any reduction order.
 
-    ``push(x)`` folds one observation in O(1): count, mean and the
-    centred second moment ``M2`` follow Welford's numerically stable
-    recurrence, so the variance of a 10^6-observation stream is exact to
-    float precision without storing the stream.  Quantiles need *some*
-    memory; a compact scalar buffer keeps up to ``max_samples`` raw
-    values (8 bytes each — nothing like the records they came from) and
-    beyond that decimates deterministically by keeping every k-th
-    observation, so the quantile estimate stays unbiased for exchangeable
-    replication streams while memory stays bounded.
+    ``push(x)`` folds one observation in O(1).  Every finite float is a
+    dyadic rational ``m / 2**k``, so the sum and the sum of squares
+    accumulate *exactly*, as integers scaled by the stream's largest
+    ``2**k`` so far; :attr:`mean` and :attr:`variance` round once, when
+    read.  Merging shards then only adds integers, so a stream folded
+    serially and the same observations merged from shards in any
+    grouping give identical means and variances — the sharded
+    ``workers=`` runs of :func:`~repro.core.broadcast.run_replications`
+    equal the serial one to the last bit.  Non-finite observations are
+    summed apart, in float: they make the mean non-finite and the
+    variance ``nan``, without raising.
+
+    Quantiles need *some* memory; a compact scalar buffer keeps up to
+    ``max_samples`` raw values (8 bytes each — nothing like the records
+    they came from) and beyond that decimates deterministically by
+    keeping every k-th observation, so the quantile estimate stays
+    unbiased for exchangeable replication streams while memory stays
+    bounded.
     """
 
     def __init__(self, max_samples: int = 4096) -> None:
         if max_samples < 2:
             raise ValueError("max_samples must be at least 2")
         self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
+        # Exact moments of the finite observations: their sum is
+        # _sum / 2**_scale and their sum of squares _sumsq / 4**_scale.
+        self._sum = 0
+        self._sumsq = 0
+        self._scale = 0
+        self._nonfinite = 0.0  # float sum of the inf/nan observations
         self.minimum = math.inf
         self.maximum = -math.inf
         self._max_samples = max_samples
         self._samples: List[float] = []
         self._stride = 1  # keep every _stride-th observation for quantiles
 
+    def _rescale(self, scale: int) -> None:
+        """Raise the shared power-of-two scale to ``2**scale``."""
+        up = scale - self._scale
+        if up > 0:
+            self._sum <<= up
+            self._sumsq <<= 2 * up
+            self._scale = scale
+
     def push(self, value: float) -> None:
         """Fold one observation into the stream."""
         x = float(value)
         self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
+        if math.isfinite(x):
+            num, den = x.as_integer_ratio()
+            scale = den.bit_length() - 1
+            self._rescale(scale)
+            num <<= self._scale - scale
+            self._sum += num
+            self._sumsq += num * num
+        else:
+            self._nonfinite += x
         if x < self.minimum:
             self.minimum = x
         if x > self.maximum:
@@ -117,11 +146,28 @@ class StreamingSummary:
             self._samples.append(x)
 
     @property
+    def mean(self) -> float:
+        """Arithmetic mean, correctly rounded (0.0 for an empty stream)."""
+        if not self.count:
+            return 0.0
+        if not math.isfinite(self._nonfinite):
+            return self._nonfinite
+        return self._sum / (self.count << self._scale)
+
+    @property
     def variance(self) -> float:
-        """Sample variance (ddof=1)."""
+        """Sample variance (ddof=1), correctly rounded."""
         if self.count < 2:
             return 0.0 if self.count == 1 else float("nan")
-        return self._m2 / (self.count - 1)
+        if not math.isfinite(self._nonfinite):
+            return float("nan")
+        k = self.count
+        try:
+            return (k * self._sumsq - self._sum * self._sum) / (
+                (k * (k - 1)) << (2 * self._scale)
+            )
+        except OverflowError:  # finite observations, variance past float range
+            return math.inf
 
     @property
     def std(self) -> float:
@@ -145,30 +191,20 @@ class StreamingSummary:
     def merge(self, other: "StreamingSummary") -> "StreamingSummary":
         """Fold another stream's state into this one (shard combine).
 
-        Count, mean and M2 merge with the parallel-variance combine
-        (Chan et al.), so mean/variance match single-stream aggregation
-        of the concatenated observations to float rounding; min/max and
-        count merge exactly.  The quantile buffers concatenate and then
-        decimate back under the memory bound, so quantiles remain what
-        they already were: exact while everything fits at stride 1,
-        approximate beyond.  Returns ``self``.
+        Count, extremes and the exact moments add, so mean and variance
+        equal single-stream aggregation of the concatenated
+        observations bit for bit, in any merge order.  The quantile
+        buffers concatenate and then decimate back under the memory
+        bound, so quantiles remain what they already were: exact while
+        everything fits at stride 1, approximate beyond.  Returns
+        ``self``.
         """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            self._samples = list(other._samples)
-            self._stride = other._stride
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
+        self._rescale(other._scale)
+        up = self._scale - other._scale
+        self._sum += other._sum << up
+        self._sumsq += other._sumsq << (2 * up)
+        self._nonfinite += other._nonfinite
+        self.count += other.count
         self.minimum = min(self.minimum, other.minimum)
         self.maximum = max(self.maximum, other.maximum)
         self._samples = self._samples + list(other._samples)

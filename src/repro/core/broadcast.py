@@ -531,9 +531,9 @@ def run_replications(
 
     Each replication is reduced to its headline scalars the moment it
     finishes and folded into a
-    :class:`~repro.analysis.stats.ReplicationSummary` (Welford
+    :class:`~repro.analysis.stats.ReplicationSummary` (exact
     mean/variance, min/max, compact quantile buffer, Wilson success
-    interval) — a 500-seed suite holds a handful of floats, never 500
+    interval) — a 500-seed suite holds a handful of numbers, never 500
     records.  ``consume`` (optional) additionally receives each
     replication's scalar dict as it streams past, e.g. for live CLI
     output or custom sinks.
@@ -554,10 +554,9 @@ def run_replications(
         work array exceeds ``batch_elems`` elements regardless of
         ``reps``.  ``scheduler=`` rides along through the batched clock
         overlay (:class:`repro.sim.schedule.BatchClockOverlay`) when the
-        runner folds contacts and the delay model has a batched sampler
-        — the summary then carries per-rep ``sim_time`` streams;
-        tracing, event recording, and unbatchable delay models fall back
-        to the sequential tier (``engine="auto"``) or raise
+        runner folds contacts — the summary then carries per-rep
+        ``sim_time`` streams; contact tracing falls back to the
+        sequential tier (``engine="auto"``) or raises
         (``engine="vector"``).
     ``"rebuild"``
         The historical loop — a fresh :func:`broadcast` per seed.  Kept
@@ -635,8 +634,7 @@ def run_replications(
     )
     # The event tier rides the vector engine through the batched clock
     # overlay (:class:`repro.sim.schedule.BatchClockOverlay`) when the
-    # runner folds its contacts and the delay model has a batched
-    # sampler; tracing and event recording stay sequential.
+    # runner folds its contacts; contact tracing stays sequential.
     scheduler_reason = None
     if resolved_scheduler is not None:
         if not getattr(batch_runner, "supports_overlay", False):
@@ -644,18 +642,8 @@ def run_replications(
                 f"the batch runner for {algorithm!r} (task {task!r}) does "
                 "not fold contacts into the batched clock overlay"
             )
-        elif resolved_scheduler.trace or resolved_scheduler.record_events:
-            scheduler_reason = (
-                "contact tracing / event recording needs the sequential "
-                "event scheduler"
-            )
-        else:
-            delay_model = resolved_scheduler.resolve_delay(resolved_topology)
-            if not getattr(delay_model, "batchable", False):
-                scheduler_reason = (
-                    f"delay model {delay_model.name!r} has no batched "
-                    "sampler (DelayModel.bind_batch)"
-                )
+        elif resolved_scheduler.trace:
+            scheduler_reason = "contact tracing needs the sequential event scheduler"
     # The (R, n) executors assume at least one other node to dial;
     # single-node runs fall back to the sequential reset engine.
     vector_ok = (

@@ -40,9 +40,8 @@ telemetry schema v2 JSONL records (:mod:`repro.obs.sink`).
 
 The trace is deliberately *uncapped*: critical-path extraction needs
 every contact (a decimated log loses exactly the tight predecessors the
-walk follows), unlike the debug :class:`~repro.sim.schedule.EventQueue`
-whose capped mode may thin old events.  Memory is six scalars per
-contact — a few MiB for the n = 2^14 bench configurations.
+walk follows).  Memory is six scalars per contact — a few MiB for the
+n = 2^14 bench configurations.
 """
 
 from __future__ import annotations

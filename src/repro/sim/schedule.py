@@ -25,11 +25,12 @@ event run reproduces the round engine's results *bit-identically* —
 zero-latency or otherwise — while exposing a completion-time axis; the
 fingerprint corpus replays through the event tier to pin exactly that.
 
-Determinism: the optional :class:`EventQueue` (``record_events=True``)
-orders deliveries by the content key ``(time, dst, src, kind)``, so the
-delivery order is a pure function of the events themselves — identical
-no matter in which order a producer happened to push them onto the
-heap.
+One clock state serves both execution shapes: :class:`BatchClockOverlay`
+holds ``R`` per-node clock rows, folds contacts into them and draws
+delays from one :class:`~repro.sim.topology.BatchBoundDelay` oracle.
+The vector executors bind it for a chunk of replications; the
+sequential :class:`EventScheduler` is a one-row overlay behind the
+:class:`Scheduler` protocol.
 
 Delay resolution order: an explicit ``EventSchedulerSpec(delay=...)``
 wins, else the topology's ``delay=`` annotation, else unit
@@ -39,7 +40,6 @@ the round clock under full participation).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
 
@@ -49,7 +49,6 @@ from repro.sim.rng import derive_seed, make_rng
 from repro.sim.topology import (
     DELAY_MODELS,
     BatchBoundDelay,
-    BoundDelay,
     ConstantDelay,
     DelayModel,
 )
@@ -61,80 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Scheduler tiers selectable by name (``run/sweep --scheduler``).
 SCHEDULER_NAMES = ("round", "event")
-
-#: Default recorded-event cap for :class:`EventScheduler`'s debug queue.
-#: Long event-tier runs used to grow the queue without bound; the capped
-#: queue decimates with the same keep-the-exact-final-row policy as
-#: :class:`~repro.obs.probes.RoundSeries`.
-DEFAULT_EVENTS_CAP = 65536
-
-
-class EventQueue:
-    """A deterministic min-heap of delivery events.
-
-    Events are plain tuples ``(time, dst, src, kind)`` and the heap
-    orders by that full content key, so ties on ``time`` break on the
-    event's identity rather than on heap insertion order: pushing the
-    same multiset of events in *any* order drains the same sequence
-    (the Hypothesis suite pins this).  Two events with identical keys
-    are indistinguishable, so their relative order is moot.
-
-    ``cap`` bounds memory on long runs: past the cap the queue sorts and
-    keeps every second event plus the *exact* latest one (the
-    :class:`~repro.obs.probes.RoundSeries` decimation policy), doubling
-    ``stride`` each time.  A capped queue is a lossy debug log — its
-    drain is no longer insertion-order independent, and causal analysis
-    must not run on it: critical-path extraction
-    (:mod:`repro.obs.trace`) needs every contact and therefore records
-    into its own uncapped :class:`~repro.obs.trace.ContactTrace`, never
-    this queue.  The default ``cap=None`` keeps the historical exact,
-    order-independent behaviour.
-    """
-
-    def __init__(self, cap: Optional[int] = None) -> None:
-        self._heap: List[Tuple[float, int, int, str]] = []
-        self.cap = None if cap is None else max(2, int(cap))
-        self.stride = 1
-        self.decimated = False
-
-    def push(self, time: float, dst: int, src: int, kind: str = "push") -> None:
-        heapq.heappush(self._heap, (float(time), int(dst), int(src), str(kind)))
-        if self.cap is not None and len(self._heap) > self.cap:
-            self._thin()
-
-    def _thin(self) -> None:
-        """Halve the queue, keeping the exact latest event.
-
-        A sorted list is a valid binary heap, and appending the maximum
-        at the end preserves the heap property, so no re-heapify is
-        needed.
-        """
-        self._heap.sort()
-        tail = self._heap[-1]
-        self._heap = self._heap[:-1][::2]
-        self._heap.append(tail)
-        self.stride *= 2
-        self.decimated = True
-
-    def pop(self) -> Tuple[float, int, int, str]:
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Tuple[float, int, int, str]:
-        return self._heap[0]
-
-    def drain(self) -> List[Tuple[float, int, int, str]]:
-        """Pop everything, in (time, dst, src, kind) order."""
-        out = []
-        while self._heap:
-            out.append(heapq.heappop(self._heap))
-        return out
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
 
 class Scheduler:
     """The protocol both tiers implement.
@@ -193,18 +118,14 @@ class EventScheduler(Scheduler):
     clock up to it (``max``), so slow endpoints drag their causal
     descendants.  ``sim_time`` is the latest completion seen so far.
 
-    Fast paths: a zero-latency delay keeps every clock frozen at 0 (the
-    overlay costs nothing — the E19 parity gate's configuration); a
-    scalar constant delay with full participation and uniform clocks
-    advances one scalar instead of ``n`` clocks.  The general path is a
-    handful of vectorised ops per committed round.
-
-    ``record_events=True`` additionally pushes every delivered contact
-    into an :class:`EventQueue` keyed ``(time, dst, src, kind)`` —
-    drain it for the globally time-ordered delivery log (debug scale;
-    the hot path never builds per-message Python objects).  The queue
-    is capped at ``events_cap`` entries by default; pass ``None`` for
-    the historical uncapped queue.
+    The clocks, the fold and the delay oracle are those of a one-row
+    :class:`BatchClockOverlay`; this adapter gathers each committed
+    round's contacts and picks the path that folds them.  Fast paths: a
+    zero-latency delay keeps every clock frozen at 0 (the overlay costs
+    nothing — the E19 parity gate's configuration); a scalar constant
+    delay with full participation and uniform clocks advances one
+    scalar instead of ``n`` clocks.  The general path is one lean
+    :meth:`BatchClockOverlay.fold` per committed round.
 
     ``contacts`` (a :class:`~repro.obs.trace.ContactTrace`) switches on
     causal tracing: every declared contact — start, completion, round,
@@ -217,61 +138,27 @@ class EventScheduler(Scheduler):
 
     def __init__(
         self,
-        delay: BoundDelay,
-        rng: np.random.Generator,
-        *,
-        model: Optional[DelayModel] = None,
-        record_events: bool = False,
-        events_cap: Optional[int] = DEFAULT_EVENTS_CAP,
+        overlay: "BatchClockOverlay",
         contacts: "Optional[ContactTrace]" = None,
-        horizon: Optional[int] = None,
     ) -> None:
-        self._delay = delay
-        self._rng = rng
-        self._model = model
-        #: Graph-distance horizon (``Topology.diameter_hint``) of the
-        #: bound network, when the topology offers one — the expected
-        #: contact-depth of the run, used to size the debug queue.
-        self.horizon = horizon
-        self.record_events = bool(record_events)
-        self.events: Optional[EventQueue] = (
-            EventQueue(cap=events_cap) if record_events else None
-        )
+        self._overlay = overlay
         self.contacts = contacts
-        self._clock: Optional[np.ndarray] = None
-        self._uniform: Optional[float] = 0.0  # all clocks equal this, when set
-        self._sim_time = 0.0
-        self._alive_count = -1
-        self._alive_epoch: Optional[int] = None
 
     @property
     def sim_time(self) -> float:
-        return self._sim_time
+        return float(self._overlay.sim_time[0])
 
     def describe(self) -> str:
-        if self._model is not None:
-            return f"event({self._model.describe()})"
-        return "event"
+        return self._overlay.describe()
 
     def clocks(self) -> np.ndarray:
         """The per-node simulated clocks (materialised on demand)."""
-        n = self._sim.net.n
-        if self._clock is None:
-            return np.full(n, self._uniform or 0.0)
-        return self._clock
-
-    # ------------------------------------------------------------------
-
-    def _alive_nodes(self) -> int:
-        net = self._sim.net
-        if self._alive_epoch != net.liveness_epoch or self._alive_count < 0:
-            self._alive_count = int(np.count_nonzero(net.alive))
-            self._alive_epoch = net.liveness_epoch
-        return self._alive_count
+        return self._overlay.clocks()[0]
 
     def on_commit(self, committed: "Round") -> None:
-        observing = self.record_events or self.contacts is not None
-        if self._delay.zero and not observing:
+        overlay = self._overlay
+        tracing = self.contacts is not None
+        if overlay.zero and not tracing:
             return  # clocks frozen at 0: the zero-latency overlay is free
         ops = [
             op
@@ -281,92 +168,63 @@ class EventScheduler(Scheduler):
         if not ops:
             return  # an idle round takes no simulated time on the event tier
 
-        constant = self._delay.constant
-        if (
-            constant is not None
-            and self._uniform is not None
-            and not observing
-            and self._sim.dynamics is None
-        ):
+        if overlay.uniform and not tracing and self._sim.dynamics is None:
             # Uniform fast path: when every alive node initiates exactly
             # once (the model invariant caps initiations at one), every
             # clock advances by the same constant and stays uniform.
             initiations = sum(
                 len(op.srcs) for op in ops if op.counts_initiation
             )
-            if initiations == self._alive_nodes():
-                self._uniform += constant
-                self._sim_time = self._uniform
+            if initiations == len(self._sim.net.alive_indices()):
+                overlay.advance_uniform(0)
                 return
-
-        n = self._sim.net.n
-        if self._clock is None:
-            self._clock = np.zeros(n, dtype=np.float64)
-        if self._uniform is not None:
-            if self._uniform:
-                self._clock.fill(self._uniform)
-            self._uniform = None
 
         srcs = np.concatenate([np.asarray(op.srcs, dtype=np.int64) for op in ops])
         dsts = np.concatenate([np.asarray(op.dsts, dtype=np.int64) for op in ops])
         arrived = np.concatenate([op.arrived for op in ops])
-        starts = self._clock[srcs]
-        complete = starts + self._delay.delays(srcs, dsts, self._rng)
-        np.maximum.at(self._clock, srcs, complete)
-        if arrived.any():
-            np.maximum.at(self._clock, dsts[arrived], complete[arrived])
-        self._sim_time = max(self._sim_time, float(complete.max()))
-
-        if observing:
+        starts, complete = overlay.fold(None, srcs, dsts, arrived)
+        if tracing:
             kinds = np.concatenate(
                 [
                     np.full(len(op.srcs), i < len(committed._pushes))
                     for i, op in enumerate(ops)
                 ]
             )
-            if self.contacts is not None:
-                self.contacts.record(
-                    self._sim.metrics.rounds,
-                    srcs,
-                    dsts,
-                    starts,
-                    complete,
-                    arrived,
-                    kinds,
-                )
-            if self.record_events:
-                for s, d, t, k in zip(
-                    srcs[arrived].tolist(),
-                    dsts[arrived].tolist(),
-                    complete[arrived].tolist(),
-                    kinds[arrived].tolist(),
-                ):
-                    self.events.push(t, d, s, "push" if k else "pull")
+            self.contacts.record(
+                self._sim.metrics.rounds,
+                srcs,
+                dsts,
+                starts,
+                complete,
+                arrived,
+                kinds,
+            )
 
 
 class BatchClockOverlay:
-    """The event tier for the batched ``(R, n)`` vector executors.
+    """The event tier's clock state: ``reps`` per-node clock rows.
 
-    One instance carries ``reps`` independent per-node clock rows — the
-    batched counterpart of :class:`EventScheduler`, with the same
-    semantics applied per row: a contact ``u -> w`` in rep ``r`` starts
-    at ``clock[r, u]``, completes ``delay(r, u, w)`` later, advances the
-    initiator's clock, folds a *delivered* contact into the receiver's
-    clock, and ``sim_time[r]`` is the latest completion rep ``r`` has
-    seen.  Each bulk fold is a handful of ``np.maximum.at`` calls over
-    all reps at once, so the timing overlay runs at scale-tier speed.
+    A contact ``u -> w`` in rep ``r`` starts at ``clock[r, u]``,
+    completes ``delay(r, u, w)`` later, advances the initiator's clock,
+    folds a *delivered* contact into the receiver's clock, and
+    ``sim_time[r]`` is the latest completion rep ``r`` has seen.  Each
+    bulk fold is a handful of ``np.maximum.at`` calls over all reps at
+    once, so the timing overlay runs at scale-tier speed.  The vector
+    executors bind one per chunk (:func:`make_batch_overlay`); the
+    sequential :class:`EventScheduler` binds one row.
 
-    The overlay draws only from its own delay streams (bind-time fabric
-    from per-rep ``"delay"`` streams, per-message jitter from a shared
-    batch stream), never from the runner's algorithm coins — so a vector
-    run's rounds/messages/bits are bit-identical with the overlay on or
-    off, and ``sim_time`` is statistically identical to a sequential
-    :class:`EventScheduler` run at the same per-rep seed (exactly
-    identical for zero latency, where every clock stays 0).
+    The overlay draws only from its own delay streams, never from the
+    runner's algorithm coins — so a run's rounds/messages/bits are
+    bit-identical with the overlay on or off.  A one-row overlay binds
+    and jitters from the run's ``"delay"`` stream; a vector chunk binds
+    each row's fabric from that rep's ``"delay"`` stream and shares one
+    batch stream for per-message jitter, so its ``sim_time`` is
+    statistically identical to a sequential run at the same per-rep
+    seed (exactly identical for zero latency, where every clock stays 0).
 
-    Fast paths mirror the sequential tier: zero latency is free, and
-    full-participation rounds under a scalar constant delay advance one
-    scalar per rep while the rows stay uniform.
+    Fast paths: zero latency is free, and full-participation rounds
+    under a scalar constant delay advance one scalar per rep while the
+    rows stay uniform.
     """
 
     name = "event"
@@ -394,6 +252,28 @@ class BatchClockOverlay:
     def zero(self) -> bool:
         """True when every contact is instantaneous (overlay is free)."""
         return self._delay.zero
+
+    @property
+    def uniform(self) -> bool:
+        """True while a constant delay has kept every row's clocks equal."""
+        return self._uniform is not None and self._delay.constant is not None
+
+    def advance_uniform(self, rows) -> None:
+        """One full-participation round for the uniform ``rows``.
+
+        Every node initiates, so under a constant delay every clock in
+        the row advances by the same amount whether or not its contact
+        delivered — the rows stay uniform.  Only valid while
+        :attr:`uniform` holds.
+        """
+        self._uniform[rows] += self._delay.constant
+
+    def clocks(self) -> np.ndarray:
+        """The ``(reps, n)`` per-node clocks (uniform rows materialised
+        on demand, as a copy)."""
+        if self._uniform is not None:
+            return np.repeat(self._uniform[:, None], self.n, axis=1)
+        return self._clock
 
     @property
     def sim_time(self) -> np.ndarray:
@@ -443,12 +323,8 @@ class BatchClockOverlay:
         act = np.asarray(act, dtype=np.int64)
         if len(act) == 0:
             return
-        constant = self._delay.constant
-        if constant is not None and self._uniform is not None:
-            # Every node initiates, so under a constant delay every
-            # clock in the row advances by the same amount whether or
-            # not its contact delivered — the rows stay uniform.
-            self._uniform[act] += constant
+        if self.uniform:
+            self.advance_uniform(act)
             return
         # General path, kept two-dimensional: every (row, node) initiates
         # exactly once, so the initiator fold is an elementwise row
@@ -494,11 +370,11 @@ class BatchClockOverlay:
 
     def fold(
         self,
-        rows: np.ndarray,
+        rows: Optional[np.ndarray],
         srcs: np.ndarray,
         dsts: np.ndarray,
         arrived: Optional[np.ndarray] = None,
-    ) -> None:
+    ) -> "Optional[Tuple[np.ndarray, np.ndarray]]":
         """Fold one committed round's contacts into the clock matrix.
 
         ``rows[i]`` is the rep row of contact ``i``; all contacts of one
@@ -507,25 +383,39 @@ class BatchClockOverlay:
         one ``fold`` per logical round per contact group.  ``arrived``
         masks deliveries; ``-1``/out-of-range destinations never fold
         the receiver but still advance the initiator and ``sim_time``.
+
+        ``rows=None`` is the lean one-row path the sequential tier
+        takes: node ids are the clock keys, and ``arrived`` is required
+        and already false for ``-1``, out-of-range and dead
+        destinations (the engine's arrival mask guarantees it).  It
+        folds zero-latency contacts too, which a contact trace records.
+
+        Returns the contacts' ``(starts, completions)``, or ``None``
+        when a zero-latency or empty row fold was skipped.
         """
-        if self._delay.zero or len(rows) == 0:
-            return
+        if rows is None:
+            src_keys, deliver = srcs, arrived
+        else:
+            if self._delay.zero or len(rows) == 0:
+                return None
+            rows = np.asarray(rows, dtype=np.int64)
+            srcs = np.asarray(srcs, dtype=np.int64)
+            dsts = np.asarray(dsts, dtype=np.int64)
+            src_keys = rows * self.n + srcs
+            deliver = (dsts >= 0) & (dsts < self.n)
+            if arrived is not None:
+                deliver &= np.asarray(arrived, dtype=bool)
         self._materialise()
-        rows = np.asarray(rows, dtype=np.int64)
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
         flat = self._clock.ravel()
-        src_keys = rows * self.n + srcs
         starts = flat[src_keys]
-        complete = starts + self._delay.sample_batch(rows, srcs, dsts, self._rng)
+        complete = starts + self._delay.delays(rows, srcs, dsts, self._rng)
         np.maximum.at(flat, src_keys, complete)
-        deliver = (dsts >= 0) & (dsts < self.n)
-        if arrived is not None:
-            deliver &= np.asarray(arrived, dtype=bool)
         if deliver.any():
-            np.maximum.at(
-                flat, rows[deliver] * self.n + dsts[deliver], complete[deliver]
-            )
+            dst_keys = dsts[deliver]
+            if rows is not None:
+                dst_keys += rows[deliver] * self.n
+            np.maximum.at(flat, dst_keys, complete[deliver])
+        return starts, complete
 
 
 def make_batch_overlay(
@@ -547,16 +437,9 @@ def make_batch_overlay(
     row's straggler set / edge weights are bit-identical to the
     sequential run.  Per-message jitter shares one batch stream
     (statistically equivalent, like the vector executors' shared
-    algorithm coins).  Raises ``ValueError`` for delay models without a
-    batched sampler — the caller surfaces that as a config error.
+    algorithm coins).
     """
     model = spec.resolve_delay(topology)
-    if not getattr(model, "batchable", False):
-        raise ValueError(
-            f"delay model '{model.name}' has no batched sampler "
-            f"(DelayModel.bind_batch); run it on the sequential tier "
-            f"with engine='reset'"
-        )
     rep_rngs = [
         make_rng(derive_seed(base_seed + first_rep + i, "delay"))
         for i in range(reps)
@@ -580,16 +463,12 @@ class EventSchedulerSpec:
 
     ``trace=True`` attaches a fresh, uncapped
     :class:`~repro.obs.trace.ContactTrace` at bind — the scheduler logs
-    every contact for critical-path extraction.  ``events_cap`` bounds
-    the debug :class:`EventQueue` (``record_events=True`` only);
-    ``None`` means uncapped.
+    every contact for critical-path extraction.
     """
 
     name: ClassVar[str] = "event"
     delay: Optional[DelayModel] = None
-    record_events: bool = False
     trace: bool = False
-    events_cap: Optional[int] = DEFAULT_EVENTS_CAP
 
     def resolve_delay(self, topology=None) -> DelayModel:
         """The delay model this spec runs: explicit > topology > unit."""
@@ -603,42 +482,20 @@ class EventSchedulerSpec:
         """Materialise the scheduler for one bound network.
 
         ``rng`` is the run's dedicated ``"delay"`` stream: the straggler
-        set / per-edge weights are drawn from it here, and the bound
-        scheduler keeps it for per-message jitter — algorithm coins are
+        set / per-edge weights are drawn from it here, and the one-row
+        overlay keeps it for per-message jitter — algorithm coins are
         never touched, which is what keeps event runs bit-identical to
         the round engine.
         """
         model = self.resolve_delay(net.topology)
         bound = model.bind(net.n, net.graph, rng)
+        overlay = BatchClockOverlay(bound, rng, 1, net.n, model=model)
         contacts = None
         if self.trace:
             from repro.obs.trace import ContactTrace
 
             contacts = ContactTrace(net.n)
-        horizon = (
-            net.topology.diameter_hint(net.n) if net.topology is not None else None
-        )
-        events_cap = self.events_cap
-        if events_cap == DEFAULT_EVENTS_CAP and horizon is not None:
-            # The spec default sizes the debug queue by the flat
-            # complete-graph horizon; bound it by the topology's graph
-            # distance instead — a diameter-D graph needs ~n*D contact
-            # deliveries before the front closes, so hold that many
-            # before decimating (capped at 16x the default so a
-            # huge-diameter ring cannot demand an unbounded log).
-            # Explicit non-default caps are honoured verbatim.
-            events_cap = int(
-                min(max(events_cap, 2 * net.n * horizon), 16 * DEFAULT_EVENTS_CAP)
-            )
-        return EventScheduler(
-            bound,
-            rng,
-            model=model,
-            record_events=self.record_events,
-            events_cap=events_cap,
-            contacts=contacts,
-            horizon=horizon,
-        )
+        return EventScheduler(overlay, contacts)
 
     def describe(self) -> str:
         inner = self.delay.describe() if self.delay is not None else "topology"

@@ -110,8 +110,7 @@ class Topology:
         deterministic topologies, w.h.p. for the random ones) — the
         natural unit for round budgets: information needs at least one
         round per hop, so ``max_rounds`` for spreading processes scales
-        with this instead of a hard-coded constant, and the event tier
-        sizes its contact-horizon bookkeeping by it.  ``None`` means the
+        with this instead of a hard-coded constant.  ``None`` means the
         spec offers no estimate (third-party topologies predating this
         hook); callers must keep their own fallback.
         """
@@ -363,28 +362,28 @@ class DelayModel:
     """Base class of the frozen per-contact delay specs.
 
     A delay model is pure configuration (picklable, hashable — safe on
-    a frozen :class:`Topology` or inside a ``RunSpec``); :meth:`bind`
-    turns it into a :class:`BoundDelay` oracle for one network, drawing
-    any persistent randomness (straggler sets, per-edge weights) from
-    the run's dedicated ``"delay"`` seed stream.  ``requires_graph``
-    marks the per-edge models that need a materialised CSR — the
-    complete graph keeps the scalar models, so no CSR is ever forced.
+    a frozen :class:`Topology` or inside a ``RunSpec``); :meth:`bind_batch`
+    turns it into a :class:`BatchBoundDelay` oracle for ``reps`` stacked
+    networks, drawing any persistent randomness (straggler sets,
+    per-edge weights) from each replication's dedicated ``"delay"`` seed
+    stream.  Both event tiers bind through it: the sequential tier is
+    the one-row case, :meth:`bind`.  ``requires_graph`` marks the
+    per-edge models that need a materialised CSR — the complete graph
+    keeps the scalar models, so no CSR is ever forced.
     """
 
     name: ClassVar[str] = "delay"
     requires_graph: ClassVar[bool] = False
-    #: True when the model implements :meth:`bind_batch` — the batched
-    #: ``(R, n)`` clock overlay only accepts batchable models, and
-    #: third-party models predating the hook default to the sequential
-    #: tier (a clean config error under ``engine="vector"``, a logged
-    #: fallback under ``engine="auto"``).
-    batchable: ClassVar[bool] = False
 
     def bind(
         self, n: int, graph: "Optional[ContactGraph]", rng: np.random.Generator
-    ) -> "BoundDelay":
-        """Materialise the per-contact oracle for an ``n``-node network."""
-        raise NotImplementedError
+    ) -> "BatchBoundDelay":
+        """The one-row oracle for a single ``n``-node network.
+
+        ``rng`` is the run's ``"delay"`` stream; it supplies both the
+        bind-time fabric and the per-message jitter, in that order.
+        """
+        return self.bind_batch(n, 1, graph, [rng], rng)
 
     def bind_batch(
         self,
@@ -398,14 +397,14 @@ class DelayModel:
 
         ``rep_rngs[i]`` is replication ``i``'s dedicated ``"delay"``
         stream — bind-time randomness (straggler sets, edge weights)
-        must come from it so each row's delay fabric is bit-identical
-        to the sequential :meth:`bind` at the same seed.  ``rng`` is the
-        shared per-message stream for draws that are only required to be
+        must come from it so each row's delay fabric is a function of
+        that replication's seed alone.  ``rng`` is the shared
+        per-message stream for draws that are only required to be
         identically distributed (jitter), mirroring how the vector
         executors share one algorithm-coins stream per chunk.
         """
         raise NotImplementedError(
-            f"delay model '{self.name}' has no batched sampler"
+            f"delay model '{self.name}' implements no bind_batch"
         )
 
     def describe(self) -> str:
@@ -423,43 +422,19 @@ class DelayModel:
         return graph
 
 
-class BoundDelay:
-    """A bound delay oracle: per-contact latencies for one network.
-
-    ``constant`` is non-``None`` when every contact takes exactly that
-    many time units — the event tier's scalar fast path.  Otherwise
-    :meth:`delays` returns a float64 array parallel to the contact
-    arrays; per-message jitter draws come from the caller-supplied
-    ``"delay"`` stream so algorithm coins stay untouched.
-    """
-
-    def __init__(self, constant: Optional[float] = None) -> None:
-        self.constant = None if constant is None else float(constant)
-
-    @property
-    def zero(self) -> bool:
-        """True when every contact is instantaneous (zero latency)."""
-        return self.constant == 0.0
-
-    def delays(
-        self, srcs: np.ndarray, dsts: np.ndarray, rng: np.random.Generator
-    ) -> "np.ndarray | float":
-        if self.constant is not None:
-            return self.constant
-        raise NotImplementedError
-
-
 class BatchBoundDelay:
-    """A batch-bound delay oracle: per-contact latencies for ``reps``
-    stacked networks at once.
+    """A bound delay oracle: per-contact latencies for ``reps`` stacked
+    networks at once.
 
-    The ``(R, n)`` counterpart of :class:`BoundDelay`, consumed by the
-    vector engine's :class:`~repro.sim.schedule.BatchClockOverlay`.
-    ``constant`` keeps the scalar fast-path contract; otherwise
-    :meth:`sample_batch` returns a float64 array parallel to the
-    contact arrays, where ``rows[i]`` names the replication row contact
-    ``i`` belongs to (so per-rep fabric — straggler sets, edge weights
-    — indexes its own row).
+    Consumed by :class:`~repro.sim.schedule.BatchClockOverlay`, which
+    both event tiers run on (the sequential tier binds one row).
+    ``constant`` is non-``None`` when every contact takes exactly that
+    many time units — the scalar fast path.  Otherwise :meth:`delays`
+    returns a float64 array parallel to the contact arrays, where
+    ``rows[i]`` names the replication row contact ``i`` belongs to (so
+    per-rep fabric — straggler sets, edge weights — indexes its own
+    row); per-message jitter draws come from the caller-supplied delay
+    stream, so algorithm coins stay untouched.
     """
 
     #: Set by :func:`repro.sim.schedule.make_batch_overlay` when the
@@ -475,13 +450,14 @@ class BatchBoundDelay:
         """True when every contact is instantaneous (zero latency)."""
         return self.constant == 0.0
 
-    def sample_batch(
+    def delays(
         self,
-        rows: np.ndarray,
+        rows: Optional[np.ndarray],
         srcs: np.ndarray,
         dsts: np.ndarray,
         rng: np.random.Generator,
     ) -> "np.ndarray | float":
+        """Per-contact delays; ``rows=None`` puts every contact in row 0."""
         if self.constant is not None:
             return self.constant
         raise NotImplementedError
@@ -492,7 +468,7 @@ class BatchBoundDelay:
         """Delays for a full-participation round, ``(A, n)``-shaped.
 
         Node ``j`` of rep row ``rows[i]`` dials ``targets[i, j]``
-        (``-1`` = nobody).  Same distribution as :meth:`sample_batch`,
+        (``-1`` = nobody).  Same distribution as :meth:`delays`,
         but shaped for the overlay's two-dimensional hot path; the base
         implementation expands to the sparse form, subclasses override
         with row-gather formulations.
@@ -502,7 +478,7 @@ class BatchBoundDelay:
         rows = np.asarray(rows, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         a, n = targets.shape
-        out = self.sample_batch(
+        out = self.delays(
             np.repeat(rows, n),
             np.tile(np.arange(n, dtype=np.int64), a),
             targets.ravel(),
@@ -533,7 +509,7 @@ class _BatchJitterBound(BatchBoundDelay):
         super().__init__(constant=low if low == high else None)
         self.low, self.high = low, high
 
-    def sample_batch(self, rows, srcs, dsts, rng):
+    def delays(self, rows, srcs, dsts, rng):
         if self.constant is not None:
             return self.constant
         return rng.uniform(self.low, self.high, size=len(np.asarray(srcs)))
@@ -558,15 +534,21 @@ class _BatchSlowdownBound(BatchBoundDelay):
         self._base = base
         self._slowed = base * factor
 
-    def sample_batch(self, rows, srcs, dsts, rng):
-        rows = np.asarray(rows, dtype=np.int64)
+    def delays(self, rows, srcs, dsts, rng):
+        # 1-D takes on the flattened mask: a 2-D ``slow[rows, srcs]``
+        # gather costs about 4x as much at sequential contact counts.
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         n = self._slow.shape[1]
+        flat = self._slow.ravel()
         valid = (dsts >= 0) & (dsts < n)
-        hit = self._slow[rows, srcs] | (
-            valid & self._slow[rows, np.where(valid, dsts, 0)]
-        )
+        dst_keys = np.where(valid, dsts, 0)
+        if rows is not None:
+            offsets = np.asarray(rows, dtype=np.int64) * n
+            srcs = srcs + offsets
+            dst_keys += offsets
+        hit = flat.take(srcs)
+        hit |= valid & flat.take(dst_keys)
         return np.where(hit, self._slowed, self._base)
 
     def _hit_full(self, rows, targets):
@@ -614,9 +596,10 @@ class _BatchEdgeBound(BatchBoundDelay):
 
     ``weights`` is ``(reps, m)`` over the undirected edge ids; the
     shared ``inverse`` map (directed CSR entry -> undirected id) and the
-    graph's sorted edge keys resolve each contact to its edge, exactly
-    like the sequential :class:`_EdgeBound` but one row per rep.
-    Off-graph contacts fall back to ``default``.
+    graph's sorted edge keys resolve each contact to its edge.
+    Off-graph contacts (the ``-1`` void sentinel, or a global-addressed
+    direct call to a non-neighbor) fall back to ``default`` — they are
+    routed outside the weighted fabric.
     """
 
     def __init__(
@@ -632,9 +615,8 @@ class _BatchEdgeBound(BatchBoundDelay):
         self._inverse = inverse  # directed CSR entry -> undirected id
         self._default = float(default)
 
-    def sample_batch(self, rows, srcs, dsts, rng):
+    def delays(self, rows, srcs, dsts, rng):
         g = self._graph
-        rows = np.asarray(rows, dtype=np.int64)
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         valid = (dsts >= 0) & (dsts < g.n)
@@ -644,7 +626,8 @@ class _BatchEdgeBound(BatchBoundDelay):
         if len(edge_keys):
             pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
             hit = valid & (edge_keys[pos] == keys)
-            out[hit] = self._weights[rows[hit], self._inverse[pos[hit]]]
+            row = 0 if rows is None else np.asarray(rows, dtype=np.int64)[hit]
+            out[hit] = self._weights[row, self._inverse[pos[hit]]]
         return out
 
 
@@ -659,32 +642,17 @@ class ConstantDelay(DelayModel):
     """
 
     name: ClassVar[str] = "constant"
-    batchable: ClassVar[bool] = True
     delay: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.delay >= 0.0:
             raise ValueError(f"constant delay must be >= 0, got {self.delay}")
 
-    def bind(self, n, graph, rng) -> BoundDelay:
-        return BoundDelay(constant=self.delay)
-
     def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         return BatchBoundDelay(constant=self.delay)
 
     def describe(self) -> str:
         return f"constant({self.delay:g})"
-
-
-class _JitterBound(BoundDelay):
-    def __init__(self, low: float, high: float) -> None:
-        super().__init__(constant=low if low == high else None)
-        self.low, self.high = low, high
-
-    def delays(self, srcs, dsts, rng):
-        if self.constant is not None:
-            return self.constant
-        return rng.uniform(self.low, self.high, size=len(np.asarray(srcs)))
 
 
 @dataclass(frozen=True)
@@ -696,7 +664,6 @@ class UniformJitterDelay(DelayModel):
     """
 
     name: ClassVar[str] = "jitter"
-    batchable: ClassVar[bool] = True
     low: float = 0.5
     high: float = 1.5
 
@@ -707,29 +674,11 @@ class UniformJitterDelay(DelayModel):
                 f"low={self.low}, high={self.high}"
             )
 
-    def bind(self, n, graph, rng) -> BoundDelay:
-        return _JitterBound(self.low, self.high)
-
     def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         return _BatchJitterBound(self.low, self.high)
 
     def describe(self) -> str:
         return f"jitter({self.low:g},{self.high:g})"
-
-
-class _NodeSlowdownBound(BoundDelay):
-    def __init__(self, slow: np.ndarray, base: float, factor: float) -> None:
-        super().__init__()
-        self._slow = slow
-        self._base = base
-        self._slowed = base * factor
-
-    def delays(self, srcs, dsts, rng):
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        valid = (dsts >= 0) & (dsts < len(self._slow))
-        hit = self._slow[srcs] | (valid & self._slow[np.where(valid, dsts, 0)])
-        return np.where(hit, self._slowed, self._base)
 
 
 @dataclass(frozen=True)
@@ -744,7 +693,6 @@ class NodeSlowdownDelay(DelayModel):
     """
 
     name: ClassVar[str] = "straggler"
-    batchable: ClassVar[bool] = True
     base: float = 1.0
     fraction: float = 0.02
     factor: float = 10.0
@@ -759,17 +707,12 @@ class NodeSlowdownDelay(DelayModel):
         if not self.factor >= 1.0:
             raise ValueError(f"straggler factor must be >= 1, got {self.factor}")
 
-    def bind(self, n, graph, rng) -> BoundDelay:
-        slow = rng.random(n) < self.fraction
-        if not slow.any():
-            slow[int(rng.integers(0, n))] = True
-        return _NodeSlowdownBound(slow, self.base, self.factor)
+    # In the class dict so profilers can wrap this model's one-row bind.
+    bind = DelayModel.bind
 
     def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         slow = np.zeros((reps, n), dtype=bool)
         for i, rep_rng in enumerate(rep_rngs):
-            # Replay the sequential bind draw order so row i's slow set
-            # is bit-identical to a sequential run at that rep's seed.
             row = rep_rng.random(n) < self.fraction
             if not row.any():
                 row[int(rep_rng.integers(0, n))] = True
@@ -783,34 +726,6 @@ class NodeSlowdownDelay(DelayModel):
             else f"straggler(base={self.base:g},fraction={self.fraction:g},"
             f"factor={self.factor:g})"
         )
-
-
-class _EdgeBound(BoundDelay):
-    """Per-directed-CSR-entry weights, symmetric across each undirected
-    edge.  Off-graph contacts (the ``-1`` void sentinel, or a
-    global-addressed direct call to a non-neighbor) fall back to
-    ``default`` — they are routed outside the weighted fabric.
-    """
-
-    def __init__(self, graph: ContactGraph, weights: np.ndarray, default: float) -> None:
-        super().__init__()
-        self._graph = graph
-        self._weights = weights  # parallel to graph.indices (CSR order)
-        self._default = float(default)
-
-    def delays(self, srcs, dsts, rng):
-        g = self._graph
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        valid = (dsts >= 0) & (dsts < g.n)
-        keys = srcs * g.n + np.where(valid, dsts, 0)
-        edge_keys = g._edge_keys
-        out = np.full(len(keys), self._default, dtype=np.float64)
-        if len(edge_keys):
-            pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-            hit = valid & (edge_keys[pos] == keys)
-            out[hit] = self._weights[pos[hit]]
-        return out
 
 
 def _undirected_edge_index(graph: ContactGraph) -> Tuple[int, np.ndarray]:
@@ -832,7 +747,6 @@ class EdgeWeightedDelay(DelayModel):
 
     name: ClassVar[str] = "wan"
     requires_graph: ClassVar[bool] = True
-    batchable: ClassVar[bool] = True
     scale: float = 1.0
     sigma: float = 1.0
 
@@ -841,12 +755,6 @@ class EdgeWeightedDelay(DelayModel):
             raise ValueError(f"wan scale must be > 0, got {self.scale}")
         if not self.sigma >= 0.0:
             raise ValueError(f"wan sigma must be >= 0, got {self.sigma}")
-
-    def bind(self, n, graph, rng) -> BoundDelay:
-        graph = self._require_graph(graph)
-        m, inverse = _undirected_edge_index(graph)
-        weights = self.scale * rng.lognormal(0.0, self.sigma, size=m)
-        return _EdgeBound(graph, weights[inverse], default=self.scale)
 
     def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         graph = self._require_graph(graph)
@@ -869,7 +777,6 @@ class RateLimitedEdgeDelay(DelayModel):
 
     name: ClassVar[str] = "rate-limited"
     requires_graph: ClassVar[bool] = True
-    batchable: ClassVar[bool] = True
     base: float = 1.0
     fraction: float = 0.05
     factor: float = 20.0
@@ -885,13 +792,6 @@ class RateLimitedEdgeDelay(DelayModel):
             raise ValueError(
                 f"rate-limited factor must be >= 1, got {self.factor}"
             )
-
-    def bind(self, n, graph, rng) -> BoundDelay:
-        graph = self._require_graph(graph)
-        m, inverse = _undirected_edge_index(graph)
-        limited = rng.random(m) < self.fraction
-        weights = np.where(limited, self.base * self.factor, self.base)
-        return _EdgeBound(graph, weights[inverse], default=self.base)
 
     def bind_batch(self, n, reps, graph, rep_rngs, rng) -> BatchBoundDelay:
         graph = self._require_graph(graph)

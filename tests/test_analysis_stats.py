@@ -2,8 +2,11 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.stats import (
     ReplicationSummary,
@@ -90,13 +93,56 @@ class TestStreamingMerge:
         values = [rng.gauss(50.0, 12.0) for _ in range(257)]
         whole = self._stream(values)
         merged = self._stream(values[:100]).merge(self._stream(values[100:]))
-        # Chan parallel-variance combine: float-rounding agreement on the
-        # moments, exact on count and the extremes.
+        # The moments are exact, so the merge agrees bit for bit.
         assert merged.count == whole.count
         assert merged.minimum == whole.minimum
         assert merged.maximum == whole.maximum
-        assert math.isclose(merged.mean, whole.mean, rel_tol=1e-12)
-        assert math.isclose(merged.variance, whole.variance, rel_tol=1e-12)
+        assert merged.mean == whole.mean
+        assert merged.variance == whole.variance
+
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.integers(min_value=0, max_value=10**6).map(float),
+            max_size=30,
+        ),
+        cuts=st.lists(st.integers(min_value=0, max_value=30), max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_sharding_equals_the_serial_stream(self, values, cuts):
+        serial = self._stream(values)
+        bounds = sorted({0, len(values), *(min(c, len(values)) for c in cuts)})
+        merged = StreamingSummary()
+        for lo, hi in zip(bounds, bounds[1:]):
+            merged.merge(self._stream(values[lo:hi]))
+        assert merged.count == serial.count
+        assert (merged.minimum, merged.maximum) == (serial.minimum, serial.maximum)
+        assert merged.mean == serial.mean
+        assert repr(merged.variance) == repr(serial.variance)
+
+    def test_moments_are_correctly_rounded(self):
+        rng = random.Random(3)
+        values = [rng.gauss(50.0, 12.0) for _ in range(101)]
+        exact = [Fraction(v) for v in values]
+        k = len(exact)
+        mean = sum(exact) / k
+        variance = sum((v - mean) ** 2 for v in exact) / (k - 1)
+        s = self._stream(values)
+        assert (s.mean, s.variance) == (float(mean), float(variance))
+        # The exact sum never overflows where a float running sum would.
+        assert self._stream([1e308, 1e308, -1e308]).mean == 1e308 / 3
+
+    def test_non_finite_observations_do_not_raise(self):
+        s = self._stream([1.0, math.inf, 2.0])
+        assert s.mean == math.inf and math.isnan(s.variance)
+        assert (s.minimum, s.maximum) == (1.0, math.inf)
+        s = self._stream([math.inf, -math.inf])
+        assert math.isnan(s.mean) and math.isnan(s.variance)
+        s = self._stream([math.nan, 3.0])
+        assert math.isnan(s.mean) and s.count == 2
+        assert self._stream([1e308, -1e308]).variance == math.inf
+        merged = self._stream([1.0]).merge(self._stream([math.inf]))
+        assert merged.mean == math.inf
 
     def test_quantiles_exact_while_buffers_fit(self):
         values = [float(v) for v in range(101)]

@@ -172,3 +172,17 @@ class TestShardedIdentity:
         two = run_replications(256, "push-pull", workers=2, **kw)
         assert self._scalars(one) == self._scalars(two)
         assert one.metrics["task_error"].mean == two.metrics["task_error"].mean
+
+    @pytest.mark.parametrize(
+        "n, algorithm, reps, engine",
+        [(4096, "cluster2", 50, "vector"), (1024, "push-pull", 40, "reset")],
+    )
+    def test_sharded_summary_equals_serial(self, n, algorithm, reps, engine):
+        # Configurations where a float running mean and a float shard
+        # merge round differently in the last digit.
+        runs = [
+            run_replications(n, algorithm, reps=reps, engine=engine, workers=w)
+            for w in (None, 1, 2)
+        ]
+        assert self._scalars(runs[0]) == self._scalars(runs[1])
+        assert self._scalars(runs[0]) == self._scalars(runs[2])

@@ -1,5 +1,5 @@
 """Tests for the causal trace layer (repro.obs.trace) and its plumbing:
-EventQueue capping, span trees, broadcast/replication/CLI threading."""
+span trees, broadcast/replication/CLI threading."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from repro.obs import (
 )
 from repro.obs.trace import path_record, trace_record
 from repro.sim.rng import derive_seed, make_rng
-from repro.sim.schedule import DEFAULT_EVENTS_CAP, EventQueue, EventSchedulerSpec, parse_delay
+from repro.sim.schedule import EventSchedulerSpec, parse_delay
 from repro.sim.topology import NodeSlowdownDelay
 
 
@@ -91,7 +91,7 @@ class TestContactTrace:
         # Ground truth: rebind the delay model on the run's own stream.
         slow = NodeSlowdownDelay(base=1.0, fraction=0.05, factor=10.0).bind(
             n, None, make_rng(derive_seed(seed, "delay"))
-        )._slow
+        )._slow[0]
         slow_set = set(np.nonzero(slow)[0].tolist())
         assert path.top_nodes(1)[0][0] in slow_set
         slow_share = sum(s for v, s in path.node_share.items() if v in slow_set)
@@ -204,37 +204,15 @@ class TestBroadcastThreading:
 
 
 class TestEventQueueCap:
-    def test_uncapped_grows_without_bound(self):
-        queue = EventQueue(cap=None)
-        for i in range(1000):
-            queue.push(float(i), i, i)
-        assert len(queue) == 1000 and not queue.decimated
-
-    def test_cap_decimates_keeping_exact_tail(self):
-        queue = EventQueue(cap=64)
-        for i in range(1000):
-            queue.push(float(i), i, i)
-        assert len(queue) <= 64
-        assert queue.decimated and queue.stride > 1
-        drained = queue.drain()
-        times = [e[0] for e in drained]
-        assert times == sorted(times)
-        # The exact most-recent event always survives decimation.
-        assert times[-1] == 999.0
-
-    def test_scheduler_default_cap_bounds_memory(self):
-        spec = EventSchedulerSpec(record_events=True)
-        assert spec.events_cap == DEFAULT_EVENTS_CAP
-
     def test_trace_is_never_capped(self):
-        # The documented contract: critical-path extraction needs the
-        # uncapped ContactTrace, independent of the debug queue's cap.
+        # The documented contract: critical-path extraction needs every
+        # contact, so the ContactTrace carries no cap of any kind.
         report = broadcast(
             512,
             "push-pull",
             seed=3,
             check_model=False,
-            scheduler=EventSchedulerSpec(trace=True, record_events=True, events_cap=16),
+            scheduler=EventSchedulerSpec(trace=True),
         )
         trace = report.extras["contact_trace"]
         assert len(trace) > 16

@@ -22,7 +22,6 @@ from repro.cli import main
 from repro.core.broadcast import run_replications
 from repro.sim.rng import derive_seed, make_rng
 from repro.sim.schedule import (
-    DEFAULT_EVENTS_CAP,
     BatchClockOverlay,
     EventSchedulerSpec,
     make_batch_overlay,
@@ -200,16 +199,6 @@ class TestEngineSelection:
                 trace=True,
             )
 
-    def test_vector_with_record_events_raises(self):
-        with pytest.raises(ValueError, match="event recording"):
-            run_replications(
-                128,
-                "push-pull",
-                reps=2,
-                engine="vector",
-                scheduler=EventSchedulerSpec(record_events=True),
-            )
-
     def test_cli_exits_2_on_unbatchable_event_vector(self, capsys, tmp_path):
         rc = main(
             [
@@ -310,17 +299,6 @@ class TestBatchedSamplers:
         # Same seed, same construction order -> identical draws.
         np.testing.assert_array_equal(first, second)
 
-    def test_unbatchable_delay_raises_with_model_name(self):
-        class Opaque(ConstantDelay):
-            batchable = False
-            name = "opaque"
-
-        spec = EventSchedulerSpec(delay=Opaque(1.0))
-        with pytest.raises(ValueError, match="opaque"):
-            make_batch_overlay(
-                spec, resolve_topology(None), 16, 2, None, base_seed=0, first_rep=0
-            )
-
     def test_overlay_matches_sequential_per_rep_streams(self):
         # Rep r of a vector chunk at first_rep=f draws its node-slowdown
         # mask from derive_seed(base_seed + f + r, "delay") — the
@@ -410,7 +388,7 @@ class TestBatchClockOverlay:
 
 
 # ----------------------------------------------------------------------
-# diameter hints and the horizon-bounded event queue
+# diameter hints
 # ----------------------------------------------------------------------
 
 
@@ -439,23 +417,3 @@ class TestDiameterHints:
             )
             # Exactly the historical hand-tuned budget, now derived.
             assert sc.kwargs["max_rounds"] == 200
-
-    def test_event_queue_cap_grows_with_the_horizon(self):
-        from repro.sim.network import Network
-
-        n = 2**12
-        net = Network(n, 0, topology=resolve_topology(Ring(k=1)))
-        spec = EventSchedulerSpec(record_events=True)
-        sched = spec.bind(net, make_rng(1))
-        # Ring(k=1) at n=4096 has horizon 2048: the default cap would
-        # decimate the queue long before one traversal completes.
-        assert sched.events.cap > DEFAULT_EVENTS_CAP
-        assert sched.events.cap <= 16 * DEFAULT_EVENTS_CAP
-
-    def test_explicit_cap_is_honoured_verbatim(self):
-        from repro.sim.network import Network
-
-        net = Network(2**12, 0, topology=resolve_topology(Ring(k=1)))
-        spec = EventSchedulerSpec(record_events=True, events_cap=64)
-        sched = spec.bind(net, make_rng(1))
-        assert sched.events.cap == 64

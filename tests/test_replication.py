@@ -314,7 +314,7 @@ class TestStreamingSummary:
             stream.push(v)
         assert len(stream._samples) <= 64
         assert stream.quantile(0.5) == pytest.approx(5000, rel=0.1)
-        assert stream.count == 10_000  # Welford state is exact regardless
+        assert stream.count == 10_000  # the moments are exact regardless
 
     def test_quantile_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from repro.core.broadcast import broadcast, run_replications
 from repro.sim.network import Network
 from repro.sim.rng import make_rng
 from repro.sim.schedule import (
-    EventQueue,
     EventScheduler,
     EventSchedulerSpec,
     RoundScheduler,
@@ -47,54 +46,6 @@ def _metrics(report) -> tuple:
         report.max_fanin,
         int(report.informed.sum()),
     )
-
-
-# ----------------------------------------------------------------------
-# The event queue
-# ----------------------------------------------------------------------
-
-
-class TestEventQueue:
-    def test_drains_in_time_order(self):
-        q = EventQueue()
-        q.push(3.0, 1, 2, "push")
-        q.push(1.0, 5, 6, "pull")
-        q.push(2.0, 0, 0, "push")
-        assert [e[0] for e in q.drain()] == [1.0, 2.0, 3.0]
-
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q and len(q) == 0
-        q.push(1.0, 0, 0, "push")
-        assert q and len(q) == 1
-        q.pop()
-        assert not q
-
-    @given(
-        events=st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=100, allow_nan=False),
-                st.integers(min_value=0, max_value=50),
-                st.integers(min_value=0, max_value=50),
-                st.sampled_from(["push", "pull"]),
-            ),
-            max_size=40,
-        ),
-        seed=st.integers(min_value=0, max_value=2**20),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_drain_order_is_insertion_order_independent(self, events, seed):
-        """Ties break on full event content, so any permutation of the
-        same multiset of events drains identically — the determinism the
-        event tier's reproducibility rests on."""
-        q1, q2 = EventQueue(), EventQueue()
-        for e in events:
-            q1.push(*e)
-        shuffled = list(events)
-        make_rng(seed).shuffle(shuffled)
-        for e in shuffled:
-            q2.push(*e)
-        assert q1.drain() == q2.drain()
 
 
 # ----------------------------------------------------------------------
@@ -232,22 +183,6 @@ class TestEventTiming:
         assert "sim_time" not in report.extras
         assert "scheduler" not in report.extras
 
-    def test_record_events_logs_delivered_contacts(self):
-        net = Network(64, 0)
-        scheduler = EventSchedulerSpec(
-            delay=ConstantDelay(1.0), record_events=True
-        ).bind(net, make_rng(9))
-        from repro.sim.engine import Simulator
-
-        sim = Simulator(net, make_rng(1), scheduler=scheduler)
-        srcs = np.arange(8, dtype=np.int64)
-        dsts = srcs + 8
-        sim.push_round(srcs, dsts, 64)
-        events = scheduler.events.drain()
-        assert len(events) == 8
-        assert all(kind == "push" for _, _, _, kind in events)
-        assert all(t == pytest.approx(1.0) for t, _, _, _ in events)
-
 
 # ----------------------------------------------------------------------
 # Threading: engines, runner, scenarios
@@ -266,7 +201,7 @@ class TestThreading:
             assert sim_time.mean == pytest.approx(single.extras["sim_time"])
 
     def test_vector_engine_rejects_traced_event_tier(self):
-        # The batchable event tier rides the vector engine now; tracing
+        # The event tier rides the vector engine now; tracing
         # is what still pins a run to the sequential scheduler.
         with pytest.raises(ValueError, match="sequential"):
             run_replications(

@@ -141,15 +141,15 @@ class TestCluster2Whp:
 
 
 def test_streaming_never_materialises_records():
-    """The aggregation really is streaming: the summary retains Welford
-    state and a bounded scalar buffer, not reports or records."""
+    """The aggregation really is streaming: the summary retains running
+    moments and a bounded scalar buffer, not reports or records."""
     seen = []
     s = run_replications(
         256, "push-pull", reps=60, engine="vector", consume=lambda rec: seen.append(rec)
     )
     assert s.reps == 60 and len(seen) == 60
     assert all(isinstance(rec["spread_rounds"], int) for rec in seen)
-    # Welford state agrees with a direct computation over the stream.
+    # The running moments agree with a direct computation over the stream.
     spreads = [rec["spread_rounds"] for rec in seen]
     mean = sum(spreads) / len(spreads)
     var = sum((x - mean) ** 2 for x in spreads) / (len(spreads) - 1)
