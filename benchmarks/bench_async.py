@@ -2,7 +2,7 @@
 
 Two claims pinned here:
 
-1. **Parity** — the event-queue scheduler is a *causal timing overlay*
+1. **Parity** — the event-tier scheduler is a *causal timing overlay*
    on the round engine: at zero latency it must cost nothing.  The
    overlay's ``on_commit`` early-returns before touching any per-message
    state, so running the default workload under

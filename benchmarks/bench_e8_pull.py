@@ -16,11 +16,11 @@ from bench_common import emit
 from repro.analysis.tables import Table
 from repro.core.clustering import UNCLUSTERED, Clustering
 from repro.core.pull_phase import unclustered_nodes_pull
+from repro.obs.telemetry import Telemetry
 from repro.sim.engine import Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.rng import make_rng
-from repro.sim.trace import Trace
 
 N = 2**16
 
@@ -32,10 +32,12 @@ def run_pull(start_fraction: float, seed: int):
     cl.follow[:] = 0  # a giant cluster...
     k = int(start_fraction * N)
     cl.follow[N - k :] = UNCLUSTERED  # ...minus the starting deficit
-    trace = Trace()
-    unclustered_nodes_pull(sim, cl, rounds=12, trace=trace)
+    sim.telemetry = Telemetry().begin_run({})
+    unclustered_nodes_pull(sim, cl, rounds=12)
     fractions = [start_fraction] + [
-        e.data["unclustered"] / N for e in trace.of_kind("pull.round")
+        e["data"]["unclustered"] / N
+        for e in sim.telemetry.events
+        if e["kind"] == "pull.round"
     ]
     return fractions, sim
 

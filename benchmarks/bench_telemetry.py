@@ -19,14 +19,14 @@ Acceptance: the on/off wall-clock ratio of the telemetry *machinery*
 (spans + probes + bounded series; ``collect_events=False``) stays
 <= ``REPRO_E18_GATE`` (default 1.05, i.e. <= 5% overhead with dense
 collection ON).  The disabled path runs the same code minus the probe
-calls, so it is bounded by the same gate a fortiori.  Trace-event
-capture (``collect_events=True``) rides the engine's pre-existing
-``Trace`` channel — it was exactly this expensive before the telemetry
-layer existed — so its cost is reported as an informational row, not
-gated.  Timings interleave the configurations over
-``REPRO_E18_REPEATS`` batches of ``REPRO_E18_INNER`` runs and gate the
-best *paired* on/off ratio, cancelling the clock-frequency drift a
-shared box imposes on absolute wall-clock numbers.
+calls, so it is bounded by the same gate a fortiori.  Event capture
+(``collect_events=True``) records the algorithms' coarse events
+(``Simulator.emit``), whose calls run whether telemetry is on or off,
+so its cost is reported as an informational row, not gated.  Timings
+interleave the configurations over ``REPRO_E18_REPEATS`` batches of
+``REPRO_E18_INNER`` runs and gate the best *paired* on/off ratio,
+cancelling the clock-frequency drift a shared box imposes on absolute
+wall-clock numbers.
 
 ``REPRO_E18_SEQ_N`` / ``REPRO_E18_VEC_N`` / ``REPRO_E18_VEC_REPS``
 shrink the workload for constrained CI legs; the gate asserts stay as
@@ -51,7 +51,7 @@ E18_INNER = int(os.environ.get("REPRO_E18_INNER", "10"))
 E18_GATE = float(os.environ.get("REPRO_E18_GATE", "1.05"))
 
 #: ON configurations.  "machinery" is what the 5% gate covers; "events"
-#: additionally drains the engine's pre-existing Trace channel.
+#: additionally records the algorithms' coarse events.
 MACHINERY = lambda: Telemetry(probe_every=1, collect_events=False)  # noqa: E731
 WITH_EVENTS = lambda: Telemetry(probe_every=1, collect_events=True)  # noqa: E731
 
@@ -130,8 +130,8 @@ def test_e18_telemetry_overhead():
         columns=["workload", "off (s)", "on (s)", "on+events (s)", "on/off"],
         caption="off = telemetry=None (pre-telemetry hot paths); on = dense "
         "machinery (probe_every=1: spans on every phase, a full probe row "
-        "every committed round); on+events additionally drains the engine's "
-        "pre-existing Trace channel (informational).  on/off is the best "
+        "every committed round); on+events additionally records the "
+        "algorithms' coarse events (informational).  on/off is the best "
         "paired ratio (drift-cancelled).  Gate: on/off <= %.2f." % E18_GATE,
     )
     for name, off, on, events, ratio in rows:

@@ -77,7 +77,7 @@ def _run_legacy(seed: int, algorithm: str = "push-pull") -> AlgorithmReport:
         net, make_rng(derive_seed(seed, "algo")), Metrics(net.n), check_model=False
     )
     with mock.patch.object(Round, "_arrival_mask", _legacy_arrival_mask):
-        return get_algorithm(algorithm).run(sim, 0, LAPTOP, None)
+        return get_algorithm(algorithm).run(sim, 0, LAPTOP)
 
 
 def _best_seconds(fn) -> float:

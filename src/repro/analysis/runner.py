@@ -62,7 +62,7 @@ class RunSpec:
     direct_addressing: str = "global"
     #: Execution tier: None/"round" is the synchronous round engine,
     #: "event" (or a frozen :class:`~repro.sim.schedule.EventSchedulerSpec`)
-    #: overlays the event-queue clock on the same logical execution.
+    #: overlays per-node clocks on the same logical execution.
     scheduler: "EventSchedulerSpec | str | None" = None
     reps: int = 1
     engine: str = "auto"

@@ -48,7 +48,6 @@ from repro.core.result import AlgorithmReport, report_from_sim
 from repro.registry import register_algorithm
 from repro.sim.delivery import NOTHING
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 def default_capacity(n: int) -> int:
@@ -95,7 +94,6 @@ def avin_elsasser(
     sim: Simulator,
     source: int = 0,
     *,
-    trace: Trace = None,
     message_capacity: int = None,
 ) -> AlgorithmReport:
     """Run the Theta(sqrt(log n)) reconstruction.
@@ -104,7 +102,6 @@ def avin_elsasser(
     trade-off: ``k = 1`` degenerates towards ``Theta(log n)`` doubling,
     large ``k`` approaches the uncapped squaring of Cluster1).
     """
-    trace = trace if trace is not None else null_trace()
     n = sim.net.n
     k = message_capacity if message_capacity is not None else default_capacity(n)
     if k < 1:
@@ -115,7 +112,7 @@ def avin_elsasser(
     # (this part of the machinery predates the squaring trick).
     p1 = LAPTOP.cluster1(n)
     cl = Clustering(sim.net)
-    grow_initial_clusters_v1(sim, cl, p1, trace)
+    grow_initial_clusters_v1(sim, cl, p1)
 
     # Phase 2: capped group growth.  Like SquareClusters, but each active
     # cluster may direct only min(s, g) recruiters per iteration.
@@ -145,16 +142,15 @@ def avin_elsasser(
                 new_leader = np.where(keep, new_leader, NOTHING)
                 cluster_merge(sim, cl, new_leader)
             s = max(s + 1, (s * (grow + 1)) // 2)
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 "ae.iter",
                 nominal_size=s,
                 clusters=cl.cluster_count(),
                 clustered=cl.clustered_count(),
             )
 
-    merge_all_clusters(sim, cl, reps=4, trace=trace)
-    unclustered_nodes_pull(sim, cl, rounds=p1.pull_rounds, trace=trace)
+    merge_all_clusters(sim, cl, reps=4)
+    unclustered_nodes_pull(sim, cl, rounds=p1.pull_rounds)
 
     informed = np.zeros(n, dtype=bool)
     if sim.net.alive[source]:
@@ -166,7 +162,6 @@ def avin_elsasser(
         "avin-elsasser",
         sim,
         informed,
-        trace,
         message_capacity=k,
         growth_cap=g,
         clustering=cl,

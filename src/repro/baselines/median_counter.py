@@ -32,7 +32,6 @@ from repro.registry import register_algorithm
 from repro.sim.delivery import receive_counts
 from repro.sim.engine import Simulator
 from repro.sim.protocol import VectorProtocol, run_protocol
-from repro.sim.trace import Trace, null_trace
 
 # Node states.
 UNINFORMED, STATE_B, STATE_C, STATE_D = 0, 1, 2, 3
@@ -149,18 +148,16 @@ def median_counter_round_cap(n: int) -> int:
     complete_graph_only=True,
 )
 def median_counter(
-    sim: Simulator, source: int = 0, *, trace: Trace = None, max_rounds: int = None
+    sim: Simulator, source: int = 0, *, max_rounds: int = None
 ) -> AlgorithmReport:
     """Run the median-counter algorithm to quiescence."""
-    trace = trace if trace is not None else null_trace()
     protocol = MedianCounterProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else median_counter_round_cap(sim.net.n)
     with sim.metrics.phase("median-counter"):
-        run_protocol(protocol, sim, max_rounds=cap, trace=trace)
+        run_protocol(protocol, sim, max_rounds=cap)
     return report_from_sim(
         "median-counter",
         sim,
         protocol.informed_mask(),
-        trace,
         ctr_max=protocol.ctr_max,
     )

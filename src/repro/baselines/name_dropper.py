@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.registry import register_algorithm
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 @dataclass
@@ -68,7 +67,6 @@ def name_dropper(
     sim: Simulator,
     initial_knows: Optional[Sequence[Sequence[int]]] = None,
     *,
-    trace: Trace = None,
     max_rounds: int = None,
 ) -> DiscoveryReport:
     """Run Name-Dropper until everyone knows everyone (or the cap).
@@ -78,7 +76,6 @@ def name_dropper(
     known set roughly doubles its reach every ``O(log n)`` rounds, giving
     the ``O(log^2 n)`` bound of [9].
     """
-    trace = trace if trace is not None else null_trace()
     n = sim.net.n
     if n > 4096:
         raise ValueError(
@@ -116,11 +113,7 @@ def name_dropper(
                 )
             for s, d in zip(delivery.srcs, delivery.dsts):
                 knows[int(d)] |= knows[int(s)]
-            trace.emit(
-                sim.metrics.rounds,
-                "name-dropper.round",
-                min_knowledge=min(len(k) for k in knows),
-            )
+            sim.emit("name-dropper.round", min_knowledge=min(len(k) for k in knows))
 
     alive = sim.net.alive_indices()
     min_knowledge = min(len(knows[int(v)]) for v in alive)

@@ -30,7 +30,6 @@ from repro.sim.batch import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.protocol import VectorProtocol, run_protocol
-from repro.sim.trace import Trace, null_trace
 from repro.tasks.transports import run_uniform_task
 
 
@@ -81,7 +80,7 @@ def push_pull_round_cap(n: int) -> int:
     doc="PUSH-PULL gossip [10]: log3 n + O(log log n) rounds.",
 )
 def uniform_push_pull(
-    sim: Simulator, source: int = 0, *, trace: Trace = None, max_rounds: int = None
+    sim: Simulator, source: int = 0, *, max_rounds: int = None
 ) -> AlgorithmReport:
     """Run PUSH-PULL gossip over its full w.h.p. schedule.
 
@@ -90,18 +89,14 @@ def uniform_push_pull(
     message-complexity that [10]'s median-counter rule then cuts to
     ``O(log log n)``.
     """
-    trace = trace if trace is not None else null_trace()
     protocol = PushPullProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else push_pull_round_cap(sim.net.n)
     with sim.metrics.phase("push-pull"):
-        result = run_protocol(
-            protocol, sim, max_rounds=cap, trace=trace, run_to_cap=True
-        )
+        result = run_protocol(protocol, sim, max_rounds=cap, run_to_cap=True)
     return report_from_sim(
         "push-pull",
         sim,
         protocol.informed,
-        trace,
         completion_round=result.completion_round,
     )
 
@@ -245,14 +240,12 @@ def batched_push_pull(
 
 @register_task_transport("push-pull")
 def push_pull_task_transport(
-    sim: Simulator, state, *, trace: Trace = None, max_rounds: int = None
+    sim: Simulator, state, *, max_rounds: int = None
 ) -> AlgorithmReport:
     """PUSH-PULL's contact pattern generalised to any task: content
     holders push, the empty-handed pull (mass-exchange tasks put
     everyone on the push lane)."""
-    return run_uniform_task(
-        sim, state, mode="push-pull", max_rounds=max_rounds, trace=trace
-    )
+    return run_uniform_task(sim, state, mode="push-pull", max_rounds=max_rounds)
 
 
 #: ``run_replications(..., task=..., engine="vector")`` entry points:

@@ -18,7 +18,6 @@ from repro.core.result import AlgorithmReport, report_from_sim
 from repro.registry import register_algorithm
 from repro.sim.engine import Simulator
 from repro.sim.protocol import VectorProtocol, run_protocol
-from repro.sim.trace import Trace, null_trace
 
 
 class PullProtocol(VectorProtocol):
@@ -61,7 +60,7 @@ def pull_round_cap(n: int) -> int:
     doc="Uniform PULL gossip: Θ(log n) rounds, cost in contacts not bits.",
 )
 def uniform_pull(
-    sim: Simulator, source: int = 0, *, trace: Trace = None, max_rounds: int = None
+    sim: Simulator, source: int = 0, *, max_rounds: int = None
 ) -> AlgorithmReport:
     """Run PULL gossip over its full w.h.p. schedule.
 
@@ -70,13 +69,10 @@ def uniform_pull(
     (requests), ``Theta(log n)`` per node, visible in
     ``metrics.total.pull_requests``.
     """
-    trace = trace if trace is not None else null_trace()
     protocol = PullProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else pull_round_cap(sim.net.n)
     with sim.metrics.phase("pull"):
-        result = run_protocol(
-            protocol, sim, max_rounds=cap, trace=trace, run_to_cap=True
-        )
+        result = run_protocol(protocol, sim, max_rounds=cap, run_to_cap=True)
     return report_from_sim(
-        "pull", sim, protocol.informed, trace, completion_round=result.completion_round
+        "pull", sim, protocol.informed, completion_round=result.completion_round
     )

@@ -17,7 +17,6 @@ from repro.core.result import AlgorithmReport, report_from_sim
 from repro.registry import register_algorithm, register_task_transport
 from repro.sim.engine import Simulator
 from repro.sim.protocol import VectorProtocol, run_protocol
-from repro.sim.trace import Trace, null_trace
 from repro.tasks.transports import run_uniform_task
 
 
@@ -63,7 +62,7 @@ def push_round_cap(n: int) -> int:
     doc="Classic uniform PUSH gossip [12]: Θ(log n) rounds and msgs/node.",
 )
 def uniform_push(
-    sim: Simulator, source: int = 0, *, trace: Trace = None, max_rounds: int = None
+    sim: Simulator, source: int = 0, *, max_rounds: int = None
 ) -> AlgorithmReport:
     """Run PUSH gossip over its full w.h.p. schedule.
 
@@ -72,24 +71,19 @@ def uniform_push(
     message-complexity per node.  The report's ``spread_rounds`` records
     when everyone was actually informed.
     """
-    trace = trace if trace is not None else null_trace()
     protocol = PushProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else push_round_cap(sim.net.n)
     with sim.metrics.phase("push"):
-        result = run_protocol(
-            protocol, sim, max_rounds=cap, trace=trace, run_to_cap=True
-        )
+        result = run_protocol(protocol, sim, max_rounds=cap, run_to_cap=True)
     return report_from_sim(
-        "push", sim, protocol.informed, trace, completion_round=result.completion_round
+        "push", sim, protocol.informed, completion_round=result.completion_round
     )
 
 
 @register_task_transport("push")
 def push_task_transport(
-    sim: Simulator, state, *, trace: Trace = None, max_rounds: int = None
+    sim: Simulator, state, *, max_rounds: int = None
 ) -> AlgorithmReport:
     """PUSH's contact pattern generalised to any task: content holders
     push, everyone else stays idle (no pull lane)."""
-    return run_uniform_task(
-        sim, state, mode="push", max_rounds=max_rounds, trace=trace
-    )
+    return run_uniform_task(sim, state, mode="push", max_rounds=max_rounds)

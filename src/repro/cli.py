@@ -8,8 +8,8 @@ Commands:
   all-cast, push-sum averaging, ...); ``--topology``/``--topology-arg``
   pick the contact graph and ``--addressing`` the direct-addressing
   mode; ``--scheduler event``/``--delay SPEC`` switch to the
-  event-queue execution tier (same logical rounds, a simulated clock
-  over per-contact latencies); ``--reps N`` streams N seeded
+  event execution tier (same logical rounds, per-node clocks over
+  per-contact latencies); ``--reps N`` streams N seeded
   replications through the scale
   tier (``--stream`` prints each as it passes, ``--engine`` picks the
   executor);
@@ -212,8 +212,8 @@ def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=list(SCHEDULER_NAMES),
         help="execution tier: 'round' (the paper's synchronous engine, "
-        "default) or 'event' (the event-queue scheduler: same logical "
-        "rounds, per-contact latencies, a simulated clock)",
+        "default) or 'event' (the event tier: same logical rounds, "
+        "per-contact latencies, per-node simulated clocks)",
     )
     parser.add_argument(
         "--delay",
@@ -243,7 +243,7 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="collect observability data (wall-clock spans, per-round "
-        "probe series, trace events) and export it as JSONL to PATH "
+        "probe series, algorithm events) and export it as JSONL to PATH "
         "(render with `repro report PATH`)",
     )
     parser.add_argument(
@@ -803,8 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=REPLICATION_ENGINES,
         help="replication engine: vector = batched (R,n) executor, reset = "
-        "memory-lean sequential (bit-identical to single runs), rebuild = "
-        "the legacy per-seed loop, auto = best available",
+        "sequential, one network reset per seed (bit-identical to single "
+        "runs), auto = best available",
     )
     p_run.add_argument(
         "--workers",

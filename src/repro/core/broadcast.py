@@ -25,7 +25,6 @@ runs it through the algorithm's registered task transport::
 from __future__ import annotations
 
 import logging
-from dataclasses import replace as _dc_replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.core.constants import LAPTOP, Profile, get_profile
@@ -55,7 +54,6 @@ from repro.sim.failures import apply_pattern
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.rng import derive_seed, make_rng
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.stats import ReplicationSummary
@@ -124,7 +122,7 @@ def broadcast(
     direct_addressing: str = "global",
     scheduler: "EventSchedulerSpec | str | None" = None,
     profile: "Profile | str" = LAPTOP,
-    trace: "Trace | bool | None" = None,
+    trace: bool = False,
     telemetry: "Optional[Telemetry]" = None,
     check_model: bool = True,
     **algorithm_kwargs,
@@ -193,20 +191,21 @@ def broadcast(
         resolution: explicit spec delay > topology ``delay=``
         annotation > unit constant.
     trace:
-        ``Trace`` instance for round-level event capture (the legacy
-        knob), or ``True`` as shorthand for contact-level causal
-        tracing on the event tier: the scheduler (upgraded to the event
-        tier when none was requested) fills a
-        :class:`~repro.obs.trace.ContactTrace`, and the report gains
-        ``extras["contact_trace"]`` / ``extras["critical_path"]`` /
-        ``extras["critical_path_len"]`` / ``extras["dilation"]``.
+        ``True`` turns on contact-level causal tracing on the event
+        tier: the scheduler (upgraded to the event tier when none was
+        requested) fills a :class:`~repro.obs.trace.ContactTrace`, and
+        the report gains ``extras["contact_trace"]`` /
+        ``extras["critical_path"]`` / ``extras["critical_path_len"]`` /
+        ``extras["dilation"]``.
     profile:
         Constant-resolution profile or its name.
     telemetry:
         Optional :class:`repro.obs.telemetry.Telemetry` collector.  When
         given, the run records wall-clock phase spans, a per-round probe
-        series and (unless event collection is off) the trace events into
-        a run handle on the collector; export with
+        series and (unless event collection is off) the algorithm's
+        coarse events (``grow.push``, ``done``, ... — see
+        :meth:`~repro.sim.engine.Simulator.emit`) as ``event`` records
+        into a run handle on the collector; export with
         :meth:`~repro.obs.telemetry.Telemetry.write`.  ``None`` (default)
         leaves the engine on the untouched zero-overhead path.
     check_model:
@@ -242,9 +241,8 @@ def broadcast(
         schedule=resolve_schedule(schedule),
         task=task,
         task_kwargs=task_kwargs,
-        scheduler=resolve_scheduler(scheduler),
+        scheduler=resolve_scheduler(scheduler, trace=trace),
         profile=profile,
-        trace=trace,
         telemetry=telemetry,
         check_model=check_model,
         pool=None,
@@ -262,7 +260,6 @@ def _run_on_network(
     failure_pattern: str,
     schedule: Optional[AdversitySchedule],
     profile: Profile,
-    trace: Optional[Trace],
     check_model: bool,
     pool: Optional["BufferPool"],
     algorithm_kwargs: dict,
@@ -273,10 +270,6 @@ def _run_on_network(
 ) -> AlgorithmReport:
     """Execute one seeded broadcast on an already-built network.
 
-    ``trace=True`` is the contact-tracing shorthand: the scheduler is
-    upgraded to a tracing event tier (created when none was requested),
-    and the legacy round-event ``trace`` stays off.
-
     The single execution path behind both :func:`broadcast` (fresh
     network, no pool) and :class:`ReplicationEngine` (reset network,
     shared pool): every seed-derived stream is identical in both shapes,
@@ -286,15 +279,6 @@ def _run_on_network(
     legacy streams are untouched, so the default task stays bit-identical
     to the pre-task-layer engine.
     """
-    if trace is True:
-        trace = None
-        scheduler = (
-            EventSchedulerSpec(trace=True)
-            if scheduler is None
-            else _dc_replace(scheduler, trace=True)
-        )
-    elif trace is False:
-        trace = None
     if failures:
         apply_pattern(net, failure_pattern, failures, derive_seed(seed, "fail"))
     if source is None:
@@ -335,8 +319,6 @@ def _run_on_network(
                 "message_bits": net.sizes.rumor_bits,
             }
         )
-        if trace is None and telemetry.collect_events:
-            trace = Trace()
         # All sequential telemetry rides pre-existing attachment points
         # (commit hooks, Metrics.span_recorder): the engine's hot paths
         # are byte-identical whether telemetry is on or off.
@@ -345,7 +327,7 @@ def _run_on_network(
         sim.add_commit_hook(tel_run.on_round)
         tel_run.sample(sim)  # round-0 baseline
     if task == BROADCAST_TASK:
-        report = spec.run(sim, source, profile, trace, **algorithm_kwargs)
+        report = spec.run(sim, source, profile, **algorithm_kwargs)
     else:
         state = get_task(task).build(
             net,
@@ -354,7 +336,7 @@ def _run_on_network(
             source=source,
             **(task_kwargs or {}),
         )
-        report = spec.run_task(sim, state, profile, trace, **algorithm_kwargs)
+        report = spec.run_task(sim, state, profile, **algorithm_kwargs)
     # Causal-trace extras must land before finish_run so the telemetry
     # collector can serialise them into the schema v2 trace/path records.
     if (
@@ -458,10 +440,7 @@ class ReplicationEngine:
         return self._pool
 
     def run(
-        self,
-        seed: int,
-        trace: "Trace | bool | None" = None,
-        telemetry: "Optional[Telemetry]" = None,
+        self, seed: int, telemetry: "Optional[Telemetry]" = None
     ) -> AlgorithmReport:
         """Execute one replication, bit-identical to ``broadcast(seed=seed)``."""
         net_seed = derive_seed(seed, "net")
@@ -488,7 +467,6 @@ class ReplicationEngine:
             task_kwargs=self.task_kwargs,
             scheduler=self.scheduler,
             profile=self.profile,
-            trace=trace,
             telemetry=telemetry,
             check_model=self.check_model,
             pool=self._pool,
@@ -497,7 +475,7 @@ class ReplicationEngine:
 
 
 #: Replication execution engines, least to most specialised.
-REPLICATION_ENGINES = ("auto", "vector", "reset", "rebuild")
+REPLICATION_ENGINES = ("auto", "vector", "reset")
 
 
 def run_replications(
@@ -541,16 +519,18 @@ def run_replications(
     Engines
     -------
     ``"reset"``
-        The memory-lean sequential engine (:class:`ReplicationEngine`):
-        any algorithm, any schedule; replication ``i`` runs seed
-        ``base_seed + i`` and is bit-identical to
-        ``broadcast(seed=base_seed + i)``.
+        The sequential engine (:class:`ReplicationEngine`): any
+        algorithm, any schedule; one network is reset in place per seed.
+        Replication ``i`` runs seed ``base_seed + i`` and is
+        bit-identical to ``broadcast(seed=base_seed + i)``, so a loop of
+        fresh :func:`broadcast` calls is no separate engine (E12 times
+        that loop on its own, as its baseline).
     ``"vector"``
         The batched ``(R, n)`` executor (:mod:`repro.sim.batch`) for
         algorithms that registered a batch runner *for the requested
         task* (push-pull has one for ``"broadcast"`` and ``"push-sum"``);
         zero-adversity only.  Statistically equivalent to (not
-        stream-identical with) the sequential engines; chunked so no
+        stream-identical with) the sequential engine; chunked so no
         work array exceeds ``batch_elems`` elements regardless of
         ``reps``.  ``scheduler=`` rides along through the batched clock
         overlay (:class:`repro.sim.schedule.BatchClockOverlay`) when the
@@ -558,9 +538,6 @@ def run_replications(
         ``sim_time`` streams; contact tracing falls back to the
         sequential tier (``engine="auto"``) or raises
         (``engine="vector"``).
-    ``"rebuild"``
-        The historical loop — a fresh :func:`broadcast` per seed.  Kept
-        as the baseline the scale benchmarks measure against.
     ``"auto"``
         ``vector`` when eligible, else ``reset``.
 
@@ -568,7 +545,7 @@ def run_replications(
     --------
     ``workers`` switches on sharded execution: the replications are cut
     into contiguous ``(R_shard, n)`` blocks — the vector engine's own
-    chunk plan, or up to 16 balanced blocks for the sequential engines —
+    chunk plan, or up to 16 balanced blocks for the sequential engine —
     each shard streams its own summary (in a ``ProcessPoolExecutor``
     when ``workers > 1``), and the shard summaries merge in shard order
     via :meth:`~repro.analysis.stats.ReplicationSummary.merge`.  The
@@ -585,7 +562,9 @@ def run_replications(
     ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`) records one
     run handle per sequential replication, or one per vector chunk (the
     chunk is the vector engine's unit of execution — its spans time the
-    phase drivers, its series carries batch-aggregate samples).  Sharded
+    phase drivers, its series carries batch-aggregate samples).  A
+    sequential run handle also holds the algorithm's coarse events
+    (unless the collector's ``collect_events`` is off).  Sharded
     runs give each shard a fresh collector and merge them back in shard
     order, so the exported run ids are worker-count independent.
 
@@ -604,6 +583,10 @@ def run_replications(
         raise ValueError(
             f"unknown replication engine {engine!r}; choose from {REPLICATION_ENGINES}"
         )
+    if message_bits <= 0:
+        # The sequential engine refuses this when it builds the network;
+        # the vector runners never build one, so refuse it here for both.
+        raise ValueError(f"rumor_bits must be positive, got {message_bits}")
     spec = get_algorithm(algorithm)
     _check_task(spec, task)
     resolved_topology = resolve_topology(topology)
@@ -613,17 +596,11 @@ def run_replications(
         # batch runner directly (never TaskSpec.build), so validate here.
         get_task(task).validate_kwargs(task_kwargs)
     resolved = resolve_schedule(schedule)
-    resolved_scheduler = resolve_scheduler(scheduler)
-    if trace:
-        # Contact tracing implies the event tier; a traced configuration
-        # is therefore never vector-eligible (the check below sees a
-        # non-None scheduler), and every replication extracts its own
-        # critical path into the summary's per-rep streams.
-        resolved_scheduler = (
-            EventSchedulerSpec(trace=True)
-            if resolved_scheduler is None
-            else _dc_replace(resolved_scheduler, trace=True)
-        )
+    # Contact tracing implies the event tier, so a traced configuration
+    # is never vector-eligible (the check below sees a tracing scheduler),
+    # and every replication extracts its own critical path into the
+    # summary's per-rep streams.
+    resolved_scheduler = resolve_scheduler(scheduler, trace=trace)
     batch_runner = spec.batch_runner_for(task)
     # Restricted topologies ride the vector engine when the runner
     # advertises batched neighbor sampling (global direct addressing
@@ -748,7 +725,7 @@ def run_replications(
             if not resolved_topology.complete and not resolved_topology.deterministic:
                 # Random graphs resample per chunk: replications within a
                 # chunk share one instance (documented approximation of
-                # the sequential engines' per-seed graphs).
+                # the sequential engine's per-seed graphs).
                 graph = resolved_topology.bind(
                     n, make_rng(derive_seed(base_seed, "vector-topo", _seed_offset + done))
                 )
@@ -801,54 +778,26 @@ def run_replications(
             done += take
         return summary
 
-    if engine == "reset":
-        replication = ReplicationEngine(
-            n,
-            algorithm,
-            source=source,
-            message_bits=message_bits,
-            failures=failures,
-            failure_pattern=failure_pattern,
-            schedule=resolved,
-            task=task,
-            task_kwargs=task_kwargs,
-            topology=resolved_topology,
-            direct_addressing=direct_addressing,
-            scheduler=resolved_scheduler,
-            profile=profile,
-            check_model=check_model,
-            **algorithm_kwargs,
-        )
-
-        def run_one(seed: int) -> AlgorithmReport:
-            return replication.run(seed, telemetry=telemetry)
-
-    else:  # rebuild — the legacy loop
-
-        def run_one(seed: int) -> AlgorithmReport:
-            return broadcast(
-                n,
-                algorithm,
-                seed=seed,
-                source=source,
-                message_bits=message_bits,
-                failures=failures,
-                failure_pattern=failure_pattern,
-                schedule=resolved,
-                task=task,
-                task_kwargs=task_kwargs,
-                topology=resolved_topology,
-                direct_addressing=direct_addressing,
-                scheduler=resolved_scheduler,
-                profile=profile,
-                telemetry=telemetry,
-                check_model=check_model,
-                **algorithm_kwargs,
-            )
-
+    replication = ReplicationEngine(
+        n,
+        algorithm,
+        source=source,
+        message_bits=message_bits,
+        failures=failures,
+        failure_pattern=failure_pattern,
+        schedule=resolved,
+        task=task,
+        task_kwargs=task_kwargs,
+        topology=resolved_topology,
+        direct_addressing=direct_addressing,
+        scheduler=resolved_scheduler,
+        profile=profile,
+        check_model=check_model,
+        **algorithm_kwargs,
+    )
     for rep in range(reps):
         seed = base_seed + rep
-        report = run_one(seed)
+        report = replication.run(seed, telemetry=telemetry)
         feed(rep, seed, report_scalars(report))
     return summary
 

@@ -40,7 +40,6 @@ from repro.registry import (
 )
 from repro.sim.batch_cluster import batched_cluster1
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 from repro.tasks.transports import run_cluster_task
 
 
@@ -57,7 +56,6 @@ def cluster1(
     *,
     profile: Profile = LAPTOP,
     params: Optional[Cluster1Params] = None,
-    trace: Trace = None,
 ) -> AlgorithmReport:
     """Run Cluster1 and broadcast the rumor held by ``source``.
 
@@ -71,19 +69,16 @@ def cluster1(
         Constant resolution (:data:`~repro.core.constants.LAPTOP` default).
     params:
         Explicit parameter override (ignores ``profile``).
-    trace:
-        Optional execution trace.
     """
-    trace = trace if trace is not None else null_trace()
     p = params if params is not None else profile.cluster1(sim.net.n)
     cl = Clustering(sim.net)
     if sim.telemetry is not None:
         sim.telemetry.add_probe("clusters", lambda s, cl=cl: float(cl.cluster_count()))
 
-    grow_initial_clusters_v1(sim, cl, p, trace)
-    square_report = square_clusters_v1(sim, cl, p, trace)
-    merge_reps = merge_all_clusters(sim, cl, reps=p.merge_reps, trace=trace)
-    unclustered_nodes_pull(sim, cl, p.pull_rounds, trace)
+    grow_initial_clusters_v1(sim, cl, p)
+    square_report = square_clusters_v1(sim, cl, p)
+    merge_reps = merge_all_clusters(sim, cl, reps=p.merge_reps)
+    unclustered_nodes_pull(sim, cl, p.pull_rounds)
 
     informed = np.zeros(sim.net.n, dtype=bool)
     if sim.net.alive[source]:
@@ -91,12 +86,11 @@ def cluster1(
     with sim.metrics.phase("share"):
         informed = cluster_share_rumor(sim, cl, informed)
 
-    trace.emit(sim.metrics.rounds, "done", clusters=cl.cluster_count())
+    sim.emit("done", clusters=cl.cluster_count())
     return report_from_sim(
         "cluster1",
         sim,
         informed,
-        trace,
         clustering=cl,
         square_iterations=square_report.iterations,
         merge_reps=merge_reps,
@@ -111,7 +105,6 @@ def cluster1_task_transport(
     *,
     profile: Profile = LAPTOP,
     params: Optional[Cluster1Params] = None,
-    trace: Trace = None,
 ) -> AlgorithmReport:
     """Cluster1's structure as a task transport: the simple construction
     (grow → square → merge → pull) assembles the spanning cluster, then
@@ -120,13 +113,13 @@ def cluster1_task_transport(
     over it."""
     p = params if params is not None else profile.cluster1(sim.net.n)
 
-    def build(sim: Simulator, cl: Clustering, trace: Trace) -> None:
-        grow_initial_clusters_v1(sim, cl, p, trace)
-        square_clusters_v1(sim, cl, p, trace)
-        merge_all_clusters(sim, cl, reps=p.merge_reps, trace=trace)
-        unclustered_nodes_pull(sim, cl, p.pull_rounds, trace)
+    def build(sim: Simulator, cl: Clustering) -> None:
+        grow_initial_clusters_v1(sim, cl, p)
+        square_clusters_v1(sim, cl, p)
+        merge_all_clusters(sim, cl, reps=p.merge_reps)
+        unclustered_nodes_pull(sim, cl, p.pull_rounds)
 
-    return run_cluster_task(sim, state, build, trace=trace)
+    return run_cluster_task(sim, state, build)
 
 
 # The scale tier's (R, n) vectorisation of this algorithm (statistically

@@ -42,7 +42,6 @@ from repro.registry import (
 )
 from repro.sim.batch_cluster import batched_cluster2
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 from repro.tasks.transports import run_cluster_task
 
 
@@ -59,30 +58,27 @@ def cluster2(
     *,
     profile: Profile = LAPTOP,
     params: Optional[Cluster2Params] = None,
-    trace: Trace = None,
 ) -> AlgorithmReport:
     """Run Cluster2 and broadcast the rumor held by ``source``.
 
     See :func:`repro.core.cluster1.cluster1` for the common parameters.
     """
-    trace = trace if trace is not None else null_trace()
     p = params if params is not None else profile.cluster2(sim.net.n)
     p.check_n(sim.net.n)
     cl = Clustering(sim.net)
     if sim.telemetry is not None:
         sim.telemetry.add_probe("clusters", lambda s, cl=cl: float(cl.cluster_count()))
 
-    grow_initial_clusters_v2(sim, cl, p, trace)
-    square_report = square_clusters_v2(sim, cl, p, trace)
-    merge_reps = merge_all_clusters(sim, cl, reps=p.merge_reps, trace=trace)
+    grow_initial_clusters_v2(sim, cl, p)
+    square_report = square_clusters_v2(sim, cl, p)
+    merge_reps = merge_all_clusters(sim, cl, reps=p.merge_reps)
     bounded_cluster_push(
         sim,
         cl,
         growth_stop=p.bounded_push_growth_stop,
         rounds_cap=p.bounded_push_rounds_cap,
-        trace=trace,
     )
-    unclustered_nodes_pull(sim, cl, p.pull_rounds, trace)
+    unclustered_nodes_pull(sim, cl, p.pull_rounds)
 
     informed = np.zeros(sim.net.n, dtype=bool)
     if sim.net.alive[source]:
@@ -90,12 +86,11 @@ def cluster2(
     with sim.metrics.phase("share"):
         informed = cluster_share_rumor(sim, cl, informed)
 
-    trace.emit(sim.metrics.rounds, "done", clusters=cl.cluster_count())
+    sim.emit("done", clusters=cl.cluster_count())
     return report_from_sim(
         "cluster2",
         sim,
         informed,
-        trace,
         clustering=cl,
         square_iterations=square_report.iterations,
         merge_reps=merge_reps,
@@ -110,7 +105,6 @@ def cluster2_task_transport(
     *,
     profile: Profile = LAPTOP,
     params: Optional[Cluster2Params] = None,
-    trace: Trace = None,
 ) -> AlgorithmReport:
     """Cluster2's structure as a task transport: the message-thrifty
     construction (grow → square → merge → bounded push → pull) assembles
@@ -120,20 +114,19 @@ def cluster2_task_transport(
     p = params if params is not None else profile.cluster2(sim.net.n)
     p.check_n(sim.net.n)
 
-    def build(sim: Simulator, cl: Clustering, trace: Trace) -> None:
-        grow_initial_clusters_v2(sim, cl, p, trace)
-        square_clusters_v2(sim, cl, p, trace)
-        merge_all_clusters(sim, cl, reps=p.merge_reps, trace=trace)
+    def build(sim: Simulator, cl: Clustering) -> None:
+        grow_initial_clusters_v2(sim, cl, p)
+        square_clusters_v2(sim, cl, p)
+        merge_all_clusters(sim, cl, reps=p.merge_reps)
         bounded_cluster_push(
             sim,
             cl,
             growth_stop=p.bounded_push_growth_stop,
             rounds_cap=p.bounded_push_rounds_cap,
-            trace=trace,
         )
-        unclustered_nodes_pull(sim, cl, p.pull_rounds, trace)
+        unclustered_nodes_pull(sim, cl, p.pull_rounds)
 
-    return run_cluster_task(sim, state, build, trace=trace)
+    return run_cluster_task(sim, state, build)
 
 
 # The scale tier's (R, n) vectorisation of this algorithm (statistically

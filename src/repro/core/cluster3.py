@@ -33,7 +33,6 @@ from repro.core.primitives import cluster_resize
 from repro.core.pull_phase import bounded_cluster_push, unclustered_nodes_pull
 from repro.core.square import square_clusters_v2
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 @dataclass
@@ -69,7 +68,6 @@ def cluster3(
     *,
     profile: Profile = LAPTOP,
     params: Optional[Cluster3Params] = None,
-    trace: Trace = None,
 ) -> "tuple[Clustering, DeltaClusteringReport]":
     """Compute a Θ(Δ)-clustering (Algorithm 4).
 
@@ -77,7 +75,6 @@ def cluster3(
     ~8 the Θ(Δ) size bands collapse) and ``delta <= n**0.9`` (Section 7's
     convention — for larger Δ just run Cluster2).
     """
-    trace = trace if trace is not None else null_trace()
     n = sim.net.n
     if delta < 8:
         raise ValueError(f"delta must be >= 8, got {delta}")
@@ -101,29 +98,27 @@ def cluster3(
     if sim.telemetry is not None:
         sim.telemetry.add_probe("clusters", lambda s, cl=cl: float(cl.cluster_count()))
 
-    grow_initial_clusters_v2(sim, cl, p2, trace)
-    square_report = square_clusters_v2(sim, cl, p2, trace, stop_at=p3.square_until)
+    grow_initial_clusters_v2(sim, cl, p2)
+    square_report = square_clusters_v2(sim, cl, p2, stop_at=p3.square_until)
     # Nominal size reached by the squaring loop (>= its floor even when the
     # loop body never ran because the floor already exceeded the target).
     s = max(p2.square_floor, square_report.final_nominal_size)
     s = min(s, max(2, p3.target_size))  # never activate with prob > ~1
 
-    merge_to_delta_clusters(sim, cl, p3, s, trace)
+    merge_to_delta_clusters(sim, cl, p3, s)
     bounded_cluster_push(
         sim,
         cl,
         growth_stop=p3.bounded_push_growth_stop,
         rounds_cap=p3.bounded_push_rounds_cap,
         resize_to=p3.target_size,
-        trace=trace,
     )
-    unclustered_nodes_pull(sim, cl, p3.pull_rounds, trace, resize_to=p3.target_size)
+    unclustered_nodes_pull(sim, cl, p3.pull_rounds, resize_to=p3.target_size)
     with sim.metrics.phase("final-resize"):
         cluster_resize(sim, cl, p3.target_size)
 
     report = delta_clustering_report(sim, cl, p3)
-    trace.emit(
-        sim.metrics.rounds,
+    sim.emit(
         "cluster3.done",
         clusters=report.clusters,
         min_size=report.min_size,

@@ -27,7 +27,6 @@ from repro.core.primitives import cluster_share_rumor
 from repro.core.result import AlgorithmReport, report_from_sim
 from repro.registry import register_algorithm
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 def cluster_push_pull(
@@ -38,14 +37,12 @@ def cluster_push_pull(
     delta: int,
     profile: Profile = LAPTOP,
     params: Optional[PushPullParams] = None,
-    trace: Trace = None,
 ) -> AlgorithmReport:
     """Broadcast the rumor from ``source`` over an existing Δ-clustering.
 
     ``cl`` is typically the output of :func:`repro.core.cluster3.cluster3`
     on the same simulator; metrics accumulate onto ``sim``.
     """
-    trace = trace if trace is not None else null_trace()
     p = params if params is not None else profile.push_pull(sim.net.n, delta)
     n = sim.net.n
     rumor_bits = sim.net.sizes.rumor_bits
@@ -90,8 +87,7 @@ def cluster_push_pull(
                 answered = r.pull(pullers, pdsts, rumor_bits, informed[pdsts]).answered
             informed[pullers[answered]] = True
 
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 "cpp.iter",
                 iteration=iteration,
                 informed=int(informed[sim.net.alive].sum()),
@@ -104,7 +100,6 @@ def cluster_push_pull(
         "cluster-push-pull",
         sim,
         informed,
-        trace,
         delta=delta,
         clustering=cl,
         main_iterations=iterations_used,
@@ -117,7 +112,6 @@ def cluster3_broadcast(
     source: int = 0,
     *,
     profile: Profile = LAPTOP,
-    trace: Trace = None,
 ) -> AlgorithmReport:
     """Theorem 4 end-to-end: Cluster3(Δ) then ClusterPUSH-PULL(Δ).
 
@@ -126,11 +120,8 @@ def cluster3_broadcast(
     """
     from repro.core.cluster3 import cluster3  # local import to avoid cycle
 
-    trace = trace if trace is not None else null_trace()
-    cl, delta_report = cluster3(sim, delta, profile=profile, trace=trace)
-    report = cluster_push_pull(
-        sim, cl, source, delta=delta, profile=profile, trace=trace
-    )
+    cl, delta_report = cluster3(sim, delta, profile=profile)
+    report = cluster_push_pull(sim, cl, source, delta=delta, profile=profile)
     report.algorithm = "cluster3+push-pull"
     report.extras["delta_report"] = delta_report
     report.extras["delta"] = delta
@@ -149,7 +140,6 @@ def cluster3_gossip(
     source: int = 0,
     *,
     profile: Profile = LAPTOP,
-    trace: Trace = None,
     delta: Optional[int] = None,
 ) -> AlgorithmReport:
     """Registry entry point for ``cluster3``: defaults ``Δ ≈ sqrt(n)``,
@@ -163,4 +153,4 @@ def cluster3_gossip(
         probe = profile.cluster3(n, delta)
         c_resize = max(1, round(delta / max(probe.target_size, 1)))
         delta = max(delta, c_resize * profile.cluster2(n).big_size)
-    return cluster3_broadcast(sim, delta, source, profile=profile, trace=trace)
+    return cluster3_broadcast(sim, delta, source, profile=profile)

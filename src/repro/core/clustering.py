@@ -231,7 +231,7 @@ class Clustering:
         return int(lead[0]) if len(lead) == 1 else None
 
     def summary(self) -> str:
-        """One-line state summary for traces."""
+        """One-line state summary for logs."""
         sizes = self.sizes()
         lead = self.leaders()
         if len(lead) == 0:

@@ -30,7 +30,6 @@ from repro.core.primitives import (
     grow_push_round,
 )
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 def seed_singleton_clusters(sim: Simulator, cl: Clustering, prob: float) -> int:
@@ -54,17 +53,14 @@ def grow_initial_clusters_v1(
     sim: Simulator,
     cl: Clustering,
     params: Cluster1Params,
-    trace: Trace = None,
 ) -> None:
     """Algorithm 1, Procedure GrowInitialClusters."""
-    trace = trace if trace is not None else null_trace()
     with sim.metrics.phase("grow"):
         seeds = seed_singleton_clusters(sim, cl, params.seed_prob)
-        trace.emit(sim.metrics.rounds, "grow.seeded", seeds=seeds)
+        sim.emit("grow.seeded", seeds=seeds)
         for _ in range(params.grow_rounds):
             joined = grow_push_round(sim, cl, active_only=False)
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 "grow.push",
                 joined=joined,
                 clustered=cl.clustered_count(),
@@ -75,14 +71,12 @@ def grow_initial_clusters_v2(
     sim: Simulator,
     cl: Clustering,
     params: Cluster2Params,
-    trace: Trace = None,
 ) -> None:
     """Algorithm 2, Procedure GrowInitialClusters (size-controlled)."""
-    trace = trace if trace is not None else null_trace()
     with sim.metrics.phase("grow"):
         seeds = seed_singleton_clusters(sim, cl, params.seed_prob)
         cluster_activate_all(sim, cl)
-        trace.emit(sim.metrics.rounds, "grow.seeded", seeds=seeds)
+        sim.emit("grow.seeded", seeds=seeds)
 
         prev_sizes = cl.sizes().astype(np.float64)
         for _ in range(params.grow_rounds_cap):
@@ -102,8 +96,7 @@ def grow_initial_clusters_v2(
                 cluster_resize(sim, cl, params.big_size)
                 sizes = cl.sizes().astype(np.float64)
             prev_sizes = sizes
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 "grow.push",
                 clustered=cl.clustered_count(),
                 clusters=cl.cluster_count(),

@@ -24,7 +24,6 @@ from repro.core.constants import Cluster3Params
 from repro.core.primitives import cluster_activate, cluster_merge, cluster_push
 from repro.sim.delivery import NOTHING
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 def merge_all_clusters(
@@ -32,7 +31,6 @@ def merge_all_clusters(
     cl: Clustering,
     *,
     reps: int = 2,
-    trace: Trace = None,
 ) -> int:
     """Algorithms 1/2, Procedure MergeAllClusters.
 
@@ -40,7 +38,6 @@ def merge_all_clusters(
     ``reps`` at small n — extra repetitions only run while more than one
     cluster remains).
     """
-    trace = trace if trace is not None else null_trace()
     uid = sim.net.uid
     used = 0
     mandatory = min(2, max(1, reps))  # the paper's "two repetitions"
@@ -62,8 +59,7 @@ def merge_all_clusters(
             better = got[uid[receipt[got]] < uid[got]]
             new_leader[better] = receipt[better]
             merged = cluster_merge(sim, cl, new_leader)
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 "merge-all.rep",
                 rep=rep,
                 merged=merged,
@@ -77,7 +73,6 @@ def merge_to_delta_clusters(
     cl: Clustering,
     params: Cluster3Params,
     current_size: int,
-    trace: Trace = None,
 ) -> None:
     """Algorithm 4, Procedure MergeClusters.
 
@@ -88,7 +83,6 @@ def merge_to_delta_clusters(
     and grows to ``~target_size/10`` — within a constant of the Θ(Δ)
     target, which BoundedClusterPush and the final resize then normalise.
     """
-    trace = trace if trace is not None else null_trace()
     with sim.metrics.phase("merge-delta"):
         p = min(1.0, params.merge_activate_coeff * current_size / params.target_size)
         cluster_activate(sim, cl, p)
@@ -101,8 +95,7 @@ def merge_to_delta_clusters(
         )
         new_leader = np.where(cl.active, NOTHING, outcome.leader_receipt)
         cluster_merge(sim, cl, new_leader)
-        trace.emit(
-            sim.metrics.rounds,
+        sim.emit(
             "merge-delta",
             activate_prob=round(p, 4),
             clusters=cl.cluster_count(),

@@ -30,14 +30,12 @@ from repro.core.primitives import (
     unclustered_pull_round,
 )
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 def unclustered_nodes_pull(
     sim: Simulator,
     cl: Clustering,
     rounds: int,
-    trace: Trace = None,
     *,
     resize_to: Optional[int] = None,
 ) -> int:
@@ -52,7 +50,6 @@ def unclustered_nodes_pull(
     exceed the Δ budget.  Returns the number of still-unclustered alive
     nodes.
     """
-    trace = trace if trace is not None else null_trace()
     with sim.metrics.phase("pull"):
         for _ in range(rounds):
             remaining = len(cl.unclustered())
@@ -61,8 +58,7 @@ def unclustered_nodes_pull(
             joined = unclustered_pull_round(sim, cl)
             if resize_to is not None and joined:
                 cluster_resize(sim, cl, resize_to)
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 "pull.round",
                 joined=joined,
                 unclustered=len(cl.unclustered()),
@@ -77,7 +73,6 @@ def bounded_cluster_push(
     growth_stop: float,
     rounds_cap: int,
     resize_to: Optional[int] = None,
-    trace: Trace = None,
 ) -> None:
     """Algorithm 2 Procedure BoundedClusterPush (and Algorithm 4's variant).
 
@@ -88,7 +83,6 @@ def bounded_cluster_push(
     ``ClusterResize(resize_to)`` so clusters never exceed ``2*resize_to``
     members no matter how fast they recruit.
     """
-    trace = trace if trace is not None else null_trace()
     with sim.metrics.phase("bounded-push"):
         cluster_activate_all(sim, cl)
         prev = cl.clustered_count()
@@ -105,8 +99,7 @@ def bounded_cluster_push(
             grew = sizes_after[leaders] / sizes_before.clip(min=1.0)[leaders]
             stalled = grew < growth_stop
             cl.active[leaders[stalled]] = False
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 "bounded-push.round",
                 clustered=cl.clustered_count(),
                 gained=cl.clustered_count() - prev,

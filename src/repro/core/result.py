@@ -8,12 +8,11 @@ examples can treat them interchangeably.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
 from repro.sim.metrics import Metrics
-from repro.sim.trace import Trace
 
 
 @dataclass
@@ -36,7 +35,6 @@ class AlgorithmReport:
     informed: np.ndarray
     alive: np.ndarray
     metrics: Metrics
-    trace: Optional[Trace] = None
     extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -112,7 +110,6 @@ def report_from_sim(
     algorithm: str,
     sim,
     informed: np.ndarray,
-    trace: Optional[Trace] = None,
     **extras: Any,
 ) -> AlgorithmReport:
     """Assemble a report from a finished simulator."""
@@ -126,6 +123,5 @@ def report_from_sim(
         informed=np.asarray(informed, dtype=bool),
         alive=sim.net.alive.copy(),
         metrics=sim.metrics,
-        trace=trace,
         extras=dict(extras),
     )

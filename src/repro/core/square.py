@@ -35,7 +35,6 @@ from repro.core.primitives import (
 )
 from repro.sim.delivery import NOTHING
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 @dataclass
@@ -95,10 +94,8 @@ def square_clusters_v1(
     sim: Simulator,
     cl: Clustering,
     params: Cluster1Params,
-    trace: Trace = None,
 ) -> SquareReport:
     """Algorithm 1, Procedure SquareClusters (min-ID merges)."""
-    trace = trace if trace is not None else null_trace()
     history: List[int] = []
     with sim.metrics.phase("square"):
         s = params.min_cluster_size
@@ -113,9 +110,7 @@ def square_clusters_v1(
             s = params.square_step(s)
             iterations += 1
             history.append(s)
-            trace.emit(
-                sim.metrics.rounds, "square.iter", s=s, **_counts(cl)
-            )
+            sim.emit("square.iter", s=s, **_counts(cl))
     return SquareReport(iterations, s, history)
 
 
@@ -123,7 +118,6 @@ def square_clusters_v2(
     sim: Simulator,
     cl: Clustering,
     params: Cluster2Params,
-    trace: Trace = None,
     *,
     stop_at: float = None,
 ) -> SquareReport:
@@ -132,7 +126,6 @@ def square_clusters_v2(
     ``stop_at`` overrides the squaring target — Cluster3 reuses this
     procedure but stops at ``sqrt(Δ log n)/C''`` (Algorithm 4 line 2).
     """
-    trace = trace if trace is not None else null_trace()
     target = params.square_target if stop_at is None else stop_at
     history: List[int] = []
     with sim.metrics.phase("square"):
@@ -148,9 +141,7 @@ def square_clusters_v2(
             s = params.square_step(s)
             iterations += 1
             history.append(s)
-            trace.emit(
-                sim.metrics.rounds, "square.iter", s=s, **_counts(cl)
-            )
+            sim.emit("square.iter", s=s, **_counts(cl))
     return SquareReport(iterations, s, history)
 
 

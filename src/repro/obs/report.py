@@ -292,7 +292,7 @@ def render_report(records: List[Dict[str, Any]], max_series_rows: int = 12) -> s
                 note += f", dilation {_fmt(p['dilation'])}"
             lines.append(note + " (render with --critical-path)")
         if events.get(rid):
-            lines.append(f"  trace events: {events[rid]}")
+            lines.append(f"  algorithm events: {events[rid]}")
 
     if len(runs) > _DETAIL_RUNS:
         lines.append("")

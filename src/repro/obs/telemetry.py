@@ -19,8 +19,10 @@ to the pre-telemetry engine) and pointing ``Metrics.span_recorder`` at
 via ``sim.telemetry.add_probe(name, fn)`` — ``fn(sim)`` is sampled
 every ``probe_every`` committed rounds (``informed`` from protocol
 progress, ``clusters`` from the clustering, ``task_error`` from task
-states).  *Vector* runners receive the run handle directly and feed
-batch-aggregate samples plus per-phase spans.
+states) — and record coarse events via ``sim.emit(kind, **data)``,
+which lands in ``run.events`` at the current round.  *Vector* runners
+receive the run handle directly and feed batch-aggregate samples plus
+per-phase spans.
 
 Sharded ``run_replications`` gives each shard a fresh collector
 (:meth:`spawn`), then merges the shard collectors back in shard order
@@ -64,15 +66,22 @@ class RunTelemetry:
     """One execution's telemetry: spans + series + probes + records."""
 
     def __init__(
-        self, run_id: int, config: Dict[str, Any], probe_every: int, series_cap: int
+        self,
+        run_id: int,
+        config: Dict[str, Any],
+        probe_every: int,
+        series_cap: int,
+        collect_events: bool,
     ) -> None:
         self.run_id = int(run_id)
         self.config = {k: _py(v) for k, v in dict(config).items()}
         self.probe_every = max(1, int(probe_every))
+        self.collect_events = bool(collect_events)
         self.spans = SpanRecorder()
         self.series = RoundSeries(series_cap)
         self.summary: Dict[str, Any] = {}
         self.phases: Optional[Dict[str, Dict[str, Any]]] = None
+        #: Coarse algorithm events (``Simulator.emit``), in emission order.
         self.events: List[Dict[str, Any]] = []
         #: Schema v2 causal-trace payloads (``None`` unless the run
         #: executed with contact tracing on — see :mod:`repro.obs.trace`).
@@ -89,6 +98,12 @@ class RunTelemetry:
     def span(self, name: str):
         """Time a block into this run's span log."""
         return self.spans.span(name)
+
+    def event(self, round_no: int, kind: str, data: Dict[str, Any]) -> None:
+        """Append one coarse event record (skipped when events are off)."""
+        if self.collect_events:
+            data = {k: _py(v) for k, v in data.items()}
+            self.events.append({"round": int(round_no), "kind": kind, "data": data})
 
     # -- sequential-engine hooks ---------------------------------------
 
@@ -175,14 +190,20 @@ class Telemetry:
 
     def begin_run(self, config: Dict[str, Any]) -> RunTelemetry:
         """Open a run handle; engines wire it up and feed it."""
-        run = RunTelemetry(self._next_id, config, self.probe_every, self.series_cap)
+        run = RunTelemetry(
+            self._next_id,
+            config,
+            self.probe_every,
+            self.series_cap,
+            self.collect_events,
+        )
         self._next_id += 1
         self.runs.append(run)
         return run
 
     def finish_run(self, run: RunTelemetry, *, sim=None, report=None, outcome=None):
         """Seal a run: force the final sample, snapshot phases/summary,
-        capture trace events, and drop the probe closures."""
+        serialise any contact trace, and drop the probe closures."""
         if sim is not None:
             run.sample(sim, force=True)
             run.phases = _phases_dict(sim.metrics)
@@ -199,20 +220,6 @@ class Telemetry:
                 informed_fraction=float(report.informed_fraction),
                 success=bool(report.success),
             )
-            trace = report.trace
-            if (
-                self.collect_events
-                and trace is not None
-                and getattr(trace, "enabled", False)
-            ):
-                run.events = [
-                    {
-                        "round": int(e.round),
-                        "kind": e.kind,
-                        "data": {k: _py(v) for k, v in e.data.items()},
-                    }
-                    for e in trace.events
-                ]
             contacts = report.extras.get("contact_trace")
             path = report.extras.get("critical_path")
             if contacts is not None and path is not None:

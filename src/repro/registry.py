@@ -30,15 +30,17 @@ Adding an algorithm is one decorator — no edits to the dispatch core::
         "my-gossip", category="baseline", kwargs=("max_rounds",),
         doc="My experimental gossip variant.",
     )
-    def my_gossip(sim, source=0, *, trace=None, max_rounds=None):
+    def my_gossip(sim, source=0, *, max_rounds=None):
         ...
-        return report_from_sim("my-gossip", sim, informed, trace)
+        return report_from_sim("my-gossip", sim, informed)
 
 Registered runners share the calling convention
-``runner(sim, source, **knobs)`` with ``trace=`` always passed and
-``profile=`` passed iff the spec declares ``uses_profile``.  Entries with
-``broadcastable=False`` (e.g. Name-Dropper, a *discovery* protocol with
-its own report type) are catalogued but rejected by ``broadcast()``.
+``runner(sim, source, **knobs)`` with ``profile=`` passed iff the spec
+declares ``uses_profile``; they record coarse progress events with
+``sim.emit(kind, **data)``, which reach telemetry when it is attached.
+Entries with ``broadcastable=False`` (e.g. Name-Dropper, a *discovery*
+protocol with its own report type) are catalogued but rejected by
+``broadcast()``.
 
 The registry itself imports nothing from :mod:`repro.core` or
 :mod:`repro.baselines`; those modules import *it*, so there is no cycle.
@@ -121,8 +123,8 @@ class AlgorithmSpec:
         ``(R, n)`` arrays.  ``None`` (most algorithms) means replication
         suites fall back to the memory-lean sequential engine.
     task_transport:
-        Optional task runner ``fn(sim, state, *, trace=..., [profile=...,]
-        **knobs) -> AlgorithmReport`` driving an arbitrary
+        Optional task runner ``fn(sim, state, *, [profile=...,] **knobs)
+        -> AlgorithmReport`` driving an arbitrary
         :class:`~repro.tasks.state.TaskState` over this algorithm's
         contact pattern.  ``None`` means the algorithm only supports the
         default ``"broadcast"`` task.
@@ -151,7 +153,7 @@ class AlgorithmSpec:
     task_batch_runners: Tuple[Tuple[str, Callable[..., Any]], ...] = ()
     complete_graph_only: bool = False
 
-    def run(self, sim, source, profile, trace, **algorithm_kwargs):
+    def run(self, sim, source, profile, **algorithm_kwargs):
         """Invoke the runner with the uniform dispatch convention."""
         if not self.broadcastable:
             raise ValueError(
@@ -159,7 +161,6 @@ class AlgorithmSpec:
                 "a broadcast algorithm; call its entry point directly"
             )
         call: Dict[str, Any] = dict(algorithm_kwargs)
-        call["trace"] = trace
         if self.uses_profile:
             call["profile"] = profile
         return self.runner(sim, source, **call)
@@ -175,7 +176,7 @@ class AlgorithmSpec:
             return self.broadcastable
         return self.task_transport is not None
 
-    def run_task(self, sim, state, profile, trace, **algorithm_kwargs):
+    def run_task(self, sim, state, profile, **algorithm_kwargs):
         """Drive a non-broadcast task state through this algorithm's
         transport (same keyword convention as :meth:`run`)."""
         if self.task_transport is None:
@@ -184,7 +185,6 @@ class AlgorithmSpec:
                 f"runs the {BROADCAST_TASK!r} task"
             )
         call: Dict[str, Any] = dict(algorithm_kwargs)
-        call["trace"] = trace
         if self.uses_profile:
             call["profile"] = profile
         report = self.task_transport(sim, state, **call)
@@ -362,7 +362,7 @@ def register_task_transport(name: str) -> Callable[[Callable], Callable]:
     baselines, the clustering structure for the paper's algorithms)::
 
         @register_task_transport("push-pull")
-        def push_pull_transport(sim, state, *, trace=None, max_rounds=None):
+        def push_pull_transport(sim, state, *, max_rounds=None):
             return run_uniform_task(sim, state, ...)
 
     Returns the function unchanged.

@@ -36,7 +36,7 @@ knowledge-tracking needed for the Section 6 lower bound lives separately in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -513,12 +513,23 @@ class Simulator:
         self.commit_hooks: List = []
         #: Telemetry run handle (:class:`repro.obs.telemetry.RunTelemetry`)
         #: when observability is attached, else ``None``.  Algorithms use
-        #: it only to register probes — sampling itself rides the
-        #: ``commit_hooks`` mechanism, so the commit path is unchanged
-        #: whether telemetry is on or off.
+        #: it to register probes and, through :meth:`emit`, to record
+        #: coarse events — sampling itself rides the ``commit_hooks``
+        #: mechanism, so the commit path is unchanged whether telemetry
+        #: is on or off.
         self.telemetry = None
         if dynamics is not None:
             dynamics.begin_round(self.metrics.rounds)
+
+    def emit(self, kind: str, **data: Any) -> None:
+        """Record one coarse algorithm event (``grow.push``, ``done``, ...)
+        at the current round as a telemetry ``event`` record.
+
+        A no-op unless a telemetry run that collects events is attached.
+        Callers pass scalar payloads, evaluated at the call.
+        """
+        if self.telemetry is not None:
+            self.telemetry.event(self.metrics.rounds, kind, data)
 
     def add_commit_hook(self, hook) -> None:
         """Register a per-round observer ``hook(sim)`` (see

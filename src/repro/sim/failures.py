@@ -100,6 +100,11 @@ def apply_pattern(net: Network, pattern: str, count: float, rng: SeedLike = None
 
 
 def _check_count(net: Network, count: int) -> None:
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(
+            f"failure count must be an integer, got {count!r}; to fail a "
+            "fraction of the nodes use failure_pattern='fraction'"
+        )
     if count < 0:
         raise ValueError(f"failure count must be non-negative, got {count}")
     if count >= net.n:

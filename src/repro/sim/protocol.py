@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 
 
 class VectorProtocol(abc.ABC):
@@ -66,7 +65,6 @@ def run_protocol(
     sim: Simulator,
     *,
     max_rounds: int,
-    trace: Optional[Trace] = None,
     run_to_cap: bool = False,
 ) -> ProtocolResult:
     """Drive ``protocol`` until :meth:`VectorProtocol.done` or the cap.
@@ -81,7 +79,6 @@ def run_protocol(
     """
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-    trace = trace if trace is not None else null_trace()
     if sim.telemetry is not None:
         # Sampled by the telemetry commit hook every probe_every rounds.
         sim.telemetry.add_probe(
@@ -96,8 +93,7 @@ def run_protocol(
         steps += 1
         if completion is None and protocol.done():
             completion = steps
-        trace.emit(
-            sim.metrics.rounds,
+        sim.emit(
             f"{protocol.name}.step",
             progress=round(protocol.progress(), 6),
         )

@@ -40,7 +40,7 @@ the round clock under full participation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
 
 import numpy as np
@@ -503,14 +503,18 @@ class EventSchedulerSpec:
 
 
 def resolve_scheduler(
-    spec: "EventSchedulerSpec | str | None",
+    spec: "EventSchedulerSpec | str | None", *, trace: bool = False
 ) -> Optional[EventSchedulerSpec]:
     """Normalise a scheduler argument.
 
     Returns ``None`` for the round tier (the default — no overlay is
     attached and the engine path is untouched) or an
-    :class:`EventSchedulerSpec` for the event tier.
+    :class:`EventSchedulerSpec` for the event tier.  ``trace=True``
+    (contact tracing) implies the event tier: the resolved spec, or a
+    default one when none was requested, comes back with ``trace=True``.
     """
+    if trace:
+        return replace(resolve_scheduler(spec) or EventSchedulerSpec(), trace=True)
     if spec is None:
         return None
     if isinstance(spec, EventSchedulerSpec):

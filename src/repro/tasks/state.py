@@ -180,7 +180,7 @@ class TaskState(abc.ABC):
         return {}
 
     def progress(self, alive: np.ndarray) -> float:
-        """A scalar in [0, 1] for traces."""
+        """A scalar in [0, 1] for the ``<task>.step`` progress events."""
         idx = np.flatnonzero(alive)
         if len(idx) == 0:
             return 1.0

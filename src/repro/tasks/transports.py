@@ -46,7 +46,6 @@ import numpy as np
 from repro.core.clustering import Clustering
 from repro.core.result import AlgorithmReport, report_from_sim
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, null_trace
 from repro.tasks.state import TaskState
 
 
@@ -95,7 +94,6 @@ def _task_observer(sim: Simulator, state: TaskState):
 def _finish_report(
     sim: Simulator,
     state: TaskState,
-    trace: Trace,
     completion: Optional[int],
 ) -> AlgorithmReport:
     alive = sim.net.alive
@@ -103,7 +101,6 @@ def _finish_report(
         state.task,
         sim,
         state.completion_mask(),
-        trace,
         completion_round=completion,
         task=state.task,
         task_error=state.error(alive),
@@ -119,7 +116,6 @@ def run_uniform_task(
     *,
     mode: str = "push-pull",
     max_rounds: Optional[int] = None,
-    trace: Trace = None,
 ) -> AlgorithmReport:
     """Drive ``state`` over uniform random phone calls.
 
@@ -130,7 +126,6 @@ def run_uniform_task(
     """
     if mode not in ("push-pull", "push"):
         raise ValueError(f"mode must be 'push-pull' or 'push', got {mode!r}")
-    trace = trace if trace is not None else null_trace()
     cap = max_rounds if max_rounds is not None else state.round_cap(sim.net.n)
     completion = _task_observer(sim, state)
     nothing = np.empty(0, dtype=np.int64)
@@ -166,12 +161,11 @@ def run_uniform_task(
             if answered is not None:
                 state.deliver_pull(pullers[answered], pdsts[answered])
             state.end_round()
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 f"{state.task}.step",
                 progress=round(state.progress(sim.net.alive), 6),
             )
-    return _finish_report(sim, state, trace, completion())
+    return _finish_report(sim, state, completion())
 
 
 def default_mix_cap(n: int) -> int:
@@ -190,11 +184,10 @@ def default_catchup_cap(n: int) -> int:
 def run_cluster_task(
     sim: Simulator,
     state: TaskState,
-    build: Callable[[Simulator, Clustering, Trace], None],
+    build: Callable[[Simulator, Clustering], None],
     *,
     mix_rounds: Optional[int] = None,
     catchup_rounds: Optional[int] = None,
-    trace: Trace = None,
 ) -> AlgorithmReport:
     """Drive ``state`` over a cluster structure (see module docstring).
 
@@ -202,7 +195,6 @@ def run_cluster_task(
     phases and parameters; everything after it is shared: gather → mix →
     scatter → catch-up.
     """
-    trace = trace if trace is not None else null_trace()
     n = sim.net.n
     mix_cap = mix_rounds if mix_rounds is not None else default_mix_cap(n)
     catchup_cap = (
@@ -213,7 +205,7 @@ def run_cluster_task(
     cl = Clustering(sim.net)
     if sim.telemetry is not None:
         sim.telemetry.add_probe("clusters", lambda s, cl=cl: float(cl.cluster_count()))
-    build(sim, cl, trace)
+    build(sim, cl)
 
     # -- gather: followers hand their content straight to their leader.
     # Under a dynamics timeline a second attempt retransmits anything a
@@ -230,7 +222,7 @@ def run_cluster_task(
                     sim, state, r, senders, cl.follow[senders], extract=True
                 )
             state.end_round()
-            trace.emit(sim.metrics.rounds, "task.gather", senders=len(senders))
+            sim.emit("task.gather", senders=len(senders))
 
     # -- mix: cluster aggregates cross-pollinate until every leader's is
     # complete.  Holders push to uniform targets; follower receivers
@@ -263,8 +255,7 @@ def run_cluster_task(
                     sim, state, r, relayers, cl.follow[relayers], extract=True
                 )
             state.end_round()
-            trace.emit(
-                sim.metrics.rounds,
+            sim.emit(
                 "task.mix",
                 holders=len(holders),
                 relayed=len(relayers),
@@ -308,6 +299,6 @@ def run_cluster_task(
                 ).answered
             state.adopt(pending[answered], dsts[answered])
             state.end_round()
-            trace.emit(sim.metrics.rounds, "task.catchup", pending=len(pending))
+            sim.emit("task.catchup", pending=len(pending))
 
-    return _finish_report(sim, state, trace, completion())
+    return _finish_report(sim, state, completion())

@@ -426,7 +426,7 @@ for _scenario in [
     ),
     # ------------------------------------------------------------------
     # Event-tier presets (repro.sim.schedule): the same logical
-    # executions timed by the event-queue scheduler under heterogeneous
+    # executions timed by the event-tier scheduler under heterogeneous
     # per-contact latencies — rounds/messages/bits stay bit-identical to
     # the round engine; only ``sim_time`` changes.
     # ------------------------------------------------------------------

@@ -105,6 +105,15 @@ class TestReplicationFlags:
         assert rc == 0
         assert "reset" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("reps", ["1", "4"])
+    def test_run_rejects_nonpositive_message_bits(self, capsys, reps):
+        rc = main(
+            ["run", "--n", "64", "--algorithm", "push-pull",
+             "--reps", reps, "--message-bits", "-5"]
+        )
+        assert rc == 2
+        assert "rumor_bits must be positive" in capsys.readouterr().err
+
     def test_run_reps_with_schedule_falls_back(self, capsys):
         rc = main(
             ["run", "--n", "256", "--algorithm", "push-pull",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cluster1 import cluster1
 from repro.core.constants import LAPTOP, loglog
-from repro.sim.trace import Trace
+from repro.obs.telemetry import Telemetry
 
 from helpers import build_sim
 
@@ -75,10 +75,11 @@ class TestDeterminism:
 
     def test_trace_collects_phases(self):
         sim = build_sim(512, seed=1)
-        trace = Trace()
-        cluster1(sim, trace=trace)
-        assert trace.of_kind("grow.push")
-        assert trace.of_kind("done")
+        sim.telemetry = Telemetry().begin_run({})
+        cluster1(sim)
+        kinds = [e["kind"] for e in sim.telemetry.events]
+        assert "grow.push" in kinds
+        assert kinds[-1] == "done"
 
 
 class TestParamsOverride:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.broadcast import broadcast, run_replications
 from repro.sim.failures import (
     apply_pattern,
     fail_fraction,
@@ -93,3 +94,34 @@ class TestApplyPattern:
         net = Network(10, rng=0)
         with pytest.raises(ValueError):
             apply_pattern(net, "random", -1)
+
+
+COUNT_PATTERNS = ["random", "prefix", "smallest-uids"]
+
+
+class TestNonIntegerCounts:
+    """A count pattern given a non-integer count is a one-line config
+    error that points at the fraction pattern, on every entry path."""
+
+    @pytest.mark.parametrize("pattern", COUNT_PATTERNS)
+    @pytest.mark.parametrize("count", [0.5, 3.0])
+    def test_broadcast_rejects(self, pattern, count):
+        with pytest.raises(ValueError, match="failure_pattern='fraction'"):
+            broadcast(64, "cluster2", failures=count, failure_pattern=pattern)
+
+    @pytest.mark.parametrize("pattern", COUNT_PATTERNS)
+    @pytest.mark.parametrize("count", [0.99, 3.0])
+    def test_run_replications_rejects(self, pattern, count):
+        with pytest.raises(ValueError, match="failure count must be an integer"):
+            run_replications(
+                64, "cluster2", reps=2, failures=count, failure_pattern=pattern
+            )
+
+    @pytest.mark.parametrize("pattern", COUNT_PATTERNS)
+    def test_numpy_integer_counts_still_work(self, pattern):
+        net = Network(64, rng=0)
+        assert len(apply_pattern(net, pattern, np.int64(3), rng=0)) == 3
+        report = broadcast(
+            64, "cluster2", failures=np.int32(3), failure_pattern=pattern
+        )
+        assert int((~report.alive).sum()) == 3

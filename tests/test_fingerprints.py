@@ -8,7 +8,7 @@ execution shapes:
 * ``broadcast`` — the default path: fresh int64 network, no buffer pool;
 * ``lean-replication`` — :class:`repro.core.broadcast.ReplicationEngine`:
   int32 index arrays, in-place ``Network.reset``, pooled round buffers;
-* ``event-zero-latency`` — the default path under the event-queue
+* ``event-zero-latency`` — the default path under the event-tier
   scheduler at zero latency: the timing overlay must never perturb the
   algorithm's randomness, deliveries, or metrics.
 

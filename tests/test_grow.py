@@ -10,7 +10,7 @@ from repro.core.grow import (
     grow_initial_clusters_v2,
     seed_singleton_clusters,
 )
-from repro.sim.trace import Trace
+from repro.obs.telemetry import Telemetry
 
 from helpers import build_sim
 
@@ -68,10 +68,11 @@ class TestGrowV1:
     def test_trace_events(self):
         sim = build_sim(512)
         cl = Clustering(sim.net)
-        trace = Trace()
-        grow_initial_clusters_v1(sim, cl, LAPTOP.cluster1(512), trace)
-        assert trace.of_kind("grow.seeded")
-        assert trace.of_kind("grow.push")
+        sim.telemetry = Telemetry().begin_run({})
+        grow_initial_clusters_v1(sim, cl, LAPTOP.cluster1(512))
+        kinds = [e["kind"] for e in sim.telemetry.events]
+        assert kinds[0] == "grow.seeded"
+        assert "grow.push" in kinds
 
     def test_invariants_hold(self):
         sim = build_sim(1024)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.obs.telemetry import Telemetry
 from repro.sim.protocol import ProtocolResult, VectorProtocol, run_protocol
-from repro.sim.trace import Trace
 
 from helpers import build_sim
 
@@ -62,6 +62,7 @@ class TestRunProtocol:
 
     def test_trace_gets_steps(self):
         sim = build_sim(8)
-        trace = Trace()
-        run_protocol(CountdownProtocol(2), sim, max_rounds=5, trace=trace)
-        assert len(trace.of_kind("countdown.step")) == 2
+        sim.telemetry = Telemetry().begin_run({})
+        run_protocol(CountdownProtocol(2), sim, max_rounds=5)
+        steps = [e for e in sim.telemetry.events if e["kind"] == "countdown.step"]
+        assert [e["round"] for e in steps] == [1, 2]

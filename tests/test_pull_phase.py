@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.core.clustering import UNCLUSTERED, Clustering
 from repro.core.pull_phase import bounded_cluster_push, unclustered_nodes_pull
+from repro.obs.telemetry import Telemetry
 
 from helpers import build_sim, manual_clustering
 
@@ -24,12 +25,12 @@ class TestUnclusteredPull:
         cl = manual_clustering(sim, n)
         k = n // 10  # 10% unclustered
         cl.follow[-k:] = UNCLUSTERED
-        from repro.sim.trace import Trace
-
-        trace = Trace()
-        unclustered_nodes_pull(sim, cl, rounds=10, trace=trace)
+        sim.telemetry = Telemetry().begin_run({})
+        unclustered_nodes_pull(sim, cl, rounds=10)
         fracs = [k / n] + [
-            e.data["unclustered"] / n for e in trace.of_kind("pull.round")
+            e["data"]["unclustered"] / n
+            for e in sim.telemetry.events
+            if e["kind"] == "pull.round"
         ]
         # each round: x' <= 2x^2 with slack while counts are large
         for x, x_next in zip(fracs, fracs[1:]):

@@ -61,21 +61,27 @@ class TestRegistration:
         @register_algorithm(
             "test-echo", category="baseline", doc="Test-only stub."
         )
-        def echo(sim, source=0, *, trace=None):
+        def echo(sim, source=0):
             import numpy as np
 
             from repro.core.result import report_from_sim
 
             informed = np.ones(sim.net.n, dtype=bool)
             sim.idle_round("echo")
-            return report_from_sim("test-echo", sim, informed, trace)
+            sim.emit("echo.done", informed=int(informed.sum()))
+            return report_from_sim("test-echo", sim, informed)
 
         try:
             assert "test-echo" in algorithm_names()
             from repro import broadcast
+            from repro.obs.telemetry import Telemetry
 
-            report = broadcast(64, "test-echo", seed=0)
+            telemetry = Telemetry()
+            report = broadcast(64, "test-echo", seed=0, telemetry=telemetry)
             assert report.success and report.rounds == 1
+            assert telemetry.runs[0].events == [
+                {"round": 1, "kind": "echo.done", "data": {"informed": 64}}
+            ]
         finally:
             unregister_algorithm("test-echo")
         assert "test-echo" not in algorithm_names()
@@ -93,7 +99,7 @@ class TestRegistration:
 
     def test_doc_defaults_to_docstring(self):
         @register_algorithm("test-docline", category="baseline")
-        def documented(sim, source=0, *, trace=None):
+        def documented(sim, source=0):
             """First line becomes the catalogue doc.
 
             Second paragraph is ignored.

@@ -11,7 +11,13 @@ import pytest
 
 from repro.analysis.runner import RunSpec, execute, replicate_spec, replication_sweep
 from repro.analysis.stats import ReplicationSummary, StreamingSummary, summarize
-from repro.core.broadcast import ReplicationEngine, broadcast, run_replications
+from repro.core.broadcast import (
+    REPLICATION_ENGINES,
+    ReplicationEngine,
+    broadcast,
+    report_scalars,
+    run_replications,
+)
 from repro.sim.batch import batch_size, random_targets_batch
 from repro.sim.engine import BufferPool, Simulator, _gather
 from repro.sim.ids import IdSpace
@@ -270,11 +276,24 @@ class TestVectorEngine:
         assert run_replications(256, "cluster2", reps=2).engine == "vector"
 
 
-class TestRebuildEngine:
-    def test_matches_reset_engine_bitwise(self):
-        a = run_replications(256, "push-pull", reps=5, engine="rebuild")
-        b = run_replications(256, "push-pull", reps=5, engine="reset")
-        assert a.row() | {"engine": ""} == b.row() | {"engine": ""}
+class TestReplicationsMatchBroadcast:
+    @pytest.mark.parametrize("task", ["broadcast", "min-max"])
+    def test_rep_i_is_broadcast_at_base_seed_plus_i(self, task):
+        rows = []
+        run_replications(
+            256,
+            "push-pull",
+            reps=4,
+            base_seed=40,
+            engine="reset",
+            task=task,
+            consume=rows.append,
+        )
+        assert [row["seed"] for row in rows] == [40, 41, 42, 43]
+        for row in rows:
+            report = broadcast(256, "push-pull", seed=row["seed"], task=task)
+            want = report_scalars(report)
+            assert {k: row[k] for k in want} == want
 
 
 # ----------------------------------------------------------------------
@@ -395,3 +414,15 @@ class TestRunSpecReplication:
             run_replications(64, "push-pull", reps=0)
         with pytest.raises(ValueError, match="unknown replication engine"):
             run_replications(64, "push-pull", reps=1, engine="warp")
+
+    def test_one_sequential_engine(self):
+        # A fresh broadcast per seed returns the reset engine's reports,
+        # so it is no engine of its own (the CLI's --engine choices too).
+        assert REPLICATION_ENGINES == ("auto", "vector", "reset")
+
+    @pytest.mark.parametrize("engine", ["vector", "reset", "auto"])
+    @pytest.mark.parametrize("bits", [0, -5])
+    def test_nonpositive_message_bits_rejected_on_every_engine(self, engine, bits):
+        match = f"rumor_bits must be positive, got {bits}"
+        with pytest.raises(ValueError, match=match):
+            run_replications(64, "push-pull", reps=4, engine=engine, message_bits=bits)

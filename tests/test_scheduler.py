@@ -193,7 +193,7 @@ class TestThreading:
     def test_replication_engines_match_broadcast(self):
         spec = EventSchedulerSpec(delay=NodeSlowdownDelay(fraction=0.05, factor=5.0))
         single = broadcast(256, "push-pull", seed=4, scheduler=spec)
-        for engine in ("reset", "rebuild", "auto"):
+        for engine in ("reset", "auto"):
             summary = run_replications(
                 256, "push-pull", reps=1, base_seed=4, engine=engine, scheduler=spec
             )
@@ -277,7 +277,7 @@ class TestSingleNode:
         assert report.informed_fraction == 1.0
         assert report.success
 
-    @pytest.mark.parametrize("engine", ["reset", "rebuild", "auto"])
+    @pytest.mark.parametrize("engine", ["reset", "auto"])
     def test_replications_complete_on_one_node(self, engine):
         summary = run_replications(1, "push-pull", reps=2, engine=engine)
         assert summary.success_rate == 1.0

@@ -242,14 +242,6 @@ class TestTaskReplication:
         assert "task_error" not in without.metrics
         assert "task_error_mean" in with_err.row()
 
-    def test_reset_and_rebuild_agree(self):
-        a = run_replications(256, "push-pull", reps=3, task="min-max",
-                             engine="reset")
-        b = run_replications(256, "push-pull", reps=3, task="min-max",
-                             engine="rebuild")
-        assert a.metrics["spread_rounds"].mean == b.metrics["spread_rounds"].mean
-        assert a.metrics["bits_per_node"].mean == b.metrics["bits_per_node"].mean
-
 
 class TestDefaultTaskUntouched:
     def test_explicit_broadcast_task_is_the_legacy_path(self):
@@ -468,7 +460,7 @@ class TestNoTransportErrorShape:
             broadcast(256, "avin-elsasser", task="k-rumor")
 
     def test_replication_paths_raise_clear_valueerror(self):
-        for engine in ("auto", "reset", "rebuild"):
+        for engine in ("auto", "reset"):
             with pytest.raises(ValueError, match="no registered task transport"):
                 run_replications(
                     256, "cluster3", reps=2, task="min-max", engine=engine
