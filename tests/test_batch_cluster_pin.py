@@ -1,61 +1,126 @@
-"""Bit-for-bit pin of the vector cluster engine's outputs.
+"""Bit-for-bit pin of the vector engine's outputs.
 
 The vector runners draw a different RNG stream than the sequential
-engines, so the fingerprint corpus cannot pin them and
-``test_batch_cluster.py`` checks only distributions.  This file pins
-them: per configuration, one sha256 over ``rounds``, ``messages``,
-``bits``, ``max_fanin``, ``informed_counts`` and ``success`` (plus
-``sim_time`` under a clock overlay).  Any change to what the batched
-primitives compute, or to the order and sizes of their RNG draws,
-changes a digest.  A deliberate change of the stream re-records them
-with::
+engines, so the fingerprint corpus cannot pin them, and
+``test_batch_cluster.py`` and ``test_event_vector.py`` check only
+distributions.  This file pins them: per configuration, one sha256 over
+the runner's :class:`~repro.sim.batch.BatchOutcome`.  The cluster cases
+hash ``rounds``, ``messages``, ``bits``, ``max_fanin``,
+``informed_counts`` and ``success`` (plus ``sim_time`` under a clock
+overlay), the fields they were first recorded with; the push-pull and
+task cases hash every field, ``completion_round``, ``sim_time`` and
+``task_error`` included.  Any change to what the batched primitives or
+the clock overlay compute, or to the order and sizes of their RNG
+draws, changes a digest.  A deliberate change of the stream re-records
+them with::
 
     PYTHONPATH=src python tests/test_batch_cluster_pin.py
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro.baselines.push_pull import batched_push_pull
+from repro.sim.batch import batched_k_rumor, batched_min_max, batched_push_sum
 from repro.sim.batch_cluster import batched_cluster1, batched_cluster2
 from repro.sim.rng import derive_seed, make_rng
 from repro.sim.schedule import EventSchedulerSpec, make_batch_overlay
 from repro.sim.topology import (
+    ConstantDelay,
+    EdgeWeightedDelay,
     ErdosRenyiGnp,
     NodeSlowdownDelay,
     RandomRegular,
     Ring,
+    UniformJitterDelay,
     resolve_topology,
 )
 
-RUNNERS = {"cluster1": batched_cluster1, "cluster2": batched_cluster2}
+RUNNERS = {
+    "cluster1": batched_cluster1,
+    "cluster2": batched_cluster2,
+    "push-pull": batched_push_pull,
+    "push-sum": batched_push_sum,
+    "min-max": batched_min_max,
+    "k-rumor": batched_k_rumor,
+}
+#: Runner keyword arguments beyond the shared ones.
+RUNNER_KWARGS = {"k-rumor": {"k": 4}}
+#: Runners whose digests cover only the six headline fields.
+HEADLINE_ONLY = ("cluster1", "cluster2")
 STRAGGLER = NodeSlowdownDelay(base=1.0, fraction=0.02, factor=10.0)
+JITTER = UniformJitterDelay(0.5, 1.5)
+CONSTANT = ConstantDelay(1.0)
+WAN = EdgeWeightedDelay()
+REGULAR8 = RandomRegular(d=8)
+# Mean degree 2 at n = 1000: about one node in eight is isolated and
+# draws the void ``-1`` contact.
+SPARSE_GNP = ErdosRenyiGnp(p=0.002)
 SEED = 20240611
 
-#: (algorithm, n, reps, topology, straggler overlay)
+#: (algorithm or task, n, reps, topology, clock-overlay delay model)
 CASES = {
     # n=1000: the non-power-of-two row/column split.
-    "cluster1-complete-1000x5": ("cluster1", 1000, 5, None, False),
-    "cluster2-complete-1000x5": ("cluster2", 1000, 5, None, False),
+    "cluster1-complete-1000x5": ("cluster1", 1000, 5, None, None),
+    "cluster2-complete-1000x5": ("cluster2", 1000, 5, None, None),
     # R=16: replications diverge, so cluster2's grow and resize rounds
     # run on subsets of the batch (the n=1000 and straggler cases also
     # pull on subsets).
-    "cluster1-complete-4096x16": ("cluster1", 4096, 16, None, False),
-    "cluster2-complete-4096x16": ("cluster2", 4096, 16, None, False),
-    "cluster1-complete-65536x1": ("cluster1", 2**16, 1, None, False),
-    "cluster2-complete-65536x1": ("cluster2", 2**16, 1, None, False),
-    "cluster2-regular8-1000x5": ("cluster2", 1000, 5, RandomRegular(d=8), False),
-    "cluster2-ring2-1000x5": ("cluster2", 1000, 5, Ring(k=2), False),
-    "cluster2-gnp-1000x5": ("cluster2", 1000, 5, ErdosRenyiGnp(), False),
-    "cluster1-straggler-4096x8": ("cluster1", 4096, 8, None, True),
-    "cluster2-straggler-4096x8": ("cluster2", 4096, 8, None, True),
+    "cluster1-complete-4096x16": ("cluster1", 4096, 16, None, None),
+    "cluster2-complete-4096x16": ("cluster2", 4096, 16, None, None),
+    "cluster1-complete-65536x1": ("cluster1", 2**16, 1, None, None),
+    "cluster2-complete-65536x1": ("cluster2", 2**16, 1, None, None),
+    "cluster2-regular8-1000x5": ("cluster2", 1000, 5, REGULAR8, None),
+    "cluster2-ring2-1000x5": ("cluster2", 1000, 5, Ring(k=2), None),
+    "cluster2-gnp-1000x5": ("cluster2", 1000, 5, ErdosRenyiGnp(), None),
+    "cluster1-straggler-4096x8": ("cluster1", 4096, 8, None, STRAGGLER),
+    "cluster2-straggler-4096x8": ("cluster2", 4096, 8, None, STRAGGLER),
+    # Push-pull on three graphs, without an overlay and under the three
+    # scalar delay models; every round folds through the overlay's
+    # full round, and the sparse G(n, p) folds void contacts too.
+    **{
+        f"push-pull-{graph}{'-' + delay if delay else ''}-1000x5": (
+            "push-pull",
+            1000,
+            5,
+            topology,
+            model,
+        )
+        for graph, topology in (
+            ("complete", None),
+            ("regular8", REGULAR8),
+            ("gnp", SPARSE_GNP),
+        )
+        for delay, model in (
+            ("", None),
+            ("straggler", STRAGGLER),
+            ("jitter", JITTER),
+            ("constant", CONSTANT),
+        )
+    },
+    # Per-edge weights: the bound delay's base-class full round.
+    "push-pull-regular8-wan-1000x5": ("push-pull", 1000, 5, REGULAR8, WAN),
+    # The benchmark's shape: one 2^16-element chunk of the straggler
+    # workload.
+    "push-pull-complete-straggler-16384x4": ("push-pull", 2**14, 4, None, STRAGGLER),
+    # The task runners freeze finished replications, so their full
+    # rounds run on shrinking row sets.
+    **{
+        f"{task}-{delay}-1000x5": (task, 1000, 5, None, model)
+        for task in ("push-sum", "min-max", "k-rumor")
+        for delay, model in (("straggler", STRAGGLER), ("jitter", JITTER))
+    },
 }
 
-#: sha256 per case, recorded before the batched primitives were
-#: rewritten to make fewer array passes (they must not change).
+#: sha256 per case.  The cluster digests were recorded before the
+#: batched primitives were rewritten to make fewer array passes, the
+#: push-pull and task digests before the clock overlay's full round
+#: reused its scratch buffers (neither change may move them).
 DIGESTS = {
     "cluster1-complete-1000x5": (
         "7ba6af776474f49afc984e167b173511c3b6fbf4ecd85a9b67b98b80bba17630"
@@ -90,18 +155,80 @@ DIGESTS = {
     "cluster2-straggler-4096x8": (
         "bf8acd53e3d8cdbc6c699ccb8b1e0001d4346946b2c88c104f1707bac966b4dd"
     ),
+    "push-pull-complete-1000x5": (
+        "9de0876ffe27ddfbeaa19fa3d69888e757e5abd2c23e005f11b316b063a67078"
+    ),
+    "push-pull-complete-straggler-1000x5": (
+        "75e45956606cccf7ef6911853ca2f76053c43f297287874ffb7a7fe865fb3739"
+    ),
+    "push-pull-complete-jitter-1000x5": (
+        "2d4d796edaa66aa37771bb4c37548c6bbf18657ada9d5c99be9434e65a830ddc"
+    ),
+    "push-pull-complete-constant-1000x5": (
+        "db086975cc4c2c30b9780c309cbbfc64b023f2014e137cde414f81cba81cfcf4"
+    ),
+    "push-pull-regular8-1000x5": (
+        "55227478bebfad5f66abe9faccb4d7d792e9cd981193a6d6deb72dce82133e58"
+    ),
+    "push-pull-regular8-straggler-1000x5": (
+        "9c4e3a4218dae3e4162f8856a16a598cc241473d79dededa0d78ca15cf3f8253"
+    ),
+    "push-pull-regular8-jitter-1000x5": (
+        "7dd969cef8a20f5b45ed34fb0f77181bb855f7dcdd2e3da0274e95054e67cc52"
+    ),
+    "push-pull-regular8-constant-1000x5": (
+        "731950f322c677720770b9496421d6850953634675554c0331b1e86aaaa2d264"
+    ),
+    "push-pull-gnp-1000x5": (
+        "ac6ccdeb21a9caf6e386e7181793bdae73c5b0ca1317fd6cf7fbfe74bc5bac01"
+    ),
+    "push-pull-gnp-straggler-1000x5": (
+        "b150295351d2720d2f9859b9c889823901144804feaf5a05322d8cd60012d4c4"
+    ),
+    "push-pull-gnp-jitter-1000x5": (
+        "57608a36b696fe61aa08b448605a865d764015f55fbbd73a0e32c7aa77eed365"
+    ),
+    "push-pull-gnp-constant-1000x5": (
+        "d1609fc80d05de5d65d6369ebdb266500c2bb4fb0f0f5214cfea6b092596a802"
+    ),
+    "push-pull-regular8-wan-1000x5": (
+        "768730bfe9d76ac551bc9c730d2fbb84f2b58dca13b1516718976d9382d0768e"
+    ),
+    "push-pull-complete-straggler-16384x4": (
+        "fddf41703b80a57df96369787944ef4ea359e7d4bd684205920bddcfbb2098b2"
+    ),
+    "push-sum-straggler-1000x5": (
+        "5ea0414492bdd517ec23920430b402ab1ab864648ad41333deb05e826d9870ea"
+    ),
+    "push-sum-jitter-1000x5": (
+        "a23a0adad8f2afc03991888d63830dbdc84ae524dd88d8b281711e349c5e97b2"
+    ),
+    "min-max-straggler-1000x5": (
+        "e12ad3f395d9a94a8a7580c0e519d7b5db94242f409c7f59249c9d352214db33"
+    ),
+    "min-max-jitter-1000x5": (
+        "137b205a0702bb2daefec0a6f37ce1e583b2d91e4555a01b3d9bb4cd840ad958"
+    ),
+    "k-rumor-straggler-1000x5": (
+        "31bd94bd16492c04356d80209ab57a97151c6d6935a223982ef71decc6265b13"
+    ),
+    "k-rumor-jitter-1000x5": (
+        "db260f70d06b0b0eddfcdb4fa040624e1fdefc41fb1371fc68889cad17b6c282"
+    ),
 }
 
 
-def case_digest(name: str) -> str:
-    algorithm, n, reps, topology, straggler = CASES[name]
+def run_case(name: str):
+    """The case's :class:`~repro.sim.batch.BatchOutcome`."""
+    algorithm, n, reps, topology, delay = CASES[name]
+    kwargs = dict(RUNNER_KWARGS.get(algorithm, {}))
     graph = None
     if topology is not None:
         graph = topology.bind(n, make_rng(derive_seed(SEED, "net")))
-    overlay = None
-    if straggler:
-        overlay = make_batch_overlay(
-            EventSchedulerSpec(delay=STRAGGLER),
+        kwargs["graph"] = graph
+    if delay is not None:
+        kwargs["overlay"] = make_batch_overlay(
+            EventSchedulerSpec(delay=delay),
             resolve_topology(topology),
             n,
             reps,
@@ -109,20 +236,35 @@ def case_digest(name: str) -> str:
             base_seed=SEED,
             first_rep=0,
         )
-    out = RUNNERS[algorithm](n, reps, make_rng(SEED), graph=graph, overlay=overlay)
+    return RUNNERS[algorithm](n, reps, make_rng(SEED), **kwargs)
+
+
+def case_digest(name: str) -> str:
+    algorithm, _n, _reps, _topology, delay = CASES[name]
+    out = run_case(name)
     h = hashlib.sha256()
-    fields = [
-        out.rounds,
-        out.messages,
-        out.bits,
-        out.max_fanin,
-        out.informed_counts,
-        out.success,
-    ]
-    if straggler:
-        fields.append(out.sim_time)
-    for arr in fields:
-        h.update(np.ascontiguousarray(arr).tobytes())
+    if algorithm in HEADLINE_ONLY:
+        fields = [
+            out.rounds,
+            out.messages,
+            out.bits,
+            out.max_fanin,
+            out.informed_counts,
+            out.success,
+        ]
+        if delay is not None:
+            fields.append(out.sim_time)
+        for arr in fields:
+            h.update(np.ascontiguousarray(arr).tobytes())
+        return h.hexdigest()
+    for field in dataclasses.fields(out):
+        value = getattr(out, field.name)
+        h.update(field.name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(value.dtype.str.encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode())
     return h.hexdigest()
 
 
