@@ -47,7 +47,8 @@ from repro.registry import (
     task_names,
     task_specs,
 )
-from repro.sim.engine import BufferPool, ModelViolation, Simulator
+from repro.sim.buffers import BufferPool
+from repro.sim.engine import ModelViolation, Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 

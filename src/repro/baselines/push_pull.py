@@ -24,6 +24,7 @@ from repro.sim.batch import (
     batched_k_rumor,
     batched_min_max,
     batched_push_sum,
+    check_max_rounds,
     per_rep_max_fanin,
     random_targets_batch,
     resolve_sources,
@@ -146,6 +147,7 @@ def batched_push_pull(
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
+    check_max_rounds(max_rounds)
     cap = max_rounds if max_rounds is not None else push_pull_round_cap(n)
     sources = resolve_sources(source, reps, n, rng)
     informed = np.zeros((reps, n), dtype=bool)

@@ -49,7 +49,8 @@ from repro.sim.schedule import (
     resolve_scheduler,
 )
 from repro.sim.topology import ADDRESSING_MODES, Topology, resolve_topology
-from repro.sim.engine import BufferPool, Simulator
+from repro.sim.buffers import BufferPool
+from repro.sim.engine import Simulator
 from repro.sim.failures import apply_pattern
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
@@ -378,7 +379,7 @@ class ReplicationEngine:
 
     Holds one :class:`~repro.sim.network.Network` (reset in place per
     seed, reusing its O(n) allocations) and one
-    :class:`~repro.sim.engine.BufferPool` (reused across rounds *and*
+    :class:`~repro.sim.buffers.BufferPool` (reused across rounds *and*
     replications), so a replication suite stops paying network
     construction and per-round scratch allocation for every seed.  The
     memory-lean ``index_dtype="auto"`` mode is the default here — index

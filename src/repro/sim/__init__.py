@@ -46,7 +46,8 @@ from repro.sim.dynamics import (
     resolve_schedule,
 )
 from repro.sim.batch import BatchOutcome, random_targets_batch
-from repro.sim.engine import BufferPool, ModelViolation, Round, Simulator
+from repro.sim.buffers import BufferPool
+from repro.sim.engine import ModelViolation, Round, Simulator
 from repro.sim.ids import IdSpace
 from repro.sim.messages import MessageSizes
 from repro.sim.metrics import Metrics, PhaseStats

@@ -44,8 +44,12 @@ from repro.sim.network import resolve_index_dtype
 #: int64 under this cap), and keeping that working set near the last-
 #: level cache beats wider batches whose gathers and scatters fall out
 #: to DRAM — measured ~2x on the event-tier hot path at ``n = 2**14``
-#: versus the old ``2**22`` cap.  Python dispatch per round is tens of
-#: microseconds, so even a few-rep chunk amortises it.
+#: versus the old ``2**22`` cap.  Most are allocated fresh each round;
+#: the clock overlay's int64 targets and completion matrix live in a
+#: workspace held for the whole chunk
+#: (:class:`~repro.sim.schedule.BatchClockOverlay`).  Python dispatch
+#: per round is tens of microseconds, so even a few-rep chunk amortises
+#: it.
 DEFAULT_BATCH_ELEMS = 2**16
 
 
@@ -173,6 +177,30 @@ def resolve_sources(
 # ----------------------------------------------------------------------
 
 
+def check_max_rounds(max_rounds: "int | None") -> None:
+    """Check the round-cap override the same way on every engine.
+
+    ``None`` (run the default schedule) passes; anything else must be a
+    non-negative integer (numpy integers included), or a one-line
+    ``ValueError`` is raised.  The sequential round loops
+    (:func:`~repro.sim.protocol.run_protocol`,
+    :func:`~repro.tasks.transports.run_uniform_task`) and the vector
+    runners all call this, so a bad cap is one config error everywhere
+    rather than a negative round count, a silently rounded-up float or
+    a traceback from ``range()``.
+    """
+    if max_rounds is None:
+        return
+    if (
+        isinstance(max_rounds, (bool, np.bool_))
+        or not isinstance(max_rounds, (int, np.integer))
+        or max_rounds < 0
+    ):
+        raise ValueError(
+            f"max_rounds must be a non-negative integer, got {max_rounds}"
+        )
+
+
 def uniform_round_cap(n: int) -> int:
     """The generic uniform-gossip task schedule: ``O(log n)`` with the
     same additive slack the PUSH baseline uses (Pittel's bound shape).
@@ -255,6 +283,7 @@ def batched_push_sum(
     del message_bits, source, restore_mass
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
+    check_max_rounds(max_rounds)
     cap = max_rounds if max_rounds is not None else push_sum_round_cap(n, tol)
     bits_per_msg = 2 * int(value_bits)
 
@@ -392,6 +421,7 @@ def batched_k_rumor(
         raise ValueError(f"k must be positive, got {k}")
     if k > n:
         raise ValueError(f"k={k} sources exceed {n} nodes")
+    check_max_rounds(max_rounds)
     cap = max_rounds if max_rounds is not None else k_rumor_round_cap(n, k)
     rumor_bits = int(message_bits)
 
@@ -536,6 +566,7 @@ def batched_min_max(
         raise ValueError(f"reps must be positive, got {reps}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    check_max_rounds(max_rounds)
     cap = max_rounds if max_rounds is not None else uniform_round_cap(n)
     merge_at = np.minimum.at if mode == "min" else np.maximum.at
     reduce_best = np.min if mode == "min" else np.max

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.buffers import BufferPool
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.schedule import RoundScheduler, Scheduler
@@ -50,63 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class ModelViolation(RuntimeError):
     """An operation broke a random-phone-call model rule."""
-
-
-class BufferPool:
-    """Reusable scratch arrays for the engine's per-round concatenations.
-
-    Lifecycle
-    ---------
-    A pool is **owned by a replication context** (one
-    :class:`~repro.core.broadcast.ReplicationEngine`, or any caller that
-    hands the same pool to successive :class:`Simulator` instances) and
-    lives for as many executions as the owner runs.  Within one committed
-    round the engine asks the pool for scratch space via :meth:`take`;
-    the pool keeps one backing array per ``name`` (grown geometrically,
-    never shrunk) and returns an **exact-size view** of it.  Nothing is
-    ever zeroed: every byte of a view handed out is overwritten by the
-    engine before it is read (``np.concatenate(..., out=view)`` fills the
-    whole view), so stale data from a previous round — or a previous
-    *replication* — can never alias into fresh accounting.  That
-    no-stale-reads contract is what the reuse-poisoning test in
-    ``tests/test_replication.py`` pins: it fills every backing array with
-    garbage between replications and asserts bit-identical metrics.
-
-    Views are only valid until the next :meth:`take` with the same name
-    (the engine finishes with each view inside a single ``commit``).  A
-    pool is single-threaded state; parallel sweeps give each worker
-    process its own pool.  Pooling changes *where* intermediate arrays
-    live, never their values — the pooled and pool-free paths are
-    bit-identical, which is exactly what lets ``broadcast()`` default to
-    no pool while replication suites reuse one.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict = {}
-
-    def take(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
-        """An exact-``size`` view of the (grown-to-fit) buffer ``name``.
-
-        The contents are unspecified — callers must fully overwrite the
-        view before reading it back.
-        """
-        buf = self._buffers.get(name)
-        if buf is None or len(buf) < size or buf.dtype != np.dtype(dtype):
-            capacity = max(size, 2 * len(buf) if buf is not None else size)
-            buf = np.empty(capacity, dtype=dtype)
-            self._buffers[name] = buf
-        return buf[:size]
-
-    def poison(self, fill: int = -(2**31) + 1) -> None:
-        """Overwrite every held buffer with ``fill`` (tests only): any
-        consumer that reads pooled bytes it did not write this round will
-        produce garbage the reuse-poisoning test can detect."""
-        for buf in self._buffers.values():
-            buf.fill(fill)
-
-    def nbytes(self) -> int:
-        """Total bytes currently held (for memory budget reporting)."""
-        return sum(buf.nbytes for buf in self._buffers.values())
 
 
 def _gather(arrays: "List[np.ndarray]", pool: "Optional[BufferPool]", name: str) -> np.ndarray:

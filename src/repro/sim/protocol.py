@@ -15,6 +15,7 @@ import abc
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.sim.batch import check_max_rounds
 from repro.sim.engine import Simulator
 
 
@@ -77,8 +78,7 @@ def run_protocol(
     fixed w.h.p. schedule of a protocol that cannot detect termination
     locally), still recording when ``done()`` first held.
     """
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+    check_max_rounds(max_rounds)
     if sim.telemetry is not None:
         # Sampled by the telemetry commit hook every probe_every rounds.
         sim.telemetry.add_probe(

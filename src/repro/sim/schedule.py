@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, ClassVar, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.buffers import BufferPool
 from repro.sim.rng import derive_seed, make_rng
 from repro.sim.topology import (
     DELAY_MODELS,
@@ -225,6 +226,14 @@ class BatchClockOverlay:
     Fast paths: zero latency is free, and full-participation rounds
     under a scalar constant delay advance one scalar per rep while the
     rows stay uniform.
+
+    Workspace: the overlay owns a :class:`~repro.sim.buffers.BufferPool`
+    that lives as long as it does — one chunk on the vector tier.  Each
+    :meth:`full_round` takes its int64 targets and its completion matrix
+    as exact-size views of that pool's buffers, so a chunk's rounds
+    (including the task runners' shrinking row sets) reuse the same
+    memory instead of allocating, and freeing back to the OS, two
+    ``(A, n)`` arrays per round.
     """
 
     name = "event"
@@ -247,6 +256,7 @@ class BatchClockOverlay:
         # Per-rep uniform scalar while only constant-delay full rounds
         # have occurred (every clock in row r equals _uniform[r]).
         self._uniform: Optional[np.ndarray] = np.zeros(self.reps, dtype=np.float64)
+        self._workspace = BufferPool()
 
     @property
     def zero(self) -> bool:
@@ -317,6 +327,11 @@ class BatchClockOverlay:
         occupy the initiator and count toward ``sim_time``, exactly as
         on the sequential tier.  Rows stay mutually uniform under a
         constant delay, so this path advances one scalar per row.
+
+        The general path's int64 targets (when the caller's are
+        narrower) and its completion matrix are exact-size views of the
+        overlay's workspace, valid until the next call; the completion
+        buffer is never the clock matrix.
         """
         if self._delay.zero:
             return
@@ -333,10 +348,14 @@ class BatchClockOverlay:
         # (A*n,) key arrays (the sparse :meth:`fold` is for the cluster
         # tier's irregular contact sets, not this hot path).
         self._materialise()
-        act = np.asarray(act, dtype=np.int64)
-        # One up-front intp conversion: every scatter/take below would
-        # otherwise cast a lean executor index dtype per use.
-        targets = np.asarray(targets, dtype=np.int64).reshape(len(act), self.n)
+        shape = (len(act), self.n)
+        targets = np.asarray(targets).reshape(shape)
+        if targets.dtype != np.int64:
+            # One up-front intp conversion: every scatter/take below
+            # would otherwise cast a lean executor index dtype per use.
+            wide = self._workspace.take("targets", targets.size).reshape(shape)
+            np.copyto(wide, targets)
+            targets = wide
         # ``act`` comes sorted and unique (flatnonzero order), so a full
         # count means it IS arange(reps) and the clock rows can be used
         # as views — no gather/scatter copies on the hot path.
@@ -344,7 +363,10 @@ class BatchClockOverlay:
             self.reps == 0 or (act[0] == 0 and act[-1] == self.reps - 1)
         )
         clock_rows = self._clock if whole else self._clock[act]
-        complete = self._delay.complete_full(clock_rows, act, targets, self._rng)
+        complete = self._workspace.take(
+            "complete", targets.size, np.float64
+        ).reshape(shape)
+        self._delay.complete_full(clock_rows, act, targets, self._rng, complete)
         # Initiator fold first: completions never precede their own
         # starts, so it is a plain row assignment — then the receiver
         # scatter-max folds deliveries on top (``complete`` is its own

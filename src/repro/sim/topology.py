@@ -492,16 +492,20 @@ class BatchBoundDelay:
         rows: np.ndarray,
         targets: np.ndarray,
         rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Completion times for a full round: ``clock_rows + delays``.
+        out: np.ndarray,
+    ) -> None:
+        """Completion times for a full round: fills ``out`` with
+        ``clock_rows + delays``.
 
-        The overlay's fused hot path: returns a *fresh* ``(A, n)``
-        buffer (``clock_rows`` may be a view into the live clock matrix
-        and is never written).  Draws exactly the same stream as
-        :meth:`sample_full`; subclasses override only to skip the
-        intermediate delay matrix.
+        The overlay's fused hot path.  ``out`` is an ``(A, n)`` float64
+        buffer the overlay owns: a view of its per-chunk workspace,
+        valid until the next round, and never the clock matrix (which
+        ``clock_rows`` may be a view of; it is never written here).
+        Every element of ``out`` is written.  Draws exactly the same
+        stream as :meth:`sample_full`; subclasses override only to skip
+        the intermediate delay matrix.
         """
-        return clock_rows + self.sample_full(rows, targets, rng)
+        np.add(clock_rows, self.sample_full(rows, targets, rng), out=out)
 
 
 class _BatchJitterBound(BatchBoundDelay):
@@ -518,13 +522,6 @@ class _BatchJitterBound(BatchBoundDelay):
         if self.constant is not None:
             return self.constant
         return rng.uniform(self.low, self.high, size=np.asarray(targets).shape)
-
-    def complete_full(self, clock_rows, rows, targets, rng):
-        if self.constant is not None:
-            return clock_rows + self.constant
-        u = rng.uniform(self.low, self.high, size=np.asarray(targets).shape)
-        u += clock_rows
-        return u
 
 
 class _BatchSlowdownBound(BatchBoundDelay):
@@ -584,11 +581,10 @@ class _BatchSlowdownBound(BatchBoundDelay):
     def sample_full(self, rows, targets, rng):
         return np.where(self._hit_full(rows, targets), self._slowed, self._base)
 
-    def complete_full(self, clock_rows, rows, targets, rng):
+    def complete_full(self, clock_rows, rows, targets, rng, out):
         hit = self._hit_full(rows, targets)
-        complete = clock_rows + self._base
-        np.add(complete, self._slowed - self._base, out=complete, where=hit)
-        return complete
+        np.add(clock_rows, self._base, out=out)
+        np.add(out, self._slowed - self._base, out=out, where=hit)
 
 
 class _BatchEdgeBound(BatchBoundDelay):

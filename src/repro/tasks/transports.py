@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.result import AlgorithmReport, report_from_sim
+from repro.sim.batch import check_max_rounds
 from repro.sim.engine import Simulator
 from repro.tasks.state import TaskState
 
@@ -126,6 +127,7 @@ def run_uniform_task(
     """
     if mode not in ("push-pull", "push"):
         raise ValueError(f"mode must be 'push-pull' or 'push', got {mode!r}")
+    check_max_rounds(max_rounds)
     cap = max_rounds if max_rounds is not None else state.round_cap(sim.net.n)
     completion = _task_observer(sim, state)
     nothing = np.empty(0, dtype=np.int64)

@@ -28,6 +28,7 @@ import pytest
 from repro.baselines.push_pull import batched_push_pull
 from repro.sim.batch import batched_k_rumor, batched_min_max, batched_push_sum
 from repro.sim.batch_cluster import batched_cluster1, batched_cluster2
+from repro.sim.buffers import BufferPool
 from repro.sim.rng import derive_seed, make_rng
 from repro.sim.schedule import EventSchedulerSpec, make_batch_overlay
 from repro.sim.topology import (
@@ -271,6 +272,38 @@ def case_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_vector_cluster_outputs_are_pinned(name):
     assert case_digest(name) == DIGESTS[name]
+
+
+#: Cases whose rounds fold through the clock overlay's full round on its
+#: general path (a constant delay keeps the rows uniform and never
+#: touches the overlay's workspace).
+WORKSPACE_CASES = sorted(
+    name
+    for name, (algorithm, _n, _reps, _topology, delay) in CASES.items()
+    if algorithm not in HEADLINE_ONLY and delay not in (None, CONSTANT)
+)
+
+
+@pytest.mark.parametrize("name", WORKSPACE_CASES)
+def test_poisoned_overlay_workspace_changes_nothing(name, monkeypatch):
+    """The overlay's workspace views are fully written before they are
+    read: with every view filled with a sentinel as it is handed out, a
+    full round that read a pooled byte it did not write that round
+    would move the digest.  Integer views get ``BufferPool.poison``'s
+    fill, an out-of-range node index; float views get NaN, which
+    survives the clock fold's maxima (a large negative fill would not)."""
+    take = BufferPool.take
+    calls = []
+
+    def poisoned_take(self, buffer, size, dtype=np.int64):
+        view = take(self, buffer, size, dtype)
+        view.fill(np.nan if view.dtype.kind == "f" else -(2**31) + 1)
+        calls.append(buffer)
+        return view
+
+    monkeypatch.setattr(BufferPool, "take", poisoned_take)
+    assert case_digest(name) == DIGESTS[name]
+    assert "complete" in calls
 
 
 if __name__ == "__main__":

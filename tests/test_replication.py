@@ -111,6 +111,18 @@ class TestNetworkReset:
 
 
 class TestBufferPool:
+    def test_one_class_behind_every_import_path(self):
+        import repro
+        import repro.sim
+        import repro.sim.buffers
+
+        assert (
+            repro.BufferPool
+            is repro.sim.BufferPool
+            is BufferPool  # repro.sim.engine's name
+            is repro.sim.buffers.BufferPool
+        )
+
     def test_exact_size_views_grow_and_reuse(self):
         pool = BufferPool()
         a = pool.take("x", 10)
@@ -426,3 +438,22 @@ class TestRunSpecReplication:
         match = f"rumor_bits must be positive, got {bits}"
         with pytest.raises(ValueError, match=match):
             run_replications(64, "push-pull", reps=4, engine=engine, message_bits=bits)
+
+    @pytest.mark.parametrize("engine", ["vector", "reset"])
+    @pytest.mark.parametrize("task", ["broadcast", "push-sum", "min-max", "k-rumor"])
+    @pytest.mark.parametrize("max_rounds", [-1, 2.5])
+    def test_bad_max_rounds_rejected_on_every_engine(self, engine, task, max_rounds):
+        # One check, one message: no negative round counts, no silently
+        # rounded-up float caps, no traceback from range().
+        match = f"^max_rounds must be a non-negative integer, got {max_rounds}$"
+        with pytest.raises(ValueError, match=match):
+            run_replications(
+                64, "push-pull", reps=2, engine=engine, task=task, max_rounds=max_rounds
+            )
+
+    @pytest.mark.parametrize("engine", ["vector", "reset"])
+    def test_numpy_integer_max_rounds_accepted(self, engine):
+        summary = run_replications(
+            64, "push-pull", reps=2, engine=engine, max_rounds=np.int64(3)
+        )
+        assert summary.rounds.minimum == summary.rounds.maximum == 3
