@@ -257,8 +257,8 @@ class ReplicationSummary:
     successes: int = 0
     reps: int = 0
     #: Run-level annotations that are not per-replication streams — e.g.
-    #: ``engine_fallback`` when ``engine="auto"`` demoted an event-tier
-    #: request to the sequential reset engine.
+    #: ``engine_fallback``, the reason ``engine="auto"`` ran a
+    #: configuration on the reset engine (recorded on every fallback).
     extras: Dict[str, object] = field(default_factory=dict)
 
     def observe(

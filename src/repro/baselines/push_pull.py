@@ -24,7 +24,6 @@ from repro.sim.batch import (
     batched_k_rumor,
     batched_min_max,
     batched_push_sum,
-    check_max_rounds,
     per_rep_max_fanin,
     random_targets_batch,
     resolve_sources,
@@ -145,9 +144,6 @@ def batched_push_pull(
     overlay draws only from its own delay streams, so the batch's
     rounds/messages/bits are bit-identical with it on or off.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
-    check_max_rounds(max_rounds)
     cap = max_rounds if max_rounds is not None else push_pull_round_cap(n)
     sources = resolve_sources(source, reps, n, rng)
     informed = np.zeros((reps, n), dtype=bool)
@@ -257,16 +253,3 @@ def push_pull_task_transport(
 register_batch_runner("push-pull", task="push-sum")(batched_push_sum)
 register_batch_runner("push-pull", task="k-rumor")(batched_k_rumor)
 register_batch_runner("push-pull", task="min-max")(batched_min_max)
-
-#: run_replications threads the bound contact graph into the vector call
-#: for runners that advertise restricted-topology support.
-batched_push_pull.supports_topology = True
-
-#: run_replications hands runners that advertise telemetry support the
-#: chunk's RunTelemetry handle for per-step series sampling.
-batched_push_pull.supports_telemetry = True
-
-#: run_replications hands runners that advertise overlay support the
-#: event tier's batched clock overlay (``scheduler=event`` stays on the
-#: vector engine instead of falling back to the sequential reset path).
-batched_push_pull.supports_overlay = True

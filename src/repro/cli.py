@@ -389,7 +389,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_checked(args: argparse.Namespace) -> int:
-    if args.reps > 1:
+    # Any --reps but 1 goes through run_replications, whose config check
+    # refuses --reps below 1 like every other bad input.
+    if args.reps != 1:
         return _cmd_run_replications(args)
     if args.stream or args.engine != "auto":
         print(
@@ -629,8 +631,9 @@ def _cmd_suite_replicated(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if args.reps > 1:
-        if args.seeds != 1:
+    # As in `run`: --reps below 1 reaches run_replications' config check.
+    if args.reps != 1:
+        if args.seeds != 1 and args.reps > 1:
             print(
                 "note: --seeds is ignored with --reps > 1 (replications "
                 f"cover seeds 0..{args.reps - 1} per scenario)",

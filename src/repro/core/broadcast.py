@@ -24,8 +24,8 @@ runs it through the algorithm's registered task transport::
 
 from __future__ import annotations
 
-import logging
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+import inspect
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional
 
 from repro.core.constants import LAPTOP, Profile, get_profile
 from repro.core.result import AlgorithmReport
@@ -35,13 +35,20 @@ from repro.registry import (
     IncompatibleTaskError,
     IncompatibleTopologyError,
     algorithm_names,
+    check_knobs,
     compatible_algorithms,
     compatible_topologies,
     get_algorithm,
     get_task,
 )
 from repro.obs.spans import maybe_span
-from repro.sim.batch import DEFAULT_BATCH_ELEMS, batch_size
+from repro.sim.batch import (
+    DEFAULT_BATCH_ELEMS,
+    batch_size,
+    check_max_rounds,
+    check_positive_int,
+    is_integer,
+)
 from repro.sim.dynamics import AdversitySchedule, resolve_schedule
 from repro.sim.schedule import (
     EventSchedulerSpec,
@@ -51,7 +58,7 @@ from repro.sim.schedule import (
 from repro.sim.topology import ADDRESSING_MODES, Topology, resolve_topology
 from repro.sim.buffers import BufferPool
 from repro.sim.engine import Simulator
-from repro.sim.failures import apply_pattern
+from repro.sim.failures import apply_pattern, check_failures
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.rng import derive_seed, make_rng
@@ -63,37 +70,104 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Re-exported so ``from repro import BroadcastResult`` reads naturally.
 BroadcastResult = AlgorithmReport
 
-_log = logging.getLogger(__name__)
-
 __all__ = [
     "BroadcastResult",
+    "CheckedConfig",
     "ReplicationEngine",
     "algorithm_names",
     "broadcast",
+    "check_config",
     "run_replications",
+    "vector_unavailable",
 ]
 
 
-def _check_task(spec: AlgorithmSpec, task: str) -> None:
-    """Validate an (algorithm, task) pair before any network is built.
+class CheckedConfig(NamedTuple):
+    """A checked run configuration: its settings with every name resolved
+    to the object it names, and the batch runner registered for its task
+    (``None`` if there is none) with the names of that runner's
+    parameters."""
 
-    The implicit broadcast task is exempt: its (historical) gate is
-    ``AlgorithmSpec.run``'s broadcastable check, with its own message.
+    n: int
+    spec: AlgorithmSpec
+    source: Optional[int]
+    message_bits: int
+    failures: float
+    failure_pattern: str
+    schedule: Optional[AdversitySchedule]
+    task: str
+    task_kwargs: Dict[str, Any]
+    topology: Topology
+    direct_addressing: str
+    scheduler: Optional[EventSchedulerSpec]
+    profile: Profile
+    algorithm_kwargs: Dict[str, Any]
+    runner: Optional[Callable[..., Any]]
+    runner_accepts: frozenset[str]
+
+
+def check_config(
+    n: int,
+    algorithm: str = "cluster2",
+    *,
+    source: Optional[int] = 0,
+    message_bits: int = 256,
+    failures: float = 0,
+    failure_pattern: str = "random",
+    schedule: "AdversitySchedule | str | None" = None,
+    task: str = BROADCAST_TASK,
+    task_kwargs: Optional[Dict[str, Any]] = None,
+    topology: "Topology | str | None" = None,
+    direct_addressing: str = "global",
+    scheduler: "EventSchedulerSpec | str | None" = None,
+    profile: "Profile | str" = LAPTOP,
+    trace: bool = False,
+    algorithm_kwargs: Optional[Dict[str, Any]] = None,
+    reps: Optional[int] = None,
+    engine: Optional[str] = None,
+    workers: Optional[int] = None,
+    batch_elems: Optional[int] = None,
+) -> CheckedConfig:
+    """Check a whole run configuration before any engine runs, and return
+    it resolved, as the :class:`CheckedConfig` every engine runs from.
+
+    :func:`broadcast`, :class:`ReplicationEngine`, :func:`run_replications`
+    (once, before it picks an engine) and
+    :class:`~repro.workloads.scenarios.Scenario` all call this, so a bad
+    configuration is one single-line ``ValueError`` (or a subclass such as
+    :class:`~repro.registry.IncompatibleTaskError`) on every engine.  The
+    replication knobs come last and are checked only when given, so an
+    error reads the same from :func:`broadcast` and
+    :func:`run_replications`.  Rules an algorithm, a task state or a graph
+    owns stay with it: Cluster2's ``n >= 4``, the task knobs' values
+    (:func:`repro.sim.batch.check_k` and its siblings), a ring's ``n > 2k``.
     """
-    get_task(task)  # raises UnknownTaskError on a miss
-    if task != BROADCAST_TASK and not spec.supports_task(task):
+    check_positive_int("n", n)
+    if source is not None:
+        if not is_integer(source):
+            raise ValueError(f"source must be a node index or None, got {source}")
+        if not 0 <= source < n:
+            raise ValueError(f"source {source} out of range for n={n}")
+    spec = get_algorithm(algorithm)
+    if not spec.broadcastable:
+        raise ValueError(
+            f"algorithm {spec.name!r} (category {spec.category!r}) is not "
+            "a broadcast algorithm; call its entry point directly"
+        )
+    check_knobs(f"algorithm {spec.name!r}", algorithm_kwargs, spec.kwargs)
+    check_max_rounds((algorithm_kwargs or {}).get("max_rounds"))
+    task_spec = get_task(task)
+    if not spec.supports_task(task):
         raise IncompatibleTaskError(
-            f"algorithm {spec.name!r} has no registered task transport for "
-            f"task {task!r}; compatible algorithms: "
+            f"algorithm {spec.name!r} cannot run task {task!r}: it has no "
+            f"registered task transport; compatible algorithms: "
             f"{compatible_algorithms(task)}"
         )
-
-
-def _check_topology(
-    spec: AlgorithmSpec, topology: Topology, direct_addressing: str
-) -> None:
-    """Validate an (algorithm, topology) pair and the addressing mode
-    before any network is built — a clear error beats a wrong run."""
+    task_spec.validate_kwargs(task_kwargs)
+    topology = resolve_topology(topology)
+    schedule = resolve_schedule(schedule)
+    scheduler = resolve_scheduler(scheduler, trace=trace)
+    profile = get_profile(profile) if isinstance(profile, str) else profile
     if direct_addressing not in ADDRESSING_MODES:
         raise ValueError(
             f"direct_addressing must be one of {ADDRESSING_MODES}, "
@@ -102,9 +176,68 @@ def _check_topology(
     if not spec.supports_topology(topology):
         raise IncompatibleTopologyError(
             f"algorithm {spec.name!r} only runs on the complete contact "
-            f"graph, not on {topology.describe()!r}; compatible topologies: "
-            f"{compatible_topologies(spec.name)}"
+            f"graph, not on {topology.describe()!r}; compatible "
+            f"topologies: {compatible_topologies(spec.name)}"
         )
+    check_positive_int("rumor_bits", message_bits)
+    check_failures(n, failure_pattern, failures)
+    replication = {"reps": reps, "workers": workers, "batch_elems": batch_elems}
+    for name, value in replication.items():
+        if value is not None:
+            check_positive_int(name, value)
+    if engine is not None and engine not in REPLICATION_ENGINES:
+        raise ValueError(
+            f"unknown replication engine {engine!r}; choose from {REPLICATION_ENGINES}"
+        )
+    runner = spec.batch_runner_for(task)
+    return CheckedConfig(
+        n=n,
+        spec=spec,
+        source=source,
+        message_bits=message_bits,
+        failures=failures,
+        failure_pattern=failure_pattern,
+        schedule=schedule,
+        task=task,
+        task_kwargs=dict(task_kwargs or {}),
+        topology=topology,
+        direct_addressing=direct_addressing,
+        scheduler=scheduler,
+        profile=profile,
+        algorithm_kwargs=dict(algorithm_kwargs or {}),
+        runner=runner,
+        runner_accepts=frozenset(inspect.signature(runner).parameters if runner else ()),
+    )
+
+
+def vector_unavailable(config: CheckedConfig) -> Optional[str]:
+    """Why a checked configuration cannot run on the vector engine, or
+    ``None`` if it can: the one engine choice.  ``engine="vector"`` raises
+    with the reason; ``engine="auto"`` falls back to ``"reset"`` and
+    records it in ``extras["engine_fallback"]``.  A batch runner opts into
+    bound graphs and the clock overlay by accepting ``graph=`` and
+    ``overlay=``.
+    """
+    if config.runner is None:
+        return f"no batch runner is registered for task {config.task!r}"
+    if config.schedule is not None:
+        return "an adversity schedule needs the sequential engine"
+    if config.failures:
+        return "pre-run failures need the sequential engine"
+    if config.n < 2:
+        return "the (R, n) runners need n >= 2 (another node to dial)"
+    if not config.topology.complete:
+        if "graph" not in config.runner_accepts:
+            return "its batch runner does not accept graph= (a restricted topology)"
+        if config.direct_addressing != "global":
+            # The batched relays deliver without a reachability check.
+            return "direct_addressing='topology' needs the sequential engine"
+    if config.scheduler is not None:
+        if config.scheduler.trace:
+            return "traced scheduler=event runs need the sequential scheduler"
+        if "overlay" not in config.runner_accepts:
+            return "its batch runner does not accept overlay= (scheduler=event)"
+    return None
 
 
 def broadcast(
@@ -216,57 +349,42 @@ def broadcast(
         :class:`~repro.registry.AlgorithmSpec` lists the accepted names,
         e.g. ``delta=64`` for ``cluster3``).
     """
-    spec = get_algorithm(algorithm)
-    _check_task(spec, task)
-    topology = resolve_topology(topology)
-    _check_topology(spec, topology, direct_addressing)
-    if isinstance(profile, str):
-        profile = get_profile(profile)
-    if source is not None and not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for n={n}")
-
+    checked = check_config(
+        n,
+        algorithm,
+        source=source,
+        message_bits=message_bits,
+        failures=failures,
+        failure_pattern=failure_pattern,
+        schedule=schedule,
+        task=task,
+        task_kwargs=task_kwargs,
+        topology=topology,
+        direct_addressing=direct_addressing,
+        scheduler=scheduler,
+        profile=profile,
+        trace=trace,
+        algorithm_kwargs=algorithm_kwargs,
+    )
     net = Network(
         n,
         rng=derive_seed(seed, "net"),
         rumor_bits=message_bits,
-        topology=topology,
+        topology=checked.topology,
         direct_addressing=direct_addressing,
     )
     return _run_on_network(
-        net,
-        spec,
-        seed,
-        source=source,
-        failures=failures,
-        failure_pattern=failure_pattern,
-        schedule=resolve_schedule(schedule),
-        task=task,
-        task_kwargs=task_kwargs,
-        scheduler=resolve_scheduler(scheduler, trace=trace),
-        profile=profile,
-        telemetry=telemetry,
-        check_model=check_model,
-        pool=None,
-        algorithm_kwargs=algorithm_kwargs,
+        net, checked, seed, check_model=check_model, pool=None, telemetry=telemetry
     )
 
 
 def _run_on_network(
     net: Network,
-    spec: AlgorithmSpec,
+    config: CheckedConfig,
     seed: int,
     *,
-    source: Optional[int],
-    failures: float,
-    failure_pattern: str,
-    schedule: Optional[AdversitySchedule],
-    profile: Profile,
     check_model: bool,
     pool: Optional["BufferPool"],
-    algorithm_kwargs: dict,
-    task: str = BROADCAST_TASK,
-    task_kwargs: Optional[Dict[str, Any]] = None,
-    scheduler: Optional[EventSchedulerSpec] = None,
     telemetry: "Optional[Telemetry]" = None,
 ) -> AlgorithmReport:
     """Execute one seeded broadcast on an already-built network.
@@ -280,22 +398,24 @@ def _run_on_network(
     legacy streams are untouched, so the default task stays bit-identical
     to the pre-task-layer engine.
     """
+    spec, source, task = config.spec, config.source, config.task
+    failures = config.failures
     if failures:
-        apply_pattern(net, failure_pattern, failures, derive_seed(seed, "fail"))
+        apply_pattern(net, config.failure_pattern, failures, derive_seed(seed, "fail"))
     if source is None:
         alive = net.alive_indices()
         source = int(alive[make_rng(derive_seed(seed, "source")).integers(len(alive))])
     dynamics = (
-        schedule.bind(net, make_rng(derive_seed(seed, "dynamics")))
-        if schedule is not None
+        config.schedule.bind(net, make_rng(derive_seed(seed, "dynamics")))
+        if config.schedule is not None
         else None
     )
     # The event tier binds from the dedicated "delay" stream: straggler
     # sets, per-edge weights and per-message jitter never consume
     # algorithm coins, so event runs stay bit-identical to round runs.
     sched = (
-        scheduler.bind(net, make_rng(derive_seed(seed, "delay")))
-        if scheduler is not None
+        config.scheduler.bind(net, make_rng(derive_seed(seed, "delay")))
+        if config.scheduler is not None
         else None
     )
     sim = Simulator(
@@ -328,16 +448,16 @@ def _run_on_network(
         sim.add_commit_hook(tel_run.on_round)
         tel_run.sample(sim)  # round-0 baseline
     if task == BROADCAST_TASK:
-        report = spec.run(sim, source, profile, **algorithm_kwargs)
+        report = spec.run(sim, source, config.profile, **config.algorithm_kwargs)
     else:
         state = get_task(task).build(
             net,
             make_rng(derive_seed(seed, "task")),
             message_bits=net.sizes.rumor_bits,
             source=source,
-            **(task_kwargs or {}),
+            **config.task_kwargs,
         )
-        report = spec.run_task(sim, state, profile, **algorithm_kwargs)
+        report = spec.run_task(sim, state, config.profile, **config.algorithm_kwargs)
     # Causal-trace extras must land before finish_run so the telemetry
     # collector can serialise them into the schema v2 trace/path records.
     if (
@@ -368,7 +488,7 @@ def _run_on_network(
         report.extras.setdefault("scheduler", sched.describe())
         report.extras.setdefault("sim_time", float(sched.sim_time))
     if dynamics is not None:
-        report.extras.setdefault("schedule", schedule.describe())
+        report.extras.setdefault("schedule", config.schedule.describe())
         for key, value in dynamics.summary().items():
             report.extras.setdefault(key, value)
     return report
@@ -412,26 +532,41 @@ class ReplicationEngine:
         index_dtype: "str | None" = "auto",
         **algorithm_kwargs: Any,
     ) -> None:
-        self.n = int(n)
-        self.spec = get_algorithm(algorithm)
-        _check_task(self.spec, task)
-        self.topology = resolve_topology(topology)
-        self.direct_addressing = direct_addressing
-        _check_topology(self.spec, self.topology, direct_addressing)
-        self.source = source
-        self.message_bits = message_bits
-        self.failures = failures
-        self.failure_pattern = failure_pattern
-        self.schedule = resolve_schedule(schedule)
-        self.scheduler = resolve_scheduler(scheduler)
-        self.task = task
-        self.task_kwargs = dict(task_kwargs or {})
-        self.profile = get_profile(profile) if isinstance(profile, str) else profile
+        self._adopt(
+            check_config(
+                n,
+                algorithm,
+                source=source,
+                message_bits=message_bits,
+                failures=failures,
+                failure_pattern=failure_pattern,
+                schedule=schedule,
+                task=task,
+                task_kwargs=task_kwargs,
+                topology=topology,
+                direct_addressing=direct_addressing,
+                scheduler=scheduler,
+                profile=profile,
+                algorithm_kwargs=algorithm_kwargs,
+            ),
+            check_model,
+            index_dtype,
+        )
+
+    @classmethod
+    def _checked(cls, config: CheckedConfig, check_model: bool) -> "ReplicationEngine":
+        """An engine for a configuration :func:`check_config` already
+        passed (:func:`run_replications` checks before it picks an engine)."""
+        engine = cls.__new__(cls)
+        engine._adopt(config, check_model, "auto")
+        return engine
+
+    def _adopt(
+        self, config: CheckedConfig, check_model: bool, index_dtype: "str | None"
+    ) -> None:
+        self.config = config
         self.check_model = check_model
         self.index_dtype = index_dtype
-        self.algorithm_kwargs = dict(algorithm_kwargs)
-        if source is not None and not 0 <= source < n:
-            raise ValueError(f"source {source} out of range for n={n}")
         self._net: Optional[Network] = None
         self._pool = BufferPool()
 
@@ -447,31 +582,22 @@ class ReplicationEngine:
         net_seed = derive_seed(seed, "net")
         if self._net is None:
             self._net = Network(
-                self.n,
+                int(self.config.n),
                 rng=net_seed,
-                rumor_bits=self.message_bits,
+                rumor_bits=self.config.message_bits,
                 index_dtype=self.index_dtype,
-                topology=self.topology,
-                direct_addressing=self.direct_addressing,
+                topology=self.config.topology,
+                direct_addressing=self.config.direct_addressing,
             )
         else:
             self._net.reset(net_seed)
         return _run_on_network(
             self._net,
-            self.spec,
+            self.config,
             seed,
-            source=self.source,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=self.task_kwargs,
-            scheduler=self.scheduler,
-            profile=self.profile,
-            telemetry=telemetry,
             check_model=self.check_model,
             pool=self._pool,
-            algorithm_kwargs=self.algorithm_kwargs,
+            telemetry=telemetry,
         )
 
 
@@ -535,12 +661,18 @@ def run_replications(
         work array exceeds ``batch_elems`` elements regardless of
         ``reps``.  ``scheduler=`` rides along through the batched clock
         overlay (:class:`repro.sim.schedule.BatchClockOverlay`) when the
-        runner folds contacts — the summary then carries per-rep
-        ``sim_time`` streams; contact tracing falls back to the
-        sequential tier (``engine="auto"``) or raises
-        (``engine="vector"``).
+        runner accepts ``overlay=`` — the summary then carries per-rep
+        ``sim_time`` streams.  A configuration it cannot run raises
+        ``vector engine unavailable for <algorithm> (task <task>):
+        <reason>``, the reason from :func:`vector_unavailable`.
     ``"auto"``
-        ``vector`` when eligible, else ``reset``.
+        ``vector`` when :func:`vector_unavailable` gives no reason, else
+        ``reset``, with the reason in ``extras["engine_fallback"]``.
+
+    :func:`check_config` runs once, before the engine is picked, and
+    every engine runs from the :class:`CheckedConfig` it returns, so a
+    bad configuration is the same one-line ``ValueError`` whichever
+    engine was asked for.
 
     Sharding
     --------
@@ -578,116 +710,73 @@ def run_replications(
     # module, so a top-level import of repro.analysis would be circular.
     from repro.analysis.stats import ReplicationSummary
 
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
-    if engine not in REPLICATION_ENGINES:
-        raise ValueError(
-            f"unknown replication engine {engine!r}; choose from {REPLICATION_ENGINES}"
-        )
-    if message_bits <= 0:
-        # The sequential engine refuses this when it builds the network;
-        # the vector runners never build one, so refuse it here for both.
-        raise ValueError(f"rumor_bits must be positive, got {message_bits}")
-    spec = get_algorithm(algorithm)
-    _check_task(spec, task)
-    resolved_topology = resolve_topology(topology)
-    _check_topology(spec, resolved_topology, direct_addressing)
-    if task != BROADCAST_TASK:
-        # Uniform knob validation across engines: the vector path calls a
-        # batch runner directly (never TaskSpec.build), so validate here.
-        get_task(task).validate_kwargs(task_kwargs)
-    resolved = resolve_schedule(schedule)
-    # Contact tracing implies the event tier, so a traced configuration
-    # is never vector-eligible (the check below sees a tracing scheduler),
-    # and every replication extracts its own critical path into the
-    # summary's per-rep streams.
-    resolved_scheduler = resolve_scheduler(scheduler, trace=trace)
-    batch_runner = spec.batch_runner_for(task)
-    # Restricted topologies ride the vector engine when the runner
-    # advertises batched neighbor sampling (global direct addressing
-    # only — the batched relays deliver without a reachability check).
-    topology_ok = resolved_topology.complete or (
-        getattr(batch_runner, "supports_topology", False)
-        and direct_addressing == "global"
+    config = dict(
+        source=source,
+        message_bits=message_bits,
+        failures=failures,
+        failure_pattern=failure_pattern,
+        schedule=schedule,
+        task=task,
+        task_kwargs=task_kwargs,
+        topology=topology,
+        direct_addressing=direct_addressing,
+        scheduler=scheduler,
+        profile=profile,
     )
-    # The event tier rides the vector engine through the batched clock
-    # overlay (:class:`repro.sim.schedule.BatchClockOverlay`) when the
-    # runner folds its contacts; contact tracing stays sequential.
-    scheduler_reason = None
-    if resolved_scheduler is not None:
-        if not getattr(batch_runner, "supports_overlay", False):
-            scheduler_reason = (
-                f"the batch runner for {algorithm!r} (task {task!r}) does "
-                "not fold contacts into the batched clock overlay"
-            )
-        elif resolved_scheduler.trace:
-            scheduler_reason = "contact tracing needs the sequential event scheduler"
-    # The (R, n) executors assume at least one other node to dial;
-    # single-node runs fall back to the sequential reset engine.
-    vector_ok = (
-        batch_runner is not None
-        and resolved is None
-        and scheduler_reason is None
-        and not failures
-        and n > 1
-        and topology_ok
+    checked = check_config(
+        n,
+        algorithm,
+        trace=trace,
+        algorithm_kwargs=algorithm_kwargs,
+        reps=reps,
+        engine=engine,
+        workers=workers,
+        batch_elems=batch_elems,
+        **config,
     )
-    if engine == "vector" and not vector_ok:
-        if resolved_scheduler is not None and scheduler_reason is not None:
-            raise ValueError(
-                f"vector engine unavailable with scheduler=event: "
-                f"{scheduler_reason}; run it on the sequential tier with "
-                "engine='reset'"
-            )
+    if workers is not None and consume is not None:
         raise ValueError(
-            f"vector engine unavailable for {algorithm!r} (task {task!r}) "
-            "here: it needs a registered batch runner for the task and a "
-            "zero-adversity, zero-failure configuration with n >= 2 on "
-            "the complete graph (or a topology-capable runner under "
-            "global addressing)"
+            "workers= shards the replications across summaries; "
+            "per-replication consume streaming is only available serially"
         )
-    fallback_reason = None
+    reason = vector_unavailable(checked)
+    if engine == "vector" and reason is not None:
+        raise ValueError(
+            f"vector engine unavailable for {algorithm!r} (task {task!r}): {reason}"
+        )
+    fallback_reason = reason if engine == "auto" else None
     if engine == "auto":
-        if not vector_ok and resolved_scheduler is not None and scheduler_reason:
-            fallback_reason = scheduler_reason
-            _log.info(
-                "engine=auto: falling back to the sequential reset engine "
-                "(%s)",
-                scheduler_reason,
-            )
-        engine = "vector" if vector_ok else "reset"
+        engine = "reset" if reason is not None else "vector"
+    # Batch runners whose work arrays are (R, n, w)-shaped (k-rumor:
+    # w = k) declare the per-node weight so the element budget bounds
+    # the true footprint, not just R * n.
+    weigh = getattr(checked.runner, "elements_per_node", None)
+    weight = weigh(checked.task_kwargs) if weigh else 1
 
     if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if consume is not None:
-            raise ValueError(
-                "workers= shards the replications across summaries; "
-                "per-replication consume streaming is only available serially"
-            )
+        # Each shard is its own run_replications call, in this process or
+        # a worker's, and checks its configuration there.  It gets the
+        # resolved objects (the resolved scheduler carries the trace flag).
         merged = _run_sharded(
-            n=n,
-            algorithm=algorithm,
+            dict(
+                config,
+                schedule=checked.schedule,
+                topology=checked.topology,
+                scheduler=checked.scheduler,
+                profile=checked.profile,
+                n=n,
+                algorithm=algorithm,
+                engine=engine,
+                check_model=check_model,
+                batch_elems=batch_elems,
+                workers=None,
+                **algorithm_kwargs,
+            ),
             reps=reps,
             base_seed=base_seed,
-            engine=engine,
-            source=source,
-            message_bits=message_bits,
-            failures=failures,
-            failure_pattern=failure_pattern,
-            schedule=schedule,
-            task=task,
-            task_kwargs=task_kwargs,
-            topology=topology,
-            direct_addressing=direct_addressing,
-            scheduler=resolved_scheduler,
-            profile=profile,
-            check_model=check_model,
-            batch_elems=batch_elems,
-            batch_runner=batch_runner,
+            weight=weight,
             workers=workers,
             telemetry=telemetry,
-            algorithm_kwargs=algorithm_kwargs,
         )
         if fallback_reason is not None:
             merged.extras["engine_fallback"] = fallback_reason
@@ -703,44 +792,36 @@ def run_replications(
             consume({"rep": rep, "seed": seed, **scalars})
 
     if engine == "vector":
-        # Batch runners whose work arrays are (R, n, w)-shaped (k-rumor:
-        # w = k) declare the per-node weight so the element budget bounds
-        # the true footprint, not just R * n.
-        weigh = getattr(batch_runner, "elements_per_node", None)
-        weight = weigh(dict(task_kwargs or {})) if weigh else 1
-        runner_kwargs = {**(task_kwargs or {}), **algorithm_kwargs}
-        if getattr(batch_runner, "uses_profile", False):
-            resolved_profile = (
-                get_profile(profile) if isinstance(profile, str) else profile
-            )
-            runner_kwargs.setdefault("profile", resolved_profile)
+        runner_kwargs = {**checked.task_kwargs, **algorithm_kwargs}
+        if checked.spec.uses_profile:
+            runner_kwargs["profile"] = checked.profile
         graph = None
-        if not resolved_topology.complete and resolved_topology.deterministic:
+        if not checked.topology.complete and checked.topology.deterministic:
             # Deterministic graphs are identical across replications and
             # chunks; bind once (the rng is required but unconsumed).
-            graph = resolved_topology.bind(n, make_rng(derive_seed(base_seed, "net")))
+            graph = checked.topology.bind(n, make_rng(derive_seed(base_seed, "net")))
         done = 0
         while done < reps:
             take = batch_size(n, reps - done, batch_elems, elements_per_node=weight)
             rng = make_rng(derive_seed(base_seed, "vector", _seed_offset + done))
-            if not resolved_topology.complete and not resolved_topology.deterministic:
+            if not checked.topology.complete and not checked.topology.deterministic:
                 # Random graphs resample per chunk: replications within a
                 # chunk share one instance (documented approximation of
                 # the sequential engine's per-seed graphs).
-                graph = resolved_topology.bind(
+                graph = checked.topology.bind(
                     n, make_rng(derive_seed(base_seed, "vector-topo", _seed_offset + done))
                 )
             chunk_kwargs = dict(runner_kwargs)
             if graph is not None:
                 chunk_kwargs["graph"] = graph
-            if resolved_scheduler is not None:
+            if checked.scheduler is not None:
                 # One overlay per chunk: rep i's delay stream is derived
                 # from base_seed + (global rep index) exactly as the
                 # sequential bind's, so the chunk plan (and the worker
                 # count) never moves a replication's draws.
                 chunk_kwargs["overlay"] = make_batch_overlay(
-                    resolved_scheduler,
-                    resolved_topology,
+                    checked.scheduler,
+                    checked.topology,
                     n,
                     take,
                     graph,
@@ -761,10 +842,10 @@ def run_replications(
                         "message_bits": message_bits,
                     }
                 )
-                if getattr(batch_runner, "supports_telemetry", False):
+                if "telemetry" in checked.runner_accepts:
                     chunk_kwargs["telemetry"] = tel_run
             with maybe_span(tel_run, "chunk"):
-                outcome = batch_runner(
+                outcome = checked.runner(
                     n,
                     take,
                     rng,
@@ -779,23 +860,7 @@ def run_replications(
             done += take
         return summary
 
-    replication = ReplicationEngine(
-        n,
-        algorithm,
-        source=source,
-        message_bits=message_bits,
-        failures=failures,
-        failure_pattern=failure_pattern,
-        schedule=resolved,
-        task=task,
-        task_kwargs=task_kwargs,
-        topology=resolved_topology,
-        direct_addressing=direct_addressing,
-        scheduler=resolved_scheduler,
-        profile=profile,
-        check_model=check_model,
-        **algorithm_kwargs,
-    )
+    replication = ReplicationEngine._checked(checked, check_model)
     for rep in range(reps):
         seed = base_seed + rep
         report = replication.run(seed, telemetry=telemetry)
@@ -846,59 +911,23 @@ def _shard_plan(
 
 
 def _run_sharded(
+    common: Dict[str, Any],
     *,
-    n: int,
-    algorithm: str,
     reps: int,
     base_seed: int,
-    engine: str,
-    source: Optional[int],
-    message_bits: int,
-    failures: float,
-    failure_pattern: str,
-    schedule: "AdversitySchedule | str | None",
-    task: str,
-    task_kwargs: Optional[Dict[str, Any]],
-    topology: "Topology | str | None",
-    direct_addressing: str,
-    scheduler: "EventSchedulerSpec | None",
-    profile: "Profile | str",
-    check_model: bool,
-    batch_elems: int,
-    batch_runner: Optional[Callable],
+    weight: int,
     workers: int,
     telemetry: "Optional[Telemetry]",
-    algorithm_kwargs: Dict[str, Any],
 ) -> "ReplicationSummary":
     """Split ``reps`` into shard blocks, run each as its own (serial)
-    ``run_replications``, merge the shard summaries (and shard telemetry
+    ``run_replications`` call on ``common`` (the run's keyword arguments
+    bar the shard's own), merge the shard summaries (and shard telemetry
     collectors) in shard order."""
     from repro.analysis.stats import ReplicationSummary
 
-    weigh = getattr(batch_runner, "elements_per_node", None)
-    weight = weigh(dict(task_kwargs or {})) if weigh else 1
-    common = dict(
-        n=n,
-        algorithm=algorithm,
-        engine=engine,
-        source=source,
-        message_bits=message_bits,
-        failures=failures,
-        failure_pattern=failure_pattern,
-        schedule=schedule,
-        task=task,
-        task_kwargs=task_kwargs,
-        topology=topology,
-        direct_addressing=direct_addressing,
-        scheduler=scheduler,
-        profile=profile,
-        check_model=check_model,
-        batch_elems=batch_elems,
-        workers=None,
-        **algorithm_kwargs,
-    )
+    engine, n = common["engine"], common["n"]
     payloads = []
-    for start, count in _shard_plan(engine, n, reps, batch_elems, weight):
+    for start, count in _shard_plan(engine, n, reps, common["batch_elems"], weight):
         payload = dict(common, reps=count)
         if engine == "vector":
             # Vector shards replay the serial chunk sequence: same base
@@ -923,7 +952,9 @@ def _run_sharded(
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             shard_results = list(pool.map(_replication_shard, payloads))
 
-    merged = ReplicationSummary(algorithm=algorithm, n=n, engine=engine, task=task)
+    merged = ReplicationSummary(
+        algorithm=common["algorithm"], n=n, engine=engine, task=common["task"]
+    )
     for shard, shard_telemetry in shard_results:
         merged.merge(shard)
         if telemetry is not None and shard_telemetry is not None:

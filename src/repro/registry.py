@@ -93,6 +93,17 @@ class IncompatibleTopologyError(ValueError):
 BROADCAST_TASK = "broadcast"
 
 
+def check_knobs(owner: str, given: Optional[Dict[str, Any]], declared) -> None:
+    """Reject keyword knobs ``owner`` (an algorithm, task or topology)
+    does not declare, with one message for all three."""
+    unknown = set(given or {}) - set(declared)
+    if unknown:
+        raise ValueError(
+            f"{owner} does not accept {sorted(unknown)}; "
+            f"declared knobs are {sorted(declared)}"
+        )
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One registered algorithm: identity, entry point, and calling shape.
@@ -121,7 +132,10 @@ class AlgorithmSpec:
         :mod:`repro.sim.batch`): ``fn(n, reps, rng, *, message_bits,
         source, **knobs) -> BatchOutcome`` advancing R replications in
         ``(R, n)`` arrays.  ``None`` (most algorithms) means replication
-        suites fall back to the memory-lean sequential engine.
+        suites fall back to the memory-lean sequential engine.  The
+        runner opts into bound contact graphs, the batched clock overlay
+        and telemetry by accepting ``graph=``, ``overlay=`` and
+        ``telemetry=``; it receives ``profile=`` iff ``uses_profile``.
     task_transport:
         Optional task runner ``fn(sim, state, *, [profile=...,] **knobs)
         -> AlgorithmReport`` driving an arbitrary
@@ -154,12 +168,8 @@ class AlgorithmSpec:
     complete_graph_only: bool = False
 
     def run(self, sim, source, profile, **algorithm_kwargs):
-        """Invoke the runner with the uniform dispatch convention."""
-        if not self.broadcastable:
-            raise ValueError(
-                f"algorithm {self.name!r} (category {self.category!r}) is not "
-                "a broadcast algorithm; call its entry point directly"
-            )
+        """Invoke the runner with the uniform dispatch convention (the
+        run-config check has already refused non-broadcastable specs)."""
         call: Dict[str, Any] = dict(algorithm_kwargs)
         if self.uses_profile:
             call["profile"] = profile
@@ -179,11 +189,6 @@ class AlgorithmSpec:
     def run_task(self, sim, state, profile, **algorithm_kwargs):
         """Drive a non-broadcast task state through this algorithm's
         transport (same keyword convention as :meth:`run`)."""
-        if self.task_transport is None:
-            raise IncompatibleTaskError(
-                f"algorithm {self.name!r} has no task transport; it only "
-                f"runs the {BROADCAST_TASK!r} task"
-            )
         call: Dict[str, Any] = dict(algorithm_kwargs)
         if self.uses_profile:
             call["profile"] = profile
@@ -330,6 +335,14 @@ def register_batch_runner(
     the runner the ``vector``-engine entry point for
     ``run_replications(..., task="push-sum")`` on this algorithm.
 
+    The runner's signature is its capability list: it runs on restricted
+    topologies, under ``scheduler="event"`` and with telemetry by
+    accepting ``graph=``, ``overlay=`` and ``telemetry=``
+    (:func:`repro.core.broadcast.vector_unavailable` reads them, through
+    ``functools.wraps`` wrappers too).  The only attribute read off a
+    runner is an optional ``elements_per_node(task_kwargs)`` chunking
+    weight, for runners whose work arrays are wider than ``(R, n)``.
+
     Returns the function unchanged.
     """
 
@@ -456,12 +469,7 @@ class TaskSpec:
     def validate_kwargs(self, task_kwargs: Optional[Dict[str, Any]]) -> None:
         """Reject knobs the task does not declare (uniform error for every
         execution engine, including the batched vector path)."""
-        unknown = set(task_kwargs or {}) - set(self.kwargs)
-        if unknown:
-            raise ValueError(
-                f"task {self.name!r} does not accept {sorted(unknown)}; "
-                f"declared knobs are {sorted(self.kwargs)}"
-            )
+        check_knobs(f"task {self.name!r}", task_kwargs, self.kwargs)
 
     def build(self, net, rng, *, message_bits: int, source, **task_kwargs):
         """Construct the initial :class:`~repro.tasks.state.TaskState`."""
@@ -596,12 +604,7 @@ class TopologySpec:
 
     def build(self, **topology_kwargs: Any):
         """Construct the frozen topology spec, validating the knobs."""
-        unknown = set(topology_kwargs) - set(self.kwargs)
-        if unknown:
-            raise ValueError(
-                f"topology {self.name!r} does not accept {sorted(unknown)}; "
-                f"declared knobs are {sorted(self.kwargs)}"
-            )
+        check_knobs(f"topology {self.name!r}", topology_kwargs, self.kwargs)
         return self.factory(**topology_kwargs)
 
 

@@ -30,6 +30,7 @@ rather than by fingerprint.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -167,8 +168,6 @@ def resolve_sources(
     Theorem 19's setting) a uniformly random node per replication."""
     if source is None:
         return rng.integers(0, n, size=reps, dtype=np.int64)
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range for n={n}")
     return np.full(reps, int(source), dtype=np.int64)
 
 
@@ -177,28 +176,64 @@ def resolve_sources(
 # ----------------------------------------------------------------------
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer (never a ``bool``)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(
+        value, (bool, np.bool_)
+    )
+
+
+def check_positive_int(name: str, value) -> None:
+    """Require a positive integer (numpy integers accepted, ``bool``
+    refused), or raise a one-line ``ValueError`` naming ``name``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def check_max_rounds(max_rounds: "int | None") -> None:
     """Check the round-cap override the same way on every engine.
 
     ``None`` (run the default schedule) passes; anything else must be a
     non-negative integer (numpy integers included), or a one-line
-    ``ValueError`` is raised.  The sequential round loops
+    ``ValueError`` is raised.  The run-config check
+    (:func:`repro.core.broadcast.check_config`) and the sequential round
+    loops that plugin algorithms call directly
     (:func:`~repro.sim.protocol.run_protocol`,
-    :func:`~repro.tasks.transports.run_uniform_task`) and the vector
-    runners all call this, so a bad cap is one config error everywhere
-    rather than a negative round count, a silently rounded-up float or
-    a traceback from ``range()``.
+    :func:`~repro.tasks.transports.run_uniform_task`) call this, so a bad
+    cap is one config error everywhere rather than a negative round
+    count, a silently rounded-up float or a traceback from ``range()``.
     """
-    if max_rounds is None:
-        return
-    if (
-        isinstance(max_rounds, (bool, np.bool_))
-        or not isinstance(max_rounds, (int, np.integer))
-        or max_rounds < 0
-    ):
+    if max_rounds is not None and (not is_integer(max_rounds) or max_rounds < 0):
         raise ValueError(
             f"max_rounds must be a non-negative integer, got {max_rounds}"
         )
+
+
+# Task knobs: one check each, called by both the sequential task states
+# (:mod:`repro.tasks.state`) and the batch runners below, so a bad knob
+# is the same one-line error on every engine.
+
+
+def check_k(k, nodes: int) -> None:
+    """k-rumor's source count: a positive integer no larger than the
+    ``nodes`` that can start a rumor (the alive ones)."""
+    check_positive_int("k", k)
+    if k > nodes:
+        raise ValueError(f"k={k} sources exceed {nodes} alive nodes")
+
+
+def check_tol(tol) -> None:
+    """Push-sum's relative tolerance: a real number in (0, 1)."""
+    if not isinstance(tol, numbers.Real) or not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
+
+
+def check_mode(mode) -> None:
+    """Min/max dissemination's aggregate: ``"min"`` or ``"max"``."""
+    if mode not in ("min", "max"):
+        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
 def uniform_round_cap(n: int) -> int:
@@ -228,8 +263,6 @@ def push_sum_round_cap(n: int, tol: float) -> int:
     """The push-sum schedule: ``O(log n + log 1/tol)`` rounds (Kempe et
     al., FOCS 2003) with generous laptop-scale constants — the driver
     stops early at convergence, so slack only pads the failure path."""
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
     return 4 * (
         math.ceil(math.log2(max(n, 2))) + math.ceil(math.log2(1.0 / tol))
     ) + 24
@@ -281,9 +314,8 @@ def batched_push_sum(
     # (the sequential engine's repair knob) is moot on this zero-adversity
     # path — no node ever crashes, revives, or loses mass.
     del message_bits, source, restore_mass
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
-    check_max_rounds(max_rounds)
+    check_tol(tol)
+    check_positive_int("value_bits", value_bits)
     cap = max_rounds if max_rounds is not None else push_sum_round_cap(n, tol)
     bits_per_msg = 2 * int(value_bits)
 
@@ -374,14 +406,6 @@ def batched_push_sum(
     )
 
 
-#: run_replications hands telemetry-capable runners the chunk's
-#: RunTelemetry handle for per-step series sampling.
-batched_push_sum.supports_telemetry = True
-#: run_replications hands overlay-capable runners the event tier's
-#: batched clock overlay (``scheduler=event`` on the vector engine).
-batched_push_sum.supports_overlay = True
-
-
 # ----------------------------------------------------------------------
 # k-rumor all-cast (task "k-rumor"), batched
 # ----------------------------------------------------------------------
@@ -415,13 +439,7 @@ def batched_k_rumor(
     :func:`repro.core.broadcast.run_replications` bounds ``R * n``, so
     keep ``batch_elems`` proportionally smaller for very large ``k``.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > n:
-        raise ValueError(f"k={k} sources exceed {n} nodes")
-    check_max_rounds(max_rounds)
+    check_k(k, n)
     cap = max_rounds if max_rounds is not None else k_rumor_round_cap(n, k)
     rumor_bits = int(message_bits)
 
@@ -520,8 +538,10 @@ def batched_k_rumor(
 
 
 def _k_rumor_elements_per_node(task_kwargs: dict) -> int:
-    """k-rumor's work arrays are ``(R, n, k)``, not ``(R, n)``."""
-    return max(1, int(task_kwargs.get("k", 4)))
+    """k-rumor's work arrays are ``(R, n, k)``, not ``(R, n)``.  A bad
+    ``k`` weighs 1 here; the runner's :func:`check_k` refuses it."""
+    k = task_kwargs.get("k", 4)
+    return int(k) if is_integer(k) and k > 1 else 1
 
 
 #: Chunking weight consulted by ``run_replications``: the element budget
@@ -529,7 +549,6 @@ def _k_rumor_elements_per_node(task_kwargs: dict) -> int:
 #: ``(R, n, k)`` runner gets proportionally smaller batches instead of
 #: blowing the scale tier's memory budget at large k.
 batched_k_rumor.elements_per_node = _k_rumor_elements_per_node
-batched_k_rumor.supports_overlay = True
 
 
 # ----------------------------------------------------------------------
@@ -562,11 +581,8 @@ def batched_min_max(
     distinguished source.
     """
     del message_bits, source  # uniform batch-runner signature, unused
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
-    if mode not in ("min", "max"):
-        raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    check_max_rounds(max_rounds)
+    check_mode(mode)
+    check_positive_int("value_bits", value_bits)
     cap = max_rounds if max_rounds is not None else uniform_round_cap(n)
     merge_at = np.minimum.at if mode == "min" else np.maximum.at
     reduce_best = np.min if mode == "min" else np.max
@@ -626,6 +642,3 @@ def batched_min_max(
         task_error=1.0 - holding / float(n),
         sim_time=None if overlay is None else overlay.sim_time.copy(),
     )
-
-
-batched_min_max.supports_overlay = True

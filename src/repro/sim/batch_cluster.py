@@ -63,13 +63,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.core.clustering import UNCLUSTERED
-from repro.core.constants import (
-    LAPTOP,
-    Cluster1Params,
-    Cluster2Params,
-    Profile,
-    get_profile,
-)
+from repro.core.constants import LAPTOP, Cluster1Params, Cluster2Params, Profile
 from repro.obs.spans import maybe_span
 from repro.sim.batch import BatchOutcome, per_rep_max_fanin, resolve_sources
 from repro.sim.delivery import NOTHING
@@ -225,8 +219,6 @@ class ClusterBatch:
         telemetry=None,
         overlay=None,
     ) -> None:
-        if reps < 1:
-            raise ValueError(f"reps must be positive, got {reps}")
         self.n = int(n)
         self.reps = int(reps)
         self.rng = rng
@@ -1158,14 +1150,12 @@ def batched_cluster1(
     message_bits: int = 256,
     source: "int | None" = 0,
     params: Optional[Cluster1Params] = None,
-    profile: "Profile | str" = LAPTOP,
+    profile: Profile = LAPTOP,
     graph: Optional[ContactGraph] = None,
     telemetry=None,
     overlay=None,
 ) -> BatchOutcome:
     """Cluster1 (Algorithm 1), ``reps`` replications at once."""
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     p = params if params is not None else profile.cluster1(n)
     state = ClusterBatch(
         n,
@@ -1205,15 +1195,13 @@ def batched_cluster2(
     message_bits: int = 256,
     source: "int | None" = 0,
     params: Optional[Cluster2Params] = None,
-    profile: "Profile | str" = LAPTOP,
+    profile: Profile = LAPTOP,
     graph: Optional[ContactGraph] = None,
     telemetry=None,
     overlay=None,
 ) -> BatchOutcome:
     """Cluster2 (Algorithm 2, the paper's Theorem 2 algorithm), ``reps``
     replications at once."""
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     p = params if params is not None else profile.cluster2(n)
     p.check_n(n)
     state = ClusterBatch(
@@ -1250,16 +1238,3 @@ def batched_cluster2(
     with maybe_span(telemetry, "share"):
         informed = _share_from_sources(state, sources)
     return _outcome("cluster2", state, informed)
-
-
-#: run_replications consults these attributes when assembling the vector
-#: call: the runners take the constant-resolution profile, and accept a
-#: bound contact graph (restricted-topology vector runs).
-batched_cluster1.uses_profile = True
-batched_cluster1.supports_topology = True
-batched_cluster1.supports_telemetry = True
-batched_cluster1.supports_overlay = True
-batched_cluster2.uses_profile = True
-batched_cluster2.supports_topology = True
-batched_cluster2.supports_telemetry = True
-batched_cluster2.supports_overlay = True

@@ -9,22 +9,25 @@ confirm that equivalence empirically.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from repro.sim.batch import is_integer
 from repro.sim.network import Network
 from repro.sim.rng import SeedLike, make_rng
 
 
 def fail_random(net: Network, count: int, rng: SeedLike = None) -> np.ndarray:
     """Fail ``count`` uniformly random nodes; returns their indices."""
-    _check_count(net, count)
+    _check_count(net.n, count)
     idx = make_rng(rng).choice(net.n, size=count, replace=False)
     net.fail(idx)
     return np.sort(idx)
 
 def fail_prefix(net: Network, count: int) -> np.ndarray:
     """Fail nodes ``0..count-1`` (a fixed, index-based oblivious choice)."""
-    _check_count(net, count)
+    _check_count(net.n, count)
     idx = np.arange(count)
     net.fail(idx)
     return idx
@@ -37,7 +40,7 @@ def fail_smallest_uids(net: Network, count: int) -> np.ndarray:
     "merge towards the smallest ID" rules — still oblivious because uids
     are assigned independently of the algorithm's coin flips.
     """
-    _check_count(net, count)
+    _check_count(net.n, count)
     idx = np.argsort(net.uid)[:count]
     net.fail(idx)
     return np.sort(idx)
@@ -45,9 +48,7 @@ def fail_smallest_uids(net: Network, count: int) -> np.ndarray:
 
 def fail_fraction(net: Network, fraction: float, rng: SeedLike = None) -> np.ndarray:
     """Fail a ``fraction`` of all nodes uniformly at random."""
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"fraction must be in [0, 1), got {fraction}")
-    return fail_random(net, int(round(fraction * net.n)), rng)
+    return fail_random(net, _fraction_count(net.n, fraction), rng)
 
 
 def _prefix_pattern(net: Network, count: int, rng: SeedLike = None) -> np.ndarray:
@@ -90,24 +91,41 @@ def apply_pattern(net: Network, pattern: str, count: float, rng: SeedLike = None
     ``count`` is a node count for every pattern except ``"fraction"``,
     where it is the fraction in [0, 1) of all nodes to fail.
     """
+    return _pattern(pattern)(net, count, rng)
+
+
+def check_failures(n: int, pattern: str, count: float) -> None:
+    """Check a named pattern (even at zero failures) and, when non-zero,
+    its count against ``n`` nodes, before any network exists."""
+    _pattern(pattern)
+    if count:
+        _check_count(n, _fraction_count(n, count) if pattern == "fraction" else count)
+
+
+def _pattern(pattern: str):
     try:
-        fn = PATTERNS[pattern]
-    except KeyError:
+        return PATTERNS[pattern]
+    except (KeyError, TypeError):
         raise ValueError(
             f"unknown failure pattern {pattern!r}; choose from {sorted(PATTERNS)}"
         ) from None
-    return fn(net, count, rng)
 
 
-def _check_count(net: Network, count: int) -> None:
-    if not isinstance(count, (int, np.integer)):
+def _fraction_count(n: int, fraction: float) -> int:
+    if not isinstance(fraction, numbers.Real) or not 0.0 <= fraction < 1.0:
+        raise ValueError(f"fraction must be in [0, 1), got {fraction}")
+    return int(round(fraction * n))
+
+
+def _check_count(n: int, count: int) -> None:
+    if not is_integer(count):
         raise ValueError(
             f"failure count must be an integer, got {count!r}; to fail a "
             "fraction of the nodes use failure_pattern='fraction'"
         )
     if count < 0:
         raise ValueError(f"failure count must be non-negative, got {count}")
-    if count >= net.n:
+    if count >= n:
         raise ValueError(
-            f"cannot fail {count} of {net.n} nodes; at least one must survive"
+            f"cannot fail {count} of {n} nodes; at least one must survive"
         )

@@ -39,6 +39,10 @@ import numpy as np
 
 from repro.sim.batch import (
     PUSH_SUM_VALUE_BITS,
+    check_k,
+    check_mode,
+    check_positive_int,
+    check_tol,
     k_rumor_round_cap,
     push_sum_round_cap,
     uniform_round_cap,
@@ -216,11 +220,8 @@ class KRumorState(TaskState):
         k: int = 4,
     ) -> None:
         super().__init__(net.n)
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
         alive = net.alive_indices()
-        if k > len(alive):
-            raise ValueError(f"k={k} sources exceed {len(alive)} alive nodes")
+        check_k(k, len(alive))
         self.k = int(k)
         self.rumor_bits = int(message_bits)
         self.holds = np.zeros((self.n, self.k), dtype=bool)
@@ -310,8 +311,8 @@ class PushSumState(TaskState):
         restore_mass: bool = False,
     ) -> None:
         super().__init__(net.n)
-        if not 0 < tol < 1:
-            raise ValueError(f"tol must be in (0, 1), got {tol}")
+        check_tol(tol)
+        check_positive_int("value_bits", value_bits)
         del message_bits, source  # no rumor, no distinguished source
         self.tol = float(tol)
         self.value_bits = int(value_bits)
@@ -470,8 +471,8 @@ class ExtremeState(TaskState):
         value_bits: int = PUSH_SUM_VALUE_BITS,
     ) -> None:
         super().__init__(net.n)
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+        check_mode(mode)
+        check_positive_int("value_bits", value_bits)
         del message_bits, source
         self.mode = mode
         self.value_bits = int(value_bits)

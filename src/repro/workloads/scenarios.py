@@ -22,20 +22,17 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.runner import RunRecord, RunSpec, execute, replicate_spec
 from repro.analysis.stats import ReplicationSummary
-from repro.core.broadcast import broadcast
+from repro.core.broadcast import broadcast, check_config
 from repro.core.result import AlgorithmReport
-from repro.registry import get_algorithm, get_task
-from repro.sim.dynamics import AdversitySchedule, resolve_schedule
-from repro.sim.schedule import EventSchedulerSpec, resolve_scheduler
+from repro.sim.dynamics import AdversitySchedule
+from repro.sim.schedule import EventSchedulerSpec
 from repro.sim.topology import (
-    ADDRESSING_MODES,
     EdgeWeightedDelay,
     NodeSlowdownDelay,
     RandomRegular,
     RateLimitedEdgeDelay,
     Ring,
     Topology,
-    resolve_topology,
 )
 
 
@@ -57,12 +54,14 @@ def _diameter_round_budget(topology: Topology, n: int) -> int:
 class Scenario:
     """A named broadcast workload.
 
-    Validated against the algorithm registry on construction: the
-    algorithm must be a registered broadcastable name and every extra
-    keyword must be one of its declared knobs.  ``schedule`` (a dynamic
-    adversity timeline — an :class:`~repro.sim.dynamics.AdversitySchedule`,
-    a preset name, or a spec string) is resolved at definition time, so a
-    typo'd schedule also fails immediately.
+    Validated on construction by the same run-config check every engine
+    calls (:func:`repro.core.broadcast.check_config`), with the error
+    prefixed by the scenario's name: the algorithm must be a registered
+    broadcastable name, every extra keyword one of its declared knobs,
+    and so on.  ``schedule`` (a dynamic adversity timeline — an
+    :class:`~repro.sim.dynamics.AdversitySchedule`, a preset name, or a
+    spec string) is resolved at definition time, so a typo'd schedule
+    also fails immediately.
     """
 
     name: str
@@ -95,88 +94,44 @@ class Scenario:
     kwargs: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        spec = get_algorithm(self.algorithm)  # raises on unknown names
-        if not spec.broadcastable:
-            raise ValueError(
-                f"scenario {self.name!r}: algorithm {self.algorithm!r} is "
-                f"not a broadcast algorithm (category {spec.category!r})"
+        try:
+            checked = check_config(
+                **self._run_args(), algorithm_kwargs=self.kwargs, reps=self.reps
             )
-        unknown = set(self.kwargs) - set(spec.kwargs)
-        if unknown:
-            raise ValueError(
-                f"scenario {self.name!r}: {self.algorithm!r} does not accept "
-                f"{sorted(unknown)}; declared knobs are {sorted(spec.kwargs)}"
-            )
-        task_spec = get_task(self.task)  # raises on unknown task names
-        if not spec.supports_task(self.task):
-            raise ValueError(
-                f"scenario {self.name!r}: algorithm {self.algorithm!r} "
-                f"cannot run task {self.task!r} (no registered transport)"
-            )
-        unknown_task = set(self.task_kwargs) - set(task_spec.kwargs)
-        if unknown_task:
-            raise ValueError(
-                f"scenario {self.name!r}: task {self.task!r} does not accept "
-                f"{sorted(unknown_task)}; declared knobs are "
-                f"{sorted(task_spec.kwargs)}"
-            )
-        # Normalise preset names / spec strings to frozen specs, and
-        # gate the (algorithm, topology) pair like broadcast() would.
-        object.__setattr__(self, "schedule", resolve_schedule(self.schedule))
-        object.__setattr__(self, "topology", resolve_topology(self.topology))
-        object.__setattr__(self, "scheduler", resolve_scheduler(self.scheduler))
-        if self.direct_addressing not in ADDRESSING_MODES:
-            raise ValueError(
-                f"scenario {self.name!r}: direct_addressing must be one of "
-                f"{ADDRESSING_MODES}, got {self.direct_addressing!r}"
-            )
-        if not spec.supports_topology(self.topology):
-            raise ValueError(
-                f"scenario {self.name!r}: algorithm {self.algorithm!r} only "
-                f"runs on the complete contact graph, not "
-                f"{self.topology.describe()!r}"
-            )
+        except ValueError as exc:
+            raise type(exc)(f"scenario {self.name!r}: {exc}") from None
+        # Normalise preset names / spec strings to frozen specs.
+        object.__setattr__(self, "schedule", checked.schedule)
+        object.__setattr__(self, "topology", checked.topology)
+        object.__setattr__(self, "scheduler", checked.scheduler)
+
+    def _run_args(self) -> Dict[str, Any]:
+        """The run configuration, as :func:`broadcast` keyword arguments."""
+        args = {name: getattr(self, name) for name in _RUN_FIELDS}
+        args["task_kwargs"] = dict(self.task_kwargs)
+        return args
 
     def run_spec(self, seed: int = 0, reps: int = 1, engine: str = "auto") -> RunSpec:
         """Compile to one executor job (``reps > 1``: a replication job)."""
         return RunSpec(
-            algorithm=self.algorithm,
-            n=self.n,
             seed=seed,
-            message_bits=self.message_bits,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=dict(self.task_kwargs),
-            topology=self.topology,
-            direct_addressing=self.direct_addressing,
-            scheduler=self.scheduler,
             reps=reps,
             engine=engine,
             kwargs=dict(self.kwargs),
+            **self._run_args(),
         )
 
     def run(self, seed: int = 0, **overrides: Any) -> AlgorithmReport:
         """Execute the scenario (``overrides`` patch any broadcast arg)."""
-        args = dict(
-            n=self.n,
-            algorithm=self.algorithm,
-            message_bits=self.message_bits,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=dict(self.task_kwargs),
-            topology=self.topology,
-            direct_addressing=self.direct_addressing,
-            scheduler=self.scheduler,
-            seed=seed,
-        )
-        args.update(self.kwargs)
-        args.update(overrides)
+        args = {**self._run_args(), "seed": seed, **self.kwargs, **overrides}
         return broadcast(**args)
 
+
+#: The :class:`Scenario` fields that are :func:`broadcast` arguments too.
+_RUN_FIELDS = (
+    "n", "algorithm", "message_bits", "failures", "failure_pattern",
+    "schedule", "task", "topology", "direct_addressing", "scheduler",
+)
 
 SCENARIOS: Dict[str, Scenario] = {}
 
@@ -604,7 +559,7 @@ def replicate_suite(
     specs = [
         get_scenario(name).run_spec(
             seed=base_seed,
-            reps=reps if reps is not None else max(get_scenario(name).reps, 1),
+            reps=reps if reps is not None else get_scenario(name).reps,
             engine=engine,
         )
         for name in names

@@ -114,6 +114,20 @@ class TestReplicationFlags:
         assert rc == 2
         assert "rumor_bits must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_run_rejects_nonpositive_reps(self, capsys, reps):
+        # --reps below 1 used to run one broadcast and exit 0.
+        rc = main(["run", "--n", "64", "--algorithm", "push-pull", "--reps", reps])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: reps must be positive, got {reps}\n"
+        assert out.out == ""
+
+    def test_suite_rejects_nonpositive_reps(self, capsys):
+        # --reps 0 used to run the single-seed suite and exit 0.
+        assert main(["suite", "low-latency-smalljob", "--reps", "0"]) == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_run_reps_with_schedule_falls_back(self, capsys):
         rc = main(
             ["run", "--n", "256", "--algorithm", "push-pull",
