@@ -9,10 +9,18 @@ hash ``rounds``, ``messages``, ``bits``, ``max_fanin``,
 ``informed_counts`` and ``success`` (plus ``sim_time`` under a clock
 overlay), the fields they were first recorded with; the push-pull and
 task cases hash every field, ``completion_round``, ``sim_time`` and
-``task_error`` included.  Any change to what the batched primitives or
-the clock overlay compute, or to the order and sizes of their RNG
-draws, changes a digest.  A deliberate change of the stream re-records
-them with::
+``task_error`` included.  The task cases cover no overlay and a
+constant delay as well as jittered ones; random sources, a single
+rumor, round caps that stop some replications short, and a zero cap
+are pinned too.  A second table pins the telemetry series a chunk
+records (every column and row of ``series.to_columns()``) for
+push-pull, push-sum, cluster1 and cluster2 at two probe intervals.
+
+Any change to what the batched primitives or the clock overlay
+compute, or to the order and sizes of their RNG draws, changes a
+digest.  The cases were recorded before the vector runners shared one
+accounting ledger and the uniform ones one round loop.  A deliberate
+change of the stream re-records them with::
 
     PYTHONPATH=src python tests/test_batch_cluster_pin.py
 """
@@ -21,11 +29,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.baselines.push_pull import batched_push_pull
+from repro.obs import Telemetry
 from repro.sim.batch import batched_k_rumor, batched_min_max, batched_push_sum
 from repro.sim.batch_cluster import batched_cluster1, batched_cluster2
 from repro.sim.buffers import BufferPool
@@ -115,6 +125,45 @@ CASES = {
         f"{task}-{delay}-1000x5": (task, 1000, 5, None, model)
         for task in ("push-sum", "min-max", "k-rumor")
         for delay, model in (("straggler", STRAGGLER), ("jitter", JITTER))
+    },
+    # The task runners without an overlay (the path ``engine="vector"``
+    # takes without ``scheduler=``), and under a constant delay, whose
+    # rows stay uniform while the row sets shrink.
+    **{
+        f"{task}{'-' + delay if delay else ''}-1000x5": (task, 1000, 5, None, model)
+        for task in ("push-sum", "min-max", "k-rumor")
+        for delay, model in (("", None), ("constant", CONSTANT))
+    },
+    # Per-case keyword arguments (``CASE_KWARGS``): random sources, a
+    # single rumor, round caps.
+    "push-pull-complete-random-source-1000x5": ("push-pull", 1000, 5, None, None),
+    "k-rumor-random-source-1000x5": ("k-rumor", 1000, 5, None, None),
+    "k-rumor-k1-1000x5": ("k-rumor", 1000, 5, None, None),
+    "push-pull-complete-cap9-1000x16": ("push-pull", 1000, 16, None, None),
+    "push-sum-cap27-1000x5": ("push-sum", 1000, 5, None, None),
+    "min-max-cap18-1000x5": ("min-max", 1000, 5, None, None),
+    "k-rumor-cap17-1000x5": ("k-rumor", 1000, 5, None, None),
+    **{
+        f"{algorithm}-cap0-1000x5": (algorithm, 1000, 5, None, None)
+        for algorithm in ("push-pull", "push-sum", "min-max", "k-rumor")
+    },
+}
+
+#: Keyword arguments of single cases, over ``RUNNER_KWARGS``.  Each capped
+#: case stops some replications before they finish (``completion_round
+#: == -1``) and lets the others finish; a zero cap runs no round.
+CASE_KWARGS = {
+    "push-pull-complete-random-source-1000x5": {"source": None},
+    "k-rumor-random-source-1000x5": {"source": None},
+    # One rumor: no extra-source draw.
+    "k-rumor-k1-1000x5": {"k": 1},
+    "push-pull-complete-cap9-1000x16": {"max_rounds": 9},
+    "push-sum-cap27-1000x5": {"max_rounds": 27},
+    "min-max-cap18-1000x5": {"max_rounds": 18},
+    "k-rumor-cap17-1000x5": {"max_rounds": 17},
+    **{
+        f"{algorithm}-cap0-1000x5": {"max_rounds": 0}
+        for algorithm in ("push-pull", "push-sum", "min-max", "k-rumor")
     },
 }
 
@@ -216,13 +265,67 @@ DIGESTS = {
     "k-rumor-jitter-1000x5": (
         "db260f70d06b0b0eddfcdb4fa040624e1fdefc41fb1371fc68889cad17b6c282"
     ),
+    "push-sum-1000x5": (
+        "5530d92c8b45f0735e6b4c6b6fdf871fb728e4ce6f211a61fd763f261e16f2f7"
+    ),
+    "push-sum-constant-1000x5": (
+        "c69fb9dc74eee5a376ade84833b317305a6d7e55de93b20f63945159a6339379"
+    ),
+    "min-max-1000x5": (
+        "35d6cc047389bd6c048a24604b1c6c6ea346d1ce66f308f2706b6b2c69383a5e"
+    ),
+    "min-max-constant-1000x5": (
+        "2e48a2df3df762070712b254977aab26c50523a985076e15bada9bfd39e5b2b8"
+    ),
+    "k-rumor-1000x5": (
+        "2a2adef8906a10f248d25241a2665acfdbab30cf4570356671026ec9276ab14e"
+    ),
+    "k-rumor-constant-1000x5": (
+        "4abc34094d850a220ca6b1cf2088ab8ce17d7ffdc8d43f1866cc8f14c9febc09"
+    ),
+    "push-pull-complete-random-source-1000x5": (
+        "3dd860206154b0287fb7571d43561d67d9f0814aa99656dee9787b77dab18aee"
+    ),
+    "k-rumor-random-source-1000x5": (
+        "e5fb9e44e6652c538a84afac92a70ab00a5bb36529dfdd13271c7495474f50b8"
+    ),
+    "k-rumor-k1-1000x5": (
+        "6cad3729d4f1da3a6f09802c6c809cc44e16c710f8033b36c71284671fd286e2"
+    ),
+    "push-pull-complete-cap9-1000x16": (
+        "7e1244f3975f1267646e907a77764b8ebadb62024b54bb3767b52cb4e9708577"
+    ),
+    "push-sum-cap27-1000x5": (
+        "5d6718033559db017269d3f01bf534ac60dc952b958063439f0f28b7bf960b60"
+    ),
+    "min-max-cap18-1000x5": (
+        "693d7c61e4dc7c8c7a0744b349d76dc3ec08e0d2254cda326cbc4f94d5ea743e"
+    ),
+    "k-rumor-cap17-1000x5": (
+        "2ac94cc784f7c675ec475d279a4498272fa4a177c704f8c835769d26bcdeabe4"
+    ),
+    "push-pull-cap0-1000x5": (
+        "ed6c3b5f0c5b4632da7e9fcfc2ace361ea654cdab3f99b85ac9a04771298011f"
+    ),
+    "push-sum-cap0-1000x5": (
+        "64b48b2126e86da93b6e4656b5c6ae83362134222528ebe184149d8926c7c707"
+    ),
+    "min-max-cap0-1000x5": (
+        "f1b1172dd4e639fd5dc44a68a74757f22cce4e2cb433c35020de0917258af217"
+    ),
+    "k-rumor-cap0-1000x5": (
+        "b8dee58d250f1f26373c4eaaa600da5e7df8341910ef95e506c83ff1544c8498"
+    ),
 }
 
 
-def run_case(name: str):
-    """The case's :class:`~repro.sim.batch.BatchOutcome`."""
+def run_case(name: str, telemetry=None):
+    """The case's :class:`~repro.sim.batch.BatchOutcome` (``telemetry``,
+    a run handle, records the chunk's series)."""
     algorithm, n, reps, topology, delay = CASES[name]
-    kwargs = dict(RUNNER_KWARGS.get(algorithm, {}))
+    kwargs = {**RUNNER_KWARGS.get(algorithm, {}), **CASE_KWARGS.get(name, {})}
+    if telemetry is not None:
+        kwargs["telemetry"] = telemetry
     graph = None
     if topology is not None:
         graph = topology.bind(n, make_rng(derive_seed(SEED, "net")))
@@ -306,6 +409,92 @@ def test_poisoned_overlay_workspace_changes_nothing(name, monkeypatch):
     assert "complete" in calls
 
 
+#: (case, probe_every) of each pinned telemetry series: the runner's
+#: chunk series, every column and row, at a dense and a sparse probe.
+SERIES_CASES = {
+    f"{case}-probe{probe_every}": (case, probe_every)
+    for case in (
+        "push-pull-complete-1000x5",
+        "push-pull-regular8-1000x5",
+        "push-pull-complete-straggler-1000x5",
+        "push-sum-1000x5",
+        "push-sum-straggler-1000x5",
+        "cluster1-complete-1000x5",
+        "cluster2-complete-1000x5",
+        "cluster2-straggler-4096x8",
+    )
+    for probe_every in (1, 3)
+}
+
+#: sha256 of ``json.dumps(series.to_columns())`` per series case.
+SERIES_DIGESTS = {
+    "push-pull-complete-1000x5-probe1": (
+        "493f9a913849598b46e226e6bcd6dc009eebd9f3985db49be34d641a7e267633"
+    ),
+    "push-pull-complete-1000x5-probe3": (
+        "d9445994cb6dd659954d51139226318433d4819ef19694118f9852e770d75b0b"
+    ),
+    "push-pull-regular8-1000x5-probe1": (
+        "f7fb7a6c8c1cd9e7f4484a556d564c6f8848235b5a91322496a29c9d71070c49"
+    ),
+    "push-pull-regular8-1000x5-probe3": (
+        "ff41572a132824e528e5ad1ea76b7bf8db5cc5f1191229a60a11e8317d931624"
+    ),
+    "push-pull-complete-straggler-1000x5-probe1": (
+        "fc100a9f0173ad465b454709ff522f12259742c807e5b5f3de372c3fe7b8606d"
+    ),
+    "push-pull-complete-straggler-1000x5-probe3": (
+        "9232576ada444b6637138f654dbcc20868cedf2a4b3c1643753c03fa1c979823"
+    ),
+    "push-sum-1000x5-probe1": (
+        "505254217613d048b3996ca1f747436114b121927b2338121df895c034fda365"
+    ),
+    "push-sum-1000x5-probe3": (
+        "d1fa5861b846ce1397cc8d7567db2f8b0bc3231b5ddd1630eecc2605f8770236"
+    ),
+    "push-sum-straggler-1000x5-probe1": (
+        "904af8a5a13fc324393231e1be9f036dacaae0cd27a4e708decd3fde4800ce7f"
+    ),
+    "push-sum-straggler-1000x5-probe3": (
+        "4c65365f9c9a776fa330c9492df14d3accaf8aa824c5efc4a5edd3efc527f5b6"
+    ),
+    "cluster1-complete-1000x5-probe1": (
+        "ee168d1f6ff6a490d051c43a78a682b39ac2768c69d61fadf5fae71d99220680"
+    ),
+    "cluster1-complete-1000x5-probe3": (
+        "1f915ffebd380cbd4e2165cea7cc099435953ff13b6dc8f0a257eca62267b174"
+    ),
+    "cluster2-complete-1000x5-probe1": (
+        "1649d19f35b969d62c1388f52d5bf9977bd6a92c114efb8a0d8d2812fcbeceff"
+    ),
+    "cluster2-complete-1000x5-probe3": (
+        "fb23ff6cd3e97d5a91b47b9bb8be9b9b0fa16c77aa79f0be570b474b0457c20e"
+    ),
+    "cluster2-straggler-4096x8-probe1": (
+        "e2e984e08222a573a906362ffaba327d4f14c15f28cf97ab670aa37a12aa6e59"
+    ),
+    "cluster2-straggler-4096x8-probe3": (
+        "d6b487456822dafdf20c87f20cf25f168e9bef9c2db2966854a589194106d315"
+    ),
+}
+
+
+def series_digest(name: str) -> str:
+    case, probe_every = SERIES_CASES[name]
+    run = Telemetry(probe_every=probe_every).begin_run({})
+    run_case(case, telemetry=run)
+    columns = json.dumps(run.series.to_columns())
+    return hashlib.sha256(columns.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_CASES))
+def test_vector_telemetry_series_are_pinned(name):
+    assert series_digest(name) == SERIES_DIGESTS[name]
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f'    "{case}": (\n        "{case_digest(case)}"\n    ),')
+    print()
+    for case in SERIES_CASES:
+        print(f'    "{case}": (\n        "{series_digest(case)}"\n    ),')
