@@ -20,13 +20,13 @@ from repro.registry import (
     register_task_transport,
 )
 from repro.sim.batch import (
+    BatchLedger,
     BatchOutcome,
     batched_k_rumor,
     batched_min_max,
     batched_push_sum,
-    per_rep_max_fanin,
-    random_targets_batch,
     resolve_sources,
+    uniform_rounds,
 )
 from repro.sim.engine import Simulator
 from repro.sim.protocol import VectorProtocol, run_protocol
@@ -148,92 +148,45 @@ def batched_push_pull(
     sources = resolve_sources(source, reps, n, rng)
     informed = np.zeros((reps, n), dtype=bool)
     informed[np.arange(reps), sources] = True
-
-    # intp offsets: bincount and fancy indexing cast narrower index
-    # arrays per use, so lean dtypes lose here.
-    row_offsets = (np.arange(reps, dtype=np.int64) * n)[:, None]
-    all_nodes = np.arange(n, dtype=np.int64)
-    all_rows = np.arange(reps, dtype=np.int64)
-    messages = np.zeros(reps, dtype=np.int64)
-    max_fanin = np.zeros(reps, dtype=np.int64)
-    completion = np.full(reps, -1, dtype=np.int64)
     flat_informed = informed.ravel()  # view — stays in sync with `informed`
 
-    for step in range(cap):
-        if graph is None:
-            targets = random_targets_batch(rng, reps, n)
-            valid = None
-            flat_t = (targets + row_offsets).ravel()
-            arrived = flat_t
-        else:
-            targets = graph.sample_contacts_batch(reps, all_nodes, rng)
-            valid = (targets >= 0).ravel()
-            flat_t = (np.where(targets >= 0, targets, 0) + row_offsets).ravel()
-            arrived = flat_t[valid]
-        # Synchronous semantics: responders and push senders act on the
-        # informed set as of the round's start.
+    def exchange(act, flat_t, valid):
+        # The schedule runs to its cap, so ``act`` is every row, every
+        # round.  Synchronous semantics: responders and push senders act
+        # on the informed set as of the round's start.
         target_informed = flat_informed[flat_t]
         if valid is not None:
-            target_informed = target_informed & valid
-        target_informed = target_informed.reshape(reps, n)
-        pull_hits = ~informed & target_informed  # answered pulls, per puller
-
-        # Metrics: pushes + answered pulls are the content messages (a
-        # void -1 push is still charged); every arrived contact counts
-        # toward its target's fan-in.
-        pushes = informed.sum(axis=1)
-        responses = pull_hits.sum(axis=1)
-        messages += pushes + responses
-        np.maximum(max_fanin, per_rep_max_fanin(arrived, reps, n), out=max_fanin)
-
+            target_informed &= valid
+        pull_hits = ~informed & target_informed.reshape(reps, n)
+        # Pushes + answered pulls are the content messages (a void -1
+        # push is still charged).
+        messages = informed.sum(axis=1) + pull_hits.sum(axis=1)
         # Deliveries.  The round-start informed set is read out into the
         # delivery index array before the scatter below mutates it, so
         # no snapshot copy is needed.
-        deliver = informed.ravel() if valid is None else informed.ravel() & valid
+        deliver = flat_informed if valid is None else flat_informed & valid
         flat_informed[flat_t[deliver]] = True
-        informed |= pull_hits
-        if overlay is not None:
-            # Every node initiates one contact (push or pull lane); a
-            # void -1 target occupies its caller without delivering.
-            overlay.full_round(all_rows, targets, valid)
+        np.logical_or(informed, pull_hits, out=informed)
+        return messages, messages * int(message_bits)
 
-        done = informed.all(axis=1)
-        completion[(completion < 0) & done] = step + 1
-
-        if telemetry is not None and (step + 1) % telemetry.probe_every == 0:
-            row = dict(
-                round=step + 1,
-                informed=float(informed.mean()),
-                messages=int(messages.sum()),
-                bits=int(messages.sum()) * int(message_bits),
-            )
-            if overlay is not None:
-                row["sim_time"] = float(overlay.sim_time.max())
-            telemetry.series.append(**row)
-
-    informed_counts = informed.sum(axis=1)
-    if telemetry is not None:
-        row = dict(
-            round=cap,
-            informed=float(informed.mean()),
-            messages=int(messages.sum()),
-            bits=int(messages.sum()) * int(message_bits),
-        )
-        if overlay is not None:
-            row["sim_time"] = float(overlay.sim_time.max())
-        telemetry.series.force(**row)
-    return BatchOutcome(
-        algorithm="push-pull",
-        n=n,
-        rounds=np.full(reps, cap, dtype=np.int64),
-        completion_round=completion,
-        messages=messages,
-        bits=messages * int(message_bits),
-        max_fanin=max_fanin,
-        informed_counts=informed_counts,
-        success=informed_counts == n,
-        sim_time=None if overlay is None else overlay.sim_time.copy(),
+    ledger = BatchLedger(
+        n,
+        reps,
+        telemetry=telemetry,
+        overlay=overlay,
+        columns=lambda _: {"informed": float(informed.mean())},
     )
+    uniform_rounds(
+        ledger,
+        rng,
+        cap,
+        exchange,
+        lambda act: informed[act].all(axis=1),
+        graph=graph,
+        run_to_cap=True,
+    )
+    informed_counts = informed.sum(axis=1)
+    return ledger.outcome("push-pull", informed_counts, informed_counts == n)
 
 
 @register_task_transport("push-pull")

@@ -10,21 +10,29 @@ replications simultaneously over ``(R, n)``-shaped state, paying the
 Python dispatch once per round for the whole batch.
 
 An algorithm opts in by registering a *batch runner* (see
-:func:`repro.registry.register_batch_runner`) that advances all
-replications with the same accounting conventions as the engine
-(:mod:`repro.sim.metrics`) and returns a :class:`BatchOutcome` of per-rep
-scalars.  Uniform schedule-driven protocols (PUSH-PULL) fit naturally:
-every replication runs the same fixed w.h.p. schedule, so the batch is
-perfectly rectangular.  Phase-structured algorithms (Cluster2) do not —
-they replicate through the memory-lean sequential engine instead
-(:class:`repro.core.broadcast.ReplicationEngine`).
+:func:`repro.registry.register_batch_runner`) that returns a
+:class:`BatchOutcome` of per-rep scalars.  Every runner keeps its
+accounting in one :class:`BatchLedger`: the per-rep rounds, messages,
+bits, fan-in and completion, charged with the engine's conventions
+(:mod:`repro.sim.metrics`), a telemetry sample every ``probe_every``-th
+committed round (idle rounds included), the forced final sample, and
+the outcome itself.  The uniform random-phone-call runners — PUSH-PULL
+and the push-sum, k-rumor and min-max tasks — also share one round
+loop, :func:`uniform_rounds`: it draws one contact per node, hands the
+round to the runner's exchange step, folds it into the clock overlay
+and charges it, so a runner supplies only that step, a done test, its
+telemetry columns and its outcome extras.  The phase-structured cluster
+pipeline (Cluster1/Cluster2, :mod:`repro.sim.batch_cluster`) charges
+the same ledger from its own primitives.
 
 Determinism: a batch is a deterministic function of its generator and
 shape.  The draws are made at the canonical lean index dtype (int32 for
 every ``n < 2**31``), in rep-major ``(R, n)`` blocks — a *different* (but
-identically distributed) stream than R sequential runs, which is why the
-batched path is validated statistically (``tests/test_whp_bounds.py``)
-rather than by fingerprint.
+identically distributed) stream than R sequential runs, so the vector
+engine is checked against the sequential one statistically
+(``tests/test_whp_bounds.py``, ``tests/test_batch_cluster.py``), and
+``tests/test_batch_cluster_pin.py`` pins every vector runner's outputs
+and telemetry series bit for bit.
 """
 
 from __future__ import annotations
@@ -134,6 +142,104 @@ class BatchOutcome:
 BatchRunner = Callable[..., BatchOutcome]
 
 
+class BatchLedger:
+    """Per-replication accounting of one ``(R, n)`` chunk.
+
+    ``rounds``, ``messages``, ``bits`` and ``max_fanin`` are the per-rep
+    totals, ``completion`` the round each replication finished in (-1
+    until it does).  With a ``telemetry`` chunk handle
+    (:class:`repro.obs.telemetry.RunTelemetry`), every
+    ``probe_every``-th committed round, charged or idle, is sampled as
+    one series row: the slowest replication's round, the runner's
+    ``columns(ledger)``, the chunk's cumulative messages and bits, and
+    the ``overlay``'s latest ``sim_time`` on the event tier
+    (:class:`repro.sim.schedule.BatchClockOverlay`, which never draws
+    from the runner's generator).  :meth:`outcome` forces a final
+    sample, so a series' last counters equal the outcome exactly.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        reps: int,
+        *,
+        telemetry=None,
+        overlay=None,
+        columns: "Callable[[BatchLedger], dict] | None" = None,
+    ) -> None:
+        self.n = int(n)
+        self.reps = int(reps)
+        self.telemetry = telemetry
+        self.overlay = overlay
+        self.columns = columns
+        self.rounds = np.zeros(reps, dtype=np.int64)
+        self.messages = np.zeros(reps, dtype=np.int64)
+        self.bits = np.zeros(reps, dtype=np.int64)
+        self.max_fanin = np.zeros(reps, dtype=np.int64)
+        self.completion = np.full(reps, -1, dtype=np.int64)
+        self._committed = 0
+
+    def charge(self, act, msgs, bits, fan=None) -> None:
+        """Commit one round at replication rows ``act``: ``msgs`` and
+        ``bits`` are per-row arrays (or scalars) of charged messages,
+        ``fan`` the per-row fan-in of the contacts that arrived (``None``
+        when none did)."""
+        self.rounds[act] += 1
+        self.messages[act] += msgs
+        self.bits[act] += bits
+        if fan is not None:
+            self.max_fanin[act] = np.maximum(self.max_fanin[act], fan)
+        self._probe()
+
+    def idle_round(self, act) -> None:
+        """A round in which the replications ``act`` do nothing (counted
+        and sampled).  No clock fold: an idle round takes no simulated
+        time on the event tier (the sequential scheduler's empty-ops
+        rule)."""
+        self.rounds[act] += 1
+        self._probe()
+
+    def _probe(self) -> None:
+        if self.telemetry is None:
+            return
+        self._committed += 1
+        if self._committed % self.telemetry.probe_every == 0:
+            self._sample(self.telemetry.series.append)
+
+    def _sample(self, write, **final) -> None:
+        row = {"round": int(self.rounds.max())}
+        if self.columns is not None:
+            row.update(self.columns(self))
+        row.update(final)
+        row["messages"] = int(self.messages.sum())
+        row["bits"] = int(self.bits.sum())
+        if self.overlay is not None:
+            row["sim_time"] = float(self.overlay.sim_time.max())
+        write(**row)
+
+    def outcome(
+        self, algorithm: str, informed_counts, success, *, final=None, **task_errors
+    ) -> BatchOutcome:
+        """The chunk's :class:`BatchOutcome` (``task_errors`` fills its
+        ``task_error`` fields), after the forced final sample (``final``
+        adds the columns known only at the end)."""
+        if self.telemetry is not None:
+            self._sample(self.telemetry.series.force, **(final or {}))
+        return BatchOutcome(
+            algorithm=algorithm,
+            n=self.n,
+            rounds=self.rounds,
+            completion_round=self.completion,
+            messages=self.messages,
+            bits=self.bits,
+            max_fanin=self.max_fanin,
+            informed_counts=informed_counts,
+            success=success,
+            sim_time=None if self.overlay is None else self.overlay.sim_time.copy(),
+            **task_errors,
+        )
+
+
 def random_targets_batch(
     rng: np.random.Generator, reps: int, n: int, dtype=None
 ) -> np.ndarray:
@@ -169,6 +275,76 @@ def resolve_sources(
     if source is None:
         return rng.integers(0, n, size=reps, dtype=np.int64)
     return np.full(reps, int(source), dtype=np.int64)
+
+
+def uniform_rounds(
+    ledger: BatchLedger,
+    rng: np.random.Generator,
+    cap: int,
+    exchange: Callable,
+    done: Callable,
+    *,
+    graph=None,
+    run_to_cap: bool = False,
+) -> None:
+    """Up to ``cap`` random-phone-call rounds over ``ledger``'s chunk.
+
+    Each round every node of every running replication dials one
+    contact: a uniform other node, or on a bound ``graph`` a random
+    neighbour (``-1`` when it has none).  ``exchange(act, flat_t,
+    valid)`` applies the round to rows ``act`` and returns their
+    ``(messages, bits)`` charges; ``flat_t`` is each caller's rep-offset
+    flat target (``i * n + target`` for ``act[i]``) and ``valid`` masks
+    the contacts that exist (``None`` when all do).  The one contact
+    serves both the push and the pull lane: the round folds into the
+    clock overlay as one full round, and each arrived contact counts
+    toward its target's fan-in.  ``done(rows)`` tells which rows have
+    finished; the ledger records the first round it holds (0 before any
+    round), and finished rows freeze — no more contacts or charges —
+    unless ``run_to_cap`` (PUSH-PULL's fixed w.h.p. schedule).
+    """
+    n = ledger.n
+    rows = np.arange(ledger.reps, dtype=np.int64)
+    nodes = np.arange(n, dtype=np.int64)
+    finished = done(rows)
+    ledger.completion[finished] = 0
+    running = rows if run_to_cap else rows[~finished]
+    for step in range(cap):
+        act = running
+        a = len(act)
+        if a == 0:
+            break
+        # intp offsets: bincount and fancy indexing cast narrower index
+        # arrays per use, so lean dtypes lose here.
+        offsets = (np.arange(a, dtype=np.int64) * n)[:, None]
+        if graph is None:
+            targets = random_targets_batch(rng, a, n)
+            valid = None
+            flat_t = (targets + offsets).ravel()
+            arrived = flat_t
+        else:
+            targets = graph.sample_contacts_batch(a, nodes, rng)
+            valid = (targets >= 0).ravel()
+            flat_t = (np.where(targets >= 0, targets, 0) + offsets).ravel()
+            arrived = flat_t[valid]
+        msgs, bits = exchange(act, flat_t, valid)
+        if ledger.overlay is not None:
+            # A void -1 target occupies its caller without delivering.
+            ledger.overlay.full_round(act, targets, valid)
+        finished = done(act)
+        ledger.completion[act[finished & (ledger.completion[act] < 0)]] = step + 1
+        ledger.charge(act, msgs, bits, per_rep_max_fanin(arrived, a, n))
+        if not run_to_cap:
+            running = act[~finished]
+
+
+def _task_columns(error: Callable[[], np.ndarray]) -> Callable:
+    """The task runners' telemetry columns: the chunk's mean task error
+    (``error()`` is per rep) and how many replications still run."""
+    return lambda ledger: {
+        "task_error": float(error().mean()),
+        "active_reps": int(np.count_nonzero(ledger.completion < 0)),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -324,85 +500,35 @@ def batched_push_sum(
     scale = np.maximum(np.abs(mu), 1e-12)
     v = values.copy()
     w = np.ones((reps, n))
+    err = np.empty(reps)
 
-    rounds = np.zeros(reps, dtype=np.int64)
-    messages = np.zeros(reps, dtype=np.int64)
-    bits = np.zeros(reps, dtype=np.int64)
-    max_fanin = np.zeros(reps, dtype=np.int64)
-    completion = np.full(reps, -1, dtype=np.int64)
-    err = np.abs(v / w - mu[:, None]).max(axis=1) / scale
-
-    active = err > tol
-    completion[~active] = 0
-    for step in range(cap):
-        act = np.flatnonzero(active)
-        if len(act) == 0:
-            break
-        targets = random_targets_batch(rng, len(act), n)
-        local_offsets = (np.arange(len(act), dtype=np.int64) * n)[:, None]
-        flat_t = (targets.astype(np.int64) + local_offsets).ravel()
-
+    def exchange(act, flat_t, valid):
+        a = len(act)
         v_half = v[act] * 0.5
         w_half = w[act] * 0.5
-        v_recv = np.bincount(flat_t, weights=v_half.ravel(), minlength=len(act) * n)
-        w_recv = np.bincount(flat_t, weights=w_half.ravel(), minlength=len(act) * n)
-        v[act] = v_half + v_recv.reshape(len(act), n)
-        w[act] = w_half + w_recv.reshape(len(act), n)
-        if overlay is not None:
-            overlay.full_round(act, targets)
+        v_recv = np.bincount(flat_t, weights=v_half.ravel(), minlength=a * n)
+        w_recv = np.bincount(flat_t, weights=w_half.ravel(), minlength=a * n)
+        v[act] = v_half + v_recv.reshape(a, n)
+        w[act] = w_half + w_recv.reshape(a, n)
+        return n, n * bits_per_msg
 
-        rounds[act] += 1
-        messages[act] += n
-        bits[act] += n * bits_per_msg
-        max_fanin[act] = np.maximum(
-            max_fanin[act], per_rep_max_fanin(flat_t, len(act), n)
-        )
-
+    def done(act):
         err[act] = np.abs(v[act] / w[act] - mu[act, None]).max(axis=1) / scale[act]
-        newly_done = act[err[act] <= tol]
-        completion[newly_done] = step + 1
-        active[newly_done] = False
+        return err[act] <= tol
 
-        if telemetry is not None and (step + 1) % telemetry.probe_every == 0:
-            row = dict(
-                round=step + 1,
-                task_error=float(err.mean()),
-                active_reps=int(active.sum()),
-                messages=int(messages.sum()),
-                bits=int(bits.sum()),
-            )
-            if overlay is not None:
-                row["sim_time"] = float(overlay.sim_time.max())
-            telemetry.series.append(**row)
-
-    if telemetry is not None:
-        row = dict(
-            round=int(rounds.max()),
-            task_error=float(err.mean()),
-            active_reps=int(active.sum()),
-            messages=int(messages.sum()),
-            bits=int(bits.sum()),
-        )
-        if overlay is not None:
-            row["sim_time"] = float(overlay.sim_time.max())
-        telemetry.series.force(**row)
-
+    ledger = BatchLedger(
+        n, reps, telemetry=telemetry, overlay=overlay, columns=_task_columns(lambda: err)
+    )
+    uniform_rounds(ledger, rng, cap, exchange, done)
     within = (np.abs(v / w - mu[:, None]) / scale[:, None]) <= tol
-    return BatchOutcome(
-        algorithm="push-pull",
-        n=n,
-        rounds=rounds,
-        completion_round=completion,
-        messages=messages,
-        bits=bits,
-        max_fanin=max_fanin,
-        informed_counts=within.sum(axis=1),
-        success=completion >= 0,
+    return ledger.outcome(
+        "push-pull",
+        within.sum(axis=1),
+        ledger.completion >= 0,
         task_error=err,
         # No adversity on the batch path: the surviving mass is all the
         # mass, so the repaired target is exactly the initial mean.
         task_error_repaired=err.copy(),
-        sim_time=None if overlay is None else overlay.sim_time.copy(),
     )
 
 
@@ -420,6 +546,7 @@ def batched_k_rumor(
     source: "int | None" = 0,
     k: int = 4,
     max_rounds: "int | None" = None,
+    telemetry=None,
     overlay=None,
 ) -> BatchOutcome:
     """k-rumor all-cast over uniform PUSH-PULL, ``reps`` replications at
@@ -433,7 +560,9 @@ def batched_k_rumor(
     ``count * message_bits`` payload), the empty-handed pull, and every
     node receiving a message ORs the sender's round-start snapshot into
     its own set.  Completed replications freeze (no further contacts, no
-    further charges), matching the sequential early stop.
+    further charges), matching the sequential early stop.  ``telemetry``
+    and ``overlay`` work as in :func:`batched_push_sum` (the series'
+    ``task_error`` is the mean fraction of missing (node, rumor) pairs).
 
     Memory note: the work arrays are ``(R, n, k)`` bool — chunking in
     :func:`repro.core.broadcast.run_replications` bounds ``R * n``, so
@@ -455,28 +584,13 @@ def batched_k_rumor(
         extra = np.argpartition(scores, k - 2, axis=1)[:, : k - 1]
         holds[rows[:, None], extra, np.arange(1, k)[None, :]] = True
 
-    rounds = np.zeros(reps, dtype=np.int64)
-    messages = np.zeros(reps, dtype=np.int64)
-    bits = np.zeros(reps, dtype=np.int64)
-    max_fanin = np.zeros(reps, dtype=np.int64)
-    completion = np.full(reps, -1, dtype=np.int64)
-    active = ~holds.all(axis=(1, 2))
-    completion[~active] = 0
-
-    for step in range(cap):
-        act = np.flatnonzero(active)
+    def exchange(act, flat_t, valid):
         a = len(act)
-        if a == 0:
-            break
         # Synchronous semantics: fancy indexing already yields a fresh
         # round-start snapshot (mutations land in holds_act / holds).
         snap = holds[act]
         content = snap.any(axis=2)  # (a, n)
         counts = snap.sum(axis=2, dtype=np.int64)  # rumors carried
-        targets = random_targets_batch(rng, a, n)
-        offsets = (np.arange(a, dtype=np.int64) * n)[:, None]
-        flat_t = (targets.astype(np.int64) + offsets).ravel()
-
         holds_act = holds[act]
         flat_holds = holds_act.reshape(a * n, k)
         # Push lane: holders push their whole set; receivers OR.  One
@@ -496,44 +610,31 @@ def batched_k_rumor(
         if resp_flat.any():
             flat_holds[resp_flat] |= snap.reshape(a * n, k)[flat_t[resp_flat]]
         holds[act] = holds_act
-        if overlay is not None:
-            # One contact per node per round: the same target serves the
-            # push and pull lanes, exactly as in the accounting above.
-            overlay.full_round(act, targets)
 
         pushes = content.sum(axis=1, dtype=np.int64)
         responses = responded.sum(axis=1, dtype=np.int64)
-        messages[act] += pushes + responses
         # Bits: k-bit presence bitmap + carried rumors, per push and per
         # answered pull (the responder's snapshot payload).
         payload = k + counts * rumor_bits
-        bits[act] += (payload * content).sum(axis=1)
-        flat_payload = payload.ravel()
-        resp_bits = np.where(resp_flat, flat_payload[flat_t], 0)
-        bits[act] += resp_bits.reshape(a, n).sum(axis=1)
-        rounds[act] += 1
-        max_fanin[act] = np.maximum(
-            max_fanin[act], per_rep_max_fanin(flat_t, a, n)
-        )
+        resp_bits = np.where(resp_flat, payload.ravel()[flat_t], 0)
+        bits = (payload * content).sum(axis=1) + resp_bits.reshape(a, n).sum(axis=1)
+        return pushes + responses, bits
 
-        done = holds[act].all(axis=(1, 2))
-        newly = act[done]
-        completion[newly] = step + 1
-        active[newly] = False
+    def done(act):
+        return holds[act].all(axis=(1, 2))
 
-    complete_nodes = holds.all(axis=2).sum(axis=1)
-    return BatchOutcome(
-        algorithm="push-pull",
-        n=n,
-        rounds=rounds,
-        completion_round=completion,
-        messages=messages,
-        bits=bits,
-        max_fanin=max_fanin,
-        informed_counts=complete_nodes,
-        success=completion >= 0,
-        task_error=1.0 - holds.mean(axis=(1, 2)),
-        sim_time=None if overlay is None else overlay.sim_time.copy(),
+    def error():
+        return 1.0 - holds.mean(axis=(1, 2))
+
+    ledger = BatchLedger(
+        n, reps, telemetry=telemetry, overlay=overlay, columns=_task_columns(error)
+    )
+    uniform_rounds(ledger, rng, cap, exchange, done)
+    return ledger.outcome(
+        "push-pull",
+        holds.all(axis=2).sum(axis=1),
+        ledger.completion >= 0,
+        task_error=error(),
     )
 
 
@@ -566,6 +667,7 @@ def batched_min_max(
     mode: str = "min",
     value_bits: int = PUSH_SUM_VALUE_BITS,
     max_rounds: "int | None" = None,
+    telemetry=None,
     overlay=None,
 ) -> BatchOutcome:
     """Min/max dissemination over uniform gossip, ``reps`` replications
@@ -578,7 +680,9 @@ def batched_min_max(
     replication completes when every node holds the global extreme.
     ``message_bits`` and ``source`` are accepted for the uniform
     batch-runner signature but unused — there is no rumor and no
-    distinguished source.
+    distinguished source.  ``telemetry`` and ``overlay`` work as in
+    :func:`batched_push_sum` (the series' ``task_error`` is the mean
+    fraction of nodes not yet holding the extreme).
     """
     del message_bits, source  # uniform batch-runner signature, unused
     check_mode(mode)
@@ -592,53 +696,29 @@ def batched_min_max(
     best = values.copy()
     target = reduce_best(values, axis=1)
 
-    rounds = np.zeros(reps, dtype=np.int64)
-    messages = np.zeros(reps, dtype=np.int64)
-    bits = np.zeros(reps, dtype=np.int64)
-    max_fanin = np.zeros(reps, dtype=np.int64)
-    completion = np.full(reps, -1, dtype=np.int64)
-    active = ~(best == target[:, None]).all(axis=1)
-    completion[~active] = 0
-
-    for step in range(cap):
-        act = np.flatnonzero(active)
+    def exchange(act, flat_t, valid):
         a = len(act)
-        if a == 0:
-            break
         snap = best[act]  # fancy indexing: already a fresh snapshot
-        targets = random_targets_batch(rng, a, n)
-        offsets = (np.arange(a, dtype=np.int64) * n)[:, None]
-        flat_t = (targets.astype(np.int64) + offsets).ravel()
-
         flat_best = best[act].reshape(-1)
         merge_at(flat_best, flat_t, snap.ravel())
         best[act] = flat_best.reshape(a, n)
-        if overlay is not None:
-            overlay.full_round(act, targets)
+        return n, n * bits_per_msg
 
-        rounds[act] += 1
-        messages[act] += n
-        bits[act] += n * bits_per_msg
-        max_fanin[act] = np.maximum(
-            max_fanin[act], per_rep_max_fanin(flat_t, a, n)
-        )
+    def done(act):
+        return (best[act] == target[act, None]).all(axis=1)
 
-        done = (best[act] == target[act, None]).all(axis=1)
-        newly = act[done]
-        completion[newly] = step + 1
-        active[newly] = False
+    def holding():
+        return (best == target[:, None]).sum(axis=1)
 
-    holding = (best == target[:, None]).sum(axis=1)
-    return BatchOutcome(
-        algorithm="push-pull",
-        n=n,
-        rounds=rounds,
-        completion_round=completion,
-        messages=messages,
-        bits=bits,
-        max_fanin=max_fanin,
-        informed_counts=holding,
-        success=completion >= 0,
-        task_error=1.0 - holding / float(n),
-        sim_time=None if overlay is None else overlay.sim_time.copy(),
+    ledger = BatchLedger(
+        n,
+        reps,
+        telemetry=telemetry,
+        overlay=overlay,
+        columns=_task_columns(lambda: 1.0 - holding() / float(n)),
+    )
+    uniform_rounds(ledger, rng, cap, exchange, done)
+    counts = holding()
+    return ledger.outcome(
+        "push-pull", counts, ledger.completion >= 0, task_error=1.0 - counts / float(n)
     )

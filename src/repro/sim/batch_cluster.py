@@ -65,7 +65,7 @@ import numpy as np
 from repro.core.clustering import UNCLUSTERED
 from repro.core.constants import LAPTOP, Cluster1Params, Cluster2Params, Profile
 from repro.obs.spans import maybe_span
-from repro.sim.batch import BatchOutcome, per_rep_max_fanin, resolve_sources
+from repro.sim.batch import BatchLedger, BatchOutcome, per_rep_max_fanin, resolve_sources
 from repro.sim.delivery import NOTHING
 from repro.sim.messages import MessageSizes
 from repro.sim.topology import ContactGraph
@@ -186,7 +186,7 @@ class _Members:
         return self._size_fan
 
 
-class ClusterBatch:
+class ClusterBatch(BatchLedger):
     """R replications of clustering state, advanced one primitive at a time.
 
     Parameters
@@ -206,6 +206,13 @@ class ClusterBatch:
         (``-1`` when a caller has none — charged, undelivered) instead
         of uniform global targets.  Leader/follower traffic stays
         directly addressed (the paper's global addressing).
+
+    The batch is its own :class:`~repro.sim.batch.BatchLedger`: every
+    primitive charges its rounds there, and its telemetry rows carry the
+    mean live cluster count (``clusters``).  ``overlay`` (the event tier)
+    folds every committed round's contacts into the per-rep clock
+    matrix; idle rounds take no simulated time, mirroring the sequential
+    :class:`~repro.sim.schedule.EventScheduler`.
     """
 
     def __init__(
@@ -219,23 +226,15 @@ class ClusterBatch:
         telemetry=None,
         overlay=None,
     ) -> None:
-        self.n = int(n)
-        self.reps = int(reps)
+        super().__init__(
+            n,
+            reps,
+            telemetry=telemetry,
+            overlay=overlay,
+            columns=lambda batch: {"clusters": batch._cluster_count()},
+        )
         self.rng = rng
         self.graph = graph
-        #: Optional :class:`repro.sim.schedule.BatchClockOverlay` — the
-        #: event tier for this batch.  Every primitive that commits a
-        #: round folds its contacts into the per-rep clock matrix; idle
-        #: rounds take no simulated time, mirroring the sequential
-        #: :class:`~repro.sim.schedule.EventScheduler`.  The overlay
-        #: never draws from ``rng``, so rounds/messages/bits are
-        #: bit-identical with it on or off.
-        self.overlay = overlay
-        #: Optional :class:`repro.obs.telemetry.RunTelemetry` chunk
-        #: handle; when set, every committed round offers a batch sample
-        #: (``None`` keeps the accounting paths probe-free).
-        self.telemetry = telemetry
-        self._probe_calls = 0
         self._clusters_cache: "Optional[Tuple[int, float]]" = None
         self.sizes = MessageSizes(self.n, rumor_bits=message_bits)
         self.follow = np.full((reps, n), UNCLUSTERED, dtype=np.int64)
@@ -250,10 +249,6 @@ class ClusterBatch:
         self.uid = rng.permuted(
             np.tile(np.arange(n, dtype=np.int64), (reps, 1)), axis=1
         )
-        self.rounds = np.zeros(reps, dtype=np.int64)
-        self.messages = np.zeros(reps, dtype=np.int64)
-        self.bits = np.zeros(reps, dtype=np.int64)
-        self.max_fanin = np.zeros(reps, dtype=np.int64)
         self._cols = np.arange(n, dtype=np.int64)
         # Row/column splits of flat indices dominate the member view;
         # powers of two (the scale tier's sizes) get shift/mask splits.
@@ -287,34 +282,18 @@ class ClusterBatch:
         return fan
 
     def _charge(self, act, msgs, bits, arrived=None, fan=None) -> None:
-        """Commit one round at replication rows ``act``.
+        """Commit one round at replication rows ``act`` (see
+        :meth:`~repro.sim.batch.BatchLedger.charge`).
 
-        ``msgs``/``bits`` are per-rep arrays (or scalars) of charged
-        messages; ``arrived`` holds rep-offset flat indices of every
-        contact that arrived this round (pushes + pull requests) — one
-        reduction yields the per-rep fan-in, exactly the engine's rule.
-        Callers that already hold the per-rep fan-in (e.g. from cluster
-        size counts) pass ``fan`` directly instead.
+        ``arrived`` holds rep-offset flat indices of every contact that
+        arrived this round (pushes + pull requests) — one reduction
+        yields the per-rep fan-in, exactly the engine's rule.  Callers
+        that already hold the per-rep fan-in (e.g. from cluster size
+        counts) pass ``fan`` directly instead.
         """
-        self.rounds[act] += 1
-        self.messages[act] += msgs
-        self.bits[act] += bits
         if fan is None and arrived is not None and len(arrived):
             fan = self._fanin(len(act), arrived)
-        if fan is not None:
-            self.max_fanin[act] = np.maximum(self.max_fanin[act], fan)
-        if self.telemetry is not None:
-            self._probe()
-
-    def idle_round(self, act) -> None:
-        """A round in which the given replications do nothing (counted).
-
-        No clock fold: an idle round takes no simulated time on the
-        event tier (the sequential scheduler's empty-ops rule).
-        """
-        self.rounds[act] += 1
-        if self.telemetry is not None:
-            self._probe()
+        self.charge(act, msgs, bits, fan)
 
     def _fold_clock(self, g, rows, srcs, dsts, arrived=None) -> None:
         """Fold one committed round's contacts into the event overlay.
@@ -325,13 +304,6 @@ class ClusterBatch:
         clock snapshot — the sequential scheduler's concurrency rule.
         """
         self.overlay.fold(np.asarray(g)[rows], srcs, dsts, arrived)
-
-    def _probe(self) -> None:
-        """Offer a batch sample every ``probe_every`` committed rounds."""
-        self._probe_calls += 1
-        if self._probe_calls % self.telemetry.probe_every:
-            return
-        self._sample()
 
     def _cluster_count(self) -> float:
         """Mean live cluster (leader) count, cached on the follow
@@ -344,22 +316,6 @@ class ClusterBatch:
         value = float(np.count_nonzero(self.follow == self._cols) / self.reps)
         self._clusters_cache = (self._follow_ver, value)
         return value
-
-    def _sample(self, force: bool = False) -> None:
-        """One batch-aggregate sample: slowest replication's round, mean
-        live cluster (leader) count, cumulative messages/bits."""
-        row = {
-            "round": int(self.rounds.max()),
-            "clusters": self._cluster_count(),
-            "messages": int(self.messages.sum()),
-            "bits": int(self.bits.sum()),
-        }
-        if self.overlay is not None:
-            row["sim_time"] = float(self.overlay.sim_time.max())
-        if force:
-            self.telemetry.series.force(**row)
-        else:
-            self.telemetry.series.append(**row)
 
     # ------------------------------------------------------------------
     # Member view and sparse receiver digests
@@ -1096,36 +1052,16 @@ def _pull(state: ClusterBatch, rounds: int) -> None:
 
 
 def _outcome(name: str, state: ClusterBatch, informed: np.ndarray) -> BatchOutcome:
+    # Cluster runners run their fixed phase schedule, never an
+    # early-completion watch, so ``completion_round`` stays -1 (mirrors
+    # the sequential reports, whose spread_rounds equals rounds).  The
+    # final sample adds the informed fraction, now known.
     counts = informed.sum(axis=1)
-    if state.telemetry is not None:
-        # Forced final sample (with the informed fraction, now known), so
-        # the series' last cumulative counters equal the outcome exactly.
-        row = dict(
-            round=int(state.rounds.max()),
-            clusters=float(
-                (state.follow == state._cols[None, :]).sum() / state.reps
-            ),
-            informed=float(counts.sum() / (state.reps * state.n)),
-            messages=int(state.messages.sum()),
-            bits=int(state.bits.sum()),
-        )
-        if state.overlay is not None:
-            row["sim_time"] = float(state.overlay.sim_time.max())
-        state.telemetry.series.force(**row)
-    return BatchOutcome(
-        algorithm=name,
-        n=state.n,
-        rounds=state.rounds,
-        # Cluster runners run their fixed phase schedule, never an
-        # early-completion watch (mirrors the sequential reports, whose
-        # spread_rounds equals rounds).
-        completion_round=np.full(state.reps, -1, dtype=np.int64),
-        messages=state.messages,
-        bits=state.bits,
-        max_fanin=state.max_fanin,
-        informed_counts=counts,
-        success=counts == state.n,
-        sim_time=None if state.overlay is None else state.overlay.sim_time.copy(),
+    return state.outcome(
+        name,
+        counts,
+        counts == state.n,
+        final={"informed": float(counts.sum() / (state.reps * state.n))},
     )
 
 
