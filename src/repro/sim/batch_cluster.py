@@ -745,7 +745,7 @@ class ClusterBatch(BatchLedger):
             m_flat[keep], m_r[keep], m_c[keep], m_target[keep]
         )
         if len(m_flat) == 0:  # nothing merges: the (empty) pull round
-            self.rounds[g] += 1
+            self.idle_round(g)
             return
         base = m_flat - m_c  # local rep row * n
 

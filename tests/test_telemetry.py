@@ -304,6 +304,21 @@ class TestVectorIntegration:
         assert run.series.last()["informed"] == pytest.approx(1.0)
         assert run.series.last()["messages"] == run.summary["messages_total"]
 
+    @pytest.mark.parametrize("algorithm", ["cluster1", "cluster2"])
+    def test_vector_cluster_series_samples_every_round(self, algorithm):
+        # At probe_every=1 every committed round is a series row, the
+        # idle round of a ClusterMerge in which nothing merges included
+        # (the sequential engine samples that round too).
+        for seed in (1, 2):
+            tel = Telemetry(probe_every=1)
+            summary = run_replications(
+                4096, algorithm, reps=1, base_seed=seed, engine="vector",
+                telemetry=tel,
+            )
+            rounds = int(summary.metrics["rounds"].maximum)
+            series = tel.runs[0].series.to_columns()
+            assert series["round"] == list(range(1, rounds + 1))
+
     def test_sharded_merge_matches_serial(self, tmp_path):
         serial, sharded = Telemetry(), Telemetry()
         run_replications(
