@@ -181,7 +181,7 @@ def batched_push_pull(
         rng,
         cap,
         exchange,
-        lambda act: informed[act].all(axis=1),
+        lambda act: informed.all(axis=1)[act],
         graph=graph,
         run_to_cap=True,
     )

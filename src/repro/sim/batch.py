@@ -306,26 +306,25 @@ def uniform_rounds(
     n = ledger.n
     rows = np.arange(ledger.reps, dtype=np.int64)
     nodes = np.arange(n, dtype=np.int64)
+    # intp offsets: bincount and fancy indexing cast narrower index
+    # arrays per use, so lean dtypes lose here.
+    offsets = rows[:, None] * n
     finished = done(rows)
     ledger.completion[finished] = 0
-    running = rows if run_to_cap else rows[~finished]
+    act = rows if run_to_cap else rows[~finished]
     for step in range(cap):
-        act = running
         a = len(act)
         if a == 0:
             break
-        # intp offsets: bincount and fancy indexing cast narrower index
-        # arrays per use, so lean dtypes lose here.
-        offsets = (np.arange(a, dtype=np.int64) * n)[:, None]
         if graph is None:
             targets = random_targets_batch(rng, a, n)
             valid = None
-            flat_t = (targets + offsets).ravel()
+            flat_t = (targets + offsets[:a]).ravel()
             arrived = flat_t
         else:
             targets = graph.sample_contacts_batch(a, nodes, rng)
             valid = (targets >= 0).ravel()
-            flat_t = (np.where(targets >= 0, targets, 0) + offsets).ravel()
+            flat_t = (np.where(targets >= 0, targets, 0) + offsets[:a]).ravel()
             arrived = flat_t[valid]
         msgs, bits = exchange(act, flat_t, valid)
         if ledger.overlay is not None:
@@ -335,7 +334,7 @@ def uniform_rounds(
         ledger.completion[act[finished & (ledger.completion[act] < 0)]] = step + 1
         ledger.charge(act, msgs, bits, per_rep_max_fanin(arrived, a, n))
         if not run_to_cap:
-            running = act[~finished]
+            act = act[~finished]
 
 
 def _task_columns(error: Callable[[], np.ndarray]) -> Callable:

@@ -282,14 +282,14 @@ class ClusterBatch(BatchLedger):
         return fan
 
     def _charge(self, act, msgs, bits, arrived=None, fan=None) -> None:
-        """Commit one round at replication rows ``act`` (see
-        :meth:`~repro.sim.batch.BatchLedger.charge`).
+        """Commit one round at replication rows ``act``.
 
-        ``arrived`` holds rep-offset flat indices of every contact that
-        arrived this round (pushes + pull requests) — one reduction
-        yields the per-rep fan-in, exactly the engine's rule.  Callers
-        that already hold the per-rep fan-in (e.g. from cluster size
-        counts) pass ``fan`` directly instead.
+        ``msgs``/``bits`` are per-rep arrays (or scalars) of charged
+        messages; ``arrived`` holds rep-offset flat indices of every
+        contact that arrived this round (pushes + pull requests) — one
+        reduction yields the per-rep fan-in, exactly the engine's rule.
+        Callers that already hold the per-rep fan-in (e.g. from cluster
+        size counts) pass ``fan`` directly instead.
         """
         if fan is None and arrived is not None and len(arrived):
             fan = self._fanin(len(act), arrived)
