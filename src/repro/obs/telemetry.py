@@ -21,8 +21,9 @@ every ``probe_every`` committed rounds (``informed`` from protocol
 progress, ``clusters`` from the clustering, ``task_error`` from task
 states) — and record coarse events via ``sim.emit(kind, **data)``,
 which lands in ``run.events`` at the current round.  *Vector* runners
-receive the run handle directly and feed batch-aggregate samples plus
-per-phase spans.
+receive the run handle directly: their ledger
+(:class:`repro.sim.batch.BatchLedger`) feeds batch-aggregate samples,
+and the cluster runners add per-phase spans.
 
 Sharded ``run_replications`` gives each shard a fresh collector
 (:meth:`spawn`), then merges the shard collectors back in shard order

@@ -44,6 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.sim.buffers import BufferPool
 from repro.sim.network import resolve_index_dtype
 
 #: Soft cap on elements per ``(R, n)`` work array; chunking in
@@ -326,15 +327,32 @@ def uniform_rounds(
             valid = (targets >= 0).ravel()
             flat_t = (np.where(targets >= 0, targets, 0) + offsets[:a]).ravel()
             arrived = flat_t[valid]
+        # Fan-in first: its bincount is freed before the exchange step
+        # allocates, which measured fewer page faults per round.
+        fan = per_rep_max_fanin(arrived, a, n)
         msgs, bits = exchange(act, flat_t, valid)
         if ledger.overlay is not None:
             # A void -1 target occupies its caller without delivering.
             ledger.overlay.full_round(act, targets, valid)
         finished = done(act)
         ledger.completion[act[finished & (ledger.completion[act] < 0)]] = step + 1
-        ledger.charge(act, msgs, bits, per_rep_max_fanin(arrived, a, n))
+        ledger.charge(act, msgs, bits, fan)
         if not run_to_cap:
             act = act[~finished]
+
+
+def _take_rows(pool: BufferPool, name: str, arr: np.ndarray, act) -> np.ndarray:
+    """``arr[act]`` for an ``(R, n)`` array, gathered into ``pool``'s
+    buffer ``name`` (valid until that buffer is taken again).
+
+    The round bodies run in closures, so fresh ``(a, n)`` temporaries
+    would all be freed together when each returns; under glibc's
+    default trim threshold that hands a few MiB back to the OS every
+    round and faults them in again the next.  Row blocks that persist
+    for the chunk, like the clock overlay's workspace, avoid it.
+    """
+    out = pool.take(name, len(act) * arr.shape[1], arr.dtype)
+    return np.take(arr, act, axis=0, out=out.reshape(len(act), arr.shape[1]))
 
 
 def _task_columns(error: Callable[[], np.ndarray]) -> Callable:
@@ -500,19 +518,25 @@ def batched_push_sum(
     v = values.copy()
     w = np.ones((reps, n))
     err = np.empty(reps)
+    pool = BufferPool()
 
     def exchange(act, flat_t, valid):
-        a = len(act)
-        v_half = v[act] * 0.5
-        w_half = w[act] * 0.5
-        v_recv = np.bincount(flat_t, weights=v_half.ravel(), minlength=a * n)
-        w_recv = np.bincount(flat_t, weights=w_half.ravel(), minlength=a * n)
-        v[act] = v_half + v_recv.reshape(a, n)
-        w[act] = w_half + w_recv.reshape(a, n)
+        # Each node keeps half its mass and pushes the other half.
+        for mass in (v, w):
+            half = _take_rows(pool, "rows", mass, act)
+            half *= 0.5
+            half += np.bincount(
+                flat_t, weights=half.ravel(), minlength=half.size
+            ).reshape(half.shape)
+            mass[act] = half
         return n, n * bits_per_msg
 
     def done(act):
-        err[act] = np.abs(v[act] / w[act] - mu[act, None]).max(axis=1) / scale[act]
+        estimate = _take_rows(pool, "rows", v, act)
+        estimate /= _take_rows(pool, "weights", w, act)
+        estimate -= mu[act, None]
+        np.abs(estimate, out=estimate)
+        err[act] = estimate.max(axis=1) / scale[act]
         return err[act] <= tol
 
     ledger = BatchLedger(
@@ -695,16 +719,18 @@ def batched_min_max(
     best = values.copy()
     target = reduce_best(values, axis=1)
 
+    pool = BufferPool()
+
     def exchange(act, flat_t, valid):
-        a = len(act)
-        snap = best[act]  # fancy indexing: already a fresh snapshot
-        flat_best = best[act].reshape(-1)
-        merge_at(flat_best, flat_t, snap.ravel())
-        best[act] = flat_best.reshape(a, n)
+        # Senders push their round-start best (the snapshot).
+        snap = _take_rows(pool, "snapshot", best, act)
+        merged = _take_rows(pool, "rows", best, act)
+        merge_at(merged.ravel(), flat_t, snap.ravel())
+        best[act] = merged
         return n, n * bits_per_msg
 
     def done(act):
-        return (best[act] == target[act, None]).all(axis=1)
+        return (_take_rows(pool, "rows", best, act) == target[act, None]).all(axis=1)
 
     def holding():
         return (best == target[:, None]).sum(axis=1)

@@ -25,7 +25,9 @@ class BufferPool:
       engine's per-round concatenations, across every execution it runs;
     * a :class:`~repro.sim.schedule.BatchClockOverlay` keeps one for its
       full rounds' int64 targets and completion matrix — one overlay per
-      vector chunk, so one workspace per chunk.
+      vector chunk, so one workspace per chunk;
+    * the push-sum and min-max batch runners keep one per chunk for the
+      row blocks their rounds gather (:mod:`repro.sim.batch`).
 
     Within a round the owner asks the pool for scratch space via
     :meth:`take`; the pool keeps one backing array per ``name`` (grown
