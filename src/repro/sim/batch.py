@@ -164,9 +164,9 @@ class BatchLedger:
         n: int,
         reps: int,
         *,
+        columns: "Callable[[BatchLedger], dict]",
         telemetry=None,
         overlay=None,
-        columns: "Callable[[BatchLedger], dict] | None" = None,
     ) -> None:
         self.n = int(n)
         self.reps = int(reps)
@@ -208,10 +208,7 @@ class BatchLedger:
             self._sample(self.telemetry.series.append)
 
     def _sample(self, write, **final) -> None:
-        row = {"round": int(self.rounds.max())}
-        if self.columns is not None:
-            row.update(self.columns(self))
-        row.update(final)
+        row = {"round": int(self.rounds.max()), **self.columns(self), **final}
         row["messages"] = int(self.messages.sum())
         row["bits"] = int(self.bits.sum())
         if self.overlay is not None:
@@ -345,11 +342,9 @@ def _take_rows(pool: BufferPool, name: str, arr: np.ndarray, act) -> np.ndarray:
     """``arr[act]`` for an ``(R, n)`` array, gathered into ``pool``'s
     buffer ``name`` (valid until that buffer is taken again).
 
-    The round bodies run in closures, so fresh ``(a, n)`` temporaries
-    would all be freed together when each returns; under glibc's
-    default trim threshold that hands a few MiB back to the OS every
-    round and faults them in again the next.  Row blocks that persist
-    for the chunk, like the clock overlay's workspace, avoid it.
+    Fresh ``(a, n)`` temporaries would all be freed when a round's
+    closure returns; under glibc's default trim threshold that returns a
+    few MiB to the OS every round, to be faulted in again the next.
     """
     out = pool.take(name, len(act) * arr.shape[1], arr.dtype)
     return np.take(arr, act, axis=0, out=out.reshape(len(act), arr.shape[1]))

@@ -11,13 +11,22 @@ under adversarial dynamics alike.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.broadcast import broadcast, run_replications
 from repro.obs import Telemetry
 
 algorithms = st.sampled_from(["push-pull", "cluster2"])
+#: (algorithm, task) of the vector runners held to the contract: both
+#: broadcast runners and push-pull's three task runners.
+vector_runs = st.sampled_from([
+    ("push-pull", "broadcast"),
+    ("cluster2", "broadcast"),
+    ("push-pull", "push-sum"),
+    ("push-pull", "k-rumor"),
+    ("push-pull", "min-max"),
+])
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 probe_everys = st.integers(min_value=1, max_value=7)
 # Small caps force decimation so the final forced sample is load-bearing.
@@ -64,14 +73,19 @@ class TestSequentialEngine:
 
 class TestVectorEngine:
     @settings(max_examples=8, deadline=None)
-    @given(algorithm=algorithms, seed=seeds, probe_every=probe_everys,
+    @given(run=vector_runs, seed=seeds, probe_every=probe_everys,
            reps=st.integers(min_value=1, max_value=5), cap=series_caps)
-    def test_final_row_matches_outcome(self, algorithm, seed, probe_every,
+    # Every task runner, whatever the draws above sample.
+    @example(run=("push-pull", "push-sum"), seed=3, probe_every=2, reps=4, cap=8)
+    @example(run=("push-pull", "k-rumor"), seed=4, probe_every=3, reps=3, cap=8)
+    @example(run=("push-pull", "min-max"), seed=5, probe_every=1, reps=5, cap=16)
+    def test_final_row_matches_outcome(self, run, seed, probe_every,
                                        reps, cap):
+        algorithm, task = run
         tel = Telemetry(probe_every=probe_every, series_cap=cap)
         summary = run_replications(
-            128, algorithm, reps=reps, base_seed=seed, engine="vector",
-            telemetry=tel,
+            128, algorithm, task=task, reps=reps, base_seed=seed,
+            engine="vector", telemetry=tel,
         )
         row = _final_row(tel)
         # The series accumulates per-step sums inside the batch runner;
