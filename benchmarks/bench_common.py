@@ -72,19 +72,10 @@ def grouped_report_sweep(cells, make_spec, seeds: Sequence[int] = SEEDS) -> dict
 
 
 def bench_spec(algorithm: str, n: int, seed: int, **kw) -> RunSpec:
-    """A bench-flavored job: model checking off, broadcast-level knobs
-    (``failures``, ``source``…) split from algorithm knobs in ``kw``."""
-    failures = kw.pop("failures", 0)
-    source = kw.pop("source", 0)
-    return RunSpec(
-        algorithm=algorithm,
-        n=n,
-        seed=seed,
-        source=source,
-        failures=failures,
-        check_model=False,
-        kwargs=kw,
-    )
+    """A bench-flavored job: model checking off; ``kw`` holds any
+    :func:`repro.core.broadcast.broadcast` keyword, settings and
+    algorithm knobs alike (:meth:`RunSpec.of` sorts them)."""
+    return RunSpec.of(algorithm, n, seed, check_model=False, **kw)
 
 
 def emit(table: Table, exp_id: str, fmt: str = "text") -> str:

@@ -20,8 +20,8 @@ Both tables land in ``results/`` as text *and* JSON
 
 from __future__ import annotations
 
-from bench_common import RESULTS_DIR, WORKERS
-from repro.analysis.runner import RunSpec, sweep_reports
+from bench_common import RESULTS_DIR, WORKERS, bench_spec
+from repro.analysis.runner import sweep_reports
 from repro.analysis.tables import Table
 
 E14_N = 2**12
@@ -32,22 +32,10 @@ E15_SEEDS = [0, 1, 2, 3, 4]
 ALGOS = ("push-pull", "cluster2")
 
 
-def _task_spec(algorithm, n, seed, task, task_kwargs, schedule=None):
-    return RunSpec(
-        algorithm=algorithm,
-        n=n,
-        seed=seed,
-        schedule=schedule,
-        task=task,
-        task_kwargs=task_kwargs,
-        check_model=False,
-    )
-
-
 def test_e14_krumor_scaling():
     cells = [(algo, k) for algo in ALGOS for k in E14_KS]
     specs = [
-        _task_spec(algo, E14_N, seed, "k-rumor", {"k": k})
+        bench_spec(algo, E14_N, seed, task="k-rumor", task_kwargs={"k": k})
         for (algo, k) in cells
         for seed in SEEDS
     ]
@@ -93,7 +81,9 @@ def test_e15_pushsum_dynamics():
     ]
     cells = [(algo, case) for algo in ALGOS for case in cases]
     specs = [
-        _task_spec(algo, E15_N, seed, "push-sum", {"tol": tol}, schedule=sched)
+        bench_spec(
+            algo, E15_N, seed, task="push-sum", task_kwargs={"tol": tol}, schedule=sched
+        )
         for (algo, (label, sched, tol)) in cells
         for seed in E15_SEEDS
     ]

@@ -23,18 +23,34 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 
+#: Each bench test's start: its clock and how many experiments were
+#: emitted before it.
+_STARTED = pytest.StashKey[tuple]()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    """Start a bench test's clock before its setup, so the module fixtures
+    it triggers (where E1-E10 run their sweeps) count towards the wall
+    clock of the experiments it emits."""
+    import bench_common
+
+    item.stash[_STARTED] = (time.perf_counter(), len(bench_common.EMITTED_EXPERIMENTS))
+    yield
+
+
 @pytest.fixture(autouse=True)
 def _bench_trajectory(request):
     """Stamp a ``BENCH_<exp>.json`` trajectory file for every experiment a
-    bench test emits: the test's wall-clock, the process's peak RSS, and
-    which test produced it.  Benches with richer per-rep timings merge
-    them into the same file via :func:`bench_common.trajectory_note`.
+    bench test emits: the test's wall-clock (its setup included), the
+    process's peak RSS, and which test produced it.  Benches with richer
+    per-rep timings merge them into the same file via
+    :func:`bench_common.trajectory_note`.
     """
     import bench_common
 
-    start = len(bench_common.EMITTED_EXPERIMENTS)
-    t0 = time.perf_counter()
     yield
+    t0, start = request.node.stash[_STARTED]
     wall = time.perf_counter() - t0
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     for exp in bench_common.EMITTED_EXPERIMENTS[start:]:

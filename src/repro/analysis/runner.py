@@ -8,17 +8,24 @@ derives every random stream from its own seed, so records are
 **bit-identical regardless of worker count or completion order** —
 results are always reassembled in deterministic grid order.  Records are
 plain dataclasses so tables, fits and tests consume them without pandas.
+
+:meth:`RunSpec.of` is the one job constructor: it takes any keyword
+:func:`~repro.core.broadcast.broadcast` takes (the run settings declared
+by :func:`~repro.core.broadcast.check_config`, and algorithm knobs) plus
+the job's own fields, so :func:`run_once`, :func:`expand_grid`,
+:func:`sweep` and :func:`replication_sweep` forward their keywords to it
+unread.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.stats import ReplicationSummary, Summary, summarize
-from repro.core.broadcast import broadcast, run_replications
+from repro.core.broadcast import RUN_SETTINGS, broadcast, run_replications
 from repro.core.result import AlgorithmReport
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.sim.dynamics import AdversitySchedule
@@ -77,31 +84,30 @@ class RunSpec:
     trace: bool = False
     kwargs: Dict[str, Any] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, algorithm: str, n: int, seed: int, **settings: Any) -> "RunSpec":
+        """The job for ``algorithm`` at ``n`` and ``seed``: a keyword that
+        names a field fills it, and every other keyword (``profile``, an
+        algorithm knob) goes to ``kwargs``, so the job takes whatever
+        :func:`broadcast` does."""
+        own = {name: settings.pop(name) for name in list(settings) if name in _OWN_FIELDS}
+        return cls(algorithm=algorithm, n=n, seed=seed, kwargs=settings, **own)
+
+    def _collector(self) -> Optional[Telemetry]:
+        return Telemetry.from_config(self.telemetry) if self.telemetry is not None else None
+
     def run(self) -> AlgorithmReport:
         """Execute this job once (at ``seed``), returning the full report."""
-        collector = (
-            Telemetry.from_config(self.telemetry)
-            if self.telemetry is not None
-            else None
-        )
+        if self.reps != 1:
+            raise ValueError(f"a job with reps={self.reps} runs through replicate()")
+        collector = self._collector()
         report = broadcast(
             self.n,
             self.algorithm,
             seed=self.seed,
-            source=self.source,
-            message_bits=self.message_bits,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=dict(self.task_kwargs),
-            topology=self.topology,
-            direct_addressing=self.direct_addressing,
-            scheduler=self.scheduler,
-            trace=self.trace,
             telemetry=collector,
             check_model=self.check_model,
-            **self.kwargs,
+            **settings_of(self),
         )
         if collector is not None:
             report.extras["telemetry"] = collector
@@ -109,31 +115,16 @@ class RunSpec:
 
     def replicate(self) -> ReplicationSummary:
         """Execute this job as a ``reps``-seed streamed replication suite."""
-        collector = (
-            Telemetry.from_config(self.telemetry)
-            if self.telemetry is not None
-            else None
-        )
+        collector = self._collector()
         summary = run_replications(
             self.n,
             self.algorithm,
             reps=self.reps,
             base_seed=self.seed,
             engine=self.engine,
-            source=self.source,
-            message_bits=self.message_bits,
-            failures=self.failures,
-            failure_pattern=self.failure_pattern,
-            schedule=self.schedule,
-            task=self.task,
-            task_kwargs=dict(self.task_kwargs),
-            topology=self.topology,
-            direct_addressing=self.direct_addressing,
-            scheduler=self.scheduler,
-            trace=self.trace,
             telemetry=collector,
             check_model=self.check_model,
-            **self.kwargs,
+            **settings_of(self),
         )
         if collector is not None:
             summary.telemetry = collector
@@ -159,6 +150,18 @@ class RunSpec:
                 else f" [{self.scheduler.describe()}]"
             )
         return f"{self.algorithm}{middle}{where}{tier} n={self.n}{tail}"
+
+
+#: The :class:`RunSpec` fields that :meth:`RunSpec.of` fills by name.
+_OWN_FIELDS = {f.name for f in fields(RunSpec)} - {"algorithm", "n", "seed", "kwargs"}
+
+
+def settings_of(job: Any) -> Dict[str, Any]:
+    """What a :class:`RunSpec` or :class:`~repro.workloads.scenarios.Scenario`
+    forwards to :func:`broadcast`: its fields that are run settings, by
+    name, then its ``kwargs`` (algorithm knobs and any other setting)."""
+    own = {f.name: getattr(job, f.name) for f in fields(job) if f.name in RUN_SETTINGS}
+    return {**own, **job.kwargs}
 
 
 @dataclass(frozen=True)
@@ -221,76 +224,18 @@ def replicate_spec(spec: RunSpec) -> ReplicationSummary:
     return spec.replicate()
 
 
-def run_once(
-    algorithm: str,
-    n: int,
-    seed: int,
-    *,
-    source: Optional[int] = 0,
-    message_bits: int = 256,
-    failures: float = 0,
-    failure_pattern: str = "random",
-    schedule: Optional[AdversitySchedule] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    check_model: bool = True,
-    **kwargs: Any,
-) -> RunRecord:
+def run_once(algorithm: str, n: int, seed: int, **settings: Any) -> RunRecord:
     """Run one configuration through :func:`repro.core.broadcast.broadcast`."""
-    return run_spec(
-        RunSpec(
-            algorithm=algorithm,
-            n=n,
-            seed=seed,
-            source=source,
-            message_bits=message_bits,
-            failures=failures,
-            failure_pattern=failure_pattern,
-            schedule=schedule,
-            topology=topology,
-            direct_addressing=direct_addressing,
-            scheduler=scheduler,
-            check_model=check_model,
-            kwargs=kwargs,
-        )
-    )
+    return run_spec(RunSpec.of(algorithm, n, seed, **settings))
 
 
 def expand_grid(
-    algorithms: Sequence[str],
-    ns: Sequence[int],
-    seeds: Sequence[int],
-    *,
-    source: Optional[int] = 0,
-    message_bits: int = 256,
-    failures: float = 0,
-    failure_pattern: str = "random",
-    schedule: Optional[AdversitySchedule] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    check_model: bool = True,
-    **kwargs: Any,
+    algorithms: Sequence[str], ns: Sequence[int], seeds: Sequence[int], **settings: Any
 ) -> List[RunSpec]:
     """Flatten an ``algorithm x n x seed`` grid into jobs, algorithm-major
     (the historical serial-loop order, which fixes the output order)."""
     return [
-        RunSpec(
-            algorithm=algorithm,
-            n=n,
-            seed=seed,
-            source=source,
-            message_bits=message_bits,
-            failures=failures,
-            failure_pattern=failure_pattern,
-            schedule=schedule,
-            topology=topology,
-            direct_addressing=direct_addressing,
-            scheduler=scheduler,
-            check_model=check_model,
-            kwargs=dict(kwargs),
-        )
+        RunSpec.of(algorithm, n, seed, **settings)
         for algorithm in algorithms
         for n in ns
         for seed in seeds
@@ -348,32 +293,13 @@ def sweep(
     ns: Sequence[int],
     seeds: Sequence[int],
     *,
-    message_bits: int = 256,
-    failures: float = 0,
-    schedule: Optional[AdversitySchedule] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    check_model: bool = True,
     workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    **kwargs: Any,
+    **settings: Any,
 ) -> List[RunRecord]:
     """Full grid sweep; deterministic given the seed list, bit-identical
     for every ``workers`` value."""
-    specs = expand_grid(
-        algorithms,
-        ns,
-        seeds,
-        message_bits=message_bits,
-        failures=failures,
-        schedule=schedule,
-        topology=topology,
-        direct_addressing=direct_addressing,
-        scheduler=scheduler,
-        check_model=check_model,
-        **kwargs,
-    )
+    specs = expand_grid(algorithms, ns, seeds, **settings)
     return execute(specs, workers=workers, progress=progress)
 
 
@@ -383,37 +309,16 @@ def replication_sweep(
     reps: int,
     *,
     base_seed: int = 0,
-    engine: str = "auto",
-    message_bits: int = 256,
-    failures: float = 0,
-    schedule: Optional[AdversitySchedule] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    check_model: bool = True,
     workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    **kwargs: Any,
+    **settings: Any,
 ) -> List[ReplicationSummary]:
     """An ``algorithm x n`` grid where every cell is a ``reps``-seed
     streamed replication suite (cells fan out over ``workers`` processes;
-    within a cell the replications stream through one engine)."""
+    within a cell the replications stream through one engine, ``engine=``
+    ``"auto"`` unless given)."""
     specs = [
-        RunSpec(
-            algorithm=algorithm,
-            n=n,
-            seed=base_seed,
-            message_bits=message_bits,
-            failures=failures,
-            schedule=schedule,
-            topology=topology,
-            direct_addressing=direct_addressing,
-            scheduler=scheduler,
-            check_model=check_model,
-            reps=reps,
-            engine=engine,
-            kwargs=dict(kwargs),
-        )
+        RunSpec.of(algorithm, n, base_seed, reps=reps, **settings)
         for algorithm in algorithms
         for n in ns
     ]

@@ -126,10 +126,6 @@ def _parse_task_arg(text: str) -> "tuple[str, Any]":
     return key, value
 
 
-def _task_kwargs_from_args(args: argparse.Namespace) -> Dict[str, Any]:
-    return dict(getattr(args, "task_arg", None) or [])
-
-
 def _topology_from_args(args: argparse.Namespace):
     """Build the ``--topology``/``--topology-arg`` spec (None = complete)."""
     name = getattr(args, "topology", None)
@@ -256,20 +252,33 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _telemetry_from_args(args: argparse.Namespace) -> Optional[Telemetry]:
-    if getattr(args, "telemetry", None) is None:
+def _collector_from_args(args: argparse.Namespace) -> Optional[Telemetry]:
+    """The collector for ``--telemetry``, or for ``--trace PATH``: tracing
+    needs a collector to export through even when ``--telemetry`` is
+    absent."""
+    if args.telemetry is None and getattr(args, "trace", None) is None:
         return None
     return Telemetry(probe_every=args.probe_every)
 
 
-def _trace_collector(
-    args: argparse.Namespace, collector: Optional[Telemetry]
-) -> "tuple[Optional[Telemetry], bool]":
-    """Upgrade the collector for ``--trace PATH``: tracing needs a
-    collector to export through even when ``--telemetry`` is absent."""
-    if getattr(args, "trace", None) is None:
-        return collector, False
-    return collector or Telemetry(probe_every=args.probe_every), True
+def _settings_from_args(args: argparse.Namespace) -> Dict[str, Any]:
+    """The run settings the flags set, as one mapping: `run`, `run
+    --reps`, `sweep` and `sweep --telemetry` all forward it."""
+    settings = dict(
+        message_bits=args.message_bits,
+        schedule=_schedule_from_args(args),
+        topology=_topology_from_args(args),
+        direct_addressing=args.direct_addressing,
+        scheduler=_scheduler_from_args(args),
+    )
+    if args.command == "run":
+        settings.update(
+            failures=args.failures,
+            task=args.task,
+            task_kwargs=dict(args.task_arg or []),
+            trace=args.trace is not None,
+        )
+    return settings
 
 
 def _write_telemetry(collector: Optional[Telemetry], path: Optional[str]) -> None:
@@ -327,28 +336,20 @@ def _cmd_run_replications(args: argparse.Namespace) -> int:
                 f"success={scalars['success']}"
             )
 
-    collector, traced = _trace_collector(args, _telemetry_from_args(args))
+    collector = _collector_from_args(args)
     summary = run_replications(
         args.n,
         args.algorithm,
         reps=args.reps,
         base_seed=args.seed,
         engine=args.engine,
-        message_bits=args.message_bits,
-        failures=args.failures,
-        schedule=_schedule_from_args(args),
-        task=args.task,
-        task_kwargs=_task_kwargs_from_args(args),
-        topology=_topology_from_args(args),
-        direct_addressing=args.direct_addressing,
-        scheduler=_scheduler_from_args(args),
         consume=consume,
         workers=args.workers,
         telemetry=collector,
-        trace=traced,
+        **_settings_from_args(args),
     )
     print(_replication_table([summary], f"{args.reps} replications").render())
-    if traced:
+    if args.trace is not None:
         row = summary.row()
         if "critical_path_len_mean" in row:
             print(
@@ -399,21 +400,13 @@ def _cmd_run_checked(args: argparse.Namespace) -> int:
             "running a single broadcast",
             file=sys.stderr,
         )
-    collector, traced = _trace_collector(args, _telemetry_from_args(args))
+    collector = _collector_from_args(args)
     report = broadcast(
         args.n,
         args.algorithm,
         seed=args.seed,
-        message_bits=args.message_bits,
-        failures=args.failures,
-        schedule=_schedule_from_args(args),
-        task=args.task,
-        task_kwargs=_task_kwargs_from_args(args),
-        topology=_topology_from_args(args),
-        direct_addressing=args.direct_addressing,
-        scheduler=_scheduler_from_args(args),
-        trace=traced,
         telemetry=collector,
+        **_settings_from_args(args),
     )
     print(report)
     print()
@@ -501,22 +494,13 @@ def _sweep_with_telemetry(args: argparse.Namespace):
     :func:`sweep_reports` (each builds a collector from the frozen
     config inside its worker), the collectors merge back in grid order
     into one file, and the reports flatten into the usual records."""
-    from dataclasses import replace
-
-    config = TelemetryConfig(probe_every=args.probe_every)
-    specs = [
-        replace(spec, telemetry=config)
-        for spec in expand_grid(
-            args.algorithms,
-            args.ns,
-            list(range(args.seeds)),
-            message_bits=args.message_bits,
-            schedule=_schedule_from_args(args),
-            topology=_topology_from_args(args),
-            direct_addressing=args.direct_addressing,
-            scheduler=_scheduler_from_args(args),
-        )
-    ]
+    specs = expand_grid(
+        args.algorithms,
+        args.ns,
+        list(range(args.seeds)),
+        telemetry=TelemetryConfig(probe_every=args.probe_every),
+        **_settings_from_args(args),
+    )
     reports = sweep_reports(specs, workers=args.workers)
     merged = Telemetry(probe_every=args.probe_every)
     for report in reports:
@@ -539,12 +523,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 args.algorithms,
                 args.ns,
                 list(range(args.seeds)),
-                message_bits=args.message_bits,
-                schedule=_schedule_from_args(args),
-                topology=_topology_from_args(args),
-                direct_addressing=args.direct_addressing,
-                scheduler=_scheduler_from_args(args),
                 workers=args.workers,
+                **_settings_from_args(args),
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,12 @@ the paper's and every baseline — self-registers an
 :mod:`repro.analysis.runner` iterate the same catalogue uniformly and
 third-party algorithms plug in without touching this module.
 
+Besides ``n``, the algorithm and the seed, a run is fixed by twelve run
+settings, declared once as the keyword-only parameters of
+:func:`check_config` (:data:`RUN_SETTINGS`).  Every entry point takes
+them with the algorithm's knobs as one ``**settings`` mapping, which
+:func:`check_settings` splits.
+
 ``task`` selects the workload semantics (:mod:`repro.tasks`): the
 default ``"broadcast"`` is the paper's single-rumor setting on the
 untouched legacy path (bit-identical output for a fixed seed); any other
@@ -73,10 +79,12 @@ BroadcastResult = AlgorithmReport
 __all__ = [
     "BroadcastResult",
     "CheckedConfig",
+    "RUN_SETTINGS",
     "ReplicationEngine",
     "algorithm_names",
     "broadcast",
     "check_config",
+    "check_settings",
     "run_replications",
     "vector_unavailable",
 ]
@@ -105,10 +113,20 @@ class CheckedConfig(NamedTuple):
     runner: Optional[Callable[..., Any]]
     runner_accepts: frozenset[str]
 
+    def settings(self) -> Dict[str, Any]:
+        """The resolved run settings, as :func:`check_config` keywords
+        (``trace`` rides in the resolved scheduler)."""
+        return {name: getattr(self, name) for name in self._fields if name in RUN_SETTINGS}
+
 
 def check_config(
     n: int,
     algorithm: str = "cluster2",
+    algorithm_kwargs: Optional[Dict[str, Any]] = None,
+    reps: Optional[int] = None,
+    engine: Optional[str] = None,
+    workers: Optional[int] = None,
+    batch_elems: Optional[int] = None,
     *,
     source: Optional[int] = 0,
     message_bits: int = 256,
@@ -122,24 +140,23 @@ def check_config(
     scheduler: "EventSchedulerSpec | str | None" = None,
     profile: "Profile | str" = LAPTOP,
     trace: bool = False,
-    algorithm_kwargs: Optional[Dict[str, Any]] = None,
-    reps: Optional[int] = None,
-    engine: Optional[str] = None,
-    workers: Optional[int] = None,
-    batch_elems: Optional[int] = None,
 ) -> CheckedConfig:
     """Check a whole run configuration before any engine runs, and return
     it resolved, as the :class:`CheckedConfig` every engine runs from.
 
-    :func:`broadcast`, :class:`ReplicationEngine`, :func:`run_replications`
-    (once, before it picks an engine) and
-    :class:`~repro.workloads.scenarios.Scenario` all call this, so a bad
+    This is where the run settings are declared: they are its
+    keyword-only parameters (:data:`RUN_SETTINGS`; :func:`broadcast`
+    documents each).  A new setting is one keyword here, plus a
+    :class:`CheckedConfig` field where the engines read it.  The
+    replication knobs are checked only when given, so an error reads the
+    same from :func:`broadcast` and :func:`run_replications`.
+
+    Every entry point calls this through :func:`check_settings` (and
+    :func:`run_replications` once, before it picks an engine), so a bad
     configuration is one single-line ``ValueError`` (or a subclass such as
-    :class:`~repro.registry.IncompatibleTaskError`) on every engine.  The
-    replication knobs come last and are checked only when given, so an
-    error reads the same from :func:`broadcast` and
-    :func:`run_replications`.  Rules an algorithm, a task state or a graph
-    owns stay with it: Cluster2's ``n >= 4``, the task knobs' values
+    :class:`~repro.registry.IncompatibleTaskError`) on every engine.
+    Rules an algorithm, a task state or a graph owns stay with it:
+    Cluster2's ``n >= 4``, the task knobs' values
     (:func:`repro.sim.batch.check_k` and its siblings), a ring's ``n > 2k``.
     """
     check_positive_int("n", n)
@@ -210,6 +227,35 @@ def check_config(
     )
 
 
+#: The run settings' names: the keyword-only parameters of :func:`check_config`.
+RUN_SETTINGS = frozenset(
+    name
+    for name, parameter in inspect.signature(check_config).parameters.items()
+    if parameter.kind is parameter.KEYWORD_ONLY
+)
+
+
+def check_settings(
+    n: int, algorithm: str, settings: Dict[str, Any], **replication: Any
+) -> CheckedConfig:
+    """:func:`check_config` on one keyword mapping, as the entry points
+    take it: a name in :data:`RUN_SETTINGS` is a run setting, every other
+    name an algorithm knob (refused unless the algorithm declares it).
+    ``replication`` holds :func:`run_replications`' own knobs."""
+    knobs = {name: value for name, value in settings.items() if name not in RUN_SETTINGS}
+    chosen = {name: value for name, value in settings.items() if name in RUN_SETTINGS}
+    return check_config(n, algorithm, knobs, **replication, **chosen)
+
+
+def _checked_seed(name: str, seed: Any) -> int:
+    """A master seed, checked like the rest of a run's inputs: a
+    non-negative integer (numpy integers accepted, ``bool`` refused), or a
+    one-line ``ValueError`` naming the keyword ``name``."""
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return int(seed)
+
+
 def vector_unavailable(config: CheckedConfig) -> Optional[str]:
     """Why a checked configuration cannot run on the vector engine, or
     ``None`` if it can: the one engine choice.  ``engine="vector"`` raises
@@ -245,21 +291,9 @@ def broadcast(
     algorithm: str = "cluster2",
     *,
     seed: int = 0,
-    source: Optional[int] = 0,
-    message_bits: int = 256,
-    failures: float = 0,
-    failure_pattern: str = "random",
-    schedule: "AdversitySchedule | str | None" = None,
-    task: str = BROADCAST_TASK,
-    task_kwargs: Optional[Dict[str, Any]] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    profile: "Profile | str" = LAPTOP,
-    trace: bool = False,
     telemetry: "Optional[Telemetry]" = None,
     check_model: bool = True,
-    **algorithm_kwargs,
+    **settings: Any,
 ) -> AlgorithmReport:
     """Broadcast a ``message_bits``-bit rumor from ``source`` to all nodes.
 
@@ -271,8 +305,9 @@ def broadcast(
         One of :func:`repro.registry.algorithm_names` (default the
         paper's Cluster2).
     seed:
-        Master seed; network addressing, failures and the algorithm's coins
-        all derive deterministic substreams from it.
+        Master seed, a non-negative integer; network addressing, failures
+        and the algorithm's coins all derive deterministic substreams
+        from it.
     source:
         Index of the initially informed node, or None for a uniformly
         random *surviving* node (Theorem 19's setting: the rumor starts at
@@ -344,34 +379,20 @@ def broadcast(
         leaves the engine on the untouched zero-overhead path.
     check_model:
         Enable the engine's one-initiation-per-round validation.
-    algorithm_kwargs:
-        Extra knobs forwarded to the algorithm (its
-        :class:`~repro.registry.AlgorithmSpec` lists the accepted names,
-        e.g. ``delta=64`` for ``cluster3``).
+    settings:
+        ``source`` to ``profile`` above: the run settings, declared by
+        :func:`check_config`.  Every other keyword is an algorithm knob
+        (its :class:`~repro.registry.AlgorithmSpec` lists the accepted
+        names, e.g. ``delta=64`` for ``cluster3``).
     """
-    checked = check_config(
-        n,
-        algorithm,
-        source=source,
-        message_bits=message_bits,
-        failures=failures,
-        failure_pattern=failure_pattern,
-        schedule=schedule,
-        task=task,
-        task_kwargs=task_kwargs,
-        topology=topology,
-        direct_addressing=direct_addressing,
-        scheduler=scheduler,
-        profile=profile,
-        trace=trace,
-        algorithm_kwargs=algorithm_kwargs,
-    )
+    seed = _checked_seed("seed", seed)
+    checked = check_settings(n, algorithm, settings)
     net = Network(
         n,
         rng=derive_seed(seed, "net"),
-        rumor_bits=message_bits,
+        rumor_bits=checked.message_bits,
         topology=checked.topology,
-        direct_addressing=direct_addressing,
+        direct_addressing=checked.direct_addressing,
     )
     return _run_on_network(
         net, checked, seed, check_model=check_model, pool=None, telemetry=telemetry
@@ -517,41 +538,11 @@ class ReplicationEngine:
         n: int,
         algorithm: str = "cluster2",
         *,
-        source: Optional[int] = 0,
-        message_bits: int = 256,
-        failures: float = 0,
-        failure_pattern: str = "random",
-        schedule: "AdversitySchedule | str | None" = None,
-        task: str = BROADCAST_TASK,
-        task_kwargs: Optional[Dict[str, Any]] = None,
-        topology: "Topology | str | None" = None,
-        direct_addressing: str = "global",
-        scheduler: "EventSchedulerSpec | str | None" = None,
-        profile: "Profile | str" = LAPTOP,
         check_model: bool = True,
         index_dtype: "str | None" = "auto",
-        **algorithm_kwargs: Any,
+        **settings: Any,
     ) -> None:
-        self._adopt(
-            check_config(
-                n,
-                algorithm,
-                source=source,
-                message_bits=message_bits,
-                failures=failures,
-                failure_pattern=failure_pattern,
-                schedule=schedule,
-                task=task,
-                task_kwargs=task_kwargs,
-                topology=topology,
-                direct_addressing=direct_addressing,
-                scheduler=scheduler,
-                profile=profile,
-                algorithm_kwargs=algorithm_kwargs,
-            ),
-            check_model,
-            index_dtype,
-        )
+        self._adopt(check_settings(n, algorithm, settings), check_model, index_dtype)
 
     @classmethod
     def _checked(cls, config: CheckedConfig, check_model: bool) -> "ReplicationEngine":
@@ -579,6 +570,7 @@ class ReplicationEngine:
         self, seed: int, telemetry: "Optional[Telemetry]" = None
     ) -> AlgorithmReport:
         """Execute one replication, bit-identical to ``broadcast(seed=seed)``."""
+        seed = _checked_seed("seed", seed)
         net_seed = derive_seed(seed, "net")
         if self._net is None:
             self._net = Network(
@@ -612,25 +604,13 @@ def run_replications(
     *,
     base_seed: int = 0,
     engine: str = "auto",
-    source: Optional[int] = 0,
-    message_bits: int = 256,
-    failures: float = 0,
-    failure_pattern: str = "random",
-    schedule: "AdversitySchedule | str | None" = None,
-    task: str = BROADCAST_TASK,
-    task_kwargs: Optional[Dict[str, Any]] = None,
-    topology: "Topology | str | None" = None,
-    direct_addressing: str = "global",
-    scheduler: "EventSchedulerSpec | str | None" = None,
-    profile: "Profile | str" = LAPTOP,
     check_model: bool = True,
     consume: Optional[Callable[[dict], None]] = None,
     batch_elems: int = DEFAULT_BATCH_ELEMS,
     workers: Optional[int] = None,
     telemetry: "Optional[Telemetry]" = None,
-    trace: bool = False,
     _seed_offset: int = 0,
-    **algorithm_kwargs: Any,
+    **settings: Any,
 ) -> ReplicationSummary:
     """Fan one configuration across ``reps`` seeds, aggregating as a stream.
 
@@ -641,7 +621,8 @@ def run_replications(
     interval) — a 500-seed suite holds a handful of numbers, never 500
     records.  ``consume`` (optional) additionally receives each
     replication's scalar dict as it streams past, e.g. for live CLI
-    output or custom sinks.
+    output or custom sinks.  ``settings`` are the run settings and
+    algorithm knobs, as :func:`broadcast` takes them.
 
     Engines
     -------
@@ -671,8 +652,8 @@ def run_replications(
 
     :func:`check_config` runs once, before the engine is picked, and
     every engine runs from the :class:`CheckedConfig` it returns, so a
-    bad configuration is the same one-line ``ValueError`` whichever
-    engine was asked for.
+    bad configuration (or ``base_seed``) is the same one-line
+    ``ValueError`` whichever engine was asked for.
 
     Sharding
     --------
@@ -710,29 +691,15 @@ def run_replications(
     # module, so a top-level import of repro.analysis would be circular.
     from repro.analysis.stats import ReplicationSummary
 
-    config = dict(
-        source=source,
-        message_bits=message_bits,
-        failures=failures,
-        failure_pattern=failure_pattern,
-        schedule=schedule,
-        task=task,
-        task_kwargs=task_kwargs,
-        topology=topology,
-        direct_addressing=direct_addressing,
-        scheduler=scheduler,
-        profile=profile,
-    )
-    checked = check_config(
+    base_seed = _checked_seed("base_seed", base_seed)
+    checked = check_settings(
         n,
         algorithm,
-        trace=trace,
-        algorithm_kwargs=algorithm_kwargs,
+        settings,
         reps=reps,
         engine=engine,
         workers=workers,
         batch_elems=batch_elems,
-        **config,
     )
     if workers is not None and consume is not None:
         raise ValueError(
@@ -742,7 +709,8 @@ def run_replications(
     reason = vector_unavailable(checked)
     if engine == "vector" and reason is not None:
         raise ValueError(
-            f"vector engine unavailable for {algorithm!r} (task {task!r}): {reason}"
+            f"vector engine unavailable for {algorithm!r} (task {checked.task!r}): "
+            f"{reason}"
         )
     fallback_reason = reason if engine == "auto" else None
     if engine == "auto":
@@ -756,21 +724,17 @@ def run_replications(
     if workers is not None:
         # Each shard is its own run_replications call, in this process or
         # a worker's, and checks its configuration there.  It gets the
-        # resolved objects (the resolved scheduler carries the trace flag).
+        # resolved settings (the resolved scheduler carries the trace flag).
         merged = _run_sharded(
             dict(
-                config,
-                schedule=checked.schedule,
-                topology=checked.topology,
-                scheduler=checked.scheduler,
-                profile=checked.profile,
+                checked.settings(),
+                **checked.algorithm_kwargs,
                 n=n,
                 algorithm=algorithm,
                 engine=engine,
                 check_model=check_model,
                 batch_elems=batch_elems,
                 workers=None,
-                **algorithm_kwargs,
             ),
             reps=reps,
             base_seed=base_seed,
@@ -782,7 +746,7 @@ def run_replications(
             merged.extras["engine_fallback"] = fallback_reason
         return merged
 
-    summary = ReplicationSummary(algorithm=algorithm, n=n, engine=engine, task=task)
+    summary = ReplicationSummary(algorithm=algorithm, n=n, engine=engine, task=checked.task)
     if fallback_reason is not None:
         summary.extras["engine_fallback"] = fallback_reason
 
@@ -792,7 +756,7 @@ def run_replications(
             consume({"rep": rep, "seed": seed, **scalars})
 
     if engine == "vector":
-        runner_kwargs = {**checked.task_kwargs, **algorithm_kwargs}
+        runner_kwargs = {**checked.task_kwargs, **checked.algorithm_kwargs}
         if checked.spec.uses_profile:
             runner_kwargs["profile"] = checked.profile
         graph = None
@@ -834,12 +798,12 @@ def run_replications(
                     {
                         "kind": "vector",
                         "algorithm": algorithm,
-                        "task": task,
+                        "task": checked.task,
                         "n": n,
                         "reps": take,
                         "first_rep": _seed_offset + done,
                         "base_seed": base_seed,
-                        "message_bits": message_bits,
+                        "message_bits": checked.message_bits,
                     }
                 )
                 if "telemetry" in checked.runner_accepts:
@@ -849,8 +813,8 @@ def run_replications(
                     n,
                     take,
                     rng,
-                    message_bits=message_bits,
-                    source=source,
+                    message_bits=checked.message_bits,
+                    source=checked.source,
                     **chunk_kwargs,
                 )
             if tel_run is not None:

@@ -20,9 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.runner import RunRecord, RunSpec, execute, replicate_spec
+from repro.analysis.runner import (
+    RunRecord,
+    RunSpec,
+    execute,
+    replicate_spec,
+    settings_of,
+)
 from repro.analysis.stats import ReplicationSummary
-from repro.core.broadcast import broadcast, check_config
+from repro.core.broadcast import broadcast, check_settings
 from repro.core.result import AlgorithmReport
 from repro.sim.dynamics import AdversitySchedule
 from repro.sim.schedule import EventSchedulerSpec
@@ -61,7 +67,10 @@ class Scenario:
     and so on.  ``schedule`` (a dynamic adversity timeline — an
     :class:`~repro.sim.dynamics.AdversitySchedule`, a preset name, or a
     spec string) is resolved at definition time, so a typo'd schedule
-    also fails immediately.
+    also fails immediately.  ``kwargs`` takes any other keyword
+    :func:`~repro.core.broadcast.broadcast` does: algorithm knobs, and
+    the run settings that have no field here (``source``, ``profile``,
+    ``trace``).
     """
 
     name: str
@@ -95,8 +104,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         try:
-            checked = check_config(
-                **self._run_args(), algorithm_kwargs=self.kwargs, reps=self.reps
+            checked = check_settings(
+                self.n, self.algorithm, settings_of(self), reps=self.reps
             )
         except ValueError as exc:
             raise type(exc)(f"scenario {self.name!r}: {exc}") from None
@@ -105,33 +114,17 @@ class Scenario:
         object.__setattr__(self, "topology", checked.topology)
         object.__setattr__(self, "scheduler", checked.scheduler)
 
-    def _run_args(self) -> Dict[str, Any]:
-        """The run configuration, as :func:`broadcast` keyword arguments."""
-        args = {name: getattr(self, name) for name in _RUN_FIELDS}
-        args["task_kwargs"] = dict(self.task_kwargs)
-        return args
-
     def run_spec(self, seed: int = 0, reps: int = 1, engine: str = "auto") -> RunSpec:
         """Compile to one executor job (``reps > 1``: a replication job)."""
-        return RunSpec(
-            seed=seed,
-            reps=reps,
-            engine=engine,
-            kwargs=dict(self.kwargs),
-            **self._run_args(),
+        return RunSpec.of(
+            self.algorithm, self.n, seed, reps=reps, engine=engine, **settings_of(self)
         )
 
     def run(self, seed: int = 0, **overrides: Any) -> AlgorithmReport:
         """Execute the scenario (``overrides`` patch any broadcast arg)."""
-        args = {**self._run_args(), "seed": seed, **self.kwargs, **overrides}
-        return broadcast(**args)
+        args = {"n": self.n, "algorithm": self.algorithm, "seed": seed}
+        return broadcast(**{**args, **settings_of(self), **overrides})
 
-
-#: The :class:`Scenario` fields that are :func:`broadcast` arguments too.
-_RUN_FIELDS = (
-    "n", "algorithm", "message_bits", "failures", "failure_pattern",
-    "schedule", "task", "topology", "direct_addressing", "scheduler",
-)
 
 SCENARIOS: Dict[str, Scenario] = {}
 

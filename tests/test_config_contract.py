@@ -11,10 +11,13 @@ the reset engine and records it.
 Three layers pin the contract: a table of the configurations the
 engines once disagreed on, one test per reason the vector engine
 refuses a configuration, and a Hypothesis fuzzer over the dispatcher's
-inputs.
+inputs.  Two more hold every entry point to the same inputs: each one
+checks the seed, and each one takes all twelve run settings.
 """
 
+import dataclasses
 import functools
+import inspect
 import re
 
 import numpy as np
@@ -22,8 +25,16 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro import broadcast, run_replications
-from repro.core.broadcast import REPLICATION_ENGINES, check_config, vector_unavailable
+from repro import ReplicationEngine, broadcast, run_replications
+from repro.analysis.runner import RunRecord, RunSpec, replication_sweep, run_once, sweep
+from repro.analysis.stats import ReplicationSummary
+from repro.core.broadcast import (
+    REPLICATION_ENGINES,
+    RUN_SETTINGS,
+    check_config,
+    report_scalars,
+    vector_unavailable,
+)
 from repro.registry import algorithm_names, get_algorithm, register_batch_runner
 from repro.sim.batch import is_integer
 from repro.sim.schedule import EventSchedulerSpec
@@ -35,6 +46,7 @@ from repro.sim.topology import (
     Ring,
     UniformJitterDelay,
 )
+from repro.workloads.scenarios import Scenario
 
 
 def _outcome(call):
@@ -321,3 +333,160 @@ def test_fuzzed_configs_keep_one_contract(
         summary = run_replications(n, algorithm, reps=reps, **config)
         assert summary.engine == ("vector" if reason is None else "reset")
         assert summary.extras.get("engine_fallback") == reason
+
+
+# ----------------------------------------------------------------------
+# Every entry point: the seed, and all twelve run settings
+# ----------------------------------------------------------------------
+
+ALGORITHM = "push-pull"
+
+
+def _scenario(n, config):
+    """A scenario carrying ``config``: the settings it has fields for as
+    fields, the rest (``source``, ``profile``, ``trace``) in ``kwargs``."""
+    own = {f.name for f in dataclasses.fields(Scenario)}
+    return Scenario(
+        name="every-setting",
+        description="every entry point takes every run setting",
+        n=n,
+        algorithm=ALGORITHM,
+        **{"message_bits": 256, **{k: v for k, v in config.items() if k in own}},
+        kwargs={k: v for k, v in config.items() if k not in own},
+    )
+
+
+def _replications(engine):
+    return lambda n, seed, config: run_replications(
+        n, ALGORITHM, reps=2, base_seed=seed, engine=engine, **config
+    )
+
+
+#: Every entry point, as (the keyword its seed error names,
+#: ``call(n, seed, config)``).
+ENTRY_POINTS = {
+    "broadcast": (
+        "seed", lambda n, seed, config: broadcast(n, ALGORITHM, seed=seed, **config)
+    ),
+    "ReplicationEngine.run": (
+        "seed", lambda n, seed, config: ReplicationEngine(n, ALGORITHM, **config).run(seed)
+    ),
+    "run_replications": ("base_seed", _replications("auto")),
+    "RunSpec.run": (
+        "seed", lambda n, seed, config: RunSpec.of(ALGORITHM, n, seed, **config).run()
+    ),
+    "RunSpec.replicate": (
+        "base_seed",
+        lambda n, seed, config: RunSpec.of(
+            ALGORITHM, n, seed, reps=2, **config
+        ).replicate(),
+    ),
+    "run_once": ("seed", lambda n, seed, config: run_once(ALGORITHM, n, seed, **config)),
+    "sweep": ("seed", lambda n, seed, config: sweep([ALGORITHM], [n], [seed], **config)[0]),
+    "replication_sweep": (
+        "base_seed",
+        lambda n, seed, config: replication_sweep(
+            [ALGORITHM], [n], 2, base_seed=seed, **config
+        )[0],
+    ),
+    "Scenario.run": ("seed", lambda n, seed, config: _scenario(n, config).run(seed)),
+    "Scenario.replicate": (
+        "base_seed",
+        lambda n, seed, config: _scenario(n, config).run_spec(seed, reps=2).replicate(),
+    ),
+}
+#: The seed reaches every replication engine through the same check.
+SEED_ENTRY_POINTS = {
+    **ENTRY_POINTS,
+    "run_replications[vector]": ("base_seed", _replications("vector")),
+    "run_replications[reset]": ("base_seed", _replications("reset")),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [2.5, None, True, -1], ids=["float", "none", "bool", "negative"]
+)
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_every_entry_point_checks_the_seed(entry, value):
+    name, call = SEED_ENTRY_POINTS[entry]
+    assert _outcome(lambda: call(64, value, {})) == (
+        f"{name} must be a non-negative integer, got {value}"
+    )
+
+
+def _figures(result):
+    if isinstance(result, ReplicationSummary):
+        return result.row()
+    if isinstance(result, RunRecord):
+        return dataclasses.asdict(result)
+    return {**report_scalars(result), "seed": result.extras["seed"]}
+
+
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_a_numpy_seed_runs_as_its_value(entry):
+    _, call = SEED_ENTRY_POINTS[entry]
+    assert _figures(call(64, np.int64(3), {})) == _figures(call(64, 3, {}))
+
+
+#: One value per run setting that is not its default, with the setting
+#: it needs beside it (a task's knobs need that task, topology-bound
+#: addressing a restricted topology).
+RUN_SETTING_VALUES = {
+    "source": {"source": None},
+    "message_bits": {"message_bits": 128},
+    "failures": {"failures": 4},
+    "failure_pattern": {"failure_pattern": "prefix"},
+    "schedule": {"schedule": "churn-light"},
+    "task": {"task": "min-max"},
+    "task_kwargs": {"task": "min-max", "task_kwargs": {"mode": "max"}},
+    "topology": {"topology": "ring"},
+    "direct_addressing": {"topology": "ring", "direct_addressing": "topology"},
+    "scheduler": {"scheduler": "event"},
+    "profile": {"profile": "paper"},
+    "trace": {"trace": True},
+}
+#: What a report shows once a setting took effect (``message_bits``,
+#: ``failure_pattern`` and ``profile`` leave no mark of their own).
+REPORT_SHOWS = {
+    "source": ("source", 6),  # seed 1's random source; the default is node 0
+    "failures": ("failures", 4),
+    "schedule": ("schedule", "bernoulli trickle rate=0.0005 r0+"),
+    "task": ("task", "min-max"),
+    "task_kwargs": ("task_mode", "max"),
+    "topology": ("topology", "ring(k=1)"),
+    "direct_addressing": ("direct_addressing", "topology"),
+}
+#: The stream a report's extras or a summary's metrics gain.
+STREAMS = {"scheduler": "sim_time", "trace": "critical_path_len"}
+
+
+def test_the_run_settings_are_check_configs_keyword_only_parameters():
+    parameters = inspect.signature(check_config).parameters.values()
+    assert RUN_SETTINGS == {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
+    assert RUN_SETTINGS == set(RUN_SETTING_VALUES)
+
+
+@pytest.mark.parametrize("setting", list(RUN_SETTING_VALUES))
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_entry_point_takes_every_run_setting(entry, setting):
+    _, call = ENTRY_POINTS[entry]
+    result = call(256, 1, dict(RUN_SETTING_VALUES[setting]))
+    if isinstance(result, ReplicationSummary):
+        shown = dict.fromkeys(result.metrics)
+        if setting in ("task", "task_kwargs"):
+            assert result.task == "min-max"
+    else:
+        shown = result.extras
+        if setting in REPORT_SHOWS:
+            key, value = REPORT_SHOWS[setting]
+            assert shown[key] == value
+    if setting in STREAMS:
+        assert STREAMS[setting] in shown
+
+
+def test_a_grid_of_single_runs_refuses_reps():
+    """``reps`` fills the job's field, which only ``replicate()`` reads,
+    so a grid of single runs refuses it instead of running each job once."""
+    assert _outcome(lambda: sweep([ALGORITHM], [64], [0], reps=3)) == (
+        "a job with reps=3 runs through replicate()"
+    )
