@@ -1,14 +1,17 @@
-"""Bit-for-bit pin of the coarse algorithm events telemetry exports.
+"""Bit-for-bit pin of the coarse algorithm events and the round series
+telemetry exports.
 
 Algorithms report coarse progress (``grow.push``, ``square.iter``,
-``pull.round``, ``done``, ``<protocol>.step``, ``task.*``, ...) as
-telemetry ``event`` records.  Nothing else pins them: the fingerprint
-corpus hashes rounds, messages and bits only.  This file does: per
-configuration, one sha256 over every ``event`` record of a seeded
-:func:`~repro.core.broadcast.broadcast` run with a
+``pull.round``, ``done``, ``<algorithm>.step``, ``task.*``, ...) as
+telemetry ``event`` records, and the commit hooks sample probes
+(``informed``, ``clusters``, ``task_error``, ...) into ``series``
+records.  Nothing else pins them: the fingerprint corpus hashes rounds,
+messages and bits only.  This file does: per configuration, one sha256
+over every ``event`` record and one over every ``series`` record of a
+seeded :func:`~repro.core.broadcast.broadcast` run with a
 :class:`~repro.obs.telemetry.Telemetry` collector attached.  A change to
-an event's kind, round, payload, or order changes a digest.  A
-deliberate change re-records them with::
+an event's kind, round, payload, or order, or to a sampled value,
+changes a digest.  A deliberate change re-records them with::
 
     PYTHONPATH=src python tests/test_event_record_pin.py
 """
@@ -50,10 +53,21 @@ RUNS = {
     "cluster2-churn-light": dict(algorithm="cluster2", schedule="churn-light"),
     "cluster2-failures": dict(algorithm="cluster2", failures=40),
     "cluster2-event": dict(algorithm="cluster2", scheduler="event"),
+    # The uniform broadcast baselines under the same three adversities.
+    **{
+        f"{algorithm}-{name}": dict(algorithm=algorithm, **setting)
+        for algorithm in ("push", "pull", "push-pull")
+        for name, setting in (
+            ("churn-light", dict(schedule="churn-light")),
+            ("failures", dict(failures=40)),
+            ("event", dict(scheduler="event")),
+        )
+    },
 }
 
-#: sha256 per case, recorded while the events still travelled through a
-#: separate round-event log (they must not change).
+#: sha256 of each case's ``event`` records.  The single-setting cases
+#: were recorded while the events still travelled through a separate
+#: round-event log (they must not change).
 DIGESTS = {
     "avin-elsasser": (
         "144ecddb783ed3b5b776d9a415f4f902b0127ee5e320937c5ed0af6e7186d276"
@@ -106,20 +120,133 @@ DIGESTS = {
     "cluster2-event": (
         "3a20ab4aae735ae1e8e881785559866858cba84c42f3b8ed328afe2d8dd2e329"
     ),
+    "push-churn-light": (
+        "6346f58f9db4e7a324ca2f162b1f892c5e7d96afcf449d5ae671b5b14751c3c0"
+    ),
+    "push-failures": (
+        "2cbab25f84d73622bca907525511cf53441c0b9aeac1da959f00854961c5ac3f"
+    ),
+    "push-event": (
+        "432742eee64a54bc20aa70e0bc1094278bf8e40275e68f928e04ca0a61f374c7"
+    ),
+    "pull-churn-light": (
+        "45d46dcbcedc1d20e1a0a46075f27e35a3ef4b00599a2be34779dc9b89000992"
+    ),
+    "pull-failures": (
+        "4f303d134b65ec5ddff3352e6cbb8a59f7a844a6df0b32fb5a307269d954408f"
+    ),
+    "pull-event": (
+        "ee2e739e22f7a378e448b1db95a6054cb47581d58bb7c5a185414fc5d6e25f57"
+    ),
+    "push-pull-churn-light": (
+        "541ecde8b21e3e28826ff1bc6c4989c0de93cd46f18c0cdbbdb4df0adf708382"
+    ),
+    "push-pull-failures": (
+        "d0d197dd2bee7fa57e9f6992894d69952f7568b9a3a23bb72d614ac76d55b0de"
+    ),
+    "push-pull-event": (
+        "cd3b21e53f342d3f154f13c78664631854926ff2577e425c385f1fb57205bcd2"
+    ),
+}
+
+#: sha256 of each case's ``series`` records (the per-round probe samples).
+SERIES_DIGESTS = {
+    "avin-elsasser": (
+        "a716cbd01033bfa4f07fbe04bf8c0902811e74d758dae1e08ba96fb5f3d1a0b8"
+    ),
+    "cluster1": (
+        "6253ca05aef1f312bede0c7980c88673fd09962a0e7c02180f31ef1a7b185fff"
+    ),
+    "cluster2": (
+        "1772551477dc9664e64d3025739dac947910890e55596a666e46e427ad7a9a35"
+    ),
+    "cluster3": (
+        "22cceaad33a207f9c9dcf6deaf7908852d32fdf507e9c0c369a1b9b5cc85a15e"
+    ),
+    "median-counter": (
+        "c129a299757313c94e7b685dcf9bcfdb838889fad59caab7fc5523f522e23ff7"
+    ),
+    "pull": (
+        "6152cce734e3f1205abee65727ed9790efb149a43ed38dbaeb5288a74d3f213a"
+    ),
+    "push": (
+        "df4b99464dbff5467b09091713501becb3d10e752f8e37cf772f929785386904"
+    ),
+    "push-pull": (
+        "4b682a90ca90dff5e4d8bc8a27a03a21c0067be2a8fe2197cc293cc3a76e8310"
+    ),
+    "push-pull-push-sum": (
+        "1a3b3bd7e50a1540dd68c8cea47aaae4988b7a655ece54bff1c8cb2922c85004"
+    ),
+    "cluster2-push-sum": (
+        "7c8da6d16d8998e344f509e7adc327884acdf6a262bf441222f2f2fd5414a000"
+    ),
+    "push-pull-k-rumor": (
+        "59de79634d15b04343d42ca5e9cc8b99719df8c495ec6f442e693520daf352a4"
+    ),
+    "cluster2-k-rumor": (
+        "2eddf286772e2dcfe60186600ed5013d2151e0db3c738323ca65174fd8026370"
+    ),
+    "push-pull-min-max": (
+        "61622be93c97fd72ad7ca087ffc04aa14bbec8417905f3e6df22389f2989022b"
+    ),
+    "cluster2-min-max": (
+        "c71e27a5b1e8d9a7fe2fe47cb0b7c41d96aac6b46c92062ea6717a5fc9b88117"
+    ),
+    "cluster2-churn-light": (
+        "ac434a7495447a100f08cbeb185ca4140840dcf29dbe7143b02ef6b4e6467566"
+    ),
+    "cluster2-failures": (
+        "dccff1ce02019e612d12250599257cb67542e7a89cbcf7dbf11699f7582316d2"
+    ),
+    "cluster2-event": (
+        "741564ca40c9bb021047c86c9ab3a33675b8ba8220b3b688358046809a6b956a"
+    ),
+    "push-churn-light": (
+        "e765de71d2ea5d8544401986cfe7621289db0a1e3aa50929451356c34716c8a7"
+    ),
+    "push-failures": (
+        "9567cb6ef82148653118dd7a20ccc2704c40d0dcaf16b5138e745ff814165b0c"
+    ),
+    "push-event": (
+        "89f66755bd3dbc8a3e71b59e6294c80558ae4b6010301bd00e947a86d9e9fdef"
+    ),
+    "pull-churn-light": (
+        "98ce13053328b744aa21e043c0fae4b5a1f1a19926abb03e65cad3324c03bd5c"
+    ),
+    "pull-failures": (
+        "f09e23c5e09a13b4db268aac693860bc178c353250a6af3f6f4e0e4d75c3478d"
+    ),
+    "pull-event": (
+        "0596a0f282e524d966acb0c7495807f61d29c6d25f364d8cdc5393f2c9ac561f"
+    ),
+    "push-pull-churn-light": (
+        "1b3534374dc2f44456446132178ef3d5b15384b957b9d31229913ce0c0c7612c"
+    ),
+    "push-pull-failures": (
+        "4438166e5b03b2c69c435bf6ef6787eab2bdc7c5f2d8ef6fada39ce8527b0bd6"
+    ),
+    "push-pull-event": (
+        "5fe7419fd5c6ba17365be5e68ebf77a4fce2174bf1498e77d8c82ca38ce04ddb"
+    ),
 }
 
 
-def event_records(name: str) -> list:
+def records(name: str, kind: str = "event") -> list:
     kwargs = dict(RUNS[name])
     algorithm = kwargs.pop("algorithm")
     telemetry = Telemetry()
     broadcast(N, algorithm, seed=SEED, telemetry=telemetry, **kwargs)
-    return [r for r in telemetry.records() if r["type"] == "event"]
+    return [r for r in telemetry.records() if r["type"] == kind]
 
 
-def case_digest(name: str) -> str:
+def event_records(name: str) -> list:
+    return records(name, "event")
+
+
+def case_digest(name: str, kind: str = "event") -> str:
     h = hashlib.sha256()
-    for record in event_records(name):
+    for record in records(name, kind):
         h.update(json.dumps(record, sort_keys=True).encode())
     return h.hexdigest()
 
@@ -129,12 +256,21 @@ def test_event_records_are_pinned(name):
     assert case_digest(name) == DIGESTS[name]
 
 
-def test_every_case_records_events():
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_series_records_are_pinned(name):
+    assert case_digest(name, "series") == SERIES_DIGESTS[name]
+
+
+def test_every_case_records_events_and_series():
     # A digest of nothing would pin nothing.
     for name in RUNS:
         assert event_records(name), name
+        assert records(name, "series"), name
 
 
 if __name__ == "__main__":
-    for case in RUNS:
-        print(f'    "{case}": (\n        "{case_digest(case)}"\n    ),')
+    for table, kind in (("DIGESTS", "event"), ("SERIES_DIGESTS", "series")):
+        print(f"{table} = {{")
+        for case in RUNS:
+            print(f'    "{case}": (\n        "{case_digest(case, kind)}"\n    ),')
+        print("}")
