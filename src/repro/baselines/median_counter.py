@@ -83,37 +83,37 @@ class MedianCounterProtocol(VectorProtocol):
                 counts_initiation=False,
             ).answered
 
-        # --- Collect, per node, the counters it was exposed to ---------
-        # Exposures: pushes received, plus the pull responses received.
-        exp_dst = np.concatenate([delivery.dsts, callers[answered]])
-        exp_src = np.concatenate([delivery.srcs, partners[answered]])
+            # --- Collect, per node, the counters it was exposed to ---------
+            # Exposures: pushes received, plus the pull responses received.
+            exp_dst = np.concatenate([delivery.dsts, callers[answered]])
+            exp_src = np.concatenate([delivery.srcs, partners[answered]])
 
-        # New infections.
-        newly = np.zeros(n, dtype=bool)
-        newly[exp_dst] = True
-        newly &= self.state == UNINFORMED
-        # Median rule for state-B nodes: count exposures with counter not
-        # smaller than own (or from state C), vs. total exposures.  The >=
-        # is essential: at saturation all counters are equal and must
-        # advance in lock-step so the rumor ages out in O(log log n) rounds.
-        in_b = self.state == STATE_B
-        greater = (
-            (self.counter[exp_src] >= self.counter[exp_dst])
-            | (self.state[exp_src] == STATE_C)
-        ).astype(np.int64)
-        total_exposures = receive_counts(n, exp_dst)
-        greater_exposures = np.bincount(exp_dst, weights=greater, minlength=n)
-        advance = in_b & (2 * greater_exposures > total_exposures)
+            # New infections.
+            newly = np.zeros(n, dtype=bool)
+            newly[exp_dst] = True
+            newly &= self.state == UNINFORMED
+            # Median rule for state-B nodes: count exposures with counter not
+            # smaller than own (or from state C), vs. total exposures.  The >=
+            # is essential: at saturation all counters are equal and must
+            # advance in lock-step so the rumor ages out in O(log log n) rounds.
+            in_b = self.state == STATE_B
+            greater = (
+                (self.counter[exp_src] >= self.counter[exp_dst])
+                | (self.state[exp_src] == STATE_C)
+            ).astype(np.int64)
+            total_exposures = receive_counts(n, exp_dst)
+            greater_exposures = np.bincount(exp_dst, weights=greater, minlength=n)
+            advance = in_b & (2 * greater_exposures > total_exposures)
 
-        self.state[newly] = STATE_B
-        self.counter[newly] = 1
-        self.counter[advance] += 1
-        to_c = in_b & (self.counter > self.ctr_max)
-        self.state[to_c] = STATE_C
-        self.c_countdown[to_c] = self.c_rounds
-        in_c = self.state == STATE_C
-        self.c_countdown[in_c] -= 1
-        self.state[in_c & (self.c_countdown <= 0)] = STATE_D
+            self.state[newly] = STATE_B
+            self.counter[newly] = 1
+            self.counter[advance] += 1
+            to_c = in_b & (self.counter > self.ctr_max)
+            self.state[to_c] = STATE_C
+            self.c_countdown[to_c] = self.c_rounds
+            in_c = self.state == STATE_C
+            self.c_countdown[in_c] -= 1
+            self.state[in_c & (self.c_countdown <= 0)] = STATE_D
 
     def done(self) -> bool:
         informed = self.state != UNINFORMED

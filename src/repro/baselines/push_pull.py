@@ -53,8 +53,8 @@ class PushPullProtocol(VectorProtocol):
             delivery = r.push(senders, sim.random_targets(senders), rumor_bits)
             pdsts = sim.random_targets(pullers)
             answered = r.pull(pullers, pdsts, rumor_bits, informed_now[pdsts]).answered
-        self.informed[delivery.dsts] = True
-        self.informed[pullers[answered]] = True
+            self.informed[delivery.dsts] = True
+            self.informed[pullers[answered]] = True
 
     def done(self) -> bool:
         return bool(self.informed[self._alive].all())

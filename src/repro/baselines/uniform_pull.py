@@ -38,7 +38,7 @@ class PullProtocol(VectorProtocol):
             answered = r.pull(
                 pullers, dsts, sim.net.sizes.rumor_bits, self.informed[dsts]
             ).answered
-        self.informed[pullers[answered]] = True
+            self.informed[pullers[answered]] = True
 
     def done(self) -> bool:
         return bool(self.informed[self._alive].all())

@@ -36,7 +36,7 @@ class PushProtocol(VectorProtocol):
         dsts = sim.random_targets(senders)
         with sim.round("push") as r:
             delivery = r.push(senders, dsts, sim.net.sizes.rumor_bits)
-        self.informed[delivery.dsts] = True
+            self.informed[delivery.dsts] = True
 
     def done(self) -> bool:
         return bool(self.informed[self._alive].all())

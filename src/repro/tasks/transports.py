@@ -146,7 +146,6 @@ def run_uniform_task(
                 content = state.has_content(alive)
                 pushers = alive[content]
                 pullers = alive[~content] if mode == "push-pull" else nothing
-            answered = pdsts = None
             with sim.round(f"{state.task}:{mode}") as r:
                 if len(pushers):
                     _staged_push(
@@ -160,9 +159,8 @@ def run_uniform_task(
                         state.payload_bits(pdsts),
                         state.has_content(pdsts),
                     ).answered
-            if answered is not None:
-                state.deliver_pull(pullers[answered], pdsts[answered])
-            state.end_round()
+                    state.deliver_pull(pullers[answered], pdsts[answered])
+                state.end_round()
             sim.emit(
                 f"{state.task}.step",
                 progress=round(state.progress(sim.net.alive), 6),
@@ -223,7 +221,7 @@ def run_cluster_task(
                 _staged_push(
                     sim, state, r, senders, cl.follow[senders], extract=True
                 )
-            state.end_round()
+                state.end_round()
             sim.emit("task.gather", senders=len(senders))
 
     # -- mix: cluster aggregates cross-pollinate until every leader's is
@@ -245,7 +243,7 @@ def run_cluster_task(
                 d = _staged_push(
                     sim, state, r, senders, sim.random_targets(senders)
                 )
-            state.end_round()
+                state.end_round()
 
             followers = cl.followers()
             relayers = state.relay_candidates(followers)
@@ -256,7 +254,7 @@ def run_cluster_task(
                 _staged_push(
                     sim, state, r, relayers, cl.follow[relayers], extract=True
                 )
-            state.end_round()
+                state.end_round()
             sim.emit(
                 "task.mix",
                 holders=len(holders),
@@ -278,8 +276,8 @@ def run_cluster_task(
                     state.estimate_bits(leaders_of),
                     state.estimate_mask(leaders_of),
                 ).answered
-            state.adopt(followers[answered], leaders_of[answered])
-            state.end_round()
+                state.adopt(followers[answered], leaders_of[answered])
+                state.end_round()
 
     # -- catch-up: whoever is still incomplete (unclustered stragglers,
     # revived nodes, crash orphans) pulls random nodes for the result.
@@ -299,8 +297,8 @@ def run_cluster_task(
                     state.estimate_bits(dsts),
                     state.estimate_mask(dsts),
                 ).answered
-            state.adopt(pending[answered], dsts[answered])
-            state.end_round()
+                state.adopt(pending[answered], dsts[answered])
+                state.end_round()
             sim.emit("task.catchup", pending=len(pending))
 
     return _finish_report(sim, state, completion())

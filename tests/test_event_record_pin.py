@@ -164,25 +164,25 @@ SERIES_DIGESTS = {
         "22cceaad33a207f9c9dcf6deaf7908852d32fdf507e9c0c369a1b9b5cc85a15e"
     ),
     "median-counter": (
-        "c129a299757313c94e7b685dcf9bcfdb838889fad59caab7fc5523f522e23ff7"
+        "ec03a1c22577b777e3ba4011a3aa2d195812e75ccc5cf13223f21a3608b20536"
     ),
     "pull": (
-        "6152cce734e3f1205abee65727ed9790efb149a43ed38dbaeb5288a74d3f213a"
+        "ce0de231bd5df10547628a94c3969e5c17c19cbb843e5aab98565bed6c138ecd"
     ),
     "push": (
-        "df4b99464dbff5467b09091713501becb3d10e752f8e37cf772f929785386904"
+        "897878bf77d2fd012c7c2622c2efde08b3a77e592a412d941095fb2348ec1083"
     ),
     "push-pull": (
-        "4b682a90ca90dff5e4d8bc8a27a03a21c0067be2a8fe2197cc293cc3a76e8310"
+        "750be527c8f8a6bac61a82bcb789ff56e3678e64e9ab87d2fbc732e321405711"
     ),
     "push-pull-push-sum": (
-        "1a3b3bd7e50a1540dd68c8cea47aaae4988b7a655ece54bff1c8cb2922c85004"
+        "406316d9ff5e8ef39abf74485eaed3cf3c05c75973b6f267ade1dab3b060c4f7"
     ),
     "cluster2-push-sum": (
         "7c8da6d16d8998e344f509e7adc327884acdf6a262bf441222f2f2fd5414a000"
     ),
     "push-pull-k-rumor": (
-        "59de79634d15b04343d42ca5e9cc8b99719df8c495ec6f442e693520daf352a4"
+        "516b8b50fa207ba98bbeb6ba1e65377597127211a42e227977855c6071b903a6"
     ),
     "cluster2-k-rumor": (
         "2eddf286772e2dcfe60186600ed5013d2151e0db3c738323ca65174fd8026370"
@@ -203,31 +203,31 @@ SERIES_DIGESTS = {
         "741564ca40c9bb021047c86c9ab3a33675b8ba8220b3b688358046809a6b956a"
     ),
     "push-churn-light": (
-        "e765de71d2ea5d8544401986cfe7621289db0a1e3aa50929451356c34716c8a7"
+        "19ead4a40ca45c466c39e27cf8be4346f07b0c23a4d4194f9ae1042aeb51ab50"
     ),
     "push-failures": (
-        "9567cb6ef82148653118dd7a20ccc2704c40d0dcaf16b5138e745ff814165b0c"
+        "198ae1f1e021f798cad91f20de4b96ce9fdf280ab546da2a6afa6f1a29c2e61a"
     ),
     "push-event": (
-        "89f66755bd3dbc8a3e71b59e6294c80558ae4b6010301bd00e947a86d9e9fdef"
+        "44f93c8bc9c50bd3f26da312099eec5513fa28ac1093bf84cc0a5c3d2c513eb7"
     ),
     "pull-churn-light": (
-        "98ce13053328b744aa21e043c0fae4b5a1f1a19926abb03e65cad3324c03bd5c"
+        "aff06c5956d6cde5f14595ed23bbec4e463d61efad564fcea9018ee9aa207ba8"
     ),
     "pull-failures": (
-        "f09e23c5e09a13b4db268aac693860bc178c353250a6af3f6f4e0e4d75c3478d"
+        "2d92bde4896158dd3c04bb1a5e4012d2b126b8c694914d985db6e1fff38cb0b3"
     ),
     "pull-event": (
-        "0596a0f282e524d966acb0c7495807f61d29c6d25f364d8cdc5393f2c9ac561f"
+        "5d13ab763ecb841ab9886711da8097f0476de864100a5e777ee806a4a17af82a"
     ),
     "push-pull-churn-light": (
-        "1b3534374dc2f44456446132178ef3d5b15384b957b9d31229913ce0c0c7612c"
+        "364c9e7c708ac7c3213b8f5a879066d958bbbe80c48dd5c7ab512cf3130662a6"
     ),
     "push-pull-failures": (
-        "4438166e5b03b2c69c435bf6ef6787eab2bdc7c5f2d8ef6fada39ce8527b0bd6"
+        "4dcb4caffcc6fba379842fb5caee858a41d6bd6d60c2c2e5a159af7460a1a0f1"
     ),
     "push-pull-event": (
-        "5fe7419fd5c6ba17365be5e68ebf77a4fce2174bf1498e77d8c82ca38ce04ddb"
+        "44d159d6d44aa30e1bb07304b98107b4a742e693e613d7693bf460ef10dc21c1"
     ),
 }
 
