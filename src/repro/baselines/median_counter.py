@@ -29,18 +29,17 @@ import numpy as np
 
 from repro.core.result import AlgorithmReport, report_from_sim
 from repro.registry import register_algorithm
+from repro.sim.batch import check_max_rounds
 from repro.sim.delivery import receive_counts
 from repro.sim.engine import Simulator
-from repro.sim.protocol import VectorProtocol, run_protocol
 
 # Node states.
 UNINFORMED, STATE_B, STATE_C, STATE_D = 0, 1, 2, 3
 
 
-class MedianCounterProtocol(VectorProtocol):
-    """Vectorised median-counter state machine."""
-
-    name = "median-counter"
+class MedianCounterProtocol:
+    """Vectorised median-counter state machine; :meth:`step` runs one
+    round over the whole network."""
 
     def __init__(self, sim: Simulator, source: int) -> None:
         n = sim.net.n
@@ -150,11 +149,20 @@ def median_counter_round_cap(n: int) -> int:
 def median_counter(
     sim: Simulator, source: int = 0, *, max_rounds: int = None
 ) -> AlgorithmReport:
-    """Run the median-counter algorithm to quiescence."""
+    """Run the median-counter algorithm to quiescence.  Its call is a
+    bidirectional exchange, not a push/pull role split, so it keeps its
+    own round loop."""
+    check_max_rounds(max_rounds)
     protocol = MedianCounterProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else median_counter_round_cap(sim.net.n)
+    if sim.telemetry is not None:
+        sim.telemetry.add_probe("informed", lambda s: round(protocol.progress(), 6))
     with sim.metrics.phase("median-counter"):
-        run_protocol(protocol, sim, max_rounds=cap)
+        for _ in range(cap):
+            if protocol.done():
+                break
+            protocol.step(sim)
+            sim.emit("median-counter.step", progress=round(protocol.progress(), 6))
     return report_from_sim(
         "median-counter",
         sim,

@@ -1,7 +1,9 @@
 """Uniform PUSH-PULL gossip.
 
 Each round every node contacts one uniformly random node: informed nodes
-push the rumor, uninformed nodes pull it.  Completes in
+push the rumor, uninformed nodes pull it
+(:func:`repro.tasks.transports.run_uniform_task` in ``"push-pull"`` mode
+over a :class:`~repro.tasks.state.BroadcastState`).  Completes in
 ``log3 n + O(log log n)`` rounds [10]; message-complexity ``Theta(log n)``
 per node because the uninformed keep pulling (mostly unsuccessfully) all
 along and the informed keep pushing until the end.
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from repro.core.result import AlgorithmReport, report_from_sim
+from repro.core.result import AlgorithmReport
 from repro.registry import (
     register_algorithm,
     register_batch_runner,
@@ -29,43 +31,7 @@ from repro.sim.batch import (
     uniform_rounds,
 )
 from repro.sim.engine import Simulator
-from repro.sim.protocol import VectorProtocol, run_protocol
-from repro.tasks.transports import run_uniform_task
-
-
-class PushPullProtocol(VectorProtocol):
-    """State: the informed mask.  Everyone initiates every round."""
-
-    name = "push-pull"
-
-    def __init__(self, sim: Simulator, source: int) -> None:
-        self.informed = np.zeros(sim.net.n, dtype=bool)
-        if sim.net.alive[source]:
-            self.informed[source] = True
-        self._alive = sim.net.alive
-
-    def step(self, sim: Simulator) -> None:
-        rumor_bits = sim.net.sizes.rumor_bits
-        informed_now = self.informed.copy()  # synchronous semantics
-        senders = np.flatnonzero(informed_now & self._alive)
-        pullers = np.flatnonzero(~informed_now & self._alive)
-        with sim.round("push-pull") as r:
-            delivery = r.push(senders, sim.random_targets(senders), rumor_bits)
-            pdsts = sim.random_targets(pullers)
-            answered = r.pull(pullers, pdsts, rumor_bits, informed_now[pdsts]).answered
-            self.informed[delivery.dsts] = True
-            self.informed[pullers[answered]] = True
-
-    def done(self) -> bool:
-        return bool(self.informed[self._alive].all())
-
-    def progress(self) -> float:
-        # count_nonzero over a fused mask: no fancy-index gather, so the
-        # per-round telemetry probe stays cheap even at n = 2^18.
-        alive = int(np.count_nonzero(self._alive))
-        if not alive:
-            return 1.0
-        return float(np.count_nonzero(self.informed & self._alive) / alive)
+from repro.tasks.transports import run_uniform_broadcast, run_uniform_transport
 
 
 def push_pull_round_cap(n: int) -> int:
@@ -89,16 +55,8 @@ def uniform_push_pull(
     message-complexity that [10]'s median-counter rule then cuts to
     ``O(log log n)``.
     """
-    protocol = PushPullProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else push_pull_round_cap(sim.net.n)
-    with sim.metrics.phase("push-pull"):
-        result = run_protocol(protocol, sim, max_rounds=cap, run_to_cap=True)
-    return report_from_sim(
-        "push-pull",
-        sim,
-        protocol.informed,
-        completion_round=result.completion_round,
-    )
+    return run_uniform_broadcast(sim, source, mode="push-pull", max_rounds=cap)
 
 
 @register_batch_runner("push-pull")
@@ -196,7 +154,9 @@ def push_pull_task_transport(
     """PUSH-PULL's contact pattern generalised to any task: content
     holders push, the empty-handed pull (mass-exchange tasks put
     everyone on the push lane)."""
-    return run_uniform_task(sim, state, mode="push-pull", max_rounds=max_rounds)
+    return run_uniform_transport(
+        sim, state, mode="push-pull", max_rounds=max_rounds
+    )
 
 
 #: ``run_replications(..., task=..., engine="vector")`` entry points:

@@ -1,6 +1,8 @@
 """Uniform PULL gossip.
 
-Every *uninformed* node pulls from a uniformly random node each round.
+Every *uninformed* node pulls from a uniformly random node each round
+(:func:`repro.tasks.transports.run_uniform_task` in ``"pull"`` mode over
+a :class:`~repro.tasks.state.BroadcastState`).
 Starting from a single informed node the growth is only ~2x per round
 (each informed node is found by ~1 puller in expectation), but once a
 constant fraction is informed the uninformed fraction *squares* per round
@@ -12,40 +14,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.core.result import AlgorithmReport, report_from_sim
+from repro.core.result import AlgorithmReport
 from repro.registry import register_algorithm
 from repro.sim.engine import Simulator
-from repro.sim.protocol import VectorProtocol, run_protocol
-
-
-class PullProtocol(VectorProtocol):
-    """State: the informed mask.  Only uninformed nodes initiate."""
-
-    name = "pull"
-
-    def __init__(self, sim: Simulator, source: int) -> None:
-        self.informed = np.zeros(sim.net.n, dtype=bool)
-        if sim.net.alive[source]:
-            self.informed[source] = True
-        self._alive = sim.net.alive
-
-    def step(self, sim: Simulator) -> None:
-        pullers = np.flatnonzero(~self.informed & self._alive)
-        dsts = sim.random_targets(pullers)
-        with sim.round("pull") as r:
-            answered = r.pull(
-                pullers, dsts, sim.net.sizes.rumor_bits, self.informed[dsts]
-            ).answered
-            self.informed[pullers[answered]] = True
-
-    def done(self) -> bool:
-        return bool(self.informed[self._alive].all())
-
-    def progress(self) -> float:
-        alive = int(self._alive.sum())
-        return float(self.informed[self._alive].sum() / alive) if alive else 1.0
+from repro.tasks.transports import run_uniform_broadcast
 
 
 def pull_round_cap(n: int) -> int:
@@ -69,10 +41,5 @@ def uniform_pull(
     (requests), ``Theta(log n)`` per node, visible in
     ``metrics.total.pull_requests``.
     """
-    protocol = PullProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else pull_round_cap(sim.net.n)
-    with sim.metrics.phase("pull"):
-        result = run_protocol(protocol, sim, max_rounds=cap, run_to_cap=True)
-    return report_from_sim(
-        "pull", sim, protocol.informed, completion_round=result.completion_round
-    )
+    return run_uniform_broadcast(sim, source, mode="pull", max_rounds=cap)

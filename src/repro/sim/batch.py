@@ -386,12 +386,12 @@ def check_max_rounds(max_rounds: "int | None") -> None:
     ``None`` (run the default schedule) passes; anything else must be a
     non-negative integer (numpy integers included), or a one-line
     ``ValueError`` is raised.  The run-config check
-    (:func:`repro.core.broadcast.check_config`) and the sequential round
-    loops that plugin algorithms call directly
-    (:func:`~repro.sim.protocol.run_protocol`,
-    :func:`~repro.tasks.transports.run_uniform_task`) call this, so a bad
-    cap is one config error everywhere rather than a negative round
-    count, a silently rounded-up float or a traceback from ``range()``.
+    (:func:`repro.core.broadcast.check_config`), the sequential round
+    loop that plugin algorithms call directly
+    (:func:`~repro.tasks.transports.run_uniform_task`) and the
+    median-counter loop call this, so a bad cap is one config error
+    everywhere rather than a negative round count, a silently rounded-up
+    float or a traceback from ``range()``.
     """
     if max_rounds is not None and (not is_integer(max_rounds) or max_rounds < 0):
         raise ValueError(

@@ -4,8 +4,9 @@ The engine (:mod:`repro.sim.engine`) moves messages; the algorithms
 decide who calls whom; a :class:`TaskState` decides what the messages
 mean — which per-node content exists at round 0, how content merges when
 a message arrives, when the execution is done and how far from done it
-is.  The built-in states cover the three workload families the task
-layer ships:
+is.  :class:`BroadcastState` is the paper's own single-rumor task, which
+the PUSH, PULL and PUSH-PULL baselines run on; the other built-in states
+cover the three workload families the task layer ships:
 
 * :class:`KRumorState` — k independent rumors, completion = everyone
   holds all k (all-cast); messages carry the sender's whole rumor set,
@@ -26,8 +27,7 @@ Synchronous semantics: a transport brackets every engine round with
 :meth:`TaskState.begin_round` / :meth:`TaskState.end_round`.  Payloads
 and pull responses always read the *snapshot* taken at ``begin_round``,
 and merges apply to the live arrays, so content received in a round is
-never re-transmitted within the same round — the same convention the
-broadcast baselines use.
+never re-transmitted within the same round.
 """
 
 from __future__ import annotations
@@ -198,6 +198,49 @@ class TaskState(abc.ABC):
     def extras(self) -> Dict[str, object]:
         """Task-specific scalars for the report's ``extras``."""
         return {}
+
+
+class BroadcastState(TaskState):
+    """Single-rumor broadcast: the source holds the rumor, completion =
+    every alive node informed.
+
+    A message is the bare rumor (``rumor_bits``); pushes and answered
+    pulls inform their receivers, and only the round-start informed set
+    transmits.
+    """
+
+    task = "broadcast"
+
+    def __init__(self, net, source: int) -> None:
+        super().__init__(net.n)
+        self.rumor_bits = net.sizes.rumor_bits
+        self.informed = np.zeros(self.n, dtype=bool)
+        self.informed[source] = net.alive[source]
+        self._snap = self.informed.copy()
+
+    def begin_round(self) -> None:
+        np.copyto(self._snap, self.informed)
+
+    def has_content(self, nodes: np.ndarray) -> np.ndarray:
+        return self._snap[nodes]
+
+    def payload_bits(self, nodes: np.ndarray) -> int:
+        return self.rumor_bits
+
+    def begin_push(self, srcs: np.ndarray):
+        return None
+
+    def finish_push(self, token, srcs: np.ndarray, dsts: np.ndarray) -> None:
+        self.informed[dsts] = True
+
+    def deliver_pull(self, receivers: np.ndarray, responders: np.ndarray) -> None:
+        self.informed[receivers] = True
+
+    def completion_mask(self) -> np.ndarray:
+        return self.informed
+
+    def error(self, alive: np.ndarray) -> float:
+        return 1.0 - self.progress(alive)
 
 
 class KRumorState(TaskState):

@@ -8,8 +8,10 @@ patterns cover the registered algorithms:
     The random phone call pattern of the gossip baselines: every round
     each participating node contacts one uniformly random other node.
     Content-holding nodes push; in ``"push-pull"`` mode the
-    empty-handed pull (exactly the PUSH-PULL role split); mass-exchange
-    tasks (push-sum) have everyone push.
+    empty-handed pull (exactly the PUSH-PULL role split), in ``"pull"``
+    mode only they call; mass-exchange tasks (push-sum) have everyone
+    push.  It is the one sequential loop of the PUSH, PULL and PUSH-PULL
+    broadcasts (:func:`run_uniform_broadcast`) and task transports.
 
 :func:`run_cluster_task`
     The paper's direct-addressing pattern: build the algorithm's cluster
@@ -30,10 +32,11 @@ patterns cover the registered algorithms:
     after construction — the direct-addressing payoff the paper's
     broadcast results rest on, applied to aggregation.
 
-Both transports record the task's error after every committed round into
-:attr:`repro.sim.metrics.Metrics.error_series` via an engine commit hook,
-and both stop as soon as the task's completion predicate holds (the
-completion oracle is the experiment harness's, not the nodes').
+Both transports merge each round's deliveries inside its
+``with sim.round(...)`` block, record the task's error after every
+committed round into :attr:`repro.sim.metrics.Metrics.error_series` via
+an engine commit hook, and stop as soon as the task's completion
+predicate holds (the completion oracle is the experiment harness's).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.core.clustering import Clustering
 from repro.core.result import AlgorithmReport, report_from_sim
 from repro.sim.batch import check_max_rounds
 from repro.sim.engine import Simulator
-from repro.tasks.state import TaskState
+from repro.tasks.state import BroadcastState, TaskState
 
 
 def _staged_push(sim: Simulator, state: TaskState, round_, srcs, dsts, extract=False):
@@ -117,55 +120,90 @@ def run_uniform_task(
     *,
     mode: str = "push-pull",
     max_rounds: Optional[int] = None,
-) -> AlgorithmReport:
-    """Drive ``state`` over uniform random phone calls.
+    run_to_cap: bool = False,
+    name: Optional[str] = None,
+) -> Optional[int]:
+    """Drive ``state`` over uniform random phone calls; return the first
+    round after which every alive node was complete (0 if none was
+    needed, ``None`` if never).
 
     ``mode="push-pull"`` gives empty-handed nodes a pull lane (the
     PUSH-PULL role split); ``mode="push"`` leaves them idle (the PUSH
-    pattern).  Mass-exchange tasks put every node on the push lane in
-    both modes.  Stops at completion or after the task's schedule cap.
+    pattern) and ``mode="pull"`` the content holders (the PULL pattern).
+    Mass-exchange tasks put every node on the push lane in all modes.
+    Stops at completion or after the task's schedule cap; ``run_to_cap``
+    runs the whole cap (a schedule with no local stopping rule).
+    ``name`` (default: the task's) labels the ``<name>.step`` events.
     """
-    if mode not in ("push-pull", "push"):
-        raise ValueError(f"mode must be 'push-pull' or 'push', got {mode!r}")
+    if mode not in ("push-pull", "push", "pull"):
+        raise ValueError(f"mode must be 'push-pull', 'push' or 'pull', got {mode!r}")
     check_max_rounds(max_rounds)
     cap = max_rounds if max_rounds is not None else state.round_cap(sim.net.n)
-    completion = _task_observer(sim, state)
+    name = name or state.task
     nothing = np.empty(0, dtype=np.int64)
+    completion = 0 if state.done(sim.net.alive) else None
+    step = 0
+    while step < cap and (run_to_cap or completion is None):
+        step += 1
+        alive = sim.net.alive_indices()
+        state.sync_liveness(sim.net.alive)
+        state.begin_round()
+        if state.all_push():
+            pushers, pullers = alive, nothing
+        else:
+            content = state.has_content(alive)
+            pushers = nothing if mode == "pull" else alive[content]
+            pullers = nothing if mode == "push" else alive[~content]
+        with sim.round(name) as r:
+            if len(pushers):
+                _staged_push(sim, state, r, pushers, sim.random_targets(pushers))
+            if len(pullers):
+                pdsts = sim.random_targets(pullers)
+                answered = r.pull(
+                    pullers,
+                    pdsts,
+                    state.payload_bits(pdsts),
+                    state.has_content(pdsts),
+                ).answered
+                state.deliver_pull(pullers[answered], pdsts[answered])
+            state.end_round()
+        if completion is None and state.done(sim.net.alive):
+            completion = step
+        sim.emit(f"{name}.step", progress=round(state.progress(sim.net.alive), 6))
+    return completion
+
+
+def run_uniform_transport(
+    sim: Simulator,
+    state: TaskState,
+    *,
+    mode: str,
+    max_rounds: Optional[int] = None,
+) -> AlgorithmReport:
+    """A task over uniform random calls, stopped at completion: the
+    PUSH and PUSH-PULL task transports."""
+    _task_observer(sim, state)
     with sim.metrics.phase(f"task:{state.task}"):
-        step = 0
-        while step < cap and not state.done(sim.net.alive):
-            step += 1
-            alive = sim.net.alive_indices()
-            if len(alive) == 0:
-                break
-            state.sync_liveness(sim.net.alive)
-            state.begin_round()
-            if state.all_push():
-                pushers, pullers = alive, nothing
-            else:
-                content = state.has_content(alive)
-                pushers = alive[content]
-                pullers = alive[~content] if mode == "push-pull" else nothing
-            with sim.round(f"{state.task}:{mode}") as r:
-                if len(pushers):
-                    _staged_push(
-                        sim, state, r, pushers, sim.random_targets(pushers)
-                    )
-                if len(pullers):
-                    pdsts = sim.random_targets(pullers)
-                    answered = r.pull(
-                        pullers,
-                        pdsts,
-                        state.payload_bits(pdsts),
-                        state.has_content(pdsts),
-                    ).answered
-                    state.deliver_pull(pullers[answered], pdsts[answered])
-                state.end_round()
-            sim.emit(
-                f"{state.task}.step",
-                progress=round(state.progress(sim.net.alive), 6),
-            )
-    return _finish_report(sim, state, completion())
+        completion = run_uniform_task(sim, state, mode=mode, max_rounds=max_rounds)
+    return _finish_report(sim, state, completion)
+
+
+def run_uniform_broadcast(
+    sim: Simulator, source: int, *, mode: str, max_rounds: int
+) -> AlgorithmReport:
+    """PUSH, PULL or PUSH-PULL broadcast (``mode`` is the algorithm)
+    over its whole w.h.p. schedule: no local stopping rule, so the loop
+    runs to the cap and ``completion_round`` records the spread."""
+    state = BroadcastState(sim.net, source)
+    if sim.telemetry is not None:
+        sim.telemetry.add_probe(
+            "informed", lambda s: round(state.progress(s.net.alive), 6)
+        )
+    with sim.metrics.phase(mode):
+        completion = run_uniform_task(
+            sim, state, mode=mode, max_rounds=max_rounds, run_to_cap=True, name=mode
+        )
+    return report_from_sim(mode, sim, state.informed, completion_round=completion)
 
 
 def default_mix_cap(n: int) -> int:

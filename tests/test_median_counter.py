@@ -28,10 +28,11 @@ class TestCorrectness:
         state D (quiet) without global knowledge."""
         sim = build_sim(2048, seed=0)
         protocol = MedianCounterProtocol(sim, 0)
-        from repro.sim.protocol import run_protocol
-
-        result = run_protocol(protocol, sim, max_rounds=200)
-        assert result.completed
+        for _ in range(200):
+            if protocol.done():
+                break
+            protocol.step(sim)
+        assert protocol.done()
         assert (protocol.state[sim.net.alive] == STATE_D).all()
 
     def test_model_respected(self):
