@@ -114,9 +114,12 @@ class MedianCounterProtocol:
             self.c_countdown[in_c] -= 1
             self.state[in_c & (self.c_countdown <= 0)] = STATE_D
 
+    def spread(self) -> bool:
+        """True when every alive node is informed."""
+        return bool((self.state != UNINFORMED)[self._alive].all())
+
     def done(self) -> bool:
-        informed = self.state != UNINFORMED
-        if not informed[self._alive].all():
+        if not self.spread():
             return False
         # Quiescence: nobody transmitting any more.
         active = (self.state == STATE_B) | (self.state == STATE_C)
@@ -149,23 +152,28 @@ def median_counter_round_cap(n: int) -> int:
 def median_counter(
     sim: Simulator, source: int = 0, *, max_rounds: int = None
 ) -> AlgorithmReport:
-    """Run the median-counter algorithm to quiescence.  Its call is a
-    bidirectional exchange, not a push/pull role split, so it keeps its
-    own round loop."""
+    """Run the median-counter algorithm to quiescence; the report's
+    ``spread_rounds`` is when every alive node was first informed.  Its
+    call is a bidirectional exchange, not a push/pull role split, so it
+    keeps its own round loop."""
     check_max_rounds(max_rounds)
     protocol = MedianCounterProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else median_counter_round_cap(sim.net.n)
     if sim.telemetry is not None:
         sim.telemetry.add_probe("informed", lambda s: round(protocol.progress(), 6))
+    completion = 0 if protocol.spread() else None
     with sim.metrics.phase("median-counter"):
-        for _ in range(cap):
+        for step in range(1, cap + 1):
             if protocol.done():
                 break
             protocol.step(sim)
+            if completion is None and protocol.spread():
+                completion = step
             sim.emit("median-counter.step", progress=round(protocol.progress(), 6))
     return report_from_sim(
         "median-counter",
         sim,
         protocol.informed_mask(),
+        completion_round=completion,
         ctr_max=protocol.ctr_max,
     )

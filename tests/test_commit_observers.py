@@ -48,7 +48,7 @@ def test_error_series_ends_at_the_reported_error(algorithm, task):
 
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
-@pytest.mark.parametrize("algorithm", ["push", "pull", "push-pull"])
+@pytest.mark.parametrize("algorithm", ["push", "pull", "push-pull", "median-counter"])
 def test_informed_reaches_one_at_the_spread_round(algorithm, setting):
     telemetry = Telemetry()
     report = broadcast(

@@ -71,6 +71,13 @@ class TestComplexity:
         report = median_counter(build_sim(n, seed=0))
         assert report.spread_rounds <= 3 * math.log2(n)
 
+    def test_spread_precedes_quiescence(self):
+        """``spread_rounds`` is when everyone was informed; the counters
+        then run out for a few more rounds before the run is quiet."""
+        report = median_counter(build_sim(4096, seed=0))
+        assert report.success
+        assert 0 < report.spread_rounds < report.rounds
+
 
 class TestStateMachine:
     def test_counters_monotone_and_bounded(self):
