@@ -182,7 +182,7 @@ def run_uniform_transport(
 ) -> AlgorithmReport:
     """A task over uniform random calls, stopped at completion: the
     PUSH and PUSH-PULL task transports."""
-    _task_observer(sim, state)
+    _task_observer(sim, state)  # the error series; the loop counts completion
     with sim.metrics.phase(f"task:{state.task}"):
         completion = run_uniform_task(sim, state, mode=mode, max_rounds=max_rounds)
     return _finish_report(sim, state, completion)

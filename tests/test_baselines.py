@@ -76,6 +76,14 @@ class TestMessageAccounting:
         assert report.messages_per_node <= 2.0
         assert report.contacts_per_node > 2.0
 
+    def test_pull_holders_stay_idle(self):
+        report = uniform_pull(build_sim(256, seed=1))
+        assert report.success and report.metrics.total.pushes == 0
+
+    def test_push_has_no_pull_lane(self):
+        report = uniform_push(build_sim(256, seed=1))
+        assert report.success and report.metrics.total.pull_requests == 0
+
     def test_rumor_bits_charged(self):
         n = 256
         report = uniform_push(build_sim(n, seed=0, rumor_bits=1000))

@@ -4,8 +4,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.uniform_pull import uniform_pull
-from repro.baselines.uniform_push import uniform_push
 from repro.obs.telemetry import Telemetry
 from repro.tasks.state import BroadcastState, TaskState
 from repro.tasks.transports import run_uniform_task
@@ -94,7 +92,7 @@ class TestRunProtocol:
 
     def test_steps_to_cap_with_no_alive_node(self):
         # A broadcast schedule has no local stopping rule: even with
-        # nobody left alive it runs (idle) to the cap, as it always did.
+        # nobody left alive it runs (idle) to the cap.
         sim = build_sim(16)
         state = BroadcastState(sim.net, 0)
         sim.net.fail(np.arange(16))
@@ -104,22 +102,3 @@ class TestRunProtocol:
         assert sim.metrics.rounds == 4 and sim.metrics.messages == 0
         assert completion == 0
 
-
-class TestBroadcastRoles:
-    def test_pull_mode_holders_stay_idle(self):
-        report = uniform_pull(build_sim(256, seed=1))
-        total = report.metrics.total
-        assert report.success and total.pushes == 0
-        # Each informed node stops calling, so requests stay below the
-        # push-pull bound of one per node per round.
-        assert total.pull_requests < 256 * report.rounds
-
-    def test_push_mode_has_no_pull_lane(self):
-        report = uniform_push(build_sim(256, seed=1))
-        assert report.success and report.metrics.total.pull_requests == 0
-
-    def test_source_starts_informed_only_when_alive(self):
-        sim = build_sim(8)
-        sim.net.fail([3])
-        assert not BroadcastState(sim.net, 3).informed.any()
-        assert BroadcastState(sim.net, 2).informed[2]
