@@ -18,7 +18,9 @@ node:
 
 The doubly-logarithmic counter cap is what bounds per-node transmissions:
 a node's counter lags the population median by O(1) w.h.p., and all
-counters advance in lock-step once the rumor saturates.
+counters advance in lock-step once the rumor saturates.  The report's
+``spread_rounds`` is when every alive node was informed; its ``rounds``
+is when the network went quiet.
 """
 
 from __future__ import annotations

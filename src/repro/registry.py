@@ -376,7 +376,7 @@ def register_task_transport(name: str) -> Callable[[Callable], Callable]:
 
         @register_task_transport("push-pull")
         def push_pull_transport(sim, state, *, max_rounds=None):
-            return run_uniform_task(sim, state, ...)
+            return run_uniform_transport(sim, state, mode="push-pull", ...)
 
     Returns the function unchanged.
     """
