@@ -19,8 +19,8 @@ from repro.obs.telemetry import Telemetry
 N = 256
 
 #: Adversities that leave liveness unchanged between a round's commit
-#: and the report (churn may crash a node at that boundary, which moves
-#: the final error away from the last sample by design).
+#: and the report.  Churn may crash or revive a node at that boundary,
+#: after the last sample was taken, so it is left out here.
 SETTINGS = {
     "static": {},
     "failures": dict(failures=24),
@@ -33,7 +33,7 @@ SETTINGS = {
 @pytest.mark.parametrize("algorithm", ["push", "push-pull", "cluster1", "cluster2"])
 def test_error_series_ends_at_the_reported_error(algorithm, task):
     converged = 0
-    for setting in (*SETTINGS.values(), dict(schedule="churn-light")):
+    for setting in SETTINGS.values():
         for seed in range(2):
             report = broadcast(N, algorithm, seed=seed, task=task, **setting)
             if not report.extras["converged"]:
