@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from typing import Sequence
 
-GROWTH_FAMILIES: Dict[str, Callable[[float], float]] = {
+from repro.catalogue import Catalogue
+
+GROWTH_FAMILIES = Catalogue("family", {
     "const": lambda L: 1.0,
     "loglog": lambda L: math.log2(max(L, 2.0)),
     "sqrtlog": lambda L: math.sqrt(max(L, 1.0)),
     "log": lambda L: L,
-}
+})
 
 
 @dataclass(frozen=True)
@@ -41,11 +43,9 @@ class FitResult:
 
 def fit_growth(ns: Sequence[int], ys: Sequence[float], family: str) -> FitResult:
     """Least-squares fit of one growth family (closed form, 2 params)."""
-    if family not in GROWTH_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(GROWTH_FAMILIES)}")
+    f = GROWTH_FAMILIES.lookup(family)
     if len(ns) != len(ys) or len(ns) < 2:
         raise ValueError("need >= 2 aligned (n, y) points")
-    f = GROWTH_FAMILIES[family]
     xs = [f(math.log2(max(int(n), 2))) for n in ns]
     ys = [float(y) for y in ys]
     k = len(xs)
@@ -97,11 +97,9 @@ def grows_slower_than(
     against ``family="log"`` roughly halves its slope over a
     ``2^8..2^18`` range and passes.
     """
-    if family not in GROWTH_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    f = GROWTH_FAMILIES.lookup(family)
     if len(ns) < 4:
         raise ValueError("need >= 4 points to compare early/late slopes")
-    f = GROWTH_FAMILIES[family]
     pts = sorted((f(math.log2(max(int(n), 2))), float(y)) for n, y in zip(ns, ys))
     ys_only = [y for _, y in pts]
     level = sum(abs(y) for y in ys_only) / len(ys_only)

@@ -78,7 +78,6 @@ from repro.sim.dynamics import (
     CrashTrickle,
     MessageLoss,
     resolve_schedule,
-    schedule_names,
 )
 from repro.sim.schedule import (
     SCHEDULER_NAMES,
@@ -90,7 +89,6 @@ from repro.workloads.scenarios import (
     replicate_suite,
     run_scenario,
     run_suite,
-    scenario_names,
 )
 
 
@@ -713,18 +711,16 @@ def _cmd_list_topologies(args: argparse.Namespace) -> int:
 
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     print("scenarios:")
-    for name in scenario_names():
-        sc = SCENARIOS[name]
+    for sc in SCENARIOS.entries():
         dyn = f" [schedule: {sc.schedule.describe()}]" if sc.schedule else ""
-        print(f"  {name}: {sc.description}{dyn}")
+        print(f"  {sc.name}: {sc.description}{dyn}")
     return 0
 
 
 def _cmd_list_schedules(args: argparse.Namespace) -> int:
     print("schedules:")
-    for name in schedule_names():
-        named = SCHEDULES[name]
-        print(f"  {name}: {named.description}")
+    for named in SCHEDULES.entries():
+        print(f"  {named.name}: {named.description}")
         print(f"    timeline: {named.schedule.describe()}")
     return 0
 

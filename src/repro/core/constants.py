@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.catalogue import Catalogue
+
 
 def log2n(n: int) -> float:
     """``log2 n`` guarded for tiny n."""
@@ -331,14 +333,7 @@ LAPTOP = Profile(
 )
 
 
-PROFILES = {"paper": PAPER, "laptop": LAPTOP}
+PROFILES = Catalogue("profile", {"paper": PAPER, "laptop": LAPTOP})
 
-
-def get_profile(name: str) -> Profile:
-    """Look a profile up by name."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown profile {name!r}; choose from {sorted(PROFILES)}"
-        ) from None
+#: Look a profile up by name.
+get_profile = PROFILES.lookup

@@ -42,8 +42,10 @@ Entries with ``broadcastable=False`` (e.g. Name-Dropper, a *discovery*
 protocol with its own report type) are catalogued but rejected by
 ``broadcast()``.
 
-The registry itself imports nothing from :mod:`repro.core` or
-:mod:`repro.baselines`; those modules import *it*, so there is no cycle.
+The three tables (:data:`ALGORITHMS`, :data:`TASKS`, :data:`TOPOLOGIES`)
+are :class:`~repro.catalogue.Catalogue` instances.  The registry itself
+imports nothing from :mod:`repro.core` or :mod:`repro.baselines`; those
+modules import *it*, so there is no cycle.
 :func:`ensure_builtins_loaded` imports the built-in algorithm modules on
 first lookup so that ``broadcast(n, "push")`` works without the caller
 importing :mod:`repro.baselines` first.
@@ -55,6 +57,8 @@ import dataclasses
 import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.catalogue import Catalogue
 
 
 class DuplicateAlgorithmError(ValueError):
@@ -211,8 +215,6 @@ class AlgorithmSpec:
         return topology.complete or not self.complete_graph_only
 
 
-_REGISTRY: Dict[str, AlgorithmSpec] = {}
-
 #: Modules whose import registers the built-in algorithms.
 _BUILTIN_MODULES: Tuple[str, ...] = (
     "repro.core.cluster1",
@@ -255,6 +257,32 @@ def ensure_builtins_loaded() -> None:
     _builtins_loaded = True
 
 
+def _defined_at(fn: Any) -> str:
+    """Where a runner or factory is defined, ``module.qualname``: what a
+    module reload re-registers unchanged."""
+    return f"{getattr(fn, '__module__', None)}.{getattr(fn, '__qualname__', repr(fn))}"
+
+
+#: The algorithm catalogue.  Re-registering the *same* entry point (same
+#: module and qualname — what ``importlib.reload`` produces) replaces the
+#: stale spec so interactive iteration works; a different function
+#: claiming a taken name is a conflict.
+ALGORITHMS = Catalogue(
+    "algorithm",
+    unknown=UnknownAlgorithmError,
+    duplicate=DuplicateAlgorithmError,
+    identity=lambda spec: _defined_at(spec.runner),
+    load=ensure_builtins_loaded,
+)
+#: Register a fully built spec (the decorator funnels through here).
+register_spec = ALGORITHMS.register
+#: Remove an algorithm registration (tests and interactive use).
+unregister_algorithm = ALGORITHMS.unregister
+#: Look an algorithm up by name; a miss raises
+#: :class:`UnknownAlgorithmError` (a ``ValueError``) listing the names.
+get_algorithm = ALGORITHMS.lookup
+
+
 def register_algorithm(
     name: str,
     *,
@@ -293,31 +321,6 @@ def register_algorithm(
     return decorate
 
 
-def register_spec(spec: AlgorithmSpec) -> AlgorithmSpec:
-    """Register a fully built spec (the decorator funnels through here).
-
-    Re-registering the *same* entry point (same module and qualname —
-    what ``importlib.reload`` produces) replaces the stale spec so
-    interactive iteration works; a different function claiming a taken
-    name is a conflict.
-    """
-    existing = _REGISTRY.get(spec.name)
-    if existing is not None:
-        same_function = (
-            getattr(existing.runner, "__module__", None)
-            == getattr(spec.runner, "__module__", object())
-            and getattr(existing.runner, "__qualname__", None)
-            == getattr(spec.runner, "__qualname__", object())
-        )
-        if not same_function:
-            raise DuplicateAlgorithmError(
-                f"algorithm {spec.name!r} is already registered "
-                f"(by {existing.runner!r})"
-            )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
 def register_batch_runner(
     name: str, task: str = BROADCAST_TASK
 ) -> Callable[[Callable], Callable]:
@@ -347,17 +350,17 @@ def register_batch_runner(
     """
 
     def decorate(fn: Callable) -> Callable:
-        spec = _REGISTRY.get(name)
+        spec = ALGORITHMS.get(name)
         if spec is None:
             raise UnknownAlgorithmError(
                 f"cannot attach a batch runner to unregistered algorithm {name!r}"
             )
         if task == BROADCAST_TASK:
-            _REGISTRY[name] = dataclasses.replace(spec, batch_runner=fn)
+            ALGORITHMS[name] = dataclasses.replace(spec, batch_runner=fn)
         else:
             runners = dict(spec.task_batch_runners)
             runners[task] = fn
-            _REGISTRY[name] = dataclasses.replace(
+            ALGORITHMS[name] = dataclasses.replace(
                 spec, task_batch_runners=tuple(sorted(runners.items()))
             )
         return fn
@@ -382,45 +385,21 @@ def register_task_transport(name: str) -> Callable[[Callable], Callable]:
     """
 
     def decorate(fn: Callable) -> Callable:
-        spec = _REGISTRY.get(name)
+        spec = ALGORITHMS.get(name)
         if spec is None:
             raise UnknownAlgorithmError(
                 f"cannot attach a task transport to unregistered algorithm {name!r}"
             )
-        _REGISTRY[name] = dataclasses.replace(spec, task_transport=fn)
+        ALGORITHMS[name] = dataclasses.replace(spec, task_transport=fn)
         return fn
 
     return decorate
 
 
-def unregister_algorithm(name: str) -> None:
-    """Remove a registration (tests and interactive experimentation)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_algorithm(name: str) -> AlgorithmSpec:
-    """Look an algorithm up by name.
-
-    Raises :class:`UnknownAlgorithmError` (a ``ValueError``) with the
-    available names on a miss.
-    """
-    ensure_builtins_loaded()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownAlgorithmError(
-            f"unknown algorithm {name!r}; choose from "
-            f"{sorted(_REGISTRY)}"
-        ) from None
-
-
 def algorithm_specs(*, broadcastable_only: bool = False) -> List[AlgorithmSpec]:
     """All registered specs, sorted by name."""
-    ensure_builtins_loaded()
-    specs = sorted(_REGISTRY.values(), key=lambda s: s.name)
-    if broadcastable_only:
-        specs = [s for s in specs if s.broadcastable]
-    return specs
+    specs = ALGORITHMS.entries()
+    return [s for s in specs if s.broadcastable or not broadcastable_only]
 
 
 def algorithm_names(*, broadcastable_only: bool = True) -> List[str]:
@@ -484,70 +463,33 @@ class TaskSpec:
         )
 
 
-_TASKS: Dict[str, TaskSpec] = {}
-
-#: The implicit single-rumor task, present from import so that the
-#: catalogue is never empty and ``get_task("broadcast")`` always works.
-_TASKS[BROADCAST_TASK] = TaskSpec(
-    name=BROADCAST_TASK,
-    factory=None,
-    category="dissemination",
-    doc="Single-rumor broadcast — the paper's setting (the default task).",
-)
-
-
-def register_task(spec: TaskSpec) -> TaskSpec:
-    """Register a task spec (extension point for third-party tasks).
-
-    Same replace-vs-conflict rule as :func:`register_spec`: re-registering
-    an identical factory (an ``importlib.reload``) replaces the stale
-    spec; a different factory claiming a taken name is a conflict.
-    """
-    existing = _TASKS.get(spec.name)
-    if existing is not None:
-        same_factory = (
-            getattr(existing.factory, "__module__", None)
-            == getattr(spec.factory, "__module__", object())
-            and getattr(existing.factory, "__qualname__", None)
-            == getattr(spec.factory, "__qualname__", object())
+#: The task catalogue.  The implicit single-rumor task is present from
+#: import, so the catalogue is never empty and ``get_task("broadcast")``
+#: always works; it cannot be unregistered.  Reloads replace, as for
+#: algorithms.
+TASKS = Catalogue(
+    "task",
+    {
+        BROADCAST_TASK: TaskSpec(
+            name=BROADCAST_TASK,
+            doc="Single-rumor broadcast — the paper's setting (the default task).",
         )
-        if not same_factory:
-            raise DuplicateTaskError(
-                f"task {spec.name!r} is already registered "
-                f"(by {existing.factory!r})"
-            )
-    _TASKS[spec.name] = spec
-    return spec
-
-
-def unregister_task(name: str) -> None:
-    """Remove a task registration (tests and interactive use).  The
-    implicit broadcast task cannot be removed."""
-    if name == BROADCAST_TASK:
-        raise ValueError("the implicit broadcast task cannot be unregistered")
-    _TASKS.pop(name, None)
-
-
-def get_task(name: str) -> TaskSpec:
-    """Look a task up by name (raises :class:`UnknownTaskError` on miss)."""
-    ensure_builtins_loaded()
-    try:
-        return _TASKS[name]
-    except KeyError:
-        raise UnknownTaskError(
-            f"unknown task {name!r}; choose from {sorted(_TASKS)}"
-        ) from None
-
-
-def task_specs() -> List[TaskSpec]:
-    """All registered task specs, sorted by name."""
-    ensure_builtins_loaded()
-    return sorted(_TASKS.values(), key=lambda s: s.name)
-
-
-def task_names() -> List[str]:
-    """Registered task names, sorted."""
-    return [s.name for s in task_specs()]
+    },
+    unknown=UnknownTaskError,
+    duplicate=DuplicateTaskError,
+    identity=lambda spec: _defined_at(spec.factory),
+    fixed=(BROADCAST_TASK,),
+    load=ensure_builtins_loaded,
+)
+#: Register a task spec (extension point for third-party tasks).
+register_task = TASKS.register
+#: Remove a task registration; the broadcast task raises ``ValueError``.
+unregister_task = TASKS.unregister
+#: Look a task up by name (:class:`UnknownTaskError` on a miss).
+get_task = TASKS.lookup
+#: All registered task specs and names, sorted by name.
+task_specs = TASKS.entries
+task_names = TASKS.names
 
 
 def supports_task(algorithm: str, task: str) -> bool:
@@ -608,67 +550,30 @@ class TopologySpec:
         return self.factory(**topology_kwargs)
 
 
-_TOPOLOGIES: Dict[str, TopologySpec] = {}
-
-
-def register_topology(spec: TopologySpec) -> TopologySpec:
-    """Register a topology spec (extension point for third-party graphs).
-
-    Same replace-vs-conflict rule as :func:`register_spec`: re-registering
-    an identical factory (an ``importlib.reload``) replaces the stale
-    spec; a different factory claiming a taken name is a conflict.
-    """
-    existing = _TOPOLOGIES.get(spec.name)
-    if existing is not None:
-        same_factory = (
-            getattr(existing.factory, "__module__", None)
-            == getattr(spec.factory, "__module__", object())
-            and getattr(existing.factory, "__qualname__", None)
-            == getattr(spec.factory, "__qualname__", object())
-        )
-        if not same_factory:
-            raise DuplicateTopologyError(
-                f"topology {spec.name!r} is already registered "
-                f"(by {existing.factory!r})"
-            )
-    _TOPOLOGIES[spec.name] = spec
-    return spec
-
-
-def unregister_topology(name: str) -> None:
-    """Remove a topology registration (tests and interactive use).  The
-    complete graph cannot be removed — it is the engine's default."""
-    spec = _TOPOLOGIES.get(name)
-    if spec is not None and spec.complete:
-        raise ValueError("the complete contact graph cannot be unregistered")
-    _TOPOLOGIES.pop(name, None)
-
-
-def get_topology_spec(name: str) -> TopologySpec:
-    """Look a topology up by name (:class:`UnknownTopologyError` on miss)."""
-    ensure_builtins_loaded()
-    try:
-        return _TOPOLOGIES[name]
-    except KeyError:
-        raise UnknownTopologyError(
-            f"unknown topology {name!r}; choose from {sorted(_TOPOLOGIES)}"
-        ) from None
+#: The topology catalogue.  The complete graph is the engine's default
+#: and cannot be unregistered.  Reloads replace, as for algorithms.
+TOPOLOGIES = Catalogue(
+    "topology",
+    unknown=UnknownTopologyError,
+    duplicate=DuplicateTopologyError,
+    identity=lambda spec: _defined_at(spec.factory),
+    fixed=("complete",),
+    load=ensure_builtins_loaded,
+)
+#: Register a topology spec (extension point for third-party graphs).
+register_topology = TOPOLOGIES.register
+#: Remove a topology registration; the complete graph raises ``ValueError``.
+unregister_topology = TOPOLOGIES.unregister
+#: Look a topology up by name (:class:`UnknownTopologyError` on a miss).
+get_topology_spec = TOPOLOGIES.lookup
+#: All registered topology specs and names, sorted by name.
+topology_specs = TOPOLOGIES.entries
+topology_names = TOPOLOGIES.names
 
 
 def make_topology(name: str, **topology_kwargs: Any):
     """Build a frozen :class:`~repro.sim.topology.Topology` by name."""
     return get_topology_spec(name).build(**topology_kwargs)
-
-
-def topology_specs() -> List[TopologySpec]:
-    """All registered topology specs, sorted by name."""
-    ensure_builtins_loaded()
-    return sorted(_TOPOLOGIES.values(), key=lambda s: s.name)
-
-
-def topology_names() -> List[str]:
-    """Registered topology names, sorted."""
-    return [s.name for s in topology_specs()]
 
 
 def supports_topology(algorithm: str, topology) -> bool:
@@ -684,8 +589,4 @@ def supports_topology(algorithm: str, topology) -> bool:
 def compatible_topologies(algorithm: str) -> List[str]:
     """Names of the registered topologies ``algorithm`` may run on."""
     spec = get_algorithm(algorithm)
-    return [
-        t.name
-        for t in topology_specs()
-        if t.complete or not spec.complete_graph_only
-    ]
+    return [t.name for t in topology_specs() if spec.supports_topology(t)]

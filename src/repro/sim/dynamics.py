@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.catalogue import Catalogue
 from repro.sim.network import Network
 
 __all__ = [
@@ -645,16 +646,13 @@ class NamedSchedule:
     schedule: AdversitySchedule
 
 
-SCHEDULES: Dict[str, NamedSchedule] = {}
+#: The schedule preset catalogue: any re-registration of a name conflicts.
+SCHEDULES = Catalogue("schedule")
 
 
 def register_schedule(name: str, description: str, schedule: AdversitySchedule) -> NamedSchedule:
     """Add a named schedule to the catalogue (extension point)."""
-    if name in SCHEDULES:
-        raise ValueError(f"schedule {name!r} is already registered")
-    named = NamedSchedule(name=name, description=description, schedule=schedule)
-    SCHEDULES[name] = named
-    return named
+    return SCHEDULES.register(NamedSchedule(name, description, schedule))
 
 
 for _name, _desc, _sched in [
@@ -693,19 +691,13 @@ for _name, _desc, _sched in [
 del _name, _desc, _sched
 
 
-def schedule_names() -> List[str]:
-    """Registered schedule preset names, sorted."""
-    return sorted(SCHEDULES)
+#: Registered schedule preset names, sorted.
+schedule_names = SCHEDULES.names
 
 
 def get_schedule(name: str) -> AdversitySchedule:
     """Look a schedule preset up by name."""
-    try:
-        return SCHEDULES[name].schedule
-    except KeyError:
-        raise ValueError(
-            f"unknown schedule {name!r}; choose from {sorted(SCHEDULES)}"
-        ) from None
+    return SCHEDULES.lookup(name).schedule
 
 
 def resolve_schedule(

@@ -13,6 +13,7 @@ import numbers
 
 import numpy as np
 
+from repro.catalogue import Catalogue
 from repro.sim.batch import is_integer
 from repro.sim.network import Network
 from repro.sim.rng import SeedLike, make_rng
@@ -77,12 +78,12 @@ def _fraction_pattern(net: Network, count: float, rng: SeedLike = None) -> np.nd
     return fail_fraction(net, count, rng)
 
 
-PATTERNS = {
+PATTERNS = Catalogue("failure pattern", {
     "random": fail_random,
     "prefix": _prefix_pattern,
     "smallest-uids": _smallest_uids_pattern,
     "fraction": _fraction_pattern,
-}
+})
 
 
 def apply_pattern(net: Network, pattern: str, count: float, rng: SeedLike = None) -> np.ndarray:
@@ -91,24 +92,15 @@ def apply_pattern(net: Network, pattern: str, count: float, rng: SeedLike = None
     ``count`` is a node count for every pattern except ``"fraction"``,
     where it is the fraction in [0, 1) of all nodes to fail.
     """
-    return _pattern(pattern)(net, count, rng)
+    return PATTERNS.lookup(pattern)(net, count, rng)
 
 
 def check_failures(n: int, pattern: str, count: float) -> None:
     """Check a named pattern (even at zero failures) and, when non-zero,
     its count against ``n`` nodes, before any network exists."""
-    _pattern(pattern)
+    PATTERNS.lookup(pattern)
     if count:
         _check_count(n, _fraction_count(n, count) if pattern == "fraction" else count)
-
-
-def _pattern(pattern: str):
-    try:
-        return PATTERNS[pattern]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown failure pattern {pattern!r}; choose from {sorted(PATTERNS)}"
-        ) from None
 
 
 def _fraction_count(n: int, fraction: float) -> int:

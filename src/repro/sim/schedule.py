@@ -566,12 +566,7 @@ def parse_delay(text: str) -> DelayModel:
     """
     name, _, argstr = text.partition(":")
     name = name.strip()
-    cls = DELAY_MODELS.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown delay model '{name}'; expected one of "
-            f"{', '.join(sorted(DELAY_MODELS))}"
-        )
+    cls = DELAY_MODELS.lookup(name)
     args: List[float] = []
     kwargs = {}
     for part in argstr.split(","):

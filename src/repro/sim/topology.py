@@ -65,6 +65,8 @@ from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
+from repro.catalogue import Catalogue
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -806,13 +808,13 @@ class RateLimitedEdgeDelay(DelayModel):
 
 #: Delay models constructible by name (the CLI's ``--delay NAME[:ARGS]``
 #: and the scenario catalogue go through this table).
-DELAY_MODELS = {
+DELAY_MODELS = Catalogue("delay model", {
     "constant": ConstantDelay,
     "jitter": UniformJitterDelay,
     "straggler": NodeSlowdownDelay,
     "wan": EdgeWeightedDelay,
     "rate-limited": RateLimitedEdgeDelay,
-}
+})
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from repro.analysis.runner import (
     settings_of,
 )
 from repro.analysis.stats import ReplicationSummary
+from repro.catalogue import Catalogue
 from repro.core.broadcast import broadcast, check_settings
 from repro.core.result import AlgorithmReport
 from repro.sim.dynamics import AdversitySchedule
@@ -126,15 +127,12 @@ class Scenario:
         return broadcast(**{**args, **settings_of(self), **overrides})
 
 
-SCENARIOS: Dict[str, Scenario] = {}
+#: The scenario catalogue: any re-registration of a name conflicts.
+SCENARIOS = Catalogue("scenario")
 
 
-def register_scenario(scenario: Scenario) -> Scenario:
-    """Add a scenario to the catalogue (extension point for users)."""
-    if scenario.name in SCENARIOS:
-        raise ValueError(f"scenario {scenario.name!r} is already registered")
-    SCENARIOS[scenario.name] = scenario
-    return scenario
+#: Add a scenario to the catalogue (extension point for users).
+register_scenario = SCENARIOS.register
 
 
 for _scenario in [
@@ -461,21 +459,11 @@ del _scenario
 def scenario_names(*, include_heavy: bool = True) -> List[str]:
     """Registered scenario names, sorted; ``include_heavy=False`` drops
     the large-n scale-tier presets (what whole-catalogue sweeps use)."""
-    return sorted(
-        name
-        for name, sc in SCENARIOS.items()
-        if include_heavy or not sc.heavy
-    )
+    return [sc.name for sc in SCENARIOS.entries() if include_heavy or not sc.heavy]
 
 
-def get_scenario(name: str) -> Scenario:
-    """Look a scenario up by name."""
-    try:
-        return SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
-        ) from None
+#: Look a scenario up by name.
+get_scenario = SCENARIOS.lookup
 
 
 def run_scenario(name: str, seed: int = 0, **overrides: Any) -> AlgorithmReport:
