@@ -64,6 +64,9 @@ class TaskState(abc.ABC):
 
     #: Registered task name (stamped into reports).
     task: str = "task"
+    #: Whether staging a push moves content out of the sender (push-sum
+    #: mass), so a push may only be staged over an established connection.
+    moves_mass: bool = False
 
     def __init__(self, n: int) -> None:
         self.n = int(n)
@@ -343,6 +346,7 @@ class PushSumState(TaskState):
     """
 
     task = "push-sum"
+    moves_mass = True
 
     def __init__(
         self,

@@ -58,20 +58,21 @@ def _staged_push(sim: Simulator, state: TaskState, round_, srcs, dsts, extract=F
 
     The random phone call model is connection-oriented: a caller whose
     target is dead observes the failed connection (the engine never
-    delivers it), so mass-moving states only stage content over
-    *established* connections — a push-sum node dialling a crashed node
-    keeps its mass and retries next round.  The same observation covers
-    topology restrictions (:mod:`repro.sim.topology`): a ``-1``
-    nobody-to-call sentinel or an unreachable direct address under
-    ``direct_addressing="topology"`` never establishes, so no mass is
-    staged over it.  In-transit message loss (an active loss window) is
-    invisible to the sender: that mass is staged and genuinely lost.
-    The attempt is still declared (and charged) for every caller,
-    exactly like the broadcast baselines.
+    delivers it), so mass-moving states (:attr:`TaskState.moves_mass`)
+    only stage content over *established* connections — a push-sum node
+    dialling a crashed node keeps its mass and retries next round.  The
+    same observation covers topology restrictions
+    (:mod:`repro.sim.topology`): a ``-1`` nobody-to-call sentinel or an
+    unreachable direct address under ``direct_addressing="topology"``
+    never establishes, so no mass is staged over it.  In-transit message
+    loss (an active loss window) is invisible to the sender: that mass is
+    staged and genuinely lost.  Other states stage every caller (their
+    delivered senders are a subset).  The attempt is still declared (and
+    charged) for every caller, exactly like the broadcast baselines.
     """
-    connected = sim.net.connection_mask(srcs, dsts)
+    staged = srcs[sim.net.connection_mask(srcs, dsts)] if state.moves_mass else srcs
     stage = state.begin_extract if extract else state.begin_push
-    token = stage(srcs[connected])
+    token = stage(staged)
     delivery = round_.push(srcs, dsts, state.payload_bits(srcs))
     state.finish_push(token, delivery.srcs, delivery.dsts)
     return delivery
