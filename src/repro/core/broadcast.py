@@ -887,6 +887,7 @@ def _run_sharded(
     ``run_replications`` call on ``common`` (the run's keyword arguments
     bar the shard's own), merge the shard summaries (and shard telemetry
     collectors) in shard order."""
+    from repro.analysis.runner import execute
     from repro.analysis.stats import ReplicationSummary
 
     engine, n = common["engine"], common["n"]
@@ -907,15 +908,7 @@ def _run_sharded(
             payload["telemetry"] = telemetry.spawn()
         payloads.append(payload)
 
-    if workers == 1 or len(payloads) == 1:
-        shard_results = [_replication_shard(p) for p in payloads]
-    else:
-        # Imported lazily: the serial path stays free of executor setup.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            shard_results = list(pool.map(_replication_shard, payloads))
-
+    shard_results = execute(payloads, workers=workers, job=_replication_shard)
     merged = ReplicationSummary(
         algorithm=common["algorithm"], n=n, engine=engine, task=common["task"]
     )
