@@ -375,19 +375,6 @@ def _cmd_run_replications(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # Configuration errors — an (algorithm, task) pair with no registered
-    # transport, an incompatible topology, an unknown knob — are user
-    # input, not bugs: print the library's message cleanly instead of a
-    # traceback.  (broadcast() and run_replications() raise ValueError
-    # subclasses for all of them.)
-    try:
-        return _cmd_run_checked(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_run_checked(args: argparse.Namespace) -> int:
     # Any --reps but 1 goes through run_replications, whose config check
     # refuses --reps below 1 like every other bad input.
     if args.reps != 1:
@@ -510,44 +497,29 @@ def _sweep_with_telemetry(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Same clean-config-error contract as `run`: an incompatible
-    # (algorithm, topology) pair, a bad schedule spec, or an unknown
-    # topology knob is user input — print the message, exit 2.
-    try:
-        if args.telemetry is not None:
-            records = _sweep_with_telemetry(args)
-        else:
-            records = sweep(
-                args.algorithms,
-                args.ns,
-                list(range(args.seeds)),
-                workers=args.workers,
-                **_settings_from_args(args),
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.telemetry is not None:
+        records = _sweep_with_telemetry(args)
+    else:
+        records = sweep(
+            args.algorithms,
+            args.ns,
+            list(range(args.seeds)),
+            workers=args.workers,
+            **_settings_from_args(args),
+        )
     print(_sweep_table(records).render())
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        records = read_jsonl(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = read_jsonl(args.file)
     problems = validate_records(records)
     if problems:
         for problem in problems:
             print(f"invalid telemetry: {problem}", file=sys.stderr)
         return 2
     if args.critical_path:
-        try:
-            print(render_critical_path(records, max_rows=args.series_rows))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        print(render_critical_path(records, max_rows=args.series_rows))
         return 0
     print(render_report(records, max_series_rows=args.series_rows))
     return 0
@@ -556,25 +528,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_bench_check(args: argparse.Namespace) -> int:
     from repro.analysis.benchcheck import check_directories
 
-    try:
-        result = check_directories(
-            args.baseline, args.fresh, max_regression=args.max_regression
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = check_directories(
+        args.baseline, args.fresh, max_regression=args.max_regression
+    )
     print(result.render())
     return 0 if result.ok else 1
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    # Same clean-config-error contract as `run`/`sweep`: a preset whose
-    # configuration the current overrides make unrunnable is user input.
-    try:
-        report = run_scenario(args.name, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = run_scenario(args.name, seed=args.seed)
     print(SCENARIOS[args.name].description)
     print(report)
     print()
@@ -583,15 +545,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite_replicated(args: argparse.Namespace) -> int:
-    try:
-        cells = replicate_suite(
-            args.names or None,
-            reps=args.reps,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cells = replicate_suite(args.names or None, reps=args.reps, workers=args.workers)
     if args.json:
         payload = [
             {"scenario": cell.scenario, "summary": cell.summary.row()}
@@ -618,15 +572,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return _cmd_suite_replicated(args)
-    try:
-        results = run_suite(
-            args.names or None,
-            seeds=range(args.seeds),
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suite(
+        args.names or None, seeds=range(args.seeds), workers=args.workers
+    )
     if args.json:
         payload = [
             {"scenario": cell.scenario, "record": asdict(cell.record)}
@@ -945,6 +893,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         # doesn't raise again, and exit like a SIGPIPE'd process.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (OSError, ValueError) as exc:
+        # Bad input — an unknown name, an incompatible pair, an invalid
+        # knob, an unreadable or unwritable path — is the user's, not a
+        # bug: one error line and exit 2 instead of a traceback.  (The
+        # library raises ValueError subclasses for every config error.)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
