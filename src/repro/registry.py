@@ -257,10 +257,13 @@ def ensure_builtins_loaded() -> None:
     _builtins_loaded = True
 
 
-def _defined_at(fn: Any) -> str:
-    """Where a runner or factory is defined, ``module.qualname``: what a
-    module reload re-registers unchanged."""
-    return f"{getattr(fn, '__module__', None)}.{getattr(fn, '__qualname__', repr(fn))}"
+def _defined_at(fn: Any) -> Any:
+    """``(module, qualname)`` of a runner or factory, which a module reload
+    re-registers unchanged; anything without both never matches."""
+    try:
+        return fn.__module__, fn.__qualname__
+    except AttributeError:
+        return object()
 
 
 #: The algorithm catalogue.  Re-registering the *same* entry point (same

@@ -181,9 +181,19 @@ def test_reload_replaces(key):
     assert "test-reload" not in table
 
 
+def test_entries_without_a_defining_function_never_match():
+    # The broadcast task has no factory, so no re-registration is its reload.
+    with pytest.raises(DuplicateTaskError, match="already registered"):
+        register_task(TaskSpec(name="broadcast"))
+    assert TASKS["broadcast"].doc
+
+
 @pytest.mark.parametrize(
     "table, name, unregister",
-    [(TASKS, "broadcast", unregister_task), (TOPOLOGIES, "complete", unregister_topology)],
+    [
+        (TASKS, "broadcast", unregister_task),
+        (TOPOLOGIES, "complete", unregister_topology),
+    ],
 )
 def test_fixed_names_cannot_be_unregistered(table, name, unregister):
     for remove in (table.unregister, unregister):
