@@ -78,6 +78,7 @@ def _execute(case: dict, shape: str):
         schedule=case.get("schedule"),
         topology=topology,
         direct_addressing=case.get("direct_addressing", "global"),
+        **case.get("kwargs", {}),
     )
     if shape == "broadcast":
         return broadcast(case["n"], case["algorithm"], seed=case["seed"], **config)
