@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.result import AlgorithmReport, report_from_sim
 from repro.registry import register_algorithm
 from repro.sim.batch import check_max_rounds
+from repro.sim.caps import round_cap
 from repro.sim.delivery import receive_counts
 from repro.sim.engine import Simulator
 
@@ -135,11 +136,6 @@ class MedianCounterProtocol:
         return float(self.informed_mask().sum() / alive) if alive else 1.0
 
 
-def median_counter_round_cap(n: int) -> int:
-    """W.h.p. cap: O(log n) spreading plus the counter run-out."""
-    return math.ceil(3 * math.log2(max(n, 2))) + 20
-
-
 @register_algorithm(
     "median-counter",
     category="baseline",
@@ -160,7 +156,7 @@ def median_counter(
     keeps its own round loop."""
     check_max_rounds(max_rounds)
     protocol = MedianCounterProtocol(sim, source)
-    cap = max_rounds if max_rounds is not None else median_counter_round_cap(sim.net.n)
+    cap = max_rounds if max_rounds is not None else round_cap("median-counter", sim.net.n)
     if sim.telemetry is not None:
         sim.telemetry.add_probe("informed", lambda s: round(protocol.progress(), 6))
     completion = 0 if protocol.spread() else None

@@ -14,13 +14,13 @@ engine still accounts every pushed ID.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.registry import register_algorithm
+from repro.sim.caps import round_cap
 from repro.sim.engine import Simulator
 
 
@@ -85,11 +85,7 @@ def name_dropper(
         set(neigh) | {i}
         for i, neigh in enumerate(initial_knows or ring_topology(n))
     ]
-    cap = (
-        max_rounds
-        if max_rounds is not None
-        else 2 * math.ceil(math.log2(max(n, 2))) ** 2 + 10
-    )
+    cap = max_rounds if max_rounds is not None else round_cap("name-dropper", n)
     id_bits = sim.net.sizes.id_bits
 
     rounds = 0

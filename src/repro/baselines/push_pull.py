@@ -11,8 +11,6 @@ along and the informed keep pushing until the end.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.result import AlgorithmReport
@@ -30,13 +28,9 @@ from repro.sim.batch import (
     resolve_sources,
     uniform_rounds,
 )
+from repro.sim.caps import round_cap
 from repro.sim.engine import Simulator
 from repro.tasks.transports import run_uniform_broadcast, run_uniform_transport
-
-
-def push_pull_round_cap(n: int) -> int:
-    """The w.h.p. schedule around ``log3 n + O(log log n)`` [10]."""
-    return math.ceil(math.log(max(n, 2), 3)) + 10
 
 
 @register_algorithm(
@@ -55,8 +49,7 @@ def uniform_push_pull(
     message-complexity that [10]'s median-counter rule then cuts to
     ``O(log log n)``.
     """
-    cap = max_rounds if max_rounds is not None else push_pull_round_cap(sim.net.n)
-    return run_uniform_broadcast(sim, source, mode="push-pull", max_rounds=cap)
+    return run_uniform_broadcast(sim, source, mode="push-pull", max_rounds=max_rounds)
 
 
 @register_batch_runner("push-pull")
@@ -102,7 +95,7 @@ def batched_push_pull(
     overlay draws only from its own delay streams, so the batch's
     rounds/messages/bits are bit-identical with it on or off.
     """
-    cap = max_rounds if max_rounds is not None else push_pull_round_cap(n)
+    cap = max_rounds if max_rounds is not None else round_cap("push-pull", n, graph)
     sources = resolve_sources(source, reps, n, rng)
     informed = np.zeros((reps, n), dtype=bool)
     informed[np.arange(reps), sources] = True

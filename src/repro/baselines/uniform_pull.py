@@ -12,17 +12,10 @@ Completes in ``Theta(log n)`` rounds from one source.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.result import AlgorithmReport
 from repro.registry import register_algorithm
 from repro.sim.engine import Simulator
 from repro.tasks.transports import run_uniform_broadcast
-
-
-def pull_round_cap(n: int) -> int:
-    """The w.h.p. schedule: doubling start + squaring endgame + slack."""
-    return math.ceil(1.5 * math.log2(max(n, 2))) + 8
 
 
 @register_algorithm(
@@ -41,5 +34,4 @@ def uniform_pull(
     (requests), ``Theta(log n)`` per node, visible in
     ``metrics.total.pull_requests``.
     """
-    cap = max_rounds if max_rounds is not None else pull_round_cap(sim.net.n)
-    return run_uniform_broadcast(sim, source, mode="pull", max_rounds=cap)
+    return run_uniform_broadcast(sim, source, mode="pull", max_rounds=max_rounds)

@@ -11,21 +11,10 @@ on.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.result import AlgorithmReport
 from repro.registry import register_algorithm, register_task_transport
 from repro.sim.engine import Simulator
 from repro.tasks.transports import run_uniform_broadcast, run_uniform_transport
-
-
-def push_round_cap(n: int) -> int:
-    """The w.h.p. schedule: ``log2 n + ln n + O(1)`` rounds (Pittel).
-
-    The additive slack absorbs the lower-order deviations, which at small
-    ``n`` are a noticeable fraction of the total.
-    """
-    return math.ceil(math.log2(max(n, 2)) + math.log(max(n, 2))) + 12
 
 
 @register_algorithm(
@@ -44,8 +33,7 @@ def uniform_push(
     message-complexity per node.  The report's ``spread_rounds`` records
     when everyone was actually informed.
     """
-    cap = max_rounds if max_rounds is not None else push_round_cap(sim.net.n)
-    return run_uniform_broadcast(sim, source, mode="push", max_rounds=cap)
+    return run_uniform_broadcast(sim, source, mode="push", max_rounds=max_rounds)
 
 
 @register_task_transport("push")

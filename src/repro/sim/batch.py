@@ -37,7 +37,6 @@ and telemetry series bit for bit.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,6 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.sim.buffers import BufferPool
+from repro.sim.caps import round_cap
 from repro.sim.network import resolve_index_dtype
 
 #: Soft cap on elements per ``(R, n)`` work array; chunking in
@@ -424,20 +424,6 @@ def check_mode(mode) -> None:
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
-def uniform_round_cap(n: int) -> int:
-    """The generic uniform-gossip task schedule: ``O(log n)`` with the
-    same additive slack the PUSH baseline uses (Pittel's bound shape).
-    Shared between :mod:`repro.tasks.state` and the batch runners here
-    so both execution shapes run identical schedules."""
-    return math.ceil(math.log2(max(n, 2)) + math.log(max(n, 2))) + 12
-
-
-def k_rumor_round_cap(n: int, k: int) -> int:
-    """The k-rumor schedule: each rumor spreads like an independent
-    PUSH/PULL epidemic; a union bound over ``k`` adds a ``log k`` term."""
-    return uniform_round_cap(n) + math.ceil(math.log2(k + 1))
-
-
 # ----------------------------------------------------------------------
 # Push-sum averaging (task "push-sum"), batched
 # ----------------------------------------------------------------------
@@ -445,15 +431,6 @@ def k_rumor_round_cap(n: int, k: int) -> int:
 #: Bits per scalar in a push-sum payload; one message carries the
 #: ``(value, weight)`` pair, i.e. ``2 * PUSH_SUM_VALUE_BITS`` bits.
 PUSH_SUM_VALUE_BITS = 64
-
-
-def push_sum_round_cap(n: int, tol: float) -> int:
-    """The push-sum schedule: ``O(log n + log 1/tol)`` rounds (Kempe et
-    al., FOCS 2003) with generous laptop-scale constants — the driver
-    stops early at convergence, so slack only pads the failure path."""
-    return 4 * (
-        math.ceil(math.log2(max(n, 2))) + math.ceil(math.log2(1.0 / tol))
-    ) + 24
 
 
 def batched_push_sum(
@@ -504,7 +481,7 @@ def batched_push_sum(
     del message_bits, source, restore_mass
     check_tol(tol)
     check_positive_int("value_bits", value_bits)
-    cap = max_rounds if max_rounds is not None else push_sum_round_cap(n, tol)
+    cap = max_rounds if max_rounds is not None else round_cap("push-sum", n, tol=tol)
     bits_per_msg = 2 * int(value_bits)
 
     values = rng.random((reps, n))
@@ -587,7 +564,7 @@ def batched_k_rumor(
     keep ``batch_elems`` proportionally smaller for very large ``k``.
     """
     check_k(k, n)
-    cap = max_rounds if max_rounds is not None else k_rumor_round_cap(n, k)
+    cap = max_rounds if max_rounds is not None else round_cap("k-rumor", n, k=k)
     rumor_bits = int(message_bits)
 
     holds = np.zeros((reps, n, k), dtype=bool)
@@ -705,7 +682,7 @@ def batched_min_max(
     del message_bits, source  # uniform batch-runner signature, unused
     check_mode(mode)
     check_positive_int("value_bits", value_bits)
-    cap = max_rounds if max_rounds is not None else uniform_round_cap(n)
+    cap = max_rounds if max_rounds is not None else round_cap("uniform", n)
     merge_at = np.minimum.at if mode == "min" else np.maximum.at
     reduce_best = np.min if mode == "min" else np.max
     bits_per_msg = int(value_bits)

@@ -111,10 +111,10 @@ class Topology:
         An upper-bound estimate of the diameter (exact for the
         deterministic topologies, w.h.p. for the random ones) — the
         natural unit for round budgets: information needs at least one
-        round per hop, so ``max_rounds`` for spreading processes scales
-        with this instead of a hard-coded constant.  ``None`` means the
-        spec offers no estimate (third-party topologies predating this
-        hook); callers must keep their own fallback.
+        round per hop, so the default cap of a spreading process grows
+        with it (:func:`repro.sim.caps.round_cap` reads it from the bound
+        graph).  ``None`` means the spec offers no estimate (third-party
+        topologies predating this hook); their runs keep the base cap.
         """
         return None
 
@@ -123,6 +123,12 @@ class Topology:
         if self.delay is not None:
             return f"{base}+{self.delay.describe()}"
         return base
+
+    def _contact_graph(self, n: int, u: np.ndarray, v: np.ndarray) -> "ContactGraph":
+        """Bind an undirected edge list, with this spec's hint for ``n``."""
+        graph = ContactGraph(self.describe(), n, *_csr_from_edges(n, u, v))
+        graph.diameter_hint = self.diameter_hint(n)
+        return graph
 
 
 class ContactGraph:
@@ -134,6 +140,10 @@ class ContactGraph:
     CSR is cached per liveness epoch, so static executions re-mask once
     and churn-heavy ones re-mask exactly when the epoch moves.
     """
+
+    #: The spec's :meth:`Topology.diameter_hint` for this ``n``, set by
+    #: the bind (``None``: no hint); :func:`repro.sim.caps.round_cap` reads it.
+    diameter_hint: Optional[int] = None
 
     def __init__(self, name: str, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.name = name
@@ -867,8 +877,7 @@ class Ring(Topology):
         offsets = np.arange(1, self.k + 1, dtype=np.int64)
         u = np.repeat(nodes, self.k)
         v = (u + np.tile(offsets, n)) % n
-        indptr, indices = _csr_from_edges(n, u, v)
-        return ContactGraph(self.describe(), n, indptr, indices)
+        return self._contact_graph(n, u, v)
 
     def diameter_hint(self, n: int) -> int:
         # Antipodal nodes are n/2 apart and each hop covers <= k.
@@ -912,8 +921,7 @@ class Torus2D(Topology):
         down = ((r + 1) % rows) * cols + c
         u = np.concatenate([nodes, nodes])
         v = np.concatenate([right, down])
-        indptr, indices = _csr_from_edges(n, u, v)
-        return ContactGraph(self.describe(), n, indptr, indices)
+        return self._contact_graph(n, u, v)
 
     def diameter_hint(self, n: int) -> int:
         rows, cols = self.dims(n)
@@ -977,8 +985,7 @@ class RandomRegular(Topology):
             # Out of sweeps: drop the pairs that are still bad.
             keep = ~self._bad_pairs(n, u, v)
             u, v = u[keep], v[keep]
-        indptr, indices = _csr_from_edges(n, u, v)
-        return ContactGraph(self.describe(), n, indptr, indices)
+        return self._contact_graph(n, u, v)
 
     @staticmethod
     def _bad_pairs(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -1045,8 +1052,7 @@ class ErdosRenyiGnp(Topology):
         if len(chosen) > m:
             chosen = rng.choice(chosen, size=m, replace=False)
         u, v = self._unrank(n, chosen)
-        indptr, indices = _csr_from_edges(n, u, v)
-        return ContactGraph(self.describe(), n, indptr, indices)
+        return self._contact_graph(n, u, v)
 
     @staticmethod
     def _unrank(n: int, ranks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

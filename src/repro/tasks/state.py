@@ -33,7 +33,7 @@ never re-transmitted within the same round.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +43,6 @@ from repro.sim.batch import (
     check_mode,
     check_positive_int,
     check_tol,
-    k_rumor_round_cap,
-    push_sum_round_cap,
-    uniform_round_cap,
 )
 
 #: Weights below this are "no mass": a push-sum node that extracted its
@@ -195,10 +192,10 @@ class TaskState(abc.ABC):
             return 1.0
         return float(np.count_nonzero(self.completion_mask() & alive) / live)
 
-    def round_cap(self, n: int) -> int:
-        """Default uniform-transport schedule length (shared with the
-        batch runners in :mod:`repro.sim.batch`)."""
-        return uniform_round_cap(n)
+    def cap_schedule(self) -> Tuple[str, Dict[str, object]]:
+        """This task's :func:`repro.sim.caps.round_cap` schedule over
+        uniform calls, and the task knobs that size it."""
+        return "uniform", {}
 
     def extras(self) -> Dict[str, object]:
         """Task-specific scalars for the report's ``extras``."""
@@ -317,8 +314,8 @@ class KRumorState(TaskState):
             return 0.0
         return float(1.0 - self.holds[idx].mean())
 
-    def round_cap(self, n: int) -> int:
-        return k_rumor_round_cap(n, self.k)
+    def cap_schedule(self) -> Tuple[str, Dict[str, object]]:
+        return "k-rumor", {"k": self.k}
 
     def extras(self) -> Dict[str, object]:
         return {"task_k": self.k}
@@ -487,8 +484,8 @@ class PushSumState(TaskState):
         repaired = float(np.abs(self.est[idx] - target).max() / scale)
         return {"task_error_repaired": repaired}
 
-    def round_cap(self, n: int) -> int:
-        return push_sum_round_cap(n, self.tol)
+    def cap_schedule(self) -> Tuple[str, Dict[str, object]]:
+        return "push-sum", {"tol": self.tol}
 
     def extras(self) -> Dict[str, object]:
         out: Dict[str, object] = {"task_mu": self.mu, "task_tol": self.tol}

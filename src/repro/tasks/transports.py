@@ -41,7 +41,6 @@ predicate holds (the completion oracle is the experiment harness's).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,6 +48,7 @@ import numpy as np
 from repro.core.clustering import Clustering
 from repro.core.result import AlgorithmReport, report_from_sim
 from repro.sim.batch import check_max_rounds
+from repro.sim.caps import round_cap
 from repro.sim.engine import Simulator
 from repro.tasks.state import BroadcastState, TaskState
 
@@ -132,19 +132,22 @@ def run_uniform_task(
     PUSH-PULL role split); ``mode="push"`` leaves them idle (the PUSH
     pattern) and ``mode="pull"`` the content holders (the PULL pattern).
     Mass-exchange tasks put every node on the push lane in all modes.
-    Stops at completion or after the task's schedule cap; ``run_to_cap``
-    runs the whole cap (a schedule with no local stopping rule).
+    Stops at completion or after ``max_rounds`` (default: the task's
+    :meth:`TaskState.cap_schedule`); ``run_to_cap`` runs the whole cap
+    (a schedule with no local stopping rule).
     ``name`` (default: the task's) labels the ``<name>.step`` events.
     """
     if mode not in ("push-pull", "push", "pull"):
         raise ValueError(f"mode must be 'push-pull', 'push' or 'pull', got {mode!r}")
     check_max_rounds(max_rounds)
-    cap = max_rounds if max_rounds is not None else state.round_cap(sim.net.n)
+    if max_rounds is None:
+        schedule, knobs = state.cap_schedule()
+        max_rounds = round_cap(schedule, sim.net.n, sim.net.graph, **knobs)
     name = name or state.task
     nothing = np.empty(0, dtype=np.int64)
     completion = 0 if state.done(sim.net.alive) else None
     step = 0
-    while step < cap and (run_to_cap or completion is None):
+    while step < max_rounds and (run_to_cap or completion is None):
         step += 1
         alive = sim.net.alive_indices()
         state.sync_liveness(sim.net.alive)
@@ -190,11 +193,13 @@ def run_uniform_transport(
 
 
 def run_uniform_broadcast(
-    sim: Simulator, source: int, *, mode: str, max_rounds: int
+    sim: Simulator, source: int, *, mode: str, max_rounds: Optional[int]
 ) -> AlgorithmReport:
-    """PUSH, PULL or PUSH-PULL broadcast (``mode`` is the algorithm)
-    over its whole w.h.p. schedule: no local stopping rule, so the loop
-    runs to the cap and ``completion_round`` records the spread."""
+    """PUSH, PULL or PUSH-PULL broadcast (``mode`` is the algorithm and
+    its schedule) to its cap: no local stopping rule, so the loop runs
+    to the cap and ``completion_round`` records the spread."""
+    if max_rounds is None:
+        max_rounds = round_cap(mode, sim.net.n, sim.net.graph)
     state = BroadcastState(sim.net, source)
     if sim.telemetry is not None:
         sim.telemetry.add_probe(
@@ -205,19 +210,6 @@ def run_uniform_broadcast(
             sim, state, mode=mode, max_rounds=max_rounds, run_to_cap=True, name=mode
         )
     return report_from_sim(mode, sim, state.informed, completion_round=completion)
-
-
-def default_mix_cap(n: int) -> int:
-    """Mix-phase schedule: enough uniform exchanges between cluster
-    aggregates to cross-pollinate w.h.p. — ``O(log n)`` with slack."""
-    return math.ceil(math.log2(max(n, 2))) + 8
-
-
-def default_catchup_cap(n: int) -> int:
-    """Catch-up schedule: with nearly everyone holding the result, each
-    straggler expects O(1) pull attempts; the cap still allows the full
-    PULL endgame shape."""
-    return math.ceil(math.log2(max(n, 2))) + 8
 
 
 def run_cluster_task(
@@ -234,11 +226,10 @@ def run_cluster_task(
     phases and parameters; everything after it is shared: gather → mix →
     scatter → catch-up.
     """
-    n = sim.net.n
-    mix_cap = mix_rounds if mix_rounds is not None else default_mix_cap(n)
-    catchup_cap = (
-        catchup_rounds if catchup_rounds is not None else default_catchup_cap(n)
-    )
+    if mix_rounds is None:
+        mix_rounds = round_cap("cluster-task", sim.net.n, sim.net.graph)
+    if catchup_rounds is None:
+        catchup_rounds = round_cap("cluster-task", sim.net.n, sim.net.graph)
     completion = _task_observer(sim, state)
 
     cl = Clustering(sim.net)
@@ -268,7 +259,7 @@ def run_cluster_task(
     # relay to their leader (two rounds per iteration, the ClusterPUSH
     # shape).
     with sim.metrics.phase("task-mix"):
-        for _ in range(mix_cap):
+        for _ in range(mix_rounds):
             lead = cl.leaders()
             holders = np.flatnonzero(cl.leader_mask() | cl.unclustered_mask())
             if len(lead) == 0 or len(holders) <= 1:
@@ -321,7 +312,7 @@ def run_cluster_task(
     # -- catch-up: whoever is still incomplete (unclustered stragglers,
     # revived nodes, crash orphans) pulls random nodes for the result.
     with sim.metrics.phase("task-catchup"):
-        for _ in range(catchup_cap):
+        for _ in range(catchup_rounds):
             alive = sim.net.alive
             if state.done(alive):
                 break

@@ -43,20 +43,6 @@ from repro.sim.topology import (
 )
 
 
-def _diameter_round_budget(topology: Topology, n: int) -> int:
-    """Round budget for a diameter-bound preset: three traversals of the
-    topology's :meth:`~repro.sim.topology.Topology.diameter_hint` plus
-    w.h.p. slack, derived from the topology instead of hard-coded (a
-    ``Ring(k=4)`` at ``n=2**9`` yields the historical budget of 200)."""
-    hint = topology.diameter_hint(n)
-    if hint is None:
-        raise ValueError(
-            f"topology {topology.name!r} has no diameter hint to derive a "
-            "round budget from"
-        )
-    return 3 * hint + 8
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A named broadcast workload.
@@ -341,7 +327,6 @@ for _scenario in [
         algorithm="push-pull",
         message_bits=256,
         topology=Ring(k=4),
-        kwargs={"max_rounds": _diameter_round_budget(Ring(k=4), 2**9)},
     ),
     Scenario(
         name="sparse-regular-aggregation",
@@ -418,7 +403,6 @@ for _scenario in [
         message_bits=256,
         topology=Ring(k=4, delay=RateLimitedEdgeDelay(base=1.0, fraction=0.05, factor=20.0)),
         scheduler="event",
-        kwargs={"max_rounds": _diameter_round_budget(Ring(k=4), 2**9)},
     ),
     # ------------------------------------------------------------------
     # Scale tier (heavy): production-sized networks, run by name through

@@ -4,37 +4,38 @@ import math
 
 import pytest
 
-from repro.baselines.push_pull import push_pull_round_cap, uniform_push_pull
-from repro.baselines.uniform_pull import pull_round_cap, uniform_pull
-from repro.baselines.uniform_push import push_round_cap, uniform_push
+from repro.baselines.push_pull import uniform_push_pull
+from repro.baselines.uniform_pull import uniform_pull
+from repro.baselines.uniform_push import uniform_push
+from repro.sim.caps import round_cap
 
 from helpers import build_sim
 
 
 ALGOS = [
-    (uniform_push, push_round_cap, "push"),
-    (uniform_pull, pull_round_cap, "pull"),
-    (uniform_push_pull, push_pull_round_cap, "push-pull"),
+    (uniform_push, "push"),
+    (uniform_pull, "pull"),
+    (uniform_push_pull, "push-pull"),
 ]
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("runner,cap,name", ALGOS, ids=[a[2] for a in ALGOS])
+    @pytest.mark.parametrize("runner,name", ALGOS, ids=[a[1] for a in ALGOS])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_everyone_informed(self, runner, cap, name, seed):
+    def test_everyone_informed(self, runner, name, seed):
         sim = build_sim(2048, seed=seed)
         report = runner(sim, source=0)
         assert report.success, name
 
-    @pytest.mark.parametrize("runner,cap,name", ALGOS, ids=[a[2] for a in ALGOS])
-    def test_schedule_runs_to_cap(self, runner, cap, name):
+    @pytest.mark.parametrize("runner,name", ALGOS, ids=[a[1] for a in ALGOS])
+    def test_schedule_runs_to_cap(self, runner, name):
         sim = build_sim(1024, seed=0)
         report = runner(sim)
-        assert report.rounds == cap(1024)
+        assert report.rounds == round_cap(name, 1024)
         assert report.spread_rounds <= report.rounds
 
-    @pytest.mark.parametrize("runner,cap,name", ALGOS, ids=[a[2] for a in ALGOS])
-    def test_model_respected(self, runner, cap, name):
+    @pytest.mark.parametrize("runner,name", ALGOS, ids=[a[1] for a in ALGOS])
+    def test_model_respected(self, runner, name):
         sim = build_sim(512, seed=1)
         report = runner(sim)
         assert report.metrics.total.max_initiations <= 1

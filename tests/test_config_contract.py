@@ -122,7 +122,7 @@ DIVERGENCES = [
     # accepted everywhere: the pattern was only looked up when applied
     ("pattern-at-zero-failures", 64, "push-pull", {"failure_pattern": "bogus"},
      r"^unknown failure pattern 'bogus'"),
-    # reset raised; vector skipped push_sum_round_cap's check and ran
+    # reset raised; vector skipped the push-sum cap's tol check and ran
     ("tol-with-round-cap", 64, "push-pull",
      {"task": "push-sum", "task_kwargs": {"tol": 2}, "max_rounds": 5},
      r"^tol must be in \(0, 1\), got 2$"),
