@@ -282,13 +282,8 @@ class ContactGraph:
         uniform over the alive neighborhood, never the caller itself,
         ``-1`` exactly when a caller has no alive neighbor.
 
-        ``alive`` may be ``None`` (structural draw), a shared ``(n,)``
-        mask (remasked once through the epoch cache), or a per-rep
-        ``(reps, n)`` mask — the latter ranks the alive edges of every
-        row with one cumulative sum over the ``(reps, E)`` keep mask and
-        draws by rank, so it costs O(reps * E) and is meant for
-        moderate-size graphs (per-rep failure dynamics), not the
-        planet-scale structural path.
+        ``alive`` is ``None`` (structural draw) or a shared ``(n,)``
+        mask, remasked once through the epoch cache.
 
         When every edge is live (``alive=None``, or a shared mask that
         keeps every edge) on a regular graph, the draw skips the ``-1``
@@ -298,50 +293,24 @@ class ContactGraph:
         """
         callers = np.asarray(callers, dtype=np.int64)
         C = len(callers)
-        if alive is None or np.ndim(alive) == 1:
-            if alive is None:
-                indptr, indices, degrees = self.indptr, self.indices, self.degrees
-            else:
-                self._remask(np.asarray(alive, dtype=bool), epoch)
-                indptr, indices = self._alive_indptr, self._alive_indices
-                degrees = self._alive_counts
-            if indices is self.indices and self._regular_degree is not None:
-                pos = rng.integers(0, self._regular_degree, size=(reps, C), dtype=np.int64)
-                pos += indptr[callers]
-                return indices[pos]
-            counts = degrees[callers]
-            draws = rng.integers(
-                0, np.maximum(counts, 1)[None, :], size=(reps, C), dtype=np.int64
-            )
-            targets = np.full((reps, C), -1, dtype=np.int64)
-            has = counts > 0
-            if has.any():
-                targets[:, has] = indices[indptr[callers[has]][None, :] + draws[:, has]]
-            return targets
-
-        alive = np.asarray(alive, dtype=bool)
-        if alive.shape != (reps, self.n):
-            raise ValueError(
-                f"per-rep alive mask must have shape ({reps}, {self.n}), "
-                f"got {alive.shape}"
-            )
-        E = len(self.indices)
-        keep = alive[:, self.indices]  # (reps, E): edge endpoint alive per rep
-        cum = np.concatenate(([0], np.cumsum(keep.ravel(), dtype=np.int64)))
-        lo = self.indptr[callers][None, :]
-        hi = self.indptr[callers + 1][None, :]
-        row_off = np.arange(reps, dtype=np.int64)[:, None] * E
-        base = cum[row_off + lo]
-        counts = cum[row_off + hi] - base  # alive neighbors per (rep, caller)
-        draws = rng.integers(0, np.maximum(counts, 1), size=(reps, C), dtype=np.int64)
+        if alive is None:
+            indptr, indices, degrees = self.indptr, self.indices, self.degrees
+        else:
+            self._remask(np.asarray(alive, dtype=bool), epoch)
+            indptr, indices = self._alive_indptr, self._alive_indices
+            degrees = self._alive_counts
+        if indices is self.indices and self._regular_degree is not None:
+            pos = rng.integers(0, self._regular_degree, size=(reps, C), dtype=np.int64)
+            pos += indptr[callers]
+            return indices[pos]
+        counts = degrees[callers]
+        draws = rng.integers(
+            0, np.maximum(counts, 1)[None, :], size=(reps, C), dtype=np.int64
+        )
         targets = np.full((reps, C), -1, dtype=np.int64)
         has = counts > 0
         if has.any():
-            # The draw-th alive edge after lo: cum[e] < want <= cum[e + 1]
-            # locates flat edge e holding the rank we sampled.
-            want = base[has] + draws[has] + 1
-            e_flat = np.searchsorted(cum, want, side="left") - 1
-            targets[has] = self.indices[e_flat % E]
+            targets[:, has] = indices[indptr[callers[has]][None, :] + draws[:, has]]
         return targets
 
 

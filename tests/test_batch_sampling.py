@@ -5,8 +5,8 @@ the vector executors call it directly, and the 1-D
 :meth:`sample_contacts` is its one-row case.  Every row obeys the same
 contract: every draw is uniform over the caller's alive neighborhood,
 never the caller itself, and ``-1`` exactly when the caller has no
-alive neighbor — for a structural draw (``alive=None``), a shared
-``(n,)`` mask, and a per-replication ``(reps, n)`` mask alike.
+alive neighbor — for a structural draw (``alive=None``) and a shared
+``(n,)`` mask alike.
 """
 
 from __future__ import annotations
@@ -58,23 +58,6 @@ class TestBatchSamplingContract:
         for row in targets:
             _assert_contract(graph, callers, row, alive)
 
-    @given(
-        spec=topologies,
-        seed=st.integers(min_value=0, max_value=2**20),
-        dead_fraction=st.floats(min_value=0.0, max_value=0.9),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_per_rep_mask_rows_obey_contract(self, spec, seed, dead_fraction):
-        graph = spec.bind(N, make_rng(seed))
-        rng = make_rng(seed + 1)
-        reps = 4
-        alive = rng.random((reps, N)) >= dead_fraction
-        callers = np.arange(N)
-        targets = graph.sample_contacts_batch(reps, callers, rng, alive=alive)
-        assert targets.shape == (reps, N)
-        for row_targets, row_alive in zip(targets, alive):
-            _assert_contract(graph, callers, row_targets, row_alive)
-
     @given(spec=topologies, seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=40, deadline=None)
     def test_structural_draw_matches_all_alive(self, spec, seed):
@@ -96,14 +79,3 @@ class TestBatchSamplingContract:
         caller = np.array([10])
         targets = graph.sample_contacts_batch(400, caller, make_rng(1))
         assert set(np.unique(targets)) == set(graph.neighbors(10))
-
-    def test_isolated_callers_draw_minus_one_per_rep(self):
-        # A caller whose entire neighborhood is dead in one rep but not
-        # another gets -1 only where it is actually isolated.
-        graph = Ring(k=1).bind(8, make_rng(0))
-        alive = np.ones((2, 8), dtype=bool)
-        alive[0, [1, 3]] = False  # rep 0: node 2's neighbors both dead
-        callers = np.arange(8)
-        targets = graph.sample_contacts_batch(2, callers, make_rng(1), alive=alive)
-        assert targets[0, 2] == -1
-        assert targets[1, 2] in (1, 3)
