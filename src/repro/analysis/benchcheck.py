@@ -69,9 +69,14 @@ class BenchCheckResult:
 
 
 def load_trajectories(directory: str) -> Dict[str, Dict[str, Any]]:
-    """``{experiment: fields}`` for every ``BENCH_*.json`` in a directory."""
+    """``{experiment: fields}`` for every ``BENCH_*.json`` in a directory;
+    a missing or empty one is a ``ValueError``, so a mistyped path fails."""
+    paths = sorted(glob(os.path.join(directory, "BENCH_*.json")))
+    if not paths:
+        state = "holds no BENCH_*.json" if os.path.isdir(directory) else "does not exist"
+        raise ValueError(f"bench directory {directory!r} {state}")
     out: Dict[str, Dict[str, Any]] = {}
-    for path in sorted(glob(os.path.join(directory, "BENCH_*.json"))):
+    for path in paths:
         with open(path) as fh:
             note = json.load(fh)
         name = note.get("experiment") or os.path.basename(path)[6:-5]

@@ -114,6 +114,21 @@ class TestCli:
         assert main(["bench", "check", str(tmp_path), "--fresh", str(tmp_path)]) == 0
         assert "0 problem(s)" in capsys.readouterr().out
 
+    def test_missing_or_empty_directory_is_an_error(self, tmp_path, capsys):
+        # A mistyped baseline or --fresh path must not compare nothing
+        # and pass.
+        _write(tmp_path, _note("E1"))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for bad, state in ((tmp_path / "missing", "does not exist"),
+                           (empty, "holds no BENCH_*.json")):
+            for args in ([str(bad), "--fresh", str(tmp_path)],
+                         [str(tmp_path), "--fresh", str(bad)]):
+                assert main(["bench", "check", *args]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: bench directory '{bad}' {state}\n"
+
     def test_bench_check_fails_on_gate_drift(self, tmp_path, capsys):
         base_dir = tmp_path / "base"
         fresh_dir = tmp_path / "fresh"
