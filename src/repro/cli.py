@@ -883,9 +883,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse an output path before the run, not after it: the directory
+    of every ``--json``, ``--telemetry`` and ``--trace`` path must exist
+    and be writable."""
+    for flag in ("json", "telemetry", "trace"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise OSError(f"--{flag} {path}: directory {folder} does not exist")
+        if not os.access(folder, os.W_OK):
+            raise OSError(f"--{flag} {path}: directory {folder} is not writable")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except BrokenPipeError:
         # Downstream pager/head closed the pipe mid-print: not an error.

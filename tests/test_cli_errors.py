@@ -2,8 +2,9 @@
 
 ``repro.cli.main`` turns every ``ValueError`` (the library's config
 errors) and ``OSError`` (unreadable or unwritable paths) into that
-contract in one place, so it holds for every command, including a
-run whose output path only fails after the simulation.
+contract in one place, so it holds for every command, and nothing is
+printed to stdout first: an output path whose directory is missing is
+refused before the run.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ RUN = ["run", "--n", "64", "--algorithm", "push-pull", "--seed", "1"]
 
 
 def _error_line(capsys) -> str:
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith("error: ")
     return lines[0]
 
 
-@pytest.mark.parametrize("flag", ["--json", "--telemetry"])
+@pytest.mark.parametrize("flag", ["--json", "--telemetry", "--trace"])
 @pytest.mark.parametrize("reps", ["1", "4"])
 def test_unwritable_output_path(tmp_path, capsys, flag, reps):
     path = tmp_path / "missing" / "out.json"
