@@ -1,6 +1,6 @@
 """E16 — contact topologies: the cost of losing the complete graph.
 
-Two claims pinned here:
+Three claims pinned here:
 
 1. **Complete-graph overhead** — routing the default topology through
    the topology-aware engine costs <= 5% wall-clock vs the pre-topology
@@ -17,6 +17,9 @@ Two claims pinned here:
    a few rounds of the complete graph on an expander, while
    ``direct_addressing="topology"`` collapses it — measured in the same
    table).
+3. **Default caps on restricted graphs** — push, pull, push-pull,
+   k-rumor and min-max finish on rings and a torus under the default
+   round cap, which grows with the graph's diameter hint.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 
-from bench_common import SEEDS, emit
+from bench_common import SEEDS, bench_spec, emit, grouped_report_sweep
 from repro.analysis.tables import Table
 from repro.core.broadcast import broadcast
 from repro.core.result import AlgorithmReport
@@ -35,7 +38,7 @@ from repro.core.constants import LAPTOP
 from repro.sim.engine import Metrics, Round, Simulator
 from repro.sim.network import Network
 from repro.sim.rng import derive_seed, make_rng
-from repro.sim.topology import RandomRegular, Ring
+from repro.sim.topology import RandomRegular, Ring, Torus2D
 
 N = 2**13
 TIMING_REPEATS = 5
@@ -123,12 +126,13 @@ def test_e16_complete_graph_overhead_within_5pct():
 
 
 #: The degree spectrum E16 walks, densest first.  Ring runs at a smaller
-#: n (its Theta(n/k) spread makes n=2^13 pointless) with a cap sized to
-#: its diameter; cluster2 keeps its own construction schedule.
+#: n (its Theta(n/k) spread makes n=2^13 pointless); push-pull's default
+#: cap grows with the ring's diameter, and cluster2 keeps its own
+#: construction schedule.
 SPECTRUM = [
-    ("complete", None, 2**12, {}),
-    ("random-regular(8)", RandomRegular(d=8), 2**12, {}),
-    ("ring(4)", Ring(k=4), 2**10, {"push-pull": {"max_rounds": 400}}),
+    ("complete", None, 2**12),
+    ("random-regular(8)", RandomRegular(d=8), 2**12),
+    ("ring(4)", Ring(k=4), 2**10),
 ]
 
 
@@ -151,12 +155,11 @@ def test_e16_degree_spectrum_table():
         "reach its learned addresses and collapses — the value of "
         "direct addressing, measured.",
     )
-    for label, topology, n, overrides in SPECTRUM:
+    for label, topology, n in SPECTRUM:
         cells = [("push-pull", "global"), ("cluster2", "global")]
         if topology is not None:
             cells.append(("cluster2", "topology"))
         for algorithm, addressing in cells:
-            kwargs = dict(overrides.get(algorithm, {}))
             reports = [
                 broadcast(
                     n,
@@ -165,7 +168,6 @@ def test_e16_degree_spectrum_table():
                     topology=topology,
                     direct_addressing=addressing,
                     check_model=False,
-                    **kwargs,
                 )
                 for seed in SEEDS
             ]
@@ -184,21 +186,64 @@ def test_e16_degree_spectrum_table():
     # expander in O(log n)-ish rounds and on the ring in Theta(n/k).
     rr = broadcast(2**12, "push-pull", seed=0, topology=RandomRegular(d=8), check_model=False)
     assert rr.success
-    ring = broadcast(
-        2**10,
-        "push-pull",
-        seed=0,
-        topology=Ring(k=4),
-        max_rounds=400,
-        check_model=False,
-    )
+    ring = broadcast(2**10, "push-pull", seed=0, topology=Ring(k=4), check_model=False)
     assert ring.success and ring.spread_rounds > 4 * rr.spread_rounds
+
+
+#: E16c's grid: the uniform dissemination cells on the restricted graphs
+#: whose diameter exceeds the complete graph's log2 n horizon.
+CAP_N = 2**10
+CAP_SEEDS = range(20)
+CAP_GRAPHS = {"ring(1)": Ring(k=1), "ring(4)": Ring(k=4), "torus": Torus2D()}
+CAP_CELLS = {
+    "push": ("push", {}),
+    "pull": ("pull", {}),
+    "push-pull": ("push-pull", {}),
+    "k-rumor (k=4)": ("push-pull", {"task": "k-rumor", "task_kwargs": {"k": 4}}),
+    "min-max": ("push-pull", {"task": "min-max"}),
+}
+
+
+def _cap_spec(key, seed):
+    graph, cell = key
+    algorithm, settings = CAP_CELLS[cell]
+    return bench_spec(algorithm, CAP_N, seed, topology=CAP_GRAPHS[graph], **settings)
+
+
+def test_e16_default_caps_finish_on_restricted_graphs():
+    keys = [(graph, cell) for graph in CAP_GRAPHS for cell in CAP_CELLS]
+    reports = grouped_report_sweep(keys, _cap_spec, seeds=CAP_SEEDS)
+    table = Table(
+        title=f"E16c: uniform gossip under default round caps (n={CAP_N})",
+        columns=["topology", "cell", "hint", "succeeded", "max rounds", "max spread / hint"],
+        caption="Default caps (repro.sim.caps) grow by 3 rounds per hop of the "
+        "graph's diameter hint beyond ceil(log2 n); no cell passes max_rounds.  "
+        f"Gate: >= 19 of {len(CAP_SEEDS)} seeds succeed in every cell.",
+    )
+    short = []
+    for graph, cell in keys:
+        runs = reports[graph, cell]
+        hint = CAP_GRAPHS[graph].diameter_hint(CAP_N)
+        done = [r for r in runs if r.success]
+        table.add(
+            graph,
+            cell,
+            hint,
+            f"{len(done)}/{len(runs)}",
+            max(r.rounds for r in runs),
+            f"{max((r.spread_rounds for r in done), default=0) / hint:.2f}",
+        )
+        if len(done) < 19:
+            short.append((graph, cell, len(done)))
+    emit(table, "E16c_topology_caps")
+    assert not short, short
 
 
 def emit_tables() -> None:
     """Entry point for running the bench as a script."""
     test_e16_complete_graph_overhead_within_5pct()
     test_e16_degree_spectrum_table()
+    test_e16_default_caps_finish_on_restricted_graphs()
 
 
 if __name__ == "__main__":
