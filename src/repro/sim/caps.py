@@ -40,10 +40,6 @@ BASE_CAPS = {
 #: ``Ring(k=4)`` and ``Torus2D``.
 ROUNDS_PER_HOP = 3
 
-#: Averaging mixes in about hint² rounds, not hint: push-sum keeps its
-#: n- and tol-only cap.
-GRAPH_BLIND = frozenset({"push-sum"})
-
 
 def round_cap(schedule: str, n: int, graph=None, **task_knobs) -> int:
     """The default cap of ``schedule`` for an ``n``-node run on ``graph``
@@ -53,6 +49,8 @@ def round_cap(schedule: str, n: int, graph=None, **task_knobs) -> int:
     n = max(n, 2)
     cap = BASE_CAPS[schedule](n, **task_knobs)
     hint = None if graph is None else graph.diameter_hint
-    if hint is not None and schedule not in GRAPH_BLIND:
+    # Averaging mixes in about hint² rounds, not hint: push-sum keeps
+    # its n- and tol-only cap.
+    if hint is not None and schedule != "push-sum":
         cap += ROUNDS_PER_HOP * max(0, hint - math.ceil(math.log2(n)))
     return cap
