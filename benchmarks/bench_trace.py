@@ -123,6 +123,7 @@ def _run_case(case, scheduler):
         topology=topology,
         direct_addressing=case.get("direct_addressing", "global"),
         scheduler=scheduler,
+        **case.get("kwargs", {}),
     )
 
 
