@@ -64,7 +64,6 @@ def _run(scheduler):
         E19_N,
         algorithm="push-pull",
         seed=7,
-        check_model=False,
         scheduler=scheduler,
     )
 
@@ -118,13 +117,9 @@ def test_e19_event_tier():
     # -- dilation: same logical run, stretched clock --------------------
     dilations = []
     for seed in range(E19_DILATION_SEEDS):
-        unit = broadcast(
-            E19_N, algorithm="push-pull", seed=seed, check_model=False,
-            scheduler=UNIT,
-        )
+        unit = broadcast(E19_N, algorithm="push-pull", seed=seed, scheduler=UNIT)
         slow = broadcast(
-            E19_N, algorithm="push-pull", seed=seed, check_model=False,
-            scheduler=STRAGGLER,
+            E19_N, algorithm="push-pull", seed=seed, scheduler=STRAGGLER
         )
         assert _metrics(slow) == _metrics(unit), (
             "the straggler delay model perturbed engine output (delay "

@@ -45,9 +45,8 @@ WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "0") or 0)
 def standard_sweep(
     algorithms: Sequence[str], ns: Sequence[int], seeds: Sequence[int] = SEEDS, **kw
 ) -> List[RunRecord]:
-    """The common sweep shape with model-checking off for speed (the test
-    suite pins model validity; benches measure)."""
-    return sweep(algorithms, ns, seeds, check_model=False, workers=WORKERS, **kw)
+    """The common sweep shape, on the bench worker count."""
+    return sweep(algorithms, ns, seeds, workers=WORKERS, **kw)
 
 
 def report_sweep(specs: Sequence[RunSpec]) -> List[AlgorithmReport]:
@@ -72,10 +71,10 @@ def grouped_report_sweep(cells, make_spec, seeds: Sequence[int] = SEEDS) -> dict
 
 
 def bench_spec(algorithm: str, n: int, seed: int, **kw) -> RunSpec:
-    """A bench-flavored job: model checking off; ``kw`` holds any
-    :func:`repro.core.broadcast.broadcast` keyword, settings and
-    algorithm knobs alike (:meth:`RunSpec.of` sorts them)."""
-    return RunSpec.of(algorithm, n, seed, check_model=False, **kw)
+    """A bench job: ``kw`` holds any :func:`repro.core.broadcast.broadcast`
+    keyword, settings and algorithm knobs alike (:meth:`RunSpec.of` sorts
+    them)."""
+    return RunSpec.of(algorithm, n, seed, **kw)
 
 
 def emit(table: Table, exp_id: str, fmt: str = "text") -> str:

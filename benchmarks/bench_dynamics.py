@@ -42,9 +42,7 @@ IDLE_SCHEDULE = AdversitySchedule((CrashAt(round=10**9, count=1),))
 
 
 def _run(schedule, algorithm="push-pull", seed=0):
-    return broadcast(
-        N, algorithm, seed=seed, schedule=schedule, check_model=False
-    )
+    return broadcast(N, algorithm, seed=seed, schedule=schedule)
 
 
 def _best_seconds(schedule, algorithm="push-pull"):

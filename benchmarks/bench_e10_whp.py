@@ -74,5 +74,5 @@ def test_e10_table(runs):
 
 
 def test_e10_cluster1_run(benchmark):
-    report = benchmark(lambda: broadcast(2**12, "cluster1", seed=7, check_model=False))
+    report = benchmark(lambda: broadcast(2**12, "cluster1", seed=7))
     assert report.success

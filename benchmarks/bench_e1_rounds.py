@@ -88,7 +88,5 @@ def test_e1_table(records):
 
 def test_e1_cluster2_run(benchmark):
     """Wall-clock of one Cluster2 broadcast at n=2^14 (simulator speed)."""
-    report = benchmark(
-        lambda: broadcast(2**14, "cluster2", seed=0, check_model=False)
-    )
+    report = benchmark(lambda: broadcast(2**14, "cluster2", seed=0))
     assert report.success

@@ -66,7 +66,7 @@ def test_e2_table(records):
 
 def test_e2_cluster2_message_count(benchmark):
     def run():
-        return broadcast(2**13, "cluster2", seed=1, check_model=False)
+        return broadcast(2**13, "cluster2", seed=1)
 
     report = benchmark(run)
     assert report.messages_per_node <= 40

@@ -67,7 +67,7 @@ def test_e3_table(grid):
 
 def test_e3_big_payload_run(benchmark):
     report = benchmark(
-        lambda: broadcast(2**12, "cluster2", seed=0, message_bits=65536, check_model=False)
+        lambda: broadcast(2**12, "cluster2", seed=0, message_bits=65536)
     )
     # O(nb): within a constant of one payload per node
     assert report.bits <= 8 * 2**12 * 65536

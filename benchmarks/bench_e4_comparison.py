@@ -67,5 +67,5 @@ def test_e4_table(records):
 
 
 def test_e4_push_pull_run(benchmark):
-    report = benchmark(lambda: broadcast(N, "push-pull", seed=0, check_model=False))
+    report = benchmark(lambda: broadcast(N, "push-pull", seed=0))
     assert report.success

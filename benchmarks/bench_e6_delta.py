@@ -79,7 +79,5 @@ def test_e6_table(runs):
 
 
 def test_e6_cluster3_run(benchmark):
-    report = benchmark(
-        lambda: broadcast(N, "cluster3", seed=0, delta=512, check_model=False)
-    )
+    report = benchmark(lambda: broadcast(N, "cluster3", seed=0, delta=512))
     assert report.max_fanin <= 512

@@ -76,7 +76,7 @@ def test_e7_table(runs, clean):
 def test_e7_faulty_run(benchmark):
     report = benchmark(
         lambda: broadcast(
-            N, "cluster2", seed=0, failures=N // 10, source=None, check_model=False
+            N, "cluster2", seed=0, failures=N // 10, source=None
         )
     )
     assert report.informed_fraction >= 0.99

@@ -27,7 +27,7 @@ N = 2**16
 
 def run_pull(start_fraction: float, seed: int):
     net = Network(N, rng=seed)
-    sim = Simulator(net, make_rng(seed + 1), Metrics(N), check_model=False)
+    sim = Simulator(net, make_rng(seed + 1), Metrics(N))
     cl = Clustering(net)
     cl.follow[:] = 0  # a giant cluster...
     k = int(start_fraction * N)

@@ -40,7 +40,7 @@ SEEDS = [0, 1, 2]
 
 def build(seed):
     net = Network(N, rng=seed)
-    sim = Simulator(net, make_rng(seed + 1), Metrics(N), check_model=False)
+    sim = Simulator(net, make_rng(seed + 1), Metrics(N))
     return sim, Clustering(net)
 
 

@@ -71,7 +71,6 @@ def _study(engine: str, *, n: int = None, reps: int = None, scheduler=STRAGGLER)
         base_seed=7,
         engine=engine,
         scheduler=scheduler,
-        check_model=False,
     )
 
 
@@ -104,9 +103,7 @@ def test_e21_event_vector():
 
     # -- correctness first ----------------------------------------------
     # 1. Zero latency: the overlay must not perturb the batch.
-    plain = run_replications(
-        E21_N, "push-pull", reps=8, base_seed=7, engine="vector", check_model=False
-    )
+    plain = run_replications(E21_N, "push-pull", reps=8, base_seed=7, engine="vector")
     timed = _study("vector", reps=8, scheduler=ZERO)
     assert _rows(plain) == _rows(timed), (
         "the zero-latency clock overlay perturbed the vector engine"

@@ -85,7 +85,6 @@ def _sequential(factory):
         E18_SEQ_N,
         algorithm="push-pull",
         seed=7,
-        check_model=False,
         telemetry=factory() if factory else None,
     )
 

@@ -69,16 +69,14 @@ def _legacy_arrival_mask(self, srcs, dsts):
 
 
 def _run_current(seed: int, algorithm: str = "push-pull") -> AlgorithmReport:
-    return broadcast(N, algorithm, seed=seed, check_model=False)
+    return broadcast(N, algorithm, seed=seed)
 
 
 def _run_legacy(seed: int, algorithm: str = "push-pull") -> AlgorithmReport:
     """One broadcast on the reconstructed pre-topology hot path,
     stream-identical to :func:`_run_current` by construction."""
     net = _LegacyNetwork(N, rng=derive_seed(seed, "net"), rumor_bits=256)
-    sim = Simulator(
-        net, make_rng(derive_seed(seed, "algo")), Metrics(net.n), check_model=False
-    )
+    sim = Simulator(net, make_rng(derive_seed(seed, "algo")), Metrics(net.n))
     with mock.patch.object(Round, "_arrival_mask", _legacy_arrival_mask):
         return get_algorithm(algorithm).run(sim, 0, LAPTOP)
 
@@ -167,7 +165,6 @@ def test_e16_degree_spectrum_table():
                     seed=seed,
                     topology=topology,
                     direct_addressing=addressing,
-                    check_model=False,
                 )
                 for seed in SEEDS
             ]
@@ -184,9 +181,9 @@ def test_e16_degree_spectrum_table():
     emit(table, "E16b_topology_spectrum", fmt="both")
     # Headline sanity (not wall-clock): push-pull completes on the
     # expander in O(log n)-ish rounds and on the ring in Theta(n/k).
-    rr = broadcast(2**12, "push-pull", seed=0, topology=RandomRegular(d=8), check_model=False)
+    rr = broadcast(2**12, "push-pull", seed=0, topology=RandomRegular(d=8))
     assert rr.success
-    ring = broadcast(2**10, "push-pull", seed=0, topology=Ring(k=4), check_model=False)
+    ring = broadcast(2**10, "push-pull", seed=0, topology=Ring(k=4))
     assert ring.success and ring.spread_rounds > 4 * rr.spread_rounds
 
 

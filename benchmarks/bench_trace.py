@@ -64,7 +64,6 @@ def _run(scheduler, n=None, seed=7):
         n or E20_N,
         algorithm="push-pull",
         seed=seed,
-        check_model=False,
         scheduler=scheduler,
     )
 

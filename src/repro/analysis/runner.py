@@ -59,7 +59,6 @@ class RunSpec:
     message_bits: int = 256
     failures: float = 0
     failure_pattern: str = "random"
-    check_model: bool = True
     schedule: Optional[AdversitySchedule] = None
     task: str = "broadcast"
     task_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -106,7 +105,6 @@ class RunSpec:
             self.algorithm,
             seed=self.seed,
             telemetry=collector,
-            check_model=self.check_model,
             **settings_of(self),
         )
         if collector is not None:
@@ -123,7 +121,6 @@ class RunSpec:
             base_seed=self.seed,
             engine=self.engine,
             telemetry=collector,
-            check_model=self.check_model,
             **settings_of(self),
         )
         if collector is not None:

@@ -62,7 +62,6 @@ from repro.sim.schedule import (
     resolve_scheduler,
 )
 from repro.sim.topology import ADDRESSING_MODES, Topology, resolve_topology
-from repro.sim.buffers import BufferPool
 from repro.sim.engine import Simulator
 from repro.sim.failures import apply_pattern, check_failures
 from repro.sim.metrics import Metrics
@@ -292,10 +291,13 @@ def broadcast(
     *,
     seed: int = 0,
     telemetry: "Optional[Telemetry]" = None,
-    check_model: bool = True,
     **settings: Any,
 ) -> AlgorithmReport:
     """Broadcast a ``message_bits``-bit rumor from ``source`` to all nodes.
+
+    This is the first run of a one-seed :class:`ReplicationEngine`, so
+    ``broadcast(seed=s)`` and replication ``s`` of the reset engine differ
+    only in whether the network was built or reset.
 
     Parameters
     ----------
@@ -377,8 +379,6 @@ def broadcast(
         into a run handle on the collector; export with
         :meth:`~repro.obs.telemetry.Telemetry.write`.  ``None`` (default)
         leaves the engine on the untouched zero-overhead path.
-    check_model:
-        Enable the engine's one-initiation-per-round validation.
     settings:
         ``source`` to ``profile`` above: the run settings, declared by
         :func:`check_config`.  Every other keyword is an algorithm knob
@@ -386,38 +386,23 @@ def broadcast(
         names, e.g. ``delta=64`` for ``cluster3``).
     """
     seed = _checked_seed("seed", seed)
-    checked = check_settings(n, algorithm, settings)
-    net = Network(
-        n,
-        rng=derive_seed(seed, "net"),
-        rumor_bits=checked.message_bits,
-        topology=checked.topology,
-        direct_addressing=checked.direct_addressing,
-    )
-    return _run_on_network(
-        net, checked, seed, check_model=check_model, pool=None, telemetry=telemetry
-    )
+    return ReplicationEngine(n, algorithm, **settings).run(seed, telemetry=telemetry)
 
 
 def _run_on_network(
     net: Network,
     config: CheckedConfig,
     seed: int,
-    *,
-    check_model: bool,
-    pool: Optional["BufferPool"],
     telemetry: "Optional[Telemetry]" = None,
 ) -> AlgorithmReport:
-    """Execute one seeded broadcast on an already-built network.
+    """Execute one seeded broadcast on a built or reset network.
 
-    The single execution path behind both :func:`broadcast` (fresh
-    network, no pool) and :class:`ReplicationEngine` (reset network,
-    shared pool): every seed-derived stream is identical in both shapes,
-    which is what makes reset-engine replications bit-identical to
-    independent :func:`broadcast` calls.  Non-broadcast tasks derive
-    their initial state from the dedicated ``"task"`` seed stream — the
-    legacy streams are untouched, so the default task stays bit-identical
-    to the pre-task-layer engine.
+    Every seed-derived stream is the same whether the network was just
+    built or reset, which is what makes reset-engine replications
+    bit-identical to independent :func:`broadcast` calls.  Non-broadcast
+    tasks derive their initial state from the dedicated ``"task"`` seed
+    stream — the legacy streams are untouched, so the default task stays
+    bit-identical to the pre-task-layer engine.
     """
     spec, source, task = config.spec, config.source, config.task
     failures = config.failures
@@ -443,9 +428,7 @@ def _run_on_network(
         net,
         make_rng(derive_seed(seed, "algo")),
         Metrics(net.n),
-        check_model=check_model,
         dynamics=dynamics,
-        pool=pool,
         scheduler=sched,
     )
     tel_run = None
@@ -518,53 +501,30 @@ def _run_on_network(
 class ReplicationEngine:
     """A reusable broadcast context: construction cost paid once, not per seed.
 
-    Holds one :class:`~repro.sim.network.Network` (reset in place per
-    seed, reusing its O(n) allocations) and one
-    :class:`~repro.sim.buffers.BufferPool` (reused across rounds *and*
-    replications), so a replication suite stops paying network
-    construction and per-round scratch allocation for every seed.  The
-    memory-lean ``index_dtype="auto"`` mode is the default here — index
-    arrays narrow to int32 below ``n = 2**31`` — and every seed's report
-    is **bit-identical** to an independent ``broadcast(seed=...)`` call
-    (pinned by the fingerprint corpus in ``tests/test_fingerprints.py``):
-    random draws are dtype-invariant and pooling only moves intermediates.
+    Holds one :class:`~repro.sim.network.Network`, built on the first
+    run and reset in place for every later seed (reusing its O(n)
+    allocations), so a replication suite stops paying network
+    construction for every seed.  Every seed's report is
+    **bit-identical** to an independent ``broadcast(seed=...)`` call,
+    which is this engine's first run (pinned by the fingerprint corpus
+    in ``tests/test_fingerprints.py``).
 
     >>> eng = ReplicationEngine(4096, "cluster2")
     >>> reports = [eng.run(seed) for seed in range(100)]   # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        n: int,
-        algorithm: str = "cluster2",
-        *,
-        check_model: bool = True,
-        index_dtype: "str | None" = "auto",
-        **settings: Any,
-    ) -> None:
-        self._adopt(check_settings(n, algorithm, settings), check_model, index_dtype)
+    def __init__(self, n: int, algorithm: str = "cluster2", **settings: Any) -> None:
+        self.config = check_settings(n, algorithm, settings)
+        self._net: Optional[Network] = None
 
     @classmethod
-    def _checked(cls, config: CheckedConfig, check_model: bool) -> "ReplicationEngine":
+    def _checked(cls, config: CheckedConfig) -> "ReplicationEngine":
         """An engine for a configuration :func:`check_config` already
         passed (:func:`run_replications` checks before it picks an engine)."""
         engine = cls.__new__(cls)
-        engine._adopt(config, check_model, "auto")
+        engine.config = config
+        engine._net = None
         return engine
-
-    def _adopt(
-        self, config: CheckedConfig, check_model: bool, index_dtype: "str | None"
-    ) -> None:
-        self.config = config
-        self.check_model = check_model
-        self.index_dtype = index_dtype
-        self._net: Optional[Network] = None
-        self._pool = BufferPool()
-
-    @property
-    def pool(self) -> BufferPool:
-        """The shared per-round scratch pool (exposed for tests)."""
-        return self._pool
 
     def run(
         self, seed: int, telemetry: "Optional[Telemetry]" = None
@@ -577,20 +537,12 @@ class ReplicationEngine:
                 int(self.config.n),
                 rng=net_seed,
                 rumor_bits=self.config.message_bits,
-                index_dtype=self.index_dtype,
                 topology=self.config.topology,
                 direct_addressing=self.config.direct_addressing,
             )
         else:
             self._net.reset(net_seed)
-        return _run_on_network(
-            self._net,
-            self.config,
-            seed,
-            check_model=self.check_model,
-            pool=self._pool,
-            telemetry=telemetry,
-        )
+        return _run_on_network(self._net, self.config, seed, telemetry)
 
 
 #: Replication execution engines, least to most specialised.
@@ -604,7 +556,6 @@ def run_replications(
     *,
     base_seed: int = 0,
     engine: str = "auto",
-    check_model: bool = True,
     consume: Optional[Callable[[dict], None]] = None,
     batch_elems: int = DEFAULT_BATCH_ELEMS,
     workers: Optional[int] = None,
@@ -732,7 +683,6 @@ def run_replications(
                 n=n,
                 algorithm=algorithm,
                 engine=engine,
-                check_model=check_model,
                 batch_elems=batch_elems,
                 workers=None,
             ),
@@ -824,7 +774,7 @@ def run_replications(
             done += take
         return summary
 
-    replication = ReplicationEngine._checked(checked, check_model)
+    replication = ReplicationEngine._checked(checked)
     for rep in range(reps):
         seed = base_seed + rep
         report = replication.run(seed, telemetry=telemetry)

@@ -123,11 +123,10 @@ class RunTelemetry:
             "messages": metrics.messages,
             "bits": metrics.bits,
         }
-        # Event-tier runs also carry the simulated clock; the default
-        # round tier keeps the historical row shape (schema unchanged).
-        scheduler = getattr(sim, "scheduler", None)
-        if scheduler is not None and scheduler.name == "event":
-            row["sim_time"] = float(scheduler.sim_time)
+        # Event-tier runs also carry the simulated clock; the round tier
+        # (no scheduler) keeps the historical row shape.
+        if sim.scheduler is not None:
+            row["sim_time"] = float(sim.scheduler.sim_time)
         for name, fn in self.probes.items():
             row[name] = _py(fn(sim))
         if force:

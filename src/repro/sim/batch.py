@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.sim.buffers import BufferPool
 from repro.sim.caps import round_cap
-from repro.sim.network import resolve_index_dtype
+from repro.sim.network import lean_index_dtype
 
 #: Soft cap on elements per ``(R, n)`` work array; chunking in
 #: :func:`repro.core.broadcast.run_replications` sizes batches so that
@@ -249,7 +249,7 @@ def random_targets_batch(
     Drawn directly at the lean index dtype.
     """
     if dtype is None:
-        dtype = resolve_index_dtype(n, "auto")
+        dtype = lean_index_dtype(n)
     targets = rng.integers(0, n - 1, size=(reps, n), dtype=dtype)
     targets += targets >= np.arange(n, dtype=dtype)[None, :]
     return targets

@@ -18,11 +18,8 @@ class BufferPool:
     A pool is **owned by whoever runs the rounds**, and lives as long as
     its owner:
 
-    * a replication context (one
-      :class:`~repro.core.broadcast.ReplicationEngine`, or any caller
-      that hands the same pool to successive
-      :class:`~repro.sim.engine.Simulator` instances) keeps one for the
-      engine's per-round concatenations, across every execution it runs;
+    * a :class:`~repro.sim.engine.Simulator` keeps one for the engine's
+      per-round concatenations, for the whole run;
     * a :class:`~repro.sim.schedule.BatchClockOverlay` keeps one for its
       full rounds' int64 targets and completion matrix — one overlay per
       vector chunk, so one workspace per chunk;
@@ -36,21 +33,17 @@ class BufferPool:
     overwritten by its consumer before it is read (the engine's
     ``np.concatenate(..., out=view)`` and the overlay's ``copyto`` /
     ``complete_full`` each fill the whole view), so stale data from a
-    previous round — or a previous *replication* — can never alias into
-    fresh results.  That no-stale-reads contract is what the
-    reuse-poisoning tests pin: ``tests/test_replication.py`` fills every
-    backing array with garbage between replications, and
-    ``tests/test_batch_cluster_pin.py`` fills every view as it is handed
-    out; both assert bit-identical outputs.
+    previous round can never alias into fresh results.  That
+    no-stale-reads contract is what the reuse-poisoning tests pin:
+    ``tests/test_replication.py`` fills every backing array with garbage
+    between rounds, and ``tests/test_batch_cluster_pin.py`` fills every
+    view as it is handed out; both assert bit-identical outputs.
 
     Views are only valid until the next :meth:`take` with the same name
     (the engine finishes with each view inside a single ``commit``, the
     overlay inside a single ``full_round``).  A pool is single-threaded
     state; parallel sweeps give each worker process its own pool.
-    Pooling changes *where* intermediate arrays live, never their values
-    — the pooled and pool-free paths are bit-identical, which is exactly
-    what lets ``broadcast()`` default to no pool while replication
-    suites reuse one.
+    Pooling changes *where* intermediate arrays live, never their values.
     """
 
     def __init__(self) -> None:

@@ -6,8 +6,8 @@ arrays of initiator and target indices), then commit it.  On commit the
 engine
 
 * validates the model: each *alive* node initiates at most one contact per
-  round (``ModelViolation`` otherwise, when ``check_model`` is on), dead
-  nodes neither initiate nor receive nor respond;
+  round (``ModelViolation`` otherwise), dead nodes neither initiate nor
+  receive nor respond;
 * computes deliveries (which pushes arrived where, which pulls got a
   response) and hands them back to the caller;
 * charges :class:`~repro.sim.metrics.Metrics`: pushes and pull *responses*
@@ -43,31 +43,29 @@ import numpy as np
 from repro.sim.buffers import BufferPool
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
-from repro.sim.schedule import RoundScheduler, Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.dynamics import DynamicsDriver
+    from repro.sim.schedule import EventScheduler
 
 
 class ModelViolation(RuntimeError):
     """An operation broke a random-phone-call model rule."""
 
 
-def _gather(arrays: "List[np.ndarray]", pool: "Optional[BufferPool]", name: str) -> np.ndarray:
+def _gather(arrays: "List[np.ndarray]", pool: BufferPool, name: str) -> np.ndarray:
     """Concatenate per-op index arrays, reusing pooled scratch space.
 
-    Single-array rounds skip the copy entirely; with a pool the result
+    Single-array rounds skip the copy entirely; otherwise the result
     lands in an exact-size view of a reused buffer (see
     :class:`BufferPool` for why exact-size views make stale-data aliasing
-    impossible).  Values are identical in all three shapes.
+    impossible).
     """
     arrays = [a for a in arrays if len(a)]
     if not arrays:
         return np.empty(0, dtype=np.int64)
     if len(arrays) == 1:
         return arrays[0]
-    if pool is None:
-        return np.concatenate(arrays)
     total = sum(len(a) for a in arrays)
     out = pool.take(name, total, dtype=np.int64)
     np.concatenate(arrays, out=out)
@@ -118,10 +116,10 @@ def _bits_total(bits: "int | np.ndarray", count: int) -> int:
 def _as_index_array(indices) -> np.ndarray:
     """Validate an index operand, preserving its dtype.
 
-    The engine is index-dtype-agnostic: int32 arrays from a memory-lean
-    :class:`~repro.sim.network.Network` and the historical int64 arrays
-    flow through identically (numpy upcasts where they meet).  Non-integer
-    input — e.g. a Python list — is converted to int64 as before.
+    The engine is index-dtype-agnostic: the int32 arrays a
+    :class:`~repro.sim.network.Network` hands out and int64 arrays from
+    callers flow through identically (numpy upcasts where they meet).
+    Non-integer input — e.g. a Python list — is converted to int64.
     """
     arr = np.asarray(indices)
     if arr.dtype.kind != "i":
@@ -322,13 +320,14 @@ class Round:
             op.srcs for op in self._pulls if op.counts_initiation
         ]
         all_init = _gather(initiators, sim.pool, "initiators")
-        init_counts = np.bincount(all_init, minlength=n) if len(all_init) else np.zeros(n, dtype=np.int64)
-        if sim.check_model and len(all_init):
-            worst = int(init_counts.max())
-            if worst > 1:
+        max_initiations = 0
+        if len(all_init):
+            init_counts = np.bincount(all_init, minlength=n)
+            max_initiations = int(init_counts.max())
+            if max_initiations > 1:
                 offender = int(np.argmax(init_counts))
                 raise ModelViolation(
-                    f"node {offender} initiated {worst} contacts in round "
+                    f"node {offender} initiated {max_initiations} contacts in round "
                     f"{sim.metrics.rounds + 1} ({self.label or 'unlabelled'}); "
                     "the model allows one initiation per node per round"
                 )
@@ -366,13 +365,14 @@ class Round:
             pull_responses=pull_responses,
             pull_bits=pull_bits,
             max_fanin=max_fanin,
-            max_initiations=int(init_counts.max()) if len(all_init) else 0,
+            max_initiations=max_initiations,
         )
-        # The scheduler observes the committed batch before the commit
+        # The event tier observes the committed batch before the commit
         # hooks fire, so telemetry probes sample a sim_time that already
-        # covers this round's contacts.  The default RoundScheduler hook
-        # is a no-op: the round tier's clock *is* the metrics counter.
-        sim.scheduler.on_commit(self)
+        # covers this round's contacts.  The round tier has no scheduler:
+        # its clock *is* the metrics counter.
+        if sim.scheduler is not None:
+            sim.scheduler.on_commit(self)
         # Per-task commit hooks fire on the post-round state but before
         # the dynamics timeline advances: a hook observes the world the
         # round actually produced (e.g. a task records its error series),
@@ -404,29 +404,20 @@ class Simulator:
         Generator for all of the algorithm's random choices.
     metrics:
         Accounting sink; a fresh one is created when omitted.
-    check_model:
-        When True (default), committing a round with a node initiating two
-        contacts raises :class:`ModelViolation`.  Benchmarks may switch it
-        off for speed once the test suite has pinned correctness.
     dynamics:
         Optional :class:`~repro.sim.dynamics.DynamicsDriver` — a bound
         adversity timeline.  Round ``t``'s events fire when round ``t-1``
         commits (round 0's immediately, here), and bulk ops consult the
         driver for message-loss masks.  ``None`` (default) keeps the
         engine on the untouched static path.
-    pool:
-        Optional :class:`BufferPool` of reusable per-round scratch arrays.
-        ``None`` (default) allocates fresh intermediates every round — the
-        zero-pooling path.  A replication suite hands the same pool to
-        every execution; pooled and pool-free results are bit-identical.
     scheduler:
-        Optional bound :class:`~repro.sim.schedule.Scheduler`.  ``None``
-        (default) attaches the stateless
-        :class:`~repro.sim.schedule.RoundScheduler`, whose commit hook is
-        a no-op — simulated time is the round counter, exactly the
-        historical engine.  A bound
-        :class:`~repro.sim.schedule.EventScheduler` overlays per-node
-        clocks and delivery times on the same logical rounds.
+        Optional bound :class:`~repro.sim.schedule.EventScheduler`, which
+        overlays per-node clocks and delivery times on the same logical
+        rounds.  ``None`` (default) is the round tier: simulated time is
+        the round counter.
+
+    Each simulator owns one :class:`BufferPool` (``pool``) for its
+    rounds' per-commit concatenations.
     """
 
     def __init__(
@@ -434,22 +425,19 @@ class Simulator:
         net: Network,
         rng: np.random.Generator,
         metrics: Optional[Metrics] = None,
-        check_model: bool = True,
         dynamics: "Optional[DynamicsDriver]" = None,
-        pool: Optional[BufferPool] = None,
-        scheduler: Optional[Scheduler] = None,
+        scheduler: "Optional[EventScheduler]" = None,
     ) -> None:
         self.net = net
         self.rng = rng
         self.metrics = metrics if metrics is not None else Metrics(net.n)
-        self.check_model = check_model
         self.dynamics = dynamics
-        self.pool = pool
-        #: The execution scheduler (round tier by default; see
-        #: :mod:`repro.sim.schedule`).  Always present, so
-        #: ``sim.scheduler.sim_time`` is uniformly answerable.
-        self.scheduler = scheduler if scheduler is not None else RoundScheduler()
-        self.scheduler.attach(self)
+        self.pool = BufferPool()
+        #: The event-tier scheduler, or ``None`` on the round tier (see
+        #: :mod:`repro.sim.schedule`).
+        self.scheduler = scheduler
+        if scheduler is not None:
+            scheduler.attach(self)
         #: Per-task commit hooks: callables invoked with this simulator
         #: after every round's metrics are charged (and before the
         #: dynamics timeline advances).  Empty on the plain broadcast

@@ -27,24 +27,10 @@ from repro.sim.rng import SeedLike, make_rng
 from repro.sim.topology import ADDRESSING_MODES, ContactGraph, Topology, resolve_topology
 
 
-def resolve_index_dtype(n: int, index_dtype: "np.dtype | str | None") -> np.dtype:
-    """Normalise an ``index_dtype`` knob.
-
-    ``None`` keeps the historical ``int64``; ``"auto"`` selects the
-    narrowest signed integer dtype that can index ``n`` nodes (``int32``
-    whenever ``n < 2**31``, the memory-lean mode); an explicit dtype is
-    validated against ``n``.
-    """
-    if index_dtype is None:
-        return np.dtype(np.int64)
-    if isinstance(index_dtype, str) and index_dtype == "auto":
-        return np.dtype(np.int32 if n < 2**31 else np.int64)
-    dtype = np.dtype(index_dtype)
-    if dtype.kind != "i":
-        raise ValueError(f"index_dtype must be a signed integer dtype, got {dtype}")
-    if n - 1 > np.iinfo(dtype).max:
-        raise ValueError(f"index_dtype {dtype} cannot index n={n} nodes")
-    return dtype
+def lean_index_dtype(n: int) -> np.dtype:
+    """The narrowest signed dtype that indexes ``n`` nodes: ``int32``
+    whenever ``n < 2**31``, which halves every index array's footprint."""
+    return np.dtype(np.int32 if n < 2**31 else np.int64)
 
 
 class Network:
@@ -61,15 +47,6 @@ class Network:
         model is a property of the network instance.
     id_space_exponent:
         Exponent of the polynomial ID space.
-    index_dtype:
-        dtype of the node-index arrays this network hands out
-        (:meth:`random_targets`, :meth:`alive_indices`).  ``None`` (the
-        default) keeps the historical ``int64``; ``"auto"`` picks
-        ``int32`` whenever ``n < 2**31`` — the memory-lean mode, which
-        halves the footprint of every index array derived from the
-        network.  Random draws are always made at ``int64`` and then
-        narrowed, so the RNG stream — and therefore every simulation
-        result — is bit-identical across index dtypes.
     topology:
         Contact topology (:mod:`repro.sim.topology`): a frozen
         :class:`~repro.sim.topology.Topology` spec, a registered name,
@@ -94,7 +71,6 @@ class Network:
         *,
         rumor_bits: int = 256,
         id_space_exponent: int = 3,
-        index_dtype: "np.dtype | str | None" = None,
         topology: "Topology | str | None" = None,
         direct_addressing: str = "global",
     ) -> None:
@@ -106,7 +82,11 @@ class Network:
                 f"got {direct_addressing!r}"
             )
         self.n = int(n)
-        self.index_dtype = resolve_index_dtype(self.n, index_dtype)
+        #: dtype of the node-index arrays this network hands out
+        #: (:meth:`random_targets`, :meth:`alive_indices`).  Random draws
+        #: are made at ``int64`` and then narrowed, so the RNG stream is
+        #: the same for every dtype.
+        self.index_dtype = lean_index_dtype(self.n)
         self.topology = resolve_topology(topology)
         self.direct_addressing = direct_addressing
         self.id_space = IdSpace(self.n, id_space_exponent)
@@ -293,8 +273,8 @@ class Network:
         draw stays a single vectorised sample: pick from ``n - 1`` slots
         and shift the ones at or above the excluded index up by one.
 
-        Draws are always made at ``int64`` (so the RNG stream is the same
-        for every index dtype) and narrowed to ``index_dtype`` on return.
+        Draws are made at ``int64`` and narrowed to ``index_dtype`` on
+        return.
 
         On a restricted topology the draw delegates to the bound
         graph's liveness-aware :meth:`~repro.sim.topology.ContactGraph.

@@ -3,12 +3,12 @@
 The paper counts synchronous rounds; real gossip deployments are
 asynchronous — stragglers, skewed WAN latencies and rate-limited links
 make "how many rounds" and "how long" different questions.  This module
-separates the two behind one ``Scheduler`` protocol:
+holds the event tier that separates the two; the round tier needs no
+object at all:
 
-* :class:`RoundScheduler` — the historical tier.  Simulated time *is*
-  the committed round count; attaching it changes nothing (it is the
-  default on every :class:`~repro.sim.engine.Simulator`).
-* :class:`EventScheduler` — the event tier.  Each committed round's
+* the round tier is a :class:`~repro.sim.engine.Simulator` with
+  ``scheduler=None``.  Simulated time *is* the committed round count.
+* :class:`EventScheduler` is the event tier.  Each committed round's
   bulk PUSH/PULL contacts become timed events: a contact ``u -> w``
   starts at ``u``'s local clock, completes ``delay(u, w)`` time units
   later, advances ``u``'s clock to the completion time and delivers at
@@ -29,8 +29,8 @@ One clock state serves both execution shapes: :class:`BatchClockOverlay`
 holds ``R`` per-node clock rows, folds contacts into them and draws
 delays from one :class:`~repro.sim.topology.BatchBoundDelay` oracle.
 The vector executors bind it for a chunk of replications; the
-sequential :class:`EventScheduler` is a one-row overlay behind the
-:class:`Scheduler` protocol.
+sequential :class:`EventScheduler` is a one-row overlay that the engine
+calls on every commit.
 
 Delay resolution order: an explicit ``EventSchedulerSpec(delay=...)``
 wins, else the topology's ``delay=`` annotation, else unit
@@ -62,53 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Scheduler tiers selectable by name (``run/sweep --scheduler``).
 SCHEDULER_NAMES = ("round", "event")
 
-class Scheduler:
-    """The protocol both tiers implement.
 
-    A scheduler attaches to one :class:`~repro.sim.engine.Simulator`;
-    the engine calls :meth:`on_commit` with every committed
-    :class:`~repro.sim.engine.Round` (after metrics are charged, before
-    commit hooks fire, so telemetry probes sample the committed event
-    batch with ``sim_time`` already advanced).  ``sim_time`` is the
-    tier's notion of elapsed simulated time.
-    """
-
-    name: str = "scheduler"
-
-    def attach(self, sim: "Simulator") -> None:
-        self._sim = sim
-
-    def on_commit(self, committed: "Round") -> None:
-        raise NotImplementedError
-
-    @property
-    def sim_time(self) -> float:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
-
-
-class RoundScheduler(Scheduler):
-    """The synchronous tier: one committed round = one time unit.
-
-    This is the historical engine's clock, refactored behind the
-    protocol — it keeps no state of its own and its commit hook is a
-    no-op, so the default path stays byte-identical to the
-    pre-scheduler engine.
-    """
-
-    name = "round"
-
-    def on_commit(self, committed: "Round") -> None:
-        pass
-
-    @property
-    def sim_time(self) -> float:
-        return float(self._sim.metrics.rounds)
-
-
-class EventScheduler(Scheduler):
+class EventScheduler:
     """The event tier: a causal timing overlay on the round engine.
 
     Per-node simulated clocks start at 0.  When a round commits, every
@@ -135,8 +90,6 @@ class EventScheduler(Scheduler):
     off the hot path entirely when unset.
     """
 
-    name = "event"
-
     def __init__(
         self,
         overlay: "BatchClockOverlay",
@@ -144,6 +97,9 @@ class EventScheduler(Scheduler):
     ) -> None:
         self._overlay = overlay
         self.contacts = contacts
+
+    def attach(self, sim: "Simulator") -> None:
+        self._sim = sim
 
     @property
     def sim_time(self) -> float:

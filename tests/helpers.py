@@ -16,10 +16,10 @@ from repro.sim.network import Network
 from repro.sim.rng import make_rng
 
 
-def build_sim(n: int, seed: int = 0, *, rumor_bits: int = 256, check_model: bool = True) -> Simulator:
+def build_sim(n: int, seed: int = 0, *, rumor_bits: int = 256) -> Simulator:
     """A fresh simulator with deterministic addressing and coins."""
     net = Network(n, rng=seed, rumor_bits=rumor_bits)
-    return Simulator(net, make_rng(seed + 1), Metrics(n), check_model=check_model)
+    return Simulator(net, make_rng(seed + 1), Metrics(n))
 
 
 def manual_clustering(sim: Simulator, cluster_size: int):

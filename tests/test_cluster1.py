@@ -28,7 +28,8 @@ class TestCorrectness:
         assert report.extras["final_clusters"] == 1
 
     def test_model_validated(self):
-        # check_model=True throughout: no node ever initiated twice.
+        # The engine's model check ran on every round, and the metric
+        # agrees: no node ever initiated twice.
         sim = build_sim(1024, seed=1)
         report = cluster1(sim)
         assert report.metrics.total.max_initiations <= 1

@@ -24,9 +24,7 @@ def _traced(n=256, seed=7, delay=None, algorithm="push-pull"):
     spec = EventSchedulerSpec(
         trace=True, delay=parse_delay(delay) if delay else None
     )
-    return broadcast(
-        n, algorithm, seed=seed, scheduler=spec, check_model=False
-    )
+    return broadcast(n, algorithm, seed=seed, scheduler=spec)
 
 
 class TestContactTrace:
@@ -113,11 +111,9 @@ class TestContactTrace:
         assert front["informed"][-1] <= trace.n
 
     def test_tracing_preserves_logical_metrics(self):
-        base = broadcast(256, "push-pull", seed=7, check_model=False)
+        base = broadcast(256, "push-pull", seed=7)
         traced = _traced()
-        event = broadcast(
-            256, "push-pull", seed=7, check_model=False, scheduler="event"
-        )
+        event = broadcast(256, "push-pull", seed=7, scheduler="event")
         for a, b in ((base, traced), (event, traced)):
             assert (a.rounds, a.messages, a.bits, a.max_fanin) == (
                 b.rounds, b.messages, b.bits, b.max_fanin
@@ -160,18 +156,18 @@ class TestRecords:
 
 class TestBroadcastThreading:
     def test_trace_true_upgrades_scheduler(self):
-        report = broadcast(256, "push-pull", seed=7, trace=True, check_model=False)
+        report = broadcast(256, "push-pull", seed=7, trace=True)
         assert "contact_trace" in report.extras
         assert report.extras["scheduler"].startswith("event")
 
     def test_trace_false_is_untouched_path(self):
-        report = broadcast(256, "push-pull", seed=7, trace=False, check_model=False)
+        report = broadcast(256, "push-pull", seed=7, trace=False)
         assert "contact_trace" not in report.extras
         assert "scheduler" not in report.extras
 
     def test_replications_gain_path_streams(self):
         summary = run_replications(
-            256, "push-pull", reps=3, trace=True, check_model=False
+            256, "push-pull", reps=3, trace=True
         )
         row = summary.row()
         assert row["critical_path_len_mean"] > 0
@@ -180,14 +176,14 @@ class TestBroadcastThreading:
 
     def test_runspec_trace_field(self):
         report = RunSpec(
-            algorithm="push-pull", n=256, seed=7, trace=True, check_model=False
+            algorithm="push-pull", n=256, seed=7, trace=True
         ).run()
         assert report.extras["critical_path_len"] <= report.rounds
 
     def test_telemetry_export_is_schema_v2(self, tmp_path):
         tel = Telemetry()
         broadcast(
-            256, "push-pull", seed=7, trace=True, telemetry=tel, check_model=False
+            256, "push-pull", seed=7, trace=True, telemetry=tel
         )
         records = list(tel.records())
         assert records[0]["schema"] == 2
@@ -197,7 +193,7 @@ class TestBroadcastThreading:
 
     def test_untraced_telemetry_stays_v1(self):
         tel = Telemetry()
-        broadcast(256, "push-pull", seed=7, telemetry=tel, check_model=False)
+        broadcast(256, "push-pull", seed=7, telemetry=tel)
         records = list(tel.records())
         assert records[0]["schema"] == 1
         assert not any(rec["type"] in ("trace", "path") for rec in records)
@@ -211,7 +207,6 @@ class TestEventQueueCap:
             512,
             "push-pull",
             seed=3,
-            check_model=False,
             scheduler=EventSchedulerSpec(trace=True),
         )
         trace = report.extras["contact_trace"]

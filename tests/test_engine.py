@@ -33,12 +33,6 @@ class TestModelValidation:
             r.pull(np.array([3]), np.array([4]), 8, counts_initiation=False)
         assert sim.metrics.rounds == 1
 
-    def test_check_model_off_allows_violations(self):
-        sim = build_sim(10, check_model=False)
-        with sim.round("tolerated") as r:
-            r.push(np.array([3, 3]), np.array([4, 5]), 8)
-        assert sim.metrics.rounds == 1
-
     def test_distinct_initiators_fine(self):
         sim = build_sim(10)
         with sim.round("ok") as r:

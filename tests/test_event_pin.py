@@ -231,7 +231,6 @@ def run_digest(name: str) -> str:
         algorithm,
         seed=SEED,
         scheduler=EventSchedulerSpec(delay=delay, trace=traced),
-        check_model=False,
         **kwargs,
     )
     h = hashlib.sha256()

@@ -18,12 +18,14 @@ from repro.core.broadcast import (
     report_scalars,
     run_replications,
 )
+from repro.core.constants import LAPTOP
+from repro.registry import get_algorithm
 from repro.sim.batch import batch_size, random_targets_batch
 from repro.sim.engine import BufferPool, Simulator, _gather
 from repro.sim.ids import IdSpace
 from repro.sim.metrics import Metrics
-from repro.sim.network import Network, resolve_index_dtype
-from repro.sim.rng import make_rng
+from repro.sim.network import Network, lean_index_dtype
+from repro.sim.rng import derive_seed, make_rng
 
 
 def _fingerprint(report):
@@ -82,27 +84,24 @@ class TestNetworkReset:
         assert net.liveness_epoch > epoch
         assert len(net.alive_indices()) == 128  # cache correctly rebuilt
 
-    def test_index_dtype_auto_is_int32(self):
-        lean = Network(1024, rng=0, index_dtype="auto")
-        assert lean.index_dtype == np.dtype(np.int32)
-        assert lean.alive_indices().dtype == np.int32
-        assert lean.random_targets(10, make_rng(0)).dtype == np.int32
-        legacy = Network(1024, rng=0)
-        assert legacy.index_dtype == np.dtype(np.int64)
+    def test_index_arrays_are_int32(self):
+        net = Network(1024, rng=0)
+        assert net.index_dtype == np.dtype(np.int32)
+        assert net.alive_indices().dtype == np.int32
+        assert net.random_targets(10, make_rng(0)).dtype == np.int32
 
     def test_random_targets_dtype_invariant(self):
-        lean = Network(1024, rng=0, index_dtype="auto")
-        legacy = Network(1024, rng=0)
+        """Draws are made at int64 and narrowed, so the values are the
+        int64 draws themselves."""
+        net = Network(1024, rng=0)
         srcs = np.arange(64)
-        a = lean.random_targets(64, make_rng(5), exclude=srcs)
-        b = legacy.random_targets(64, make_rng(5), exclude=srcs)
-        assert (a == b).all()
+        want = make_rng(5).integers(0, 1023, size=64, dtype=np.int64)
+        want += want >= srcs
+        assert (net.random_targets(64, make_rng(5), exclude=srcs) == want).all()
 
-    def test_bad_index_dtype_rejected(self):
-        with pytest.raises(ValueError, match="signed integer"):
-            Network(64, index_dtype="float32")
-        with pytest.raises(ValueError, match="cannot index"):
-            resolve_index_dtype(2**40, np.int32)
+    def test_lean_index_dtype_widens_past_int32(self):
+        assert lean_index_dtype(2**31 - 1) == np.dtype(np.int32)
+        assert lean_index_dtype(2**31) == np.dtype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -141,41 +140,27 @@ class TestBufferPool:
         assert (_gather(small, pool, "g") == np.array([3, 1, 2])).all()
 
     def test_max_fanin_does_not_alias_across_poisoned_reuse(self):
-        """Satellite fix: a large round must not leak its buffer tail into
-        a later small round's fan-in bincount (exact-size views make the
-        stale bytes unreachable; poisoning would expose any slip)."""
-        pool = BufferPool()
+        """A large round must not leak its buffer tail into a later small
+        round's fan-in bincount (exact-size views make the stale bytes
+        unreachable; poisoning would expose any slip)."""
+        sim = Simulator(Network(64, rng=0), make_rng(1), Metrics(64))
 
         def fanin_of(count):
-            net = Network(64, rng=0)
-            sim = Simulator(net, make_rng(1), Metrics(64), pool=pool)
-            with sim.round("t") as r:
-                r.push(np.arange(count), np.zeros(count, dtype=np.int64), 8)
-                r.pull(
-                    np.arange(count, 2 * count),
-                    np.zeros(count, dtype=np.int64),
-                    8,
-                )
-            return sim.metrics.max_fanin
+            with sim.metrics.phase(f"round-{count}"):
+                with sim.round("t") as r:
+                    r.push(np.arange(count), np.zeros(count, dtype=np.int64), 8)
+                    r.pull(
+                        np.arange(count, 2 * count),
+                        np.zeros(count, dtype=np.int64),
+                        8,
+                    )
+            return sim.metrics.phases[f"round-{count}"].max_fanin
 
         assert fanin_of(30) == 60  # fills the pooled buffers with 60 entries
-        pool.poison()
+        sim.pool.poison()
         # A smaller round reusing the same (poisoned) buffers: were any
         # stale tail included, the bincount over node 0 would inflate.
         assert fanin_of(2) == 4
-
-    def test_pooled_round_bit_identical_to_unpooled(self):
-        def run(pool):
-            net = Network(256, rng=3)
-            sim = Simulator(net, make_rng(7), Metrics(256), pool=pool)
-            srcs = np.arange(100)
-            with sim.round("mixed") as r:
-                r.push(srcs, net.random_targets(100, sim.rng, exclude=srcs), 16)
-                r.pull(np.arange(100, 180), np.arange(80), 32)
-            m = sim.metrics.total
-            return (m.messages, m.bits, m.max_fanin, m.pushes, m.pull_requests)
-
-        assert run(None) == run(BufferPool())
 
 
 # ----------------------------------------------------------------------
@@ -214,12 +199,14 @@ class TestResetEngine:
         engine.run(1)
         assert engine._net is net
 
-    def test_poisoned_pool_between_reps_changes_nothing(self):
-        """The cross-replication half of the reuse-poisoning contract."""
-        engine = ReplicationEngine(512, "cluster2")
-        engine.run(0)
-        engine.pool.poison()
-        assert _fingerprint(engine.run(3)) == _fingerprint(
+    def test_poisoned_pool_between_rounds_changes_nothing(self):
+        """The reuse-poisoning contract over a whole run: garbage in every
+        pooled buffer after each commit leaves the report unchanged."""
+        net = Network(512, rng=derive_seed(3, "net"))
+        sim = Simulator(net, make_rng(derive_seed(3, "algo")), Metrics(512))
+        sim.add_commit_hook(lambda s: s.pool.poison())
+        report = get_algorithm("cluster2").run(sim, 0, LAPTOP)
+        assert _fingerprint(report) == _fingerprint(
             broadcast(512, "cluster2", seed=3)
         )
 

@@ -31,6 +31,6 @@ TOPOLOGIES = {"complete": CompleteGraph(), "regular8": RandomRegular(d=8)}
 )
 def test_uniform_broadcast_runs_to_its_pinned_cap(algorithm, n, topology):
     report = broadcast(
-        n, algorithm, seed=0, topology=TOPOLOGIES[topology], check_model=False
+        n, algorithm, seed=0, topology=TOPOLOGIES[topology]
     )
     assert report.rounds == CAPS[algorithm][n]

@@ -108,7 +108,6 @@ def test_restricted_graphs_finish_under_the_default_cap(cell, graph):
             algorithm,
             seed=seed,
             topology=RESTRICTED[graph],
-            check_model=False,
             **settings,
         )
         assert report.success, (cell, graph, seed, report.rounds)

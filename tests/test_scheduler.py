@@ -21,7 +21,6 @@ from repro.sim.rng import make_rng
 from repro.sim.schedule import (
     EventScheduler,
     EventSchedulerSpec,
-    RoundScheduler,
     parse_delay,
     resolve_scheduler,
 )
@@ -297,14 +296,14 @@ class TestSingleNode:
 
 
 class TestSchedulerSurface:
-    def test_round_scheduler_clock_is_round_count(self):
+    def test_round_tier_has_no_scheduler(self):
         net = Network(16, 0)
         from repro.sim.engine import Simulator
 
         sim = Simulator(net, make_rng(0))
-        assert isinstance(sim.scheduler, RoundScheduler)
+        assert sim.scheduler is None
         sim.push_round(np.array([0]), np.array([1]), 64)
-        assert sim.scheduler.sim_time == 1.0
+        assert sim.metrics.rounds == 1
 
     def test_describe_names_the_model(self):
         net = Network(32, 0)
