@@ -129,11 +129,14 @@ class MedianCounterProtocol:
         return not active[self._alive].any()
 
     def informed_mask(self) -> np.ndarray:
-        return (self.state != UNINFORMED) & self._alive
+        """Nodes that hold the rumor, dead or alive (reports count the
+        alive ones)."""
+        return self.state != UNINFORMED
 
-    def progress(self) -> float:
-        alive = int(self._alive.sum())
-        return float(self.informed_mask().sum() / alive) if alive else 1.0
+    def progress(self, alive: np.ndarray) -> float:
+        """Informed fraction of the nodes ``alive`` marks."""
+        count = int(alive.sum())
+        return float((self.informed_mask() & alive).sum() / count) if count else 1.0
 
 
 @register_algorithm(
@@ -158,7 +161,9 @@ def median_counter(
     protocol = MedianCounterProtocol(sim, source)
     cap = max_rounds if max_rounds is not None else round_cap("median-counter", sim.net.n)
     if sim.telemetry is not None:
-        sim.telemetry.add_probe("informed", lambda s: round(protocol.progress(), 6))
+        sim.telemetry.add_probe(
+            "informed", lambda s: round(protocol.progress(s.committed_alive), 6)
+        )
     completion = 0 if protocol.spread() else None
     with sim.metrics.phase("median-counter"):
         for step in range(1, cap + 1):
@@ -167,7 +172,10 @@ def median_counter(
             protocol.step(sim)
             if completion is None and protocol.spread():
                 completion = step
-            sim.emit("median-counter.step", progress=round(protocol.progress(), 6))
+            sim.emit(
+                "median-counter.step",
+                progress=round(protocol.progress(sim.net.alive), 6),
+            )
     return report_from_sim(
         "median-counter",
         sim,

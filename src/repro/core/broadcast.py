@@ -484,7 +484,7 @@ def _run_on_network(
     # Whether the initial rumor holder survived the run: under a dynamics
     # timeline it may crash mid-broadcast, and an execution whose only
     # copy of the rumor died is a model outcome, not a harness failure.
-    report.extras.setdefault("source_alive", bool(net.alive[source]))
+    report.extras.setdefault("source_alive", bool(sim.committed_alive[source]))
     if net.topology_restricted:
         report.extras.setdefault("topology", net.topology.describe())
         report.extras.setdefault("direct_addressing", net.direct_addressing)

@@ -121,7 +121,7 @@ def report_from_sim(
         bits=sim.metrics.bits,
         max_fanin=sim.metrics.max_fanin,
         informed=np.asarray(informed, dtype=bool),
-        alive=sim.net.alive.copy(),
+        alive=sim.committed_alive.copy(),
         metrics=sim.metrics,
         extras=dict(extras),
     )

@@ -91,6 +91,8 @@ class RunTelemetry:
         #: Pluggable per-round samplers ``name -> fn(sim) -> value``;
         #: cleared when the run finishes (closures don't pickle).
         self.probes: Dict[str, Callable] = {}
+        #: The latest row :meth:`sample` took, kept in the series or not.
+        self._last_row: Optional[Dict[str, Any]] = None
 
     def add_probe(self, name: str, fn: Callable) -> None:
         """Register (or replace) a per-round sampler."""
@@ -115,11 +117,20 @@ class RunTelemetry:
         self.sample(sim)
 
     def sample(self, sim, force: bool = False) -> None:
-        """Take one sample of the engine state plus all registered probes."""
+        """Take one sample of the engine state plus all registered probes.
+
+        ``force`` (the final sample) keeps the row taken at the current
+        round's commit when there is one: once a run ends, a dynamics
+        timeline has already moved the world on to a round that never ran.
+        """
         metrics = sim.metrics
+        last = self._last_row
+        if force and last is not None and last["round"] == metrics.rounds:
+            self.series.force(**last)
+            return
         row = {
             "round": metrics.rounds,
-            "alive": int(sim.net.alive.sum()),
+            "alive": int(sim.committed_alive.sum()),
             "messages": metrics.messages,
             "bits": metrics.bits,
         }
@@ -129,6 +140,7 @@ class RunTelemetry:
             row["sim_time"] = float(sim.scheduler.sim_time)
         for name, fn in self.probes.items():
             row[name] = _py(fn(sim))
+        self._last_row = row
         if force:
             self.series.force(**row)
         else:
@@ -258,6 +270,7 @@ class Telemetry:
                     sim_time_max=float(sim_time.max()),
                 )
         run.probes = {}
+        run._last_row = None
         return run
 
     # -- aggregation ---------------------------------------------------

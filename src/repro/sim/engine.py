@@ -376,7 +376,10 @@ class Round:
         # Per-task commit hooks fire on the post-round state but before
         # the dynamics timeline advances: a hook observes the world the
         # round actually produced (e.g. a task records its error series),
-        # not the world after the next round's crashes.
+        # not the world after the next round's crashes.  Observers read
+        # that liveness from committed_alive, which outlives the advance.
+        if sim.dynamics is not None:
+            sim._committed_alive = sim.net.alive.copy()
         for hook in sim.commit_hooks:
             hook(sim)
         # Round boundary: fire the dynamics timeline's events for the next
@@ -450,8 +453,25 @@ class Simulator:
         #: mechanism, so the commit path is unchanged whether telemetry
         #: is on or off.
         self.telemetry = None
+        self._committed_alive: Optional[np.ndarray] = None
         if dynamics is not None:
             dynamics.begin_round(self.metrics.rounds)
+
+    @property
+    def committed_alive(self) -> np.ndarray:
+        """The liveness table the last committed round ran under.
+
+        A dynamics timeline fires the next round's events as a round
+        commits, so once a run ends ``net.alive`` may already hold crashes
+        of a round that never ran.  Observers (commit hooks, probes,
+        reports and the final telemetry sample) read this table instead;
+        algorithms plan on ``net.alive``.  Before the first commit, and
+        without a driver (liveness then never moves mid-run), this is
+        ``net.alive`` itself: static runs copy nothing.
+        """
+        if self._committed_alive is None:
+            return self.net.alive
+        return self._committed_alive
 
     def emit(self, kind: str, **data: Any) -> None:
         """Record one coarse algorithm event (``grow.push``, ``done``, ...)

@@ -84,14 +84,14 @@ def _task_observer(sim: Simulator, state: TaskState):
     holder = {"round": None}
 
     def observe(s: Simulator) -> None:
-        s.metrics.record_error(state.error(s.net.alive))
-        if holder["round"] is None and state.done(s.net.alive):
+        s.metrics.record_error(state.error(s.committed_alive))
+        if holder["round"] is None and state.done(s.committed_alive):
             holder["round"] = s.metrics.rounds
 
     sim.add_commit_hook(observe)
     if sim.telemetry is not None:
         sim.telemetry.add_probe(
-            "task_error", lambda s: float(state.error(s.net.alive))
+            "task_error", lambda s: float(state.error(s.committed_alive))
         )
     return lambda: holder["round"]
 
@@ -101,7 +101,7 @@ def _finish_report(
     state: TaskState,
     completion: Optional[int],
 ) -> AlgorithmReport:
-    alive = sim.net.alive
+    alive = sim.committed_alive
     return report_from_sim(
         state.task,
         sim,
@@ -203,7 +203,7 @@ def run_uniform_broadcast(
     state = BroadcastState(sim.net, source)
     if sim.telemetry is not None:
         sim.telemetry.add_probe(
-            "informed", lambda s: round(state.progress(s.net.alive), 6)
+            "informed", lambda s: round(state.progress(s.committed_alive), 6)
         )
     with sim.metrics.phase(mode):
         completion = run_uniform_task(

@@ -269,6 +269,20 @@ class TestEngineIntegration:
         sim.idle_round()  # committing round 0 fires round 1's events
         assert not sim.net.alive[5]
 
+    def test_committed_alive_is_the_last_rounds_liveness(self):
+        sim = self._sim_with(AdversitySchedule((CrashAt(round=1, indices=(5,)),)))
+        assert sim.committed_alive is sim.net.alive  # nothing committed yet
+        sim.idle_round()  # round 0 ran with node 5 alive
+        assert not sim.net.alive[5]
+        assert sim.committed_alive[5]
+        sim.idle_round()
+        assert not sim.committed_alive[5]
+
+    def test_static_run_copies_no_liveness(self):
+        sim = build_sim(16)
+        sim.idle_round()
+        assert sim.committed_alive is sim.net.alive
+
     def test_crashed_node_pushes_dropped(self):
         sim = self._sim_with(AdversitySchedule((CrashAt(round=1, indices=(5,)),)))
         sim.idle_round()
