@@ -221,7 +221,7 @@ SERIES_DIGESTS = {
         "5d13ab763ecb841ab9886711da8097f0476de864100a5e777ee806a4a17af82a"
     ),
     "push-pull-churn-light": (
-        "364c9e7c708ac7c3213b8f5a879066d958bbbe80c48dd5c7ab512cf3130662a6"
+        "3bc439589790d702cdfadeacb117467c8a80d7d6c302b26cb349adfadbf6de8c"
     ),
     "push-pull-failures": (
         "4dcb4caffcc6fba379842fb5caee858a41d6bd6d60c2c2e5a159af7460a1a0f1"
