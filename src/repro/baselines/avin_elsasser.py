@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from repro.core.clustering import Clustering
-from repro.core.constants import LAPTOP
+from repro.core.constants import LAPTOP, Profile
 from repro.core.grow import grow_initial_clusters_v1
 from repro.core.merge_phase import merge_all_clusters
 from repro.core.primitives import (
@@ -87,6 +87,7 @@ def _capped_active_senders(cl: Clustering, cap: int) -> np.ndarray:
 @register_algorithm(
     "avin-elsasser",
     category="baseline",
+    uses_profile=True,
     kwargs=("message_capacity",),
     doc="Avin–Elsässer [1] reconstruction: Θ(√log n) rounds and msgs.",
 )
@@ -94,10 +95,12 @@ def avin_elsasser(
     sim: Simulator,
     source: int = 0,
     *,
+    profile: Profile = LAPTOP,
     message_capacity: int = None,
 ) -> AlgorithmReport:
     """Run the Theta(sqrt(log n)) reconstruction.
 
+    Its initial clusters grow with ``profile``'s Cluster1 constants.
     ``message_capacity`` overrides ``k`` (tests use it to confirm the
     trade-off: ``k = 1`` degenerates towards ``Theta(log n)`` doubling,
     large ``k`` approaches the uncapped squaring of Cluster1).
@@ -110,7 +113,7 @@ def avin_elsasser(
 
     # Phase 1: seed and grow initial clusters exactly as Cluster1 does
     # (this part of the machinery predates the squaring trick).
-    p1 = LAPTOP.cluster1(n)
+    p1 = profile.cluster1(n)
     cl = Clustering(sim.net)
     grow_initial_clusters_v1(sim, cl, p1)
 

@@ -9,6 +9,7 @@ from repro.baselines.avin_elsasser import (
     avin_elsasser,
     default_capacity,
 )
+from repro.core.broadcast import broadcast
 
 from helpers import build_sim
 
@@ -63,3 +64,12 @@ class TestExtras:
         report = avin_elsasser(build_sim(512, seed=0), message_capacity=3)
         assert report.extras["message_capacity"] == 3
         assert report.extras["growth_cap"] == 8
+
+
+class TestProfile:
+    def test_paper_profile_changes_the_run(self):
+        """Its initial clusters grow with the profile's Cluster1 constants,
+        so the paper profile moves its run as it moves Cluster1's."""
+        laptop = broadcast(1024, "avin-elsasser", seed=0)
+        paper = broadcast(1024, "avin-elsasser", seed=0, profile="paper")
+        assert (paper.rounds, paper.messages) != (laptop.rounds, laptop.messages)
