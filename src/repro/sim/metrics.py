@@ -46,18 +46,6 @@ class PhaseStats:
     #: never depends on it.
     wall_ms: float = 0.0
 
-    def merge(self, other: "PhaseStats") -> None:
-        """Accumulate ``other`` into ``self`` (totals and maxima)."""
-        self.rounds += other.rounds
-        self.messages += other.messages
-        self.bits += other.bits
-        self.pushes += other.pushes
-        self.pull_responses += other.pull_responses
-        self.pull_requests += other.pull_requests
-        self.max_fanin = max(self.max_fanin, other.max_fanin)
-        self.max_initiations = max(self.max_initiations, other.max_initiations)
-        self.wall_ms += other.wall_ms
-
 
 @dataclass
 class Metrics:
@@ -212,21 +200,3 @@ class Metrics:
             f"{wall(st)}"
         )
         return "\n".join(lines)
-
-
-def merge_metrics(metrics: Metrics, other: Metrics, prefix: Optional[str] = None) -> None:
-    """Fold the counters of ``other`` into ``metrics``.
-
-    Used when an algorithm composes sub-algorithms that were run with their
-    own Metrics (e.g. Cluster3 followed by ClusterPUSH-PULL).  ``prefix``
-    namespaces the imported phase names.  ``other``'s task error series is
-    appended with its rounds shifted past ``metrics``' existing rounds, so
-    the merged trajectory stays monotone in round number.
-    """
-    round_offset = metrics.total.rounds
-    metrics.total.merge(other.total)
-    for name, stats in other.phases.items():
-        key = f"{prefix}:{name}" if prefix else name
-        metrics.phases.setdefault(key, PhaseStats()).merge(stats)
-    for round_no, error in other.error_series:
-        metrics.error_series.append((round_offset + round_no, error))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.metrics import Metrics, PhaseStats, merge_metrics
+from repro.sim.metrics import Metrics
 
 
 def record(m: Metrics, *, pushes=0, push_bits=0, pull_requests=0, pull_responses=0,
@@ -88,47 +88,6 @@ class TestPhases:
             record(m, pushes=2, push_bits=20, max_fanin=1)
         text = m.phase_report()
         assert "grow" in text and "TOTAL" in text
-
-
-class TestMerge:
-    def test_phase_stats_merge(self):
-        a = PhaseStats(rounds=1, messages=2, bits=3, max_fanin=4)
-        b = PhaseStats(rounds=10, messages=20, bits=30, max_fanin=2)
-        a.merge(b)
-        assert (a.rounds, a.messages, a.bits, a.max_fanin) == (11, 22, 33, 4)
-
-    def test_merge_metrics_with_prefix(self):
-        a, b = Metrics(10), Metrics(10)
-        with b.phase("x"):
-            record(b, pushes=5)
-        merge_metrics(a, b, prefix="sub")
-        assert a.total.pushes == 5
-        assert a.phases["sub:x"].pushes == 5
-
-    def test_merge_metrics_carries_error_series_with_round_offsets(self):
-        # Regression: merge_metrics used to drop other's error_series
-        # entirely, losing the task error trajectory of a composed
-        # sub-algorithm.
-        a, b = Metrics(10), Metrics(10)
-        record(a)
-        record(a)
-        a.record_error(0.5)
-        record(b)
-        b.record_error(0.25)
-        merge_metrics(a, b)
-        assert a.error_series == [(2, 0.5), (2 + 1, 0.25)]
-
-    def test_merge_metrics_empty_error_series_unchanged(self):
-        a, b = Metrics(10), Metrics(10)
-        record(a)
-        a.record_error(0.1)
-        merge_metrics(a, b)
-        assert a.error_series == [(1, 0.1)]
-
-    def test_phase_stats_merge_accumulates_wall_ms(self):
-        a = PhaseStats(wall_ms=1.5)
-        a.merge(PhaseStats(wall_ms=2.5))
-        assert a.wall_ms == 4.0
 
 
 class TestWallClock:
