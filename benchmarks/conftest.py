@@ -12,9 +12,12 @@ summarised in EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import os
 import resource
 import sys
+import threading
 import time
 
 import pytest
@@ -23,36 +26,83 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 
-#: Each bench test's start: its clock and how many experiments were
-#: emitted before it.
+#: Each bench test's start: its clock, how many experiments were emitted
+#: before it, and the sampler of its resident set.
 _STARTED = pytest.StashKey[tuple]()
+
+
+class PeakRss:
+    """The peak resident set of this process while it runs, in MiB.
+
+    ``ru_maxrss`` never falls within a process, so it would stamp every
+    bench with the largest one before it.  This samples
+    ``/proc/self/statm`` from a thread instead (it reads and writes
+    nothing else); where that file is missing it falls back to
+    ``ru_maxrss``.  It starts by handing the heap that earlier benches
+    freed back to the OS (glibc keeps it otherwise), so a bench's peak
+    is close to what it reaches in a process of its own.
+    """
+
+    INTERVAL_S = 0.005
+
+    def __init__(self) -> None:
+        gc.collect()
+        try:
+            ctypes.CDLL("libc.so.6").malloc_trim(0)
+        except (OSError, AttributeError):
+            pass  # not glibc: the peak keeps what earlier benches freed
+        self._page = os.sysconf("SC_PAGE_SIZE")
+        self._done = threading.Event()
+        self.peak = self._rss()
+        self._thread = threading.Thread(target=self._sample, daemon=True)
+        self._thread.start()
+
+    def _rss(self) -> int:
+        try:
+            with open("/proc/self/statm") as statm:
+                return int(statm.read().split()[1]) * self._page
+        except OSError:
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+    def _sample(self) -> None:
+        while not self._done.wait(self.INTERVAL_S):
+            self.peak = max(self.peak, self._rss())
+
+    def stop(self) -> float:
+        self._done.set()
+        self._thread.join()
+        return max(self.peak, self._rss()) / 2**20
 
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_setup(item):
-    """Start a bench test's clock before its setup, so the module fixtures
-    it triggers (where E1-E10 run their sweeps) count towards the wall
-    clock of the experiments it emits."""
+    """Start a bench test's clock and memory sampler before its setup, so
+    the module fixtures it triggers (where E1-E10 run their sweeps) count
+    towards the wall clock and peak memory of the experiments it emits."""
     import bench_common
 
-    item.stash[_STARTED] = (time.perf_counter(), len(bench_common.EMITTED_EXPERIMENTS))
+    item.stash[_STARTED] = (
+        time.perf_counter(),
+        len(bench_common.EMITTED_EXPERIMENTS),
+        PeakRss(),
+    )
     yield
 
 
 @pytest.fixture(autouse=True)
 def _bench_trajectory(request):
     """Stamp a ``BENCH_<exp>.json`` trajectory file for every experiment a
-    bench test emits: the test's wall-clock (its setup included), the
-    process's peak RSS, and which test produced it.  Benches with richer
-    per-rep timings merge them into the same file via
+    bench test emits: the test's wall-clock and peak RSS (its setup
+    included), and which test produced it.  Benches with richer per-rep
+    timings merge them into the same file via
     :func:`bench_common.trajectory_note`.
     """
     import bench_common
 
     yield
-    t0, start = request.node.stash[_STARTED]
+    t0, start, rss = request.node.stash[_STARTED]
     wall = time.perf_counter() - t0
-    peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peak_rss_mib = rss.stop()
     for exp in bench_common.EMITTED_EXPERIMENTS[start:]:
         bench_common.trajectory_note(
             exp,
