@@ -44,9 +44,9 @@ def _peak_rss_mib() -> float:
 
 
 def _rebuild_loop(n: int, reps: int) -> float:
-    """A fresh ``broadcast()`` per seed (fresh network, fresh simulator,
-    unpooled rounds).  Returns total seconds; results are bit-identical
-    to the reset engine's."""
+    """A fresh ``broadcast()`` per seed (a one-seed engine each time, so a
+    fresh network and simulator).  Returns total seconds; results are
+    bit-identical to the reset engine's."""
     start = time.perf_counter()
     for seed in range(reps):
         broadcast(n, "push-pull", seed=seed)

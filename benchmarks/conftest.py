@@ -48,9 +48,13 @@ class PeakRss:
     def __init__(self) -> None:
         gc.collect()
         try:
-            ctypes.CDLL("libc.so.6").malloc_trim(0)
+            malloc_trim = ctypes.CDLL("libc.so.6").malloc_trim
         except (OSError, AttributeError):
             pass  # not glibc: the peak keeps what earlier benches freed
+        else:
+            malloc_trim.argtypes = [ctypes.c_size_t]
+            malloc_trim.restype = ctypes.c_int
+            malloc_trim(0)
         self._page = os.sysconf("SC_PAGE_SIZE")
         self._done = threading.Event()
         self.peak = self._rss()
@@ -87,6 +91,13 @@ def pytest_runtest_setup(item):
         PeakRss(),
     )
     yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    """Stop the sampler also when a fixture failed before the stamp ran."""
+    yield
+    item.stash[_STARTED][2].stop()
 
 
 @pytest.fixture(autouse=True)
