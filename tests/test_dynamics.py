@@ -333,7 +333,8 @@ class TestZeroAdversityBitIdentity:
     # The pre-dynamics engine fingerprints that used to be pinned inline
     # here (commit fc08147, n=512, seed=3) now live in the versioned
     # corpus under tests/fingerprints/, replayed by test_fingerprints.py
-    # through both the broadcast and the memory-lean replication paths.
+    # through a fresh network, a reset network and the zero-latency
+    # event tier.
     # This class keeps only the schedule-resolution identity.
 
     @pytest.mark.parametrize("algorithm", ["push-pull", "cluster2", "cluster3"])

@@ -2,19 +2,20 @@
 
 Every corpus case is one fully seeded configuration whose headline
 output — rounds, messages, bits, max fan-in, informed count — was pinned
-on the pre-scale-tier engine.  Each case is replayed through both
+on the pre-scale-tier engine.  Each case is replayed through three
 execution shapes:
 
-* ``broadcast`` — the default path: fresh int64 network, no buffer pool;
-* ``lean-replication`` — :class:`repro.core.broadcast.ReplicationEngine`:
-  int32 index arrays, in-place ``Network.reset``, pooled round buffers;
+* ``broadcast`` — a fresh network: the first run of a one-seed
+  :class:`repro.core.broadcast.ReplicationEngine`;
+* ``lean-replication`` — a reset network: the engine's second run, on
+  an in-place ``Network.reset``;
 * ``event-zero-latency`` — the default path under the event-tier
   scheduler at zero latency: the timing overlay must never perturb the
   algorithm's randomness, deliveries, or metrics.
 
 Bit-identity of the shapes is the scale tier's core safety claim:
-dtype narrowing, buffer pooling and clock overlays move intermediates
-and timestamps, never values.
+network reuse and clock overlays move allocations and timestamps,
+never values.
 
 Run ``pytest tests/test_fingerprints.py --update-fingerprints`` to
 rewrite the pinned values after an intentional engine-output change
@@ -92,8 +93,7 @@ def _execute(case: dict, shape: str):
         )
     engine = ReplicationEngine(case["n"], case["algorithm"], **config)
     # Run a throwaway neighbouring seed first so the pinned seed executes
-    # on a *reused* (reset) network and a warm pool — the reuse path is
-    # the one under test.
+    # on a *reused* (reset) network — the reuse path is the one under test.
     engine.run(case["seed"] + 1)
     return engine.run(case["seed"])
 
