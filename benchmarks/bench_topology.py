@@ -45,16 +45,16 @@ TIMING_REPEATS = 5
 
 
 class _LegacyNetwork(Network):
-    """The pre-topology ``Network``: verbatim pre-PR ``random_targets``."""
+    """The pre-topology ``Network``: its ``random_targets``, at today's
+    int64 index dtype."""
 
     def random_targets(self, count, rng, *, exclude=None):
         if exclude is None:
-            targets = rng.integers(0, self.n, size=count, dtype=np.int64)
-            return targets.astype(self.index_dtype, copy=False)
+            return rng.integers(0, self.n, size=count, dtype=np.int64)
         exclude = np.asarray(exclude)
         targets = rng.integers(0, self.n - 1, size=count, dtype=np.int64)
         targets += targets >= exclude
-        return targets.astype(self.index_dtype, copy=False)
+        return targets
 
 
 def _legacy_arrival_mask(self, srcs, dsts):

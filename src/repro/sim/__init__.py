@@ -23,10 +23,10 @@ This subpackage implements the communication model of Haeupler & Malkhi
   (:mod:`repro.sim.topology`).
 
 All hot paths are vectorised over numpy arrays of node indices.  The
-lean sequential engine (int32 index arrays, pooled per-round buffers,
-in-place ``Network.reset``) plus the batched ``(R, n)`` replication substrate
-(:mod:`repro.sim.batch`) carry the simulator to ``n = 2**20`` and
-hundreds of replications per configuration — see ``benchmarks/bench_scale.py``.
+sequential engine's in-place ``Network.reset`` plus the batched
+``(R, n)`` replication substrate (:mod:`repro.sim.batch`) carry the
+simulator to ``n = 2**20`` and hundreds of replications per
+configuration — see ``benchmarks/bench_scale.py``.
 """
 
 from repro.sim.delivery import (

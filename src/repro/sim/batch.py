@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.sim.buffers import BufferPool
 from repro.sim.caps import round_cap
-from repro.sim.network import lean_index_dtype
 
 #: Soft cap on elements per ``(R, n)`` work array; chunking in
 #: :func:`repro.core.broadcast.run_replications` sizes batches so that
@@ -236,6 +235,12 @@ class BatchLedger:
             sim_time=None if self.overlay is None else self.overlay.sim_time.copy(),
             **task_errors,
         )
+
+
+def lean_index_dtype(n: int) -> np.dtype:
+    """The narrowest signed dtype that indexes ``n`` nodes: ``int32``
+    whenever ``n < 2**31``, which halves every ``(R, n)`` target block."""
+    return np.dtype(np.int32 if n < 2**31 else np.int64)
 
 
 def random_targets_batch(

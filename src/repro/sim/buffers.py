@@ -1,8 +1,8 @@
-"""Reusable scratch arrays, shared by the round engine and the clock overlay.
+"""Reusable scratch arrays for the vector tier's per-round intermediates.
 
-A leaf module (it imports only numpy), so both
-:mod:`repro.sim.engine` and :mod:`repro.sim.schedule` — which the
-engine itself imports — can hold a pool without an import cycle.
+A leaf module (it imports only numpy), so both the clock overlay in
+:mod:`repro.sim.schedule` and the batch runners in :mod:`repro.sim.batch`
+can hold a pool without an import cycle.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ class BufferPool:
     A pool is **owned by whoever runs the rounds**, and lives as long as
     its owner:
 
-    * a :class:`~repro.sim.engine.Simulator` keeps one for the engine's
-      per-round concatenations, for the whole run;
     * a :class:`~repro.sim.schedule.BatchClockOverlay` keeps one for its
       full rounds' int64 targets and completion matrix — one overlay per
       vector chunk, so one workspace per chunk;
@@ -30,20 +28,18 @@ class BufferPool:
     :meth:`take`; the pool keeps one backing array per ``name`` (grown
     geometrically, never shrunk) and returns an **exact-size view** of
     it.  Nothing is ever zeroed: every byte of a view handed out is
-    overwritten by its consumer before it is read (the engine's
-    ``np.concatenate(..., out=view)`` and the overlay's ``copyto`` /
-    ``complete_full`` each fill the whole view), so stale data from a
-    previous round can never alias into fresh results.  That
-    no-stale-reads contract is what the reuse-poisoning tests pin:
-    ``tests/test_replication.py`` fills every backing array with garbage
-    between rounds, and ``tests/test_batch_cluster_pin.py`` fills every
-    view as it is handed out; both assert bit-identical outputs.
+    overwritten by its consumer before it is read (the overlay's
+    ``copyto`` / ``complete_full`` and the runners' row gathers each fill
+    the whole view), so stale data from a previous round can never alias
+    into fresh results.  That no-stale-reads contract is what the
+    reuse-poisoning test pins: ``tests/test_batch_cluster_pin.py`` fills
+    every view as it is handed out and asserts bit-identical outputs.
 
     Views are only valid until the next :meth:`take` with the same name
-    (the engine finishes with each view inside a single ``commit``, the
-    overlay inside a single ``full_round``).  A pool is single-threaded
-    state; parallel sweeps give each worker process its own pool.
-    Pooling changes *where* intermediate arrays live, never their values.
+    (the overlay finishes with each view inside a single ``full_round``).
+    A pool is single-threaded state; parallel sweeps give each worker
+    process its own pool.  Pooling changes *where* intermediate arrays
+    live, never their values.
     """
 
     def __init__(self) -> None:

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.buffers import BufferPool
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 
@@ -53,23 +52,14 @@ class ModelViolation(RuntimeError):
     """An operation broke a random-phone-call model rule."""
 
 
-def _gather(arrays: "List[np.ndarray]", pool: BufferPool, name: str) -> np.ndarray:
-    """Concatenate per-op index arrays, reusing pooled scratch space.
-
-    Single-array rounds skip the copy entirely; otherwise the result
-    lands in an exact-size view of a reused buffer (see
-    :class:`BufferPool` for why exact-size views make stale-data aliasing
-    impossible).
-    """
+def _gather(arrays: "List[np.ndarray]") -> np.ndarray:
+    """Concatenate per-op index arrays (single-array rounds skip the copy)."""
     arrays = [a for a in arrays if len(a)]
     if not arrays:
         return np.empty(0, dtype=np.int64)
     if len(arrays) == 1:
         return arrays[0]
-    total = sum(len(a) for a in arrays)
-    out = pool.take(name, total, dtype=np.int64)
-    np.concatenate(arrays, out=out)
-    return out
+    return np.concatenate(arrays)
 
 
 @dataclass
@@ -116,10 +106,9 @@ def _bits_total(bits: "int | np.ndarray", count: int) -> int:
 def _as_index_array(indices) -> np.ndarray:
     """Validate an index operand, preserving its dtype.
 
-    The engine is index-dtype-agnostic: the int32 arrays a
-    :class:`~repro.sim.network.Network` hands out and int64 arrays from
-    callers flow through identically (numpy upcasts where they meet).
-    Non-integer input — e.g. a Python list — is converted to int64.
+    The engine is index-dtype-agnostic: integer arrays of any width flow
+    through identically (numpy upcasts where they meet).  Non-integer
+    input — e.g. a Python list — is converted to int64.
     """
     arr = np.asarray(indices)
     if arr.dtype.kind != "i":
@@ -319,7 +308,7 @@ class Round:
         initiators = [op.srcs for op in self._pushes if op.counts_initiation] + [
             op.srcs for op in self._pulls if op.counts_initiation
         ]
-        all_init = _gather(initiators, sim.pool, "initiators")
+        all_init = _gather(initiators)
         max_initiations = 0
         if len(all_init):
             init_counts = np.bincount(all_init, minlength=n)
@@ -353,7 +342,7 @@ class Round:
         all_arrived = [op.dsts[op.arrived] for op in self._pushes] + [
             op.dsts[op.arrived] for op in self._pulls
         ]
-        arrived = _gather(all_arrived, sim.pool, "arrived")
+        arrived = _gather(all_arrived)
         max_fanin = 0
         if len(arrived):
             max_fanin = int(np.bincount(arrived, minlength=n).max())
@@ -418,9 +407,6 @@ class Simulator:
         overlays per-node clocks and delivery times on the same logical
         rounds.  ``None`` (default) is the round tier: simulated time is
         the round counter.
-
-    Each simulator owns one :class:`BufferPool` (``pool``) for its
-    rounds' per-commit concatenations.
     """
 
     def __init__(
@@ -435,7 +421,6 @@ class Simulator:
         self.rng = rng
         self.metrics = metrics if metrics is not None else Metrics(net.n)
         self.dynamics = dynamics
-        self.pool = BufferPool()
         #: The event-tier scheduler, or ``None`` on the round tier (see
         #: :mod:`repro.sim.schedule`).
         self.scheduler = scheduler

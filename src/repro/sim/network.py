@@ -27,12 +27,6 @@ from repro.sim.rng import SeedLike, make_rng
 from repro.sim.topology import ADDRESSING_MODES, ContactGraph, Topology, resolve_topology
 
 
-def lean_index_dtype(n: int) -> np.dtype:
-    """The narrowest signed dtype that indexes ``n`` nodes: ``int32``
-    whenever ``n < 2**31``, which halves every index array's footprint."""
-    return np.dtype(np.int32 if n < 2**31 else np.int64)
-
-
 class Network:
     """A complete ``n``-node network with random unique addresses.
 
@@ -82,11 +76,6 @@ class Network:
                 f"got {direct_addressing!r}"
             )
         self.n = int(n)
-        #: dtype of the node-index arrays this network hands out
-        #: (:meth:`random_targets`, :meth:`alive_indices`).  Random draws
-        #: are made at ``int64`` and then narrowed, so the RNG stream is
-        #: the same for every dtype.
-        self.index_dtype = lean_index_dtype(self.n)
         self.topology = resolve_topology(topology)
         self.direct_addressing = direct_addressing
         self.id_space = IdSpace(self.n, id_space_exponent)
@@ -221,9 +210,7 @@ class Network:
         read-only, like ``alive`` itself.
         """
         if self._alive_cache_epoch != self._liveness_epoch:
-            self._alive_cache = np.flatnonzero(self.alive).astype(
-                self.index_dtype, copy=False
-            )
+            self._alive_cache = np.flatnonzero(self.alive)
             self._alive_cache_epoch = self._liveness_epoch
         return self._alive_cache
 
@@ -272,9 +259,8 @@ class Network:
         *other* node, so callers pass their source indices here.  The
         draw stays a single vectorised sample: pick from ``n - 1`` slots
         and shift the ones at or above the excluded index up by one.
-
-        Draws are made at ``int64`` and narrowed to ``index_dtype`` on
-        return.
+        Targets are ``int64``, numpy's native index type: a narrower dtype
+        would be converted back on every fancy index the engine makes.
 
         On a restricted topology the draw delegates to the bound
         graph's liveness-aware :meth:`~repro.sim.topology.ContactGraph.
@@ -294,13 +280,11 @@ class Network:
                 raise ValueError(
                     f"exclude has shape {callers.shape}, expected ({count},)"
                 )
-            targets = self.graph.sample_contacts(
+            return self.graph.sample_contacts(
                 callers, rng, alive=self.alive, epoch=self._liveness_epoch
             )
-            return targets.astype(self.index_dtype, copy=False)
         if exclude is None:
-            targets = rng.integers(0, self.n, size=count, dtype=np.int64)
-            return targets.astype(self.index_dtype, copy=False)
+            return rng.integers(0, self.n, size=count, dtype=np.int64)
         exclude = np.asarray(exclude)
         if exclude.shape != (count,):
             raise ValueError(
@@ -310,7 +294,7 @@ class Network:
             # A dial-out with no other node to call: the void sentinel,
             # same as an isolated caller on a restricted topology (the
             # engine charges the contact and delivers it nowhere).
-            return np.full(count, -1, dtype=self.index_dtype)
+            return np.full(count, -1, dtype=np.int64)
         targets = rng.integers(0, self.n - 1, size=count, dtype=np.int64)
         targets += targets >= exclude
-        return targets.astype(self.index_dtype, copy=False)
+        return targets

@@ -1,5 +1,5 @@
-"""Tests for the scale tier: memory-lean engine mode, the replication
-executors, streaming aggregation, and the buffer-pool reuse contract."""
+"""Tests for the scale tier: network reset, the replication executors,
+streaming aggregation, and the buffer pool's exact-size views."""
 
 from __future__ import annotations
 
@@ -18,14 +18,11 @@ from repro.core.broadcast import (
     report_scalars,
     run_replications,
 )
-from repro.core.constants import LAPTOP
-from repro.registry import get_algorithm
-from repro.sim.batch import batch_size, random_targets_batch
-from repro.sim.engine import BufferPool, Simulator, _gather
+from repro.sim.batch import batch_size, lean_index_dtype, random_targets_batch
+from repro.sim.buffers import BufferPool
 from repro.sim.ids import IdSpace
-from repro.sim.metrics import Metrics
-from repro.sim.network import Network, lean_index_dtype
-from repro.sim.rng import derive_seed, make_rng
+from repro.sim.network import Network
+from repro.sim.rng import make_rng
 
 
 def _fingerprint(report):
@@ -84,15 +81,14 @@ class TestNetworkReset:
         assert net.liveness_epoch > epoch
         assert len(net.alive_indices()) == 128  # cache correctly rebuilt
 
-    def test_index_arrays_are_int32(self):
+    def test_index_arrays_are_int64(self):
         net = Network(1024, rng=0)
-        assert net.index_dtype == np.dtype(np.int32)
-        assert net.alive_indices().dtype == np.int32
-        assert net.random_targets(10, make_rng(0)).dtype == np.int32
+        assert net.alive_indices().dtype == np.int64
+        assert net.random_targets(10, make_rng(0)).dtype == np.int64
 
     def test_random_targets_dtype_invariant(self):
-        """Draws are made at int64 and narrowed, so the values are the
-        int64 draws themselves."""
+        """The targets are the int64 draws themselves, shifted past each
+        caller."""
         net = Network(1024, rng=0)
         srcs = np.arange(64)
         want = make_rng(5).integers(0, 1023, size=64, dtype=np.int64)
@@ -105,7 +101,7 @@ class TestNetworkReset:
 
 
 # ----------------------------------------------------------------------
-# Buffer pool: exact-size views and the reuse-poisoning contract
+# Buffer pool: exact-size views
 # ----------------------------------------------------------------------
 
 
@@ -113,14 +109,8 @@ class TestBufferPool:
     def test_one_class_behind_every_import_path(self):
         import repro
         import repro.sim
-        import repro.sim.buffers
 
-        assert (
-            repro.BufferPool
-            is repro.sim.BufferPool
-            is BufferPool  # repro.sim.engine's name
-            is repro.sim.buffers.BufferPool
-        )
+        assert repro.BufferPool is repro.sim.BufferPool is BufferPool
 
     def test_exact_size_views_grow_and_reuse(self):
         pool = BufferPool()
@@ -130,37 +120,6 @@ class TestBufferPool:
         assert len(b) == 4 and b.base is a.base  # same backing array
         c = pool.take("x", 100)
         assert len(c) == 100  # grown
-
-    def test_gather_matches_concatenate_after_poison(self):
-        pool = BufferPool()
-        big = [np.arange(50), np.arange(50, 120)]
-        assert (_gather(big, pool, "g") == np.concatenate(big)).all()
-        pool.poison()
-        small = [np.array([3, 1]), np.array([2])]
-        assert (_gather(small, pool, "g") == np.array([3, 1, 2])).all()
-
-    def test_max_fanin_does_not_alias_across_poisoned_reuse(self):
-        """A large round must not leak its buffer tail into a later small
-        round's fan-in bincount (exact-size views make the stale bytes
-        unreachable; poisoning would expose any slip)."""
-        sim = Simulator(Network(64, rng=0), make_rng(1), Metrics(64))
-
-        def fanin_of(count):
-            with sim.metrics.phase(f"round-{count}"):
-                with sim.round("t") as r:
-                    r.push(np.arange(count), np.zeros(count, dtype=np.int64), 8)
-                    r.pull(
-                        np.arange(count, 2 * count),
-                        np.zeros(count, dtype=np.int64),
-                        8,
-                    )
-            return sim.metrics.phases[f"round-{count}"].max_fanin
-
-        assert fanin_of(30) == 60  # fills the pooled buffers with 60 entries
-        sim.pool.poison()
-        # A smaller round reusing the same (poisoned) buffers: were any
-        # stale tail included, the bincount over node 0 would inflate.
-        assert fanin_of(2) == 4
 
 
 # ----------------------------------------------------------------------
@@ -198,17 +157,6 @@ class TestResetEngine:
         net = engine._net
         engine.run(1)
         assert engine._net is net
-
-    def test_poisoned_pool_between_rounds_changes_nothing(self):
-        """The reuse-poisoning contract over a whole run: garbage in every
-        pooled buffer after each commit leaves the report unchanged."""
-        net = Network(512, rng=derive_seed(3, "net"))
-        sim = Simulator(net, make_rng(derive_seed(3, "algo")), Metrics(512))
-        sim.add_commit_hook(lambda s: s.pool.poison())
-        report = get_algorithm("cluster2").run(sim, 0, LAPTOP)
-        assert _fingerprint(report) == _fingerprint(
-            broadcast(512, "cluster2", seed=3)
-        )
 
 
 class TestVectorEngine:
