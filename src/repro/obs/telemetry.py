@@ -91,7 +91,7 @@ class RunTelemetry:
         #: Pluggable per-round samplers ``name -> fn(sim) -> value``;
         #: cleared when the run finishes (closures don't pickle).
         self.probes: Dict[str, Callable] = {}
-        #: The latest row :meth:`sample` took, kept in the series or not.
+        #: The latest row taken, kept in the series or not.
         self._last_row: Optional[Dict[str, Any]] = None
 
     def add_probe(self, name: str, fn: Callable) -> None:
@@ -111,23 +111,36 @@ class RunTelemetry:
     # -- sequential-engine hooks ---------------------------------------
 
     def on_round(self, sim) -> None:
-        """Commit hook: sample every ``probe_every`` committed rounds."""
-        if sim.metrics.rounds % self.probe_every:
-            return
-        self.sample(sim)
+        """Commit hook: sample every ``probe_every`` committed rounds.
+
+        Under a dynamics timeline every commit's row is taken, though only
+        every ``probe_every``-th enters the series: once the run ends the
+        timeline has moved on to a round that never ran, so the final
+        sample must reuse the last commit's row rather than recompute it.
+        """
+        if sim.metrics.rounds % self.probe_every == 0:
+            self.sample(sim)
+        elif sim.dynamics is not None:
+            self._last_row = self._row(sim)
 
     def sample(self, sim, force: bool = False) -> None:
         """Take one sample of the engine state plus all registered probes.
 
         ``force`` (the final sample) keeps the row taken at the current
-        round's commit when there is one: once a run ends, a dynamics
-        timeline has already moved the world on to a round that never ran.
+        round's commit when there is one.
         """
-        metrics = sim.metrics
         last = self._last_row
-        if force and last is not None and last["round"] == metrics.rounds:
+        if force and last is not None and last["round"] == sim.metrics.rounds:
             self.series.force(**last)
             return
+        row = self._last_row = self._row(sim)
+        if force:
+            self.series.force(**row)
+        else:
+            self.series.append(**row)
+
+    def _row(self, sim) -> Dict[str, Any]:
+        metrics = sim.metrics
         row = {
             "round": metrics.rounds,
             "alive": int(sim.committed_alive.sum()),
@@ -140,11 +153,7 @@ class RunTelemetry:
             row["sim_time"] = float(sim.scheduler.sim_time)
         for name, fn in self.probes.items():
             row[name] = _py(fn(sim))
-        self._last_row = row
-        if force:
-            self.series.force(**row)
-        else:
-            self.series.append(**row)
+        return row
 
 
 def _phases_dict(metrics) -> Dict[str, Dict[str, Any]]:

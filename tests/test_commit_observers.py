@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.broadcast import broadcast
 from repro.obs.telemetry import Telemetry
+from repro.sim.dynamics import AdversitySchedule, CrashAt, resolve_schedule
 
 N = 512
 
@@ -64,3 +65,36 @@ def test_informed_reaches_one_at_the_spread_round(algorithm, setting):
     # The last row and the report describe the same world: the one the
     # last round ran in.
     assert columns["alive"][-1] == int(report.alive.sum())
+
+
+def _last_row(algorithm, seed, schedule, probe_every, **kwargs):
+    telemetry = Telemetry(probe_every=probe_every)
+    report = broadcast(
+        N, algorithm, seed=seed, telemetry=telemetry, schedule=schedule, **kwargs
+    )
+    (series,) = [r for r in telemetry.records() if r["type"] == "series"]
+    return report, {name: column[-1] for name, column in series["columns"].items()}
+
+
+@pytest.mark.parametrize(
+    "algorithm,task", [("cluster1", None), ("cluster2", None), ("cluster2", "k-rumor")]
+)
+def test_last_row_describes_the_last_round_at_any_probe_rate(algorithm, task):
+    """A sampler that skipped the last round takes the last row once the
+    run has ended.  Even with all but one node crashed right after the
+    last round (churn-heavy plus one more event), that row must equal
+    the one an every-round sampler took at the last commit, ``clusters``
+    included."""
+    kwargs = {} if task is None else {"task": task}
+    churn = resolve_schedule("churn-heavy")
+    checked = 0
+    for seed in range(4):
+        report, want = _last_row(algorithm, seed, churn, 1, **kwargs)
+        if report.rounds % 3 == 0:
+            continue  # the every-third-round sampler took the last row itself
+        wipe = AdversitySchedule(churn.events + (CrashAt(round=report.rounds, count=N),))
+        again, got = _last_row(algorithm, seed, wipe, 3, **kwargs)
+        assert again.rounds == report.rounds
+        assert got == want
+        checked += 1
+    assert checked
