@@ -1,4 +1,4 @@
-"""E12/E13 — the scale tier (memory-lean engine + replication executors).
+"""E12/E13 — the scale tier (network reuse + replication executors).
 
 Two claims pinned here:
 
@@ -10,10 +10,10 @@ Two claims pinned here:
    (:meth:`~repro.sim.ids.IdSpace.assign_reference` — the executable
    spec the vectorised ``assign`` is pinned against), exactly what every
    bench paid per seed before this tier existed.  The table also reports
-   the memory-lean sequential reset engine (bit-identical per seed) and
-   today's rebuild loop (a fresh ``broadcast()`` per seed: vectorised
-   assign, no reuse — timed here directly, since it gives the reset
-   engine's results) for honesty about where the win comes from.
+   the sequential reset engine (bit-identical per seed) and today's
+   rebuild loop (a fresh ``broadcast()`` per seed: vectorised assign, no
+   reuse — timed here directly, since it gives the reset engine's
+   results) for honesty about where the win comes from.
 
 2. **n = 2^20 completes** (E13) — a million-node PUSH-PULL broadcast
    runs to full coverage through the vectorised executor, with peak RSS
@@ -94,13 +94,14 @@ def test_e12_replication_speedup():
         columns=["engine", "total (s)", "ms/rep", "speedup vs legacy"],
         caption="legacy = pre-scale-tier loop (fresh network per seed, "
         "scalar-loop uid assignment); rebuild = a fresh broadcast() per seed; "
-        "reset = memory-lean sequential engine (bit-identical per seed); "
+        "reset = sequential engine, one network reset per seed (bit-identical "
+        "per seed); "
         "vector = batched (R,n) executor (statistically equivalent).",
     )
     for name, secs in [
         ("legacy rebuild loop", legacy),
         ("rebuild (current)", rebuild),
-        ("reset (memory-lean)", reset),
+        ("reset (network reuse)", reset),
         ("vector (batched)", vector),
     ]:
         table.add(

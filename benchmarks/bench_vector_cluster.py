@@ -4,10 +4,10 @@ Two claims pinned here, mirroring E12/E13 for the paper's actual
 algorithm instead of the push-pull baseline:
 
 1. **Amortised batched-cluster speedup** (E17) — at n=2^14, R=50, the
-   batched ``(R, n)`` cluster2 runner beats the memory-lean sequential
-   reset engine by >= 2x amortised per replication, while staying
-   statistically equivalent (success rate, round/message means).  The
-   sharded path (``workers=``) is reported in the same table.
+   batched ``(R, n)`` cluster2 runner beats the sequential reset engine
+   by >= 2x amortised per replication, while staying statistically
+   equivalent (success rate, round/message means).  The sharded path
+   (``workers=``) is reported in the same table.
 
 2. **n = 2^18 completes** (E17b) — a quarter-million-node Cluster2
    broadcast runs to full coverage through the vector engine and lands
@@ -62,8 +62,8 @@ def test_e17_vector_cluster_speedup():
     table = Table(
         title=f"E17: amortised per-replication cost (cluster2, n={E17_N}, R={E17_REPS})",
         columns=["engine", "total (s)", "ms/rep", "speedup vs reset"],
-        caption="reset = memory-lean sequential engine (bit-identical per "
-        "seed); vector = batched (R,n) cluster runner (statistically "
+        caption="reset = sequential engine, one network reset per seed "
+        "(bit-identical per seed); vector = batched (R,n) cluster runner (statistically "
         "equivalent); vector x2 workers = same shard plan fanned across a "
         "process pool.",
     )

@@ -136,7 +136,7 @@ class AlgorithmSpec:
         :mod:`repro.sim.batch`): ``fn(n, reps, rng, *, message_bits,
         source, **knobs) -> BatchOutcome`` advancing R replications in
         ``(R, n)`` arrays.  ``None`` (most algorithms) means replication
-        suites fall back to the memory-lean sequential engine.  The
+        suites fall back to the sequential reset engine.  The
         runner opts into bound contact graphs, the batched clock overlay
         and telemetry by accepting ``graph=``, ``overlay=`` and
         ``telemetry=``; it receives ``profile=`` iff ``uses_profile``.

@@ -517,7 +517,7 @@ def replicate_suite(
     ``names`` defaults to the non-heavy catalogue, like :func:`run_suite`.
     Cells fan out over ``workers`` processes; within a cell the
     replications stream through :func:`repro.core.broadcast.run_replications`
-    (vector engine where the algorithm supports it, memory-lean reset
+    (vector engine where the algorithm supports it, the sequential reset
     engine otherwise), so no cell ever materialises its per-seed records.
     """
     names = list(names) if names is not None else scenario_names(include_heavy=False)
