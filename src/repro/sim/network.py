@@ -259,6 +259,7 @@ class Network:
         *other* node, so callers pass their source indices here.  The
         draw stays a single vectorised sample: pick from ``n - 1`` slots
         and shift the ones at or above the excluded index up by one.
+
         Targets are ``int64``, numpy's native index type: a narrower dtype
         would be converted back on every fancy index the engine makes.
 
