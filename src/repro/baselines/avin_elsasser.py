@@ -68,19 +68,9 @@ def _capped_active_senders(cl: Clustering, cap: int) -> np.ndarray:
     members; uid order is a deterministic choice every member computes
     locally from the membership it saw at the last resize.
     """
-    members = np.flatnonzero(cl.active_member_mask())
-    if len(members) == 0:
-        return members
-    uid = cl.net.uid
-    order = np.lexsort((uid[members], cl.follow[members]))
-    members = members[order]
-    groups = cl.follow[members]
-    boundary = np.ones(len(members), dtype=bool)
-    boundary[1:] = groups[1:] != groups[:-1]
-    seg_start = np.maximum.accumulate(
-        np.where(boundary, np.arange(len(members)), 0)
-    )
-    rank = np.arange(len(members)) - seg_start
+    members, starts = cl.by_cluster(np.flatnonzero(cl.active_member_mask()))
+    block = np.diff(starts, append=len(members))
+    rank = np.arange(len(members)) - np.repeat(starts, block)
     return members[rank < cap]
 
 

@@ -22,7 +22,7 @@ substitution 3).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,31 @@ from repro.sim.network import Network
 
 #: The paper's ∞ ("not clustered").
 UNCLUSTERED = -1
+
+
+def split_chunks(size: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """ClusterResize's split (Section 3.2, footnote 2) of clusters laid
+    out back to back — the one split kernel of both tiers.
+
+    Cluster ``j``'s ``size[j] >= 1`` members sit in one contiguous block
+    in ascending uid order, and it splits into ``k[j]`` near-equal
+    chunks: the member of rank ``r`` joins chunk ``r * k[j] // size[j]``.
+    Returns ``(chunk, last)``: ``chunk[i]`` numbers member ``i``'s chunk
+    across all clusters in layout order, and ``last[c]`` is the position
+    of chunk ``c``'s last member, whose uid is the chunk's largest and
+    who leads it.  With ``k[j] >= size[j]`` every member leads itself.
+    """
+    total = int(size.sum())
+    starts = np.cumsum(size) - size
+    cluster = np.repeat(np.arange(len(size)), size)
+    rank = np.arange(total) - starts[cluster]
+    part = (rank * k[cluster]) // size[cluster]
+    new = np.zeros(total, dtype=bool)
+    new[starts] = True
+    new[1:] |= part[1:] != part[:-1]
+    end = np.ones(total, dtype=bool)  # the next member starts a chunk
+    end[:-1] = new[1:]
+    return np.cumsum(new) - 1, np.flatnonzero(end)
 
 
 class Clustering:
@@ -154,6 +179,15 @@ class Clustering:
         """Indices of the cluster led by ``leader`` (leader included)."""
         self._sync()
         return np.flatnonzero((self.follow == leader) & self.net.alive)
+
+    def by_cluster(self, members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``members`` laid out cluster by cluster (by leader index), in
+        ascending uid order within each cluster — the layout
+        :func:`split_chunks` takes — and the position where each
+        cluster's block starts."""
+        members = members[np.lexsort((self.net.uid[members], self.follow[members]))]
+        starts = np.flatnonzero(np.diff(self.follow[members], prepend=UNCLUSTERED))
+        return members, starts
 
     def active_member_mask(self) -> np.ndarray:
         """Alive clustered nodes whose cluster is active."""

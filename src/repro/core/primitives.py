@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.clustering import UNCLUSTERED, Clustering
+from repro.core.clustering import UNCLUSTERED, Clustering, split_chunks
 from repro.sim.delivery import NOTHING, receive_any, receive_min_by_key
 from repro.sim.engine import Simulator
 
@@ -140,7 +140,9 @@ def cluster_resize(sim: Simulator, cl: Clustering, s: int) -> int:
 
     Only called on clusters of size >= s (guaranteed by the callers via
     ClusterDissolve); clusters with ``k == 1`` are left intact.  Returns
-    the number of clusters that actually split.
+    the number of clusters that actually split.  Every splitting cluster
+    splits at once, through :func:`repro.core.clustering.split_chunks`,
+    the kernel the ``(R, n)`` tier's ClusterResize shares.
     """
     if s < 1:
         raise ValueError(f"target size must be >= 1, got {s}")
@@ -157,25 +159,20 @@ def cluster_resize(sim: Simulator, cl: Clustering, s: int) -> int:
         resp_bits = k_per_leader[cl.follow[followers]] * sizes.id_bits
         r.pull(followers, cl.follow[followers], resp_bits)
 
-    # Apply the splits (the leader's in-mind re-clustering).
-    uid = sim.net.uid
-    splits = 0
-    for leader in cl.leaders():
-        k = int(k_per_leader[leader])
-        if k <= 1:
-            continue
-        members = cl.members_of(int(leader))
-        members = members[np.argsort(uid[members])]
-        size = len(members)
-        chunk = (np.arange(size) * k) // size  # near-equal chunk ids
-        # Last member of each chunk has the chunk's largest uid -> leader.
-        last_in_chunk = np.flatnonzero(np.diff(np.append(chunk, k)) > 0)
-        new_leaders = members[last_in_chunk]
-        cl.active[new_leaders] = cl.active[leader]
-        cl.follow[members] = new_leaders[chunk]
-        splits += 1
+    # Apply the splits (the leaders' in-mind re-clustering).  k was fixed
+    # before the pull, but the pull's commit may fire crashes, so who is
+    # in each cluster, and hence its size, is read now.
+    members = np.flatnonzero(cl.clustered_mask())
+    members, starts = cl.by_cluster(members[k_per_leader[cl.follow[members]] > 1])
+    leader = cl.follow[members]
+    chunk, last = split_chunks(
+        np.diff(starts, append=len(members)), k_per_leader[leader[starts]]
+    )
+    new_leaders = members[last]
+    cl.active[new_leaders] = cl.active[leader[last]]
+    cl.follow[members] = new_leaders[chunk]
     cl.check_invariants()
-    return splits
+    return len(starts)
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.clustering import UNCLUSTERED
+from repro.core.clustering import UNCLUSTERED, split_chunks
 from repro.core.constants import LAPTOP, Cluster1Params, Cluster2Params, Profile
 from repro.obs.spans import maybe_span
 from repro.sim.batch import BatchLedger, BatchOutcome, per_rep_max_fanin, resolve_sources
@@ -235,7 +235,7 @@ class ClusterBatch(BatchLedger):
         )
         self.rng = rng
         self.graph = graph
-        self._clusters_cache: "Optional[Tuple[int, float]]" = None
+        self._leaders = 0  # live clusters over all rows (see _cluster_count)
         self.sizes = MessageSizes(self.n, rumor_bits=message_bits)
         self.follow = np.full((reps, n), UNCLUSTERED, dtype=np.int64)
         self.active = np.zeros((reps, n), dtype=bool)
@@ -306,16 +306,12 @@ class ClusterBatch(BatchLedger):
         self.overlay.fold(np.asarray(g)[rows], srcs, dsts, arrived)
 
     def _cluster_count(self) -> float:
-        """Mean live cluster (leader) count, cached on the follow
-        version: a dense probe re-samples every committed round, but
-        most rounds (size/dissolve/push/pull) never rewrite ``follow``,
-        so the O(R*n) root scan only reruns after an actual mutation."""
-        cached = self._clusters_cache
-        if cached is not None and cached[0] == self._follow_ver:
-            return cached[1]
-        value = float(np.count_nonzero(self.follow == self._cols) / self.reps)
-        self._clusters_cache = (self._follow_ver, value)
-        return value
+        """Mean live cluster (leader) count.  A dense probe samples every
+        committed round, so the count is kept rather than scanned for:
+        only seeding, ClusterDissolve, ClusterResize and ClusterMerge
+        make or unmake leaders (a grow or pull join adds a follower), and
+        each adjusts ``_leaders`` by the leaders it wrote."""
+        return self._leaders / self.reps
 
     # ------------------------------------------------------------------
     # Member view and sparse receiver digests
@@ -478,6 +474,7 @@ class ClusterBatch(BatchLedger):
         np.copyto(self.follow, self._cols, where=coins)
         self.active |= coins
         self._follow_ver += 1
+        self._leaders = int(np.count_nonzero(self.follow == self._cols))
 
     def cluster_activate(self, act, p: Optional[float]) -> None:
         """ClusterActivate(p); ``p=None`` is the deterministic
@@ -551,12 +548,14 @@ class ClusterBatch(BatchLedger):
             dl = doomed[m.is_l[doomed]]
             self.active.ravel()[self._global(g, m.flat[dl])] = False
             self._follow_ver += 1
+            self._leaders -= len(dl)
 
     def cluster_resize(self, act, s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ClusterResize(s) (two rounds): leaders split oversized clusters
         into ``k = floor(s'/s)`` uid-sorted chunks; each follower pulls the
         ``k * id_bits`` new-leader list (footnote 2's one super-constant
-        message).
+        message).  The split is :func:`repro.core.clustering.split_chunks`,
+        the kernel the sequential ClusterResize shares.
 
         Returns the *post-split* ``(rows, cols, sizes)`` leader triplet
         (unsplit leaders first, then the split chunks' new leaders) —
@@ -609,30 +608,18 @@ class ClusterBatch(BatchLedger):
         pos = self._global(g, m.flat[sel])
         order = np.argsort(m.seg[sel] * np.int64(n) + self.uid.ravel()[pos])
         sel, pos = sel[order], pos[order]
-        seg_size, seg_k = size[split], k[split]
-        starts = np.cumsum(seg_size) - seg_size
-        seg_id = np.repeat(np.arange(len(split)), seg_size)
-        rank = np.arange(len(sel)) - starts[seg_id]
-        chunk = (rank * seg_k[seg_id]) // seg_size[seg_id]
-        # Runs of equal (segment, chunk); the last member of each run has
-        # the chunk's largest uid and becomes its leader.
-        new_run = np.zeros(len(sel), dtype=bool)
-        new_run[starts] = True
-        new_run[1:] |= chunk[1:] != chunk[:-1]
-        run_id = np.cumsum(new_run) - 1
-        run_starts = np.flatnonzero(new_run)
-        run_last = np.append(run_starts[1:], len(sel)) - 1
-        heads = sel[run_last]
+        chunk, last = split_chunks(size[split], k[split])
+        heads = sel[last]
         lead_r, lead_c = m.r[heads], m.c[heads]
         active = self.active.ravel()
         old_active = active[self._global(g, m.seg[heads])]  # read before writes
-        self._relead(g, m, sel, lead_c[run_id])
-        active[pos[run_last]] = old_active
-        run_sizes = np.diff(np.append(run_starts, len(sel)))
+        self._relead(g, m, sel, lead_c[chunk])
+        active[pos[last]] = old_active
+        self._leaders += len(last) - len(split)
         return (
             np.concatenate((rows_u, lead_r)),
             np.concatenate((cols_u, lead_c)),
-            np.concatenate((sizes_u, run_sizes)),
+            np.concatenate((sizes_u, np.diff(last, prepend=-1))),
         )
 
     def _senders(self, g: np.ndarray, m: _Members, active_only: bool):
@@ -777,6 +764,7 @@ class ClusterBatch(BatchLedger):
             self._fold_clock(g, m.r[pull], m.c[pull], m.ldr[pull])
         self.active.ravel()[self._global(g, m_flat)] = False
         self._relead(g, m, mw, target[m.seg[mw]])
+        self._leaders -= len(m_flat)
 
     def cluster_share(self, act, informed: np.ndarray) -> np.ndarray:
         """ClusterShare(rumor) (two rounds); returns the updated informed

@@ -6,7 +6,8 @@ per leader, and patches its cached member view after re-leading writes
 instead of rebuilding it.  Each is checked here against the simpler
 version it replaced, kept below as the reference: the argsort digest,
 ``bincount``, the per-member resize accounting, and the full member-view
-rebuild.
+rebuild.  The telemetry probe's cluster count, kept by the writes that
+change who leads rather than scanned for, is held to a fresh root scan.
 """
 
 from __future__ import annotations
@@ -14,13 +15,17 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clustering import UNCLUSTERED
+from repro.obs import Telemetry
+from repro.sim import batch_cluster
 from repro.sim.batch_cluster import ClusterBatch, _Members, _row_counts
 from repro.sim.delivery import NOTHING
 from repro.sim.rng import make_rng
+from repro.sim.topology import RandomRegular
 
 # ----------------------------------------------------------------------
 # References
@@ -263,3 +268,63 @@ class TestResizeAndViewPatch:
         if len(act) == reps and better.any():
             assert state._view[0] == state._follow_ver and state._view[2] is view
         assert_same_view(state._members(np.arange(reps)), reference_members(state, np.arange(reps)))
+
+
+class CountChecked(ClusterBatch):
+    """A batch whose kept cluster count is held to a fresh root scan
+    whenever it is read.  Under ``probe_every=1`` telemetry that is every
+    committed round and the final sample, so the writes each primitive
+    makes after its last round are checked at the next one."""
+
+    reads = 0
+
+    def _cluster_count(self) -> float:
+        value = super()._cluster_count()
+        assert value == np.count_nonzero(self.follow == self._cols) / self.reps
+        CountChecked.reads += 1
+        return value
+
+
+class TestKeptClusterCount:
+    @pytest.mark.parametrize(
+        "runner,graph",
+        [("cluster1", None), ("cluster2", None), ("cluster2", RandomRegular(d=6))],
+    )
+    def test_runner_samples_equal_a_fresh_scan(self, monkeypatch, runner, graph):
+        monkeypatch.setattr(batch_cluster, "ClusterBatch", CountChecked)
+        n, reps = 512, 4
+        kwargs = {} if graph is None else {"graph": graph.bind(n, make_rng(9))}
+        run = Telemetry(probe_every=1).begin_run({})
+        CountChecked.reads = 0
+        getattr(batch_cluster, f"batched_{runner}")(
+            n, reps, make_rng(8), telemetry=run, **kwargs
+        )
+        assert CountChecked.reads >= len(run.series.to_columns()["round"]) > 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([64, 100, 256]),
+        reps=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**20),
+        s=st.integers(min_value=1, max_value=12),
+        kind=acts,
+    )
+    def test_every_primitive_on_act_subsets(self, n, reps, seed, s, kind):
+        run = Telemetry(probe_every=1).begin_run({})
+        state = CountChecked(n, reps, make_rng(seed), telemetry=run)
+        assert state._cluster_count() == 0.0  # read before seeding
+        state.seed_singletons(0.1)
+        act = pick_act(kind, reps, seed)
+        state.cluster_activate(act, 0.5)
+        state.grow_push_round(act, active_only=True)
+        state.grow_push_round(act, active_only=False)
+        state.cluster_size(act)
+        state.cluster_resize(act, s)
+        state.cluster_dissolve(act, s)
+        lead_d, lead_v, _, _ = state.cluster_push(act, "clustered", "min")
+        lr, lc = state._rowcol(lead_d)
+        better = state.uid[act[lr], lead_v] < state.uid[act[lr], lc]
+        state.cluster_merge(act, lead_d[better], lead_v[better])
+        state.unclustered_pull_round(act)
+        state.cluster_share(act, np.zeros((len(act), n), dtype=bool))
+        state._cluster_count()

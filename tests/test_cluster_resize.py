@@ -1,0 +1,182 @@
+"""ClusterResize splits every oversized cluster in one pass, on both tiers.
+
+The sequential ClusterResize used to split cluster by cluster: a Python
+loop over the leaders, each pass scanning the whole network for the
+leader's members.  That loop is kept below as the reference.  On drawn
+clusterings (several clusters with k = 1 and k > 1 mixed, unclustered
+and dead nodes, crashes that fire at the pull round's commit) the
+vectorised split must leave the same ``follow`` and ``active``, return
+the same split count and charge the same rounds, messages and bits.
+
+Both tiers split through :func:`repro.core.clustering.split_chunks`; a
+one-row ``ClusterBatch`` holding the same clustering, with uid ranks for
+uids, must end where the sequential primitive does.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.clustering import UNCLUSTERED, Clustering
+from repro.core.primitives import cluster_resize
+from repro.sim.batch_cluster import ClusterBatch
+from repro.sim.dynamics import AdversitySchedule, CrashAt
+from repro.sim.engine import Simulator
+from repro.sim.metrics import Metrics
+from repro.sim.network import Network
+from repro.sim.rng import make_rng
+
+
+def reference_resize(sim: Simulator, cl: Clustering, s: int) -> int:
+    """The per-leader ClusterResize loop, as the sequential tier ran it.
+
+    One line differs: the new leaders are indexed by each chunk's rank
+    among the chunks that exist, not by its raw id.  The two agree while
+    ``k`` is at most the cluster's size plus one; when the pull's commit
+    crashed enough members for ``k`` to reach the size plus two, the raw
+    ids skipped values and indexed past the new-leader list, while the
+    ranks make every member lead itself.
+    """
+    if s < 1:
+        raise ValueError(f"target size must be >= 1, got {s}")
+    followers = cl.followers()
+    sizes = sim.net.sizes
+    with sim.round("ClusterResize:push") as r:
+        r.push(followers, cl.follow[followers], sizes.id_bits)
+
+    counts = cl.sizes()
+    k_per_leader = np.maximum(counts // s, 1)
+
+    with sim.round("ClusterResize:pull") as r:
+        resp_bits = k_per_leader[cl.follow[followers]] * sizes.id_bits
+        r.pull(followers, cl.follow[followers], resp_bits)
+
+    uid = sim.net.uid
+    splits = 0
+    for leader in cl.leaders():
+        k = int(k_per_leader[leader])
+        if k <= 1:
+            continue
+        members = cl.members_of(int(leader))
+        members = members[np.argsort(uid[members])]
+        size = len(members)
+        chunk = (np.arange(size) * k) // size
+        last_in_chunk = np.flatnonzero(np.diff(np.append(chunk, k)) > 0)
+        new_leaders = members[last_in_chunk]
+        cl.active[new_leaders] = cl.active[leader]
+        cl.follow[members] = new_leaders[np.searchsorted(chunk[last_in_chunk], chunk)]
+        splits += 1
+    cl.check_invariants()
+    return splits
+
+
+def build_world(n, seed, clusters, dead, loose, crash_round, crash_frac):
+    """A simulator and a clustering drawn from ``seed``: ``clusters``
+    leaders among the live nodes with skewed shares of the rest,
+    ``loose`` of the nodes unclustered, ``dead`` of them failed before
+    the run (their stale ``follow`` kept), and, at ``crash_round``, a
+    crash of ``crash_frac`` of the live nodes."""
+    data = np.random.default_rng(seed)
+    net = Network(n, rng=seed)
+    down = np.flatnonzero(data.random(n) < dead)
+    net.fail(down[: n - clusters])  # leave a live node per leader
+    live = np.flatnonzero(net.alive)
+    leaders = data.choice(live, size=clusters, replace=False)
+    dynamics = None
+    if crash_round is not None:
+        victims = data.choice(live, size=int(crash_frac * len(live)), replace=False)
+        schedule = AdversitySchedule((CrashAt(crash_round, indices=tuple(victims.tolist())),))
+        dynamics = schedule.bind(net, make_rng(seed + 2))
+    sim = Simulator(net, make_rng(seed + 1), Metrics(n), dynamics=dynamics)
+    cl = Clustering(net)
+    shares = data.dirichlet(np.full(clusters, 0.5))
+    cl.follow[:] = leaders[data.choice(clusters, size=n, p=shares)]
+    cl.follow[data.random(n) < loose] = UNCLUSTERED
+    cl.follow[leaders] = leaders
+    cl.active[:] = data.random(n) < 0.5
+    cl.check_invariants()
+    return sim, cl
+
+
+def pick_s(cl: Clustering, s_pick: int) -> int:
+    """A target size from 1 up to the largest cluster's size."""
+    largest = int(cl.sizes().max())
+    return 1 + s_pick % largest
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=8, max_value=160),
+    seed=st.integers(min_value=0, max_value=2**20),
+    clusters=st.integers(min_value=1, max_value=8),
+    s_pick=st.integers(min_value=0, max_value=10**6),
+    dead=st.sampled_from([0.0, 0.1, 0.3]),
+    loose=st.sampled_from([0.0, 0.2, 0.5]),
+    crash_round=st.sampled_from([None, 1, 2]),
+    crash_frac=st.sampled_from([0.05, 0.3, 0.7]),
+)
+# Crashes at the pull round's commit, one of them dropping a cluster
+# below its k (k > size: every member leads itself).
+@example(n=64, seed=3, clusters=3, s_pick=1, dead=0.1, loose=0.2, crash_round=2, crash_frac=0.3)
+@example(n=40, seed=11, clusters=1, s_pick=1, dead=0.0, loose=0.0, crash_round=2, crash_frac=0.7)
+def test_vectorised_resize_matches_the_leader_loop(
+    n, seed, clusters, s_pick, dead, loose, crash_round, crash_frac
+):
+    sim, cl = build_world(n, seed, clusters, dead, loose, crash_round, crash_frac)
+    ref_sim, ref_cl = build_world(n, seed, clusters, dead, loose, crash_round, crash_frac)
+    s = pick_s(cl, s_pick)
+    assert cluster_resize(sim, cl, s) == reference_resize(ref_sim, ref_cl, s)
+    np.testing.assert_array_equal(cl.follow, ref_cl.follow)
+    np.testing.assert_array_equal(cl.active, ref_cl.active)
+    np.testing.assert_array_equal(sim.net.alive, ref_sim.net.alive)
+    assert sim.metrics.total == ref_sim.metrics.total
+
+
+def test_crash_at_the_pull_commit_resizes_the_survivors():
+    """k is fixed before the pull, membership read after it: one
+    64-member cluster at s = 8 (k = 8) loses four followers as the pull
+    commits, and the 60 survivors still split into 8 chunks, each led by
+    its largest uid.  Sizing the chunks from the pre-pull count fails."""
+    worlds = []
+    for _ in range(2):
+        net = Network(64, rng=5)
+        order = np.argsort(net.uid)
+        victims = tuple(int(v) for v in order[[3, 20, 41, 62]])
+        schedule = AdversitySchedule((CrashAt(2, indices=victims),))
+        sim = Simulator(net, make_rng(6), Metrics(64), dynamics=schedule.bind(net, make_rng(7)))
+        cl = Clustering(net)
+        cl.follow[:] = order[-1]
+        cl.active[order[-1]] = True
+        worlds.append((sim, cl))
+    (sim, cl), (ref_sim, ref_cl) = worlds
+    assert cluster_resize(sim, cl, 8) == reference_resize(ref_sim, ref_cl, 8) == 1
+    np.testing.assert_array_equal(cl.follow, ref_cl.follow)
+    np.testing.assert_array_equal(cl.active, ref_cl.active)
+    leaders = cl.leaders()
+    assert len(leaders) == 8 and cl.active[leaders].all()
+    assert cl.sizes()[leaders].sum() == 60
+    uid = sim.net.uid
+    for leader in leaders:
+        assert uid[leader] == uid[cl.members_of(int(leader))].max()
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_one_split_on_both_tiers(case):
+    data = np.random.default_rng(1000 + case)
+    n = int(data.integers(16, 601))
+    clusters = int(data.integers(1, 9))
+    sim, cl = build_world(n, 1000 + case, clusters, 0.0, 0.2, None, 0.0)
+    s = pick_s(cl, int(data.integers(0, 10**6)))
+    batch = ClusterBatch(n, 1, make_rng(case))
+    batch.follow[0] = cl.follow
+    batch.active[0] = cl.active
+    batch.uid[0] = np.argsort(np.argsort(sim.net.uid))
+    rows, cols, sizes = batch.cluster_resize(np.arange(1), s)
+    cluster_resize(sim, cl, s)
+    np.testing.assert_array_equal(batch.follow[0], cl.follow)
+    np.testing.assert_array_equal(batch.active[0], cl.active)
+    np.testing.assert_array_equal(np.sort(cols), cl.leaders())
+    np.testing.assert_array_equal(cl.sizes()[cols], sizes)
