@@ -29,9 +29,9 @@ def run_pull(start_fraction: float, seed: int):
     net = Network(N, rng=seed)
     sim = Simulator(net, make_rng(seed + 1), Metrics(N))
     cl = Clustering(net)
-    cl.follow[:] = 0  # a giant cluster...
+    cl.set_follow(np.s_[:], 0)  # a giant cluster...
     k = int(start_fraction * N)
-    cl.follow[N - k :] = UNCLUSTERED  # ...minus the starting deficit
+    cl.set_follow(np.s_[N - k :], UNCLUSTERED)  # ...minus the starting deficit
     sim.telemetry = Telemetry().begin_run({})
     unclustered_nodes_pull(sim, cl, rounds=12)
     fractions = [start_fraction] + [

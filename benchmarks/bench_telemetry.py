@@ -21,8 +21,10 @@ Acceptance: the on/off wall-clock ratio of the telemetry *machinery*
 collection ON).  The disabled path runs the same code minus the probe
 calls, so it is bounded by the same gate a fortiori.  Event capture
 (``collect_events=True``) records the algorithms' coarse events
-(``Simulator.emit``), whose calls run whether telemetry is on or off,
-so its cost is reported as an informational row, not gated.  Timings
+(``Simulator.emit``), whose payloads are built only when a run records
+events (``Simulator.records_events``), so the gated row does the
+algorithm work of the off row; its cost is reported as an
+informational row, not gated.  Timings
 interleave the configurations over ``REPRO_E18_REPEATS`` batches of
 ``REPRO_E18_INNER`` runs and gate the best *paired* on/off ratio,
 cancelling the clock-frequency drift a shared box imposes on absolute

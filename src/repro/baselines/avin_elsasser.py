@@ -135,12 +135,13 @@ def avin_elsasser(
                 new_leader = np.where(keep, new_leader, NOTHING)
                 cluster_merge(sim, cl, new_leader)
             s = max(s + 1, (s * (grow + 1)) // 2)
-            sim.emit(
-                "ae.iter",
-                nominal_size=s,
-                clusters=cl.cluster_count(),
-                clustered=cl.clustered_count(),
-            )
+            if sim.records_events:
+                sim.emit(
+                    "ae.iter",
+                    nominal_size=s,
+                    clusters=cl.cluster_count(),
+                    clustered=cl.clustered_count(),
+                )
 
     merge_all_clusters(sim, cl, reps=4)
     unclustered_nodes_pull(sim, cl, rounds=p1.pull_rounds)

@@ -172,10 +172,11 @@ def median_counter(
             protocol.step(sim)
             if completion is None and protocol.spread():
                 completion = step
-            sim.emit(
-                "median-counter.step",
-                progress=round(protocol.progress(sim.net.alive), 6),
-            )
+            if sim.records_events:
+                sim.emit(
+                    "median-counter.step",
+                    progress=round(protocol.progress(sim.net.alive), 6),
+                )
     return report_from_sim(
         "median-counter",
         sim,

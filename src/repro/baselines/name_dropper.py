@@ -109,7 +109,8 @@ def name_dropper(
                 )
             for s, d in zip(delivery.srcs, delivery.dsts):
                 knows[int(d)] |= knows[int(s)]
-            sim.emit("name-dropper.round", min_knowledge=min(len(k) for k in knows))
+            if sim.records_events:
+                sim.emit("name-dropper.round", min_knowledge=min(len(k) for k in knows))
 
     alive = sim.net.alive_indices()
     min_knowledge = min(len(knows[int(v)]) for v in alive)

@@ -86,7 +86,8 @@ def cluster1(
     with sim.metrics.phase("share"):
         informed = cluster_share_rumor(sim, cl, informed)
 
-    sim.emit("done", clusters=cl.cluster_count())
+    if sim.records_events:
+        sim.emit("done", clusters=cl.cluster_count())
     return report_from_sim(
         "cluster1",
         sim,

@@ -118,13 +118,14 @@ def cluster3(
         cluster_resize(sim, cl, p3.target_size)
 
     report = delta_clustering_report(sim, cl, p3)
-    sim.emit(
-        "cluster3.done",
-        clusters=report.clusters,
-        min_size=report.min_size,
-        max_size=report.max_size,
-        unclustered=report.unclustered,
-    )
+    if sim.records_events:
+        sim.emit(
+            "cluster3.done",
+            clusters=report.clusters,
+            min_size=report.min_size,
+            max_size=report.max_size,
+            unclustered=report.unclustered,
+        )
     return cl, report
 
 

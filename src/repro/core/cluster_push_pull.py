@@ -87,11 +87,12 @@ def cluster_push_pull(
                 answered = r.pull(pullers, pdsts, rumor_bits, informed[pdsts]).answered
             informed[pullers[answered]] = True
 
-            sim.emit(
-                "cpp.iter",
-                iteration=iteration,
-                informed=int(informed[sim.net.alive].sum()),
-            )
+            if sim.records_events:
+                sim.emit(
+                    "cpp.iter",
+                    iteration=iteration,
+                    informed=int(informed[sim.net.alive].sum()),
+                )
 
     with sim.metrics.phase("cpp-final-share"):
         informed = cluster_share_rumor(sim, cl, informed)

@@ -22,7 +22,8 @@ substitution 3).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import functools
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,10 +58,38 @@ def split_chunks(size: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return np.cumsum(new) - 1, np.flatnonzero(end)
 
 
+def _view(derive: Callable[["Clustering"], np.ndarray]) -> Callable:
+    """A view derived from ``follow`` and liveness: computed on the
+    first read of a clustering state, then served read-only until
+    :meth:`Clustering.set_follow` or a liveness change starts the next
+    state."""
+    name = derive.__name__
+
+    @functools.wraps(derive)
+    def view(self: "Clustering") -> np.ndarray:
+        self._sync()
+        out = self._views.get(name)
+        if out is None:
+            out = self._views[name] = derive(self)
+            out.flags.writeable = False
+        return out
+
+    return view
+
+
 class Clustering:
     """Mutable clustering over a :class:`~repro.sim.network.Network`.
 
     Dead nodes are permanently unclustered; every accessor filters them.
+
+    :meth:`set_follow` is the one writer of ``follow``.  Each write bumps
+    :attr:`version`, and so does a liveness change, since every view
+    masks by liveness.  The masks, ``leaders()``, ``followers()``,
+    ``unclustered()`` and ``sizes()`` are derived once per version, and
+    they and ``follow`` are handed out read-only, so a write that
+    bypasses the writer raises instead of leaving a view stale.
+    ``active`` is a plain array the phases write directly; nothing is
+    cached on it.
 
     Under the static Section 8 adversary liveness never changes mid-run.
     Under a dynamics timeline (:mod:`repro.sim.dynamics`) it can: a
@@ -74,12 +103,37 @@ class Clustering:
 
     def __init__(self, net: Network) -> None:
         self.net = net
-        self.follow = np.full(net.n, UNCLUSTERED, dtype=np.int64)
+        self._follow = np.full(net.n, UNCLUSTERED, dtype=np.int64)
+        self._follow_view = self._follow.view()
+        self._follow_view.flags.writeable = False
         self.active = np.zeros(net.n, dtype=bool)
+        #: The clustering state's number; the views are derived once per
+        #: version (see :meth:`set_follow`).
+        self.version = 0
+        self._views: Dict[str, np.ndarray] = {}
         self._synced_epoch = net.liveness_epoch
         self._construction_epoch = net.liveness_epoch
         #: Sticky: liveness changed after construction (a dynamics run).
         self._dynamic = False
+
+    @property
+    def follow(self) -> np.ndarray:
+        """The per-node leader pointers, read-only; write through
+        :meth:`set_follow`."""
+        return self._follow_view
+
+    def set_follow(self, nodes, leaders) -> None:
+        """``follow[nodes] = leaders`` — the one writer of ``follow``.
+
+        ``nodes`` is any numpy index (indices, a mask, a slice).  Starts
+        a new :attr:`version`, dropping every derived view.
+        """
+        self._follow[nodes] = leaders
+        self._next_version()
+
+    def _next_version(self) -> None:
+        self.version += 1
+        self._views = {}
 
     @property
     def liveness_changed(self) -> bool:
@@ -101,7 +155,9 @@ class Clustering:
         epoch = self.net.liveness_epoch
         if epoch == self._synced_epoch and not (force and self._dynamic):
             return
-        self._dynamic = self._dynamic or epoch != self._synced_epoch
+        if epoch != self._synced_epoch:
+            self._dynamic = True
+            self._next_version()  # every view masks by liveness
         alive = self.net.alive
         for _ in range(64):
             clustered = np.flatnonzero(self.follow != UNCLUSTERED)
@@ -113,7 +169,7 @@ class Clustering:
             )
             if not stranded.any():
                 break
-            self.follow[clustered[stranded]] = UNCLUSTERED
+            self.set_follow(clustered[stranded], UNCLUSTERED)
         self.active[~alive] = False
         self._synced_epoch = epoch
 
@@ -125,45 +181,50 @@ class Clustering:
     def n(self) -> int:
         return self.net.n
 
+    @_view
     def clustered_mask(self) -> np.ndarray:
         """Alive nodes that belong to some cluster."""
-        self._sync()
         return (self.follow != UNCLUSTERED) & self.net.alive
 
+    @_view
     def unclustered_mask(self) -> np.ndarray:
         """Alive nodes with follow == ∞."""
-        self._sync()
         return (self.follow == UNCLUSTERED) & self.net.alive
 
+    @_view
     def leader_mask(self) -> np.ndarray:
         """Alive nodes that lead their own cluster."""
-        self._sync()
         return (self.follow == np.arange(self.n)) & self.net.alive
 
+    @_view
     def follower_mask(self) -> np.ndarray:
         """Alive clustered nodes that are not leaders."""
         return self.clustered_mask() & ~self.leader_mask()
 
+    @_view
     def leaders(self) -> np.ndarray:
         """Indices of alive leaders."""
         return np.flatnonzero(self.leader_mask())
 
+    @_view
     def followers(self) -> np.ndarray:
         """Indices of alive followers."""
         return np.flatnonzero(self.follower_mask())
 
+    @_view
     def unclustered(self) -> np.ndarray:
         """Indices of alive unclustered nodes."""
         return np.flatnonzero(self.unclustered_mask())
 
     def clustered_count(self) -> int:
         """Number of alive clustered nodes."""
-        return int(self.clustered_mask().sum())
+        return len(self.leaders()) + len(self.followers())
 
     def cluster_count(self) -> int:
         """Number of clusters."""
-        return int(self.leader_mask().sum())
+        return len(self.leaders())
 
+    @_view
     def sizes(self) -> np.ndarray:
         """Cluster size per node index; ``sizes()[l]`` is the member count
         (leader included) of the cluster led by ``l``, 0 for non-leaders."""
@@ -204,7 +265,7 @@ class Clustering:
     def seed_singletons(self, indices: np.ndarray) -> None:
         """Make each given (alive) node a singleton cluster leader."""
         indices = self.net.filter_alive(np.asarray(indices, dtype=np.int64))
-        self.follow[indices] = indices
+        self.set_follow(indices, indices)
 
     def disband(self, leader_indices: np.ndarray) -> None:
         """Dissolve the clusters led by the given leaders."""
@@ -212,7 +273,7 @@ class Clustering:
         if len(leader_indices) == 0:
             return
         mask = np.isin(self.follow, leader_indices)
-        self.follow[mask] = UNCLUSTERED
+        self.set_follow(mask, UNCLUSTERED)
         self.active[leader_indices] = False
 
     def compress(self, max_hops: int = 64) -> None:
@@ -223,7 +284,7 @@ class Clustering:
         an algorithm bug and raises after ``max_hops``.
         """
         self._sync(force=True)
-        clustered = np.flatnonzero((self.follow != UNCLUSTERED) & self.net.alive)
+        clustered = np.flatnonzero(self.clustered_mask())
         for _ in range(max_hops):
             parents = self.follow[clustered]
             grand = self.follow[parents]
@@ -234,7 +295,7 @@ class Clustering:
             # would be an algorithm bug (dissolve handles members itself).
             if (grand[stale] == UNCLUSTERED).any():
                 raise RuntimeError("follow chain leads to an unclustered node")
-            self.follow[clustered[stale]] = grand[stale]
+            self.set_follow(clustered[stale], grand[stale])
         raise RuntimeError(f"follow chains not resolved in {max_hops} hops (cycle?)")
 
     # ------------------------------------------------------------------

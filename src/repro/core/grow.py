@@ -57,14 +57,12 @@ def grow_initial_clusters_v1(
     """Algorithm 1, Procedure GrowInitialClusters."""
     with sim.metrics.phase("grow"):
         seeds = seed_singleton_clusters(sim, cl, params.seed_prob)
-        sim.emit("grow.seeded", seeds=seeds)
+        if sim.records_events:
+            sim.emit("grow.seeded", seeds=seeds)
         for _ in range(params.grow_rounds):
             joined = grow_push_round(sim, cl, active_only=False)
-            sim.emit(
-                "grow.push",
-                joined=joined,
-                clustered=cl.clustered_count(),
-            )
+            if sim.records_events:
+                sim.emit("grow.push", joined=joined, clustered=cl.clustered_count())
 
 
 def grow_initial_clusters_v2(
@@ -76,7 +74,8 @@ def grow_initial_clusters_v2(
     with sim.metrics.phase("grow"):
         seeds = seed_singleton_clusters(sim, cl, params.seed_prob)
         cluster_activate_all(sim, cl)
-        sim.emit("grow.seeded", seeds=seeds)
+        if sim.records_events:
+            sim.emit("grow.seeded", seeds=seeds)
 
         prev_sizes = cl.sizes().astype(np.float64)
         for _ in range(params.grow_rounds_cap):
@@ -96,11 +95,12 @@ def grow_initial_clusters_v2(
                 cluster_resize(sim, cl, params.big_size)
                 sizes = cl.sizes().astype(np.float64)
             prev_sizes = sizes
-            sim.emit(
-                "grow.push",
-                clustered=cl.clustered_count(),
-                clusters=cl.cluster_count(),
-                active=int(cl.active[cl.leaders()].sum()),
-                stalled=int(stalled.sum()),
-            )
+            if sim.records_events:
+                sim.emit(
+                    "grow.push",
+                    clustered=cl.clustered_count(),
+                    clusters=cl.cluster_count(),
+                    active=int(cl.active[cl.leaders()].sum()),
+                    stalled=int(stalled.sum()),
+                )
         cl.active[:] = False

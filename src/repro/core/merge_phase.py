@@ -59,12 +59,13 @@ def merge_all_clusters(
             better = got[uid[receipt[got]] < uid[got]]
             new_leader[better] = receipt[better]
             merged = cluster_merge(sim, cl, new_leader)
-            sim.emit(
-                "merge-all.rep",
-                rep=rep,
-                merged=merged,
-                clusters=cl.cluster_count(),
-            )
+            if sim.records_events:
+                sim.emit(
+                    "merge-all.rep",
+                    rep=rep,
+                    merged=merged,
+                    clusters=cl.cluster_count(),
+                )
     return used
 
 
@@ -95,8 +96,9 @@ def merge_to_delta_clusters(
         )
         new_leader = np.where(cl.active, NOTHING, outcome.leader_receipt)
         cluster_merge(sim, cl, new_leader)
-        sim.emit(
-            "merge-delta",
-            activate_prob=round(p, 4),
-            clusters=cl.cluster_count(),
-        )
+        if sim.records_events:
+            sim.emit(
+                "merge-delta",
+                activate_prob=round(p, 4),
+                clusters=cl.cluster_count(),
+            )

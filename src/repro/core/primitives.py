@@ -170,7 +170,7 @@ def cluster_resize(sim: Simulator, cl: Clustering, s: int) -> int:
     )
     new_leaders = members[last]
     cl.active[new_leaders] = cl.active[leader[last]]
-    cl.follow[members] = new_leaders[chunk]
+    cl.set_follow(members, new_leaders[chunk])
     cl.check_invariants()
     return len(starts)
 
@@ -319,7 +319,7 @@ def cluster_merge(sim: Simulator, cl: Clustering, new_leader: np.ndarray) -> int
     # Apply: members (and the leader itself) adopt the new leader.
     member_mask = merging_mask[np.where(cl.follow >= 0, cl.follow, 0)] & cl.clustered_mask()
     old_leaders = cl.follow[member_mask]
-    cl.follow[member_mask] = new_leader[old_leaders]
+    cl.set_follow(member_mask, new_leader[old_leaders])
     cl.active[merging] = False
     cl.compress()
     cl.check_invariants()
@@ -383,7 +383,7 @@ def grow_push_round(
         cl.n, delivery.dsts, _delivered_payload(delivery.srcs, senders, payload), sim.rng
     )
     joiners = np.flatnonzero((adopted != NOTHING) & cl.unclustered_mask())
-    cl.follow[joiners] = adopted[joiners]
+    cl.set_follow(joiners, adopted[joiners])
     cl.compress()
     return int(len(joiners))
 
@@ -401,6 +401,6 @@ def unclustered_pull_round(sim: Simulator, cl: Clustering, label: str = "Unclust
     with sim.round(label) as r:
         answered = r.pull(pullers, dsts, sim.net.sizes.id_bits, responds).answered
     joiners = pullers[answered]
-    cl.follow[joiners] = cl.follow[dsts[answered]]
+    cl.set_follow(joiners, cl.follow[dsts[answered]])
     cl.compress()
     return int(len(joiners))

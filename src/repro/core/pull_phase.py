@@ -58,11 +58,12 @@ def unclustered_nodes_pull(
             joined = unclustered_pull_round(sim, cl)
             if resize_to is not None and joined:
                 cluster_resize(sim, cl, resize_to)
-            sim.emit(
-                "pull.round",
-                joined=joined,
-                unclustered=len(cl.unclustered()),
-            )
+            if sim.records_events:
+                sim.emit(
+                    "pull.round",
+                    joined=joined,
+                    unclustered=len(cl.unclustered()),
+                )
     return len(cl.unclustered())
 
 
@@ -85,7 +86,7 @@ def bounded_cluster_push(
     """
     with sim.metrics.phase("bounded-push"):
         cluster_activate_all(sim, cl)
-        prev = cl.clustered_count()
+        prev = cl.clustered_count() if sim.records_events else 0
         for _ in range(rounds_cap):
             leaders = cl.leaders()
             if len(leaders) == 0 or not cl.active[leaders].any():
@@ -99,11 +100,13 @@ def bounded_cluster_push(
             grew = sizes_after[leaders] / sizes_before.clip(min=1.0)[leaders]
             stalled = grew < growth_stop
             cl.active[leaders[stalled]] = False
-            sim.emit(
-                "bounded-push.round",
-                clustered=cl.clustered_count(),
-                gained=cl.clustered_count() - prev,
-                active=int(cl.active[cl.leaders()].sum()),
-            )
-            prev = cl.clustered_count()
+            if sim.records_events:
+                clustered = cl.clustered_count()
+                sim.emit(
+                    "bounded-push.round",
+                    clustered=clustered,
+                    gained=clustered - prev,
+                    active=int(cl.active[cl.leaders()].sum()),
+                )
+                prev = clustered
         cl.active[:] = False

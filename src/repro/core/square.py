@@ -110,7 +110,8 @@ def square_clusters_v1(
             s = params.square_step(s)
             iterations += 1
             history.append(s)
-            sim.emit("square.iter", s=s, **_counts(cl))
+            if sim.records_events:
+                sim.emit("square.iter", s=s, **_counts(cl))
     return SquareReport(iterations, s, history)
 
 
@@ -141,7 +142,8 @@ def square_clusters_v2(
             s = params.square_step(s)
             iterations += 1
             history.append(s)
-            sim.emit("square.iter", s=s, **_counts(cl))
+            if sim.records_events:
+                sim.emit("square.iter", s=s, **_counts(cl))
     return SquareReport(iterations, s, history)
 
 

@@ -20,10 +20,11 @@ via ``sim.telemetry.add_probe(name, fn)`` — ``fn(sim)`` is sampled
 every ``probe_every`` committed rounds (``informed`` from protocol
 progress, ``clusters`` from the clustering, ``task_error`` from task
 states) — and record coarse events via ``sim.emit(kind, **data)``,
-which lands in ``run.events`` at the current round.  *Vector* runners
-receive the run handle directly: their ledger
-(:class:`repro.sim.batch.BatchLedger`) feeds batch-aggregate samples,
-and the cluster runners add per-phase spans.
+which lands in ``run.events`` at the current round (callers guard it
+with ``sim.records_events``, so a run that records no events builds
+no payload).  *Vector* runners receive the run handle directly: their
+ledger (:class:`repro.sim.batch.BatchLedger`) feeds batch-aggregate
+samples, and the cluster runners add per-phase spans.
 
 Sharded ``run_replications`` gives each shard a fresh collector
 (:meth:`spawn`), then merges the shard collectors back in shard order

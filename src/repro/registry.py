@@ -37,7 +37,9 @@ Adding an algorithm is one decorator — no edits to the dispatch core::
 Registered runners share the calling convention
 ``runner(sim, source, **knobs)`` with ``profile=`` passed iff the spec
 declares ``uses_profile``; they record coarse progress events with
-``sim.emit(kind, **data)``, which reach telemetry when it is attached.
+``sim.emit(kind, **data)``, which reach telemetry when it is attached
+and collects events (``sim.records_events``, which guards each call so
+that no other run builds a payload).
 Entries with ``broadcastable=False`` (e.g. Name-Dropper, a *discovery*
 protocol with its own report type) are catalogued but rejected by
 ``broadcast()``.

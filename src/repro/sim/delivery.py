@@ -69,22 +69,22 @@ def receive_min_by_key(
 ) -> np.ndarray:
     """Per node, the received value whose key is smallest (NOTHING if none).
 
-    ``keys`` are compared (typically uids); ``values`` are returned
-    (typically node indices).  Ties broken towards the smaller value, which
-    is deterministic and harmless since uids are unique.
+    ``keys`` (integers, typically uids) are compared; ``values`` (node
+    indices) are returned.  Ties go to the smaller value, which is
+    deterministic and harmless since uids are unique.  Two scatter-min
+    passes, no sort: the smallest key per destination, then the
+    smallest value among the deliveries that carry it.
     """
     out = np.full(n, NOTHING, dtype=np.int64)
     if len(dsts) == 0:
         return out
-    best_key = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    # Sort so the best (smallest key, then smallest value) delivery per dst
-    # comes first, then keep the first per destination.
-    order = np.lexsort((values, keys, dsts))
-    d = dsts[order]
-    first = np.ones(len(d), dtype=bool)
-    first[1:] = d[1:] != d[:-1]
-    out[d[first]] = values[order][first]
-    best_key[d[first]] = keys[order][first]
+    top = np.iinfo(np.int64).max
+    best_key = np.full(n, top, dtype=np.int64)
+    np.minimum.at(best_key, dsts, keys)
+    won = keys == best_key[dsts]
+    best = np.full(n, top, dtype=np.int64)
+    np.minimum.at(best, dsts[won], values[won])
+    out[dsts] = best[dsts]
     return out
 
 

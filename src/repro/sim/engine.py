@@ -52,14 +52,37 @@ class ModelViolation(RuntimeError):
     """An operation broke a random-phone-call model rule."""
 
 
-def _gather(arrays: "List[np.ndarray]") -> np.ndarray:
-    """Concatenate per-op index arrays (single-array rounds skip the copy)."""
+def _gather(arrays: "List[np.ndarray]", dtype=np.int64) -> np.ndarray:
+    """Concatenate per-op arrays (a round with one non-empty op skips the
+    copy and hands back that op's own array)."""
     arrays = [a for a in arrays if len(a)]
     if not arrays:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     if len(arrays) == 1:
-        return arrays[0]
-    return np.concatenate(arrays)
+        return arrays[0].astype(dtype, copy=False)
+    return np.concatenate(arrays).astype(dtype, copy=False)
+
+
+@dataclass
+class RoundContacts:
+    """A committed round's contacts, gathered once at commit: every push
+    op's, then every pull op's, in declaration order.  Dead-source
+    contacts were dropped when the op was declared.
+
+    The one-initiation check, the fan-in count and the event tier's
+    clock fold and contact trace all read these arrays.
+    """
+
+    srcs: np.ndarray
+    dsts: np.ndarray
+    #: Per contact: reached an alive target (a push delivered, a pull
+    #: request received).
+    arrived: np.ndarray
+    #: The first ``pushes`` contacts are pushes, the rest pulls.
+    pushes: int
+    #: How many contacts are initiations (a bidirectional call's
+    #: response half is not).
+    initiations: int
 
 
 @dataclass
@@ -146,6 +169,8 @@ class Round:
         self.label = label
         self._pushes: List[_PushOp] = []
         self._pulls: List[_PullOp] = []
+        #: The round's gathered contacts, set by :meth:`commit`.
+        self.contacts: Optional[RoundContacts] = None
         self._committed = False
 
     # ------------------------------------------------------------------
@@ -304,14 +329,18 @@ class Round:
         self._committed = True
         sim = self._sim
         n = sim.net.n
+        ops = self._pushes + self._pulls
+        srcs = _gather([op.srcs for op in ops])
+        dsts = _gather([op.dsts for op in ops])
+        arrived = _gather([op.arrived for op in ops], bool)
 
-        initiators = [op.srcs for op in self._pushes if op.counts_initiation] + [
-            op.srcs for op in self._pulls if op.counts_initiation
-        ]
-        all_init = _gather(initiators)
+        counted = [op.counts_initiation for op in ops]
+        initiators = srcs
+        if not all(counted):
+            initiators = srcs[np.repeat(counted, [len(op.srcs) for op in ops])]
         max_initiations = 0
-        if len(all_init):
-            init_counts = np.bincount(all_init, minlength=n)
+        if len(initiators):
+            init_counts = np.bincount(initiators, minlength=n)
             max_initiations = int(init_counts.max())
             if max_initiations > 1:
                 offender = int(np.argmax(init_counts))
@@ -321,10 +350,6 @@ class Round:
                     "the model allows one initiation per node per round"
                 )
 
-        # Fan-in: pushes received + pull requests received, at alive nodes.
-        # Arrival was decided per op at declare time (alive targets, minus
-        # any message-loss mask); the surviving destinations concatenate
-        # into one array so one bincount covers the whole round.
         pushes = push_bits = 0
         for op in self._pushes:
             pushes += len(op.srcs)
@@ -332,20 +357,21 @@ class Round:
         pull_requests = pull_responses = pull_bits = 0
         for op in self._pulls:
             pull_requests += len(op.srcs)
-            answered = int(op.responds.sum())
+            answered = int(np.count_nonzero(op.responds))
             pull_responses += answered
             if isinstance(op.bits_per_response, int):
                 pull_bits += op.bits_per_response * answered
             else:
                 pull_bits += int(op.bits_per_response[op.responds].sum())
+        self.contacts = RoundContacts(srcs, dsts, arrived, pushes, len(initiators))
 
-        all_arrived = [op.dsts[op.arrived] for op in self._pushes] + [
-            op.dsts[op.arrived] for op in self._pulls
-        ]
-        arrived = _gather(all_arrived)
+        # Fan-in: pushes received + pull requests received, at alive nodes.
+        # Arrival was decided per op at declare time (alive targets, minus
+        # any message-loss mask).
+        reached = dsts[arrived]
         max_fanin = 0
-        if len(arrived):
-            max_fanin = int(np.bincount(arrived, minlength=n).max())
+        if len(reached):
+            max_fanin = int(np.bincount(reached, minlength=n).max())
 
         sim.metrics.record_round(
             pushes=pushes,
@@ -458,14 +484,22 @@ class Simulator:
             return self.net.alive
         return self._committed_alive
 
+    @property
+    def records_events(self) -> bool:
+        """True when an attached telemetry run collects events, the only
+        case in which :meth:`emit` records anything."""
+        return self.telemetry is not None and self.telemetry.collect_events
+
     def emit(self, kind: str, **data: Any) -> None:
         """Record one coarse algorithm event (``grow.push``, ``done``, ...)
         at the current round as a telemetry ``event`` record.
 
-        A no-op unless a telemetry run that collects events is attached.
-        Callers pass scalar payloads, evaluated at the call.
+        A no-op unless :attr:`records_events`.  Callers pass scalar
+        payloads, evaluated at the call, so they guard the call with
+        ``if sim.records_events:`` and a run that records no events
+        builds no payload.
         """
-        if self.telemetry is not None:
+        if self.records_events:
             self.telemetry.event(self.metrics.rounds, kind, data)
 
     def add_commit_hook(self, hook) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.sim.ids import id_bits
 
@@ -49,12 +50,15 @@ class MessageSizes:
         if self.rumor_bits < 1:
             raise ValueError(f"rumor_bits must be positive, got {self.rumor_bits}")
 
-    @property
+    # The two widths are computed once per instance: ``cached_property``
+    # stores into the instance ``__dict__``, which a frozen dataclass
+    # without slots allows, and fields alone decide ``==`` and ``hash``.
+    @cached_property
     def id_bits(self) -> int:
         """Bits for one node ID."""
         return id_bits(self.n, self.id_space_exponent)
 
-    @property
+    @cached_property
     def count_bits(self) -> int:
         """Bits for a node count in ``[0, n]``."""
         return max(1, math.ceil(math.log2(self.n + 1)))

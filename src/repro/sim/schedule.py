@@ -75,12 +75,13 @@ class EventScheduler:
     descendants.  ``sim_time`` is the latest completion seen so far.
 
     The clocks, the fold and the delay oracle are those of a one-row
-    :class:`BatchClockOverlay`; this adapter gathers each committed
-    round's contacts and picks the path that folds them.  Fast paths: a
-    zero-latency delay keeps every clock frozen at 0 (the overlay costs
-    nothing — the E19 parity gate's configuration); a scalar constant
-    delay with full participation and uniform clocks advances one
-    scalar instead of ``n`` clocks.  The general path is one lean
+    :class:`BatchClockOverlay`; this adapter reads the contacts that
+    ``Round.commit`` gathered once (``Round.contacts``) and picks the
+    path that folds them.  Fast paths: a zero-latency delay keeps every
+    clock frozen at 0 (the overlay costs nothing — the E19 parity
+    gate's configuration); a scalar constant delay with full
+    participation and uniform clocks advances one scalar instead of
+    ``n`` clocks.  The general path is one lean
     :meth:`BatchClockOverlay.fold` per committed round.
 
     ``contacts`` (a :class:`~repro.obs.trace.ContactTrace`) switches on
@@ -117,44 +118,33 @@ class EventScheduler:
         tracing = self.contacts is not None
         if overlay.zero and not tracing:
             return  # clocks frozen at 0: the zero-latency overlay is free
-        ops = [
-            op
-            for op in (*committed._pushes, *committed._pulls)
-            if len(op.srcs)
-        ]
-        if not ops:
+        gathered = committed.contacts
+        if not len(gathered.srcs):
             return  # an idle round takes no simulated time on the event tier
 
         if overlay.uniform and not tracing and self._sim.dynamics is None:
             # Uniform fast path: when every alive node initiates exactly
             # once (the model invariant caps initiations at one), every
             # clock advances by the same constant and stays uniform.
-            initiations = sum(
-                len(op.srcs) for op in ops if op.counts_initiation
-            )
-            if initiations == len(self._sim.net.alive_indices()):
+            if gathered.initiations == len(self._sim.net.alive_indices()):
                 overlay.advance_uniform(0)
                 return
 
-        srcs = np.concatenate([np.asarray(op.srcs, dtype=np.int64) for op in ops])
-        dsts = np.concatenate([np.asarray(op.dsts, dtype=np.int64) for op in ops])
-        arrived = np.concatenate([op.arrived for op in ops])
+        srcs, dsts, arrived = gathered.srcs, gathered.dsts, gathered.arrived
         starts, complete = overlay.fold(None, srcs, dsts, arrived)
         if tracing:
-            kinds = np.concatenate(
-                [
-                    np.full(len(op.srcs), i < len(committed._pushes))
-                    for i, op in enumerate(ops)
-                ]
-            )
+            push = np.zeros(len(srcs), dtype=bool)
+            push[: gathered.pushes] = True
+            # The trace keeps its columns past the round, and a one-op
+            # round's gather holds the caller's own index arrays.
             self.contacts.record(
                 self._sim.metrics.rounds,
-                srcs,
-                dsts,
+                srcs.copy(),
+                dsts.copy(),
                 starts,
                 complete,
                 arrived,
-                kinds,
+                push,
             )
 
 

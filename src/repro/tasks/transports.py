@@ -173,7 +173,8 @@ def run_uniform_task(
             state.end_round()
         if completion is None and state.done(sim.net.alive):
             completion = step
-        sim.emit(f"{name}.step", progress=round(state.progress(sim.net.alive), 6))
+        if sim.records_events:
+            sim.emit(f"{name}.step", progress=round(state.progress(sim.net.alive), 6))
     return completion
 
 
@@ -252,7 +253,8 @@ def run_cluster_task(
                     sim, state, r, senders, cl.follow[senders], extract=True
                 )
                 state.end_round()
-            sim.emit("task.gather", senders=len(senders))
+            if sim.records_events:
+                sim.emit("task.gather", senders=len(senders))
 
     # -- mix: cluster aggregates cross-pollinate until every leader's is
     # complete.  Holders push to uniform targets; follower receivers
@@ -285,11 +287,8 @@ def run_cluster_task(
                     sim, state, r, relayers, cl.follow[relayers], extract=True
                 )
                 state.end_round()
-            sim.emit(
-                "task.mix",
-                holders=len(holders),
-                relayed=len(relayers),
-            )
+            if sim.records_events:
+                sim.emit("task.mix", holders=len(holders), relayed=len(relayers))
 
     # -- scatter: followers pull the leader's result (direct addressing
     # again: one round regardless of cluster size).
@@ -329,6 +328,7 @@ def run_cluster_task(
                 ).answered
                 state.adopt(pending[answered], dsts[answered])
                 state.end_round()
-            sim.emit("task.catchup", pending=len(pending))
+            if sim.records_events:
+                sim.emit("task.catchup", pending=len(pending))
 
     return _finish_report(sim, state, completion())

@@ -32,6 +32,6 @@ def manual_clustering(sim: Simulator, cluster_size: int):
 
     cl = Clustering(sim.net)
     idx = np.arange(sim.net.n)
-    cl.follow[:] = (idx // cluster_size) * cluster_size
+    cl.set_follow(np.s_[:], (idx // cluster_size) * cluster_size)
     cl.check_invariants()
     return cl

@@ -67,7 +67,7 @@ def reference_resize(sim: Simulator, cl: Clustering, s: int) -> int:
         last_in_chunk = np.flatnonzero(np.diff(np.append(chunk, k)) > 0)
         new_leaders = members[last_in_chunk]
         cl.active[new_leaders] = cl.active[leader]
-        cl.follow[members] = new_leaders[np.searchsorted(chunk[last_in_chunk], chunk)]
+        cl.set_follow(members, new_leaders[np.searchsorted(chunk[last_in_chunk], chunk)])
         splits += 1
     cl.check_invariants()
     return splits
@@ -93,9 +93,9 @@ def build_world(n, seed, clusters, dead, loose, crash_round, crash_frac):
     sim = Simulator(net, make_rng(seed + 1), Metrics(n), dynamics=dynamics)
     cl = Clustering(net)
     shares = data.dirichlet(np.full(clusters, 0.5))
-    cl.follow[:] = leaders[data.choice(clusters, size=n, p=shares)]
-    cl.follow[data.random(n) < loose] = UNCLUSTERED
-    cl.follow[leaders] = leaders
+    cl.set_follow(np.s_[:], leaders[data.choice(clusters, size=n, p=shares)])
+    cl.set_follow(data.random(n) < loose, UNCLUSTERED)
+    cl.set_follow(leaders, leaders)
     cl.active[:] = data.random(n) < 0.5
     cl.check_invariants()
     return sim, cl
@@ -148,7 +148,7 @@ def test_crash_at_the_pull_commit_resizes_the_survivors():
         schedule = AdversitySchedule((CrashAt(2, indices=victims),))
         sim = Simulator(net, make_rng(6), Metrics(64), dynamics=schedule.bind(net, make_rng(7)))
         cl = Clustering(net)
-        cl.follow[:] = order[-1]
+        cl.set_follow(np.s_[:], order[-1])
         cl.active[order[-1]] = True
         worlds.append((sim, cl))
     (sim, cl), (ref_sim, ref_cl) = worlds

@@ -88,9 +88,9 @@ class TestCompress:
     def test_chain_resolution(self):
         sim = build_sim(16)
         cl = Clustering(sim.net)
-        cl.follow[0] = 0
-        cl.follow[1] = 0
-        cl.follow[2] = 1  # chain 2 -> 1 -> 0
+        cl.set_follow(0, 0)
+        cl.set_follow(1, 0)
+        cl.set_follow(2, 1)  # chain 2 -> 1 -> 0
         cl.compress()
         assert cl.follow[2] == 0
         cl.check_invariants()
@@ -100,9 +100,9 @@ class TestCompress:
         # cycles square to cycles); compress must give up loudly.
         sim = build_sim(16)
         cl = Clustering(sim.net)
-        cl.follow[0] = 1
-        cl.follow[1] = 2
-        cl.follow[2] = 0
+        cl.set_follow(0, 1)
+        cl.set_follow(1, 2)
+        cl.set_follow(2, 0)
         with pytest.raises(RuntimeError):
             cl.compress()
 
@@ -111,15 +111,15 @@ class TestCompress:
         # self-leaders (harmless — merge rules never create cycles).
         sim = build_sim(16)
         cl = Clustering(sim.net)
-        cl.follow[0] = 1
-        cl.follow[1] = 0
+        cl.set_follow(0, 1)
+        cl.set_follow(1, 0)
         cl.compress()
         assert cl.follow[0] == 0 and cl.follow[1] == 1
 
     def test_chain_to_unclustered_detected(self):
         sim = build_sim(16)
         cl = Clustering(sim.net)
-        cl.follow[2] = 1  # 1 is unclustered
+        cl.set_follow(2, 1)  # 1 is unclustered
         with pytest.raises(RuntimeError):
             cl.compress()
 
@@ -128,7 +128,7 @@ class TestInvariants:
     def test_follower_of_non_leader_caught(self):
         sim = build_sim(16)
         cl = Clustering(sim.net)
-        cl.follow[3] = 7  # 7 does not follow itself
+        cl.set_follow(3, 7)  # 7 does not follow itself
         with pytest.raises(AssertionError):
             cl.check_invariants()
 
@@ -145,3 +145,54 @@ class TestInvariants:
         sim.net.fail([1])  # follower of cluster 0
         assert cl.clustered_count() == 15
         assert cl.sizes()[0] == 3
+
+
+class TestViews:
+    """``follow`` has one writer, ``set_follow``; the views derived from
+    it are cached per version and handed out read-only."""
+
+    def test_follow_write_outside_the_writer_raises(self):
+        cl = manual_clustering(build_sim(16), 4)
+        with pytest.raises(ValueError, match="read-only"):
+            cl.follow[3] = 0
+        with pytest.raises(AttributeError):
+            cl.follow = np.zeros(16, dtype=np.int64)
+        assert cl.follow[3] == 0  # untouched by the refused writes
+
+    def test_views_are_read_only(self):
+        cl = manual_clustering(build_sim(16), 4)
+        cl.set_follow(15, UNCLUSTERED)
+        for view in (
+            cl.clustered_mask(),
+            cl.unclustered_mask(),
+            cl.leader_mask(),
+            cl.follower_mask(),
+            cl.leaders(),
+            cl.followers(),
+            cl.unclustered(),
+            cl.sizes(),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = view[-1]
+
+    def test_views_are_derived_once_per_version(self):
+        cl = manual_clustering(build_sim(16), 4)
+        version, leaders = cl.version, cl.leaders()
+        assert cl.leaders() is leaders and cl.version == version
+        cl.set_follow(np.array([5, 6, 7]), UNCLUSTERED)
+        assert cl.version == version + 1
+        assert cl.leaders() is not leaders
+        assert cl.unclustered().tolist() == [5, 6, 7]
+        assert cl.sizes()[4] == 1 and cl.clustered_count() == 13
+
+    def test_a_liveness_change_starts_a_new_version(self):
+        sim = build_sim(16)
+        cl = manual_clustering(sim, 4)
+        version, sizes = cl.version, cl.sizes()
+        sim.net.fail([1])  # a follower: follow is untouched, the views move
+        assert cl.sizes()[0] == 3 and 1 not in cl.followers()
+        assert cl.version > version and cl.sizes() is not sizes
+        sim.net.fail([4])  # a leader: its three followers drop out
+        assert cl.leaders().tolist() == [0, 8, 12]
+        assert cl.unclustered().tolist() == [5, 6, 7]
+        assert cl.follow[5] == UNCLUSTERED

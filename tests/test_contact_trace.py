@@ -15,6 +15,8 @@ from repro.obs import (
     validate_records,
 )
 from repro.obs.trace import path_record, trace_record
+from repro.sim.engine import Simulator
+from repro.sim.network import Network
 from repro.sim.rng import derive_seed, make_rng
 from repro.sim.schedule import EventSchedulerSpec, parse_delay
 from repro.sim.topology import NodeSlowdownDelay
@@ -118,6 +120,47 @@ class TestContactTrace:
             assert (a.rounds, a.messages, a.bits, a.max_fanin) == (
                 b.rounds, b.messages, b.bits, b.max_fanin
             )
+
+
+class TestContactKinds:
+    """The trace's ``push`` column follows each op's kind, counting empty
+    ops: an empty push op ahead of a pull op once turned every pull
+    into a push."""
+
+    @staticmethod
+    def _traced_sim(n=16):
+        net = Network(n, rng=0)
+        scheduler = EventSchedulerSpec(trace=True).bind(net, make_rng(3))
+        return Simulator(net, make_rng(1), scheduler=scheduler)
+
+    def test_empty_push_op_before_a_pull(self):
+        sim = self._traced_sim()
+        none = np.array([], dtype=np.int64)
+        with sim.round("mixed") as r:
+            r.push(none, none, 8)
+            r.pull(np.array([1, 2, 3]), np.array([4, 5, 6]), 8)
+        cols = sim.scheduler.contacts.columns()
+        assert cols["src"].tolist() == [1, 2, 3]
+        assert not cols["push"].any()
+
+    def test_pushes_then_pulls_whatever_the_declaration_order(self):
+        sim = self._traced_sim()
+        with sim.round("mixed") as r:
+            r.pull(np.array([1, 2]), np.array([4, 5]), 8)
+            r.push(np.array([7]), np.array([8]), 8)
+        cols = sim.scheduler.contacts.columns()
+        assert cols["src"].tolist() == [7, 1, 2]
+        assert cols["push"].tolist() == [True, False, False]
+
+    def test_median_counter_with_a_dead_source(self):
+        # 200 failures leave the source dead: no node transmits, so
+        # every round declares an empty push op and a full pull op.
+        report = broadcast(512, "median-counter", seed=1, trace=True, failures=200)
+        push = report.extras["contact_trace"].columns()["push"]
+        total = report.metrics.total
+        assert total.pushes == 0 and total.pull_requests > 0
+        assert int(push.sum()) == total.pushes
+        assert int((~push).sum()) == total.pull_requests
 
 
 class TestRecords:

@@ -1,6 +1,8 @@
 """Unit tests for the receiver-side reductions (repro.sim.delivery)."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.delivery import (
     NOTHING,
@@ -81,6 +83,58 @@ class TestMinByKey:
     def test_empty(self):
         e = np.array([], dtype=np.int64)
         assert (receive_min_by_key(3, e, e, e) == NOTHING).all()
+
+    def test_equal_keys_take_the_smaller_value(self):
+        dsts = np.array([2, 2, 2, 0])
+        values = np.array([9, 4, 7, 1])
+        keys = np.array([3, 3, 8, 5])
+        out = receive_min_by_key(3, dsts, values, keys)
+        assert out.tolist() == [1, NOTHING, 4]
+
+
+def lexsort_min_by_key(n, dsts, values, keys):
+    """The sort-based min digest the scatter passes replaced, kept as
+    the reference: sort by (destination, key, value) and keep the head
+    of each destination's run."""
+    out = np.full(n, NOTHING, dtype=np.int64)
+    if len(dsts) == 0:
+        return out
+    order = np.lexsort((values, keys, dsts))
+    d = dsts[order]
+    first = np.ones(len(d), dtype=bool)
+    first[1:] = d[1:] != d[:-1]
+    out[d[first]] = values[order][first]
+    return out
+
+
+@st.composite
+def deliveries(draw):
+    """``(n, dsts, values, keys)``: up to 60 deliveries over up to 12
+    nodes, keys from a small range so equal keys on different values
+    are common, values and keys reaching the int64 extremes."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=0, max_value=60))
+    big = st.sampled_from([0, 2**62, np.iinfo(np.int64).max])
+    ints = st.one_of(st.integers(min_value=0, max_value=5), big)
+    dsts = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    values = draw(st.lists(ints, min_size=m, max_size=m))
+    keys = draw(st.lists(ints, min_size=m, max_size=m))
+    return n, *(np.array(a, dtype=np.int64) for a in (dsts, values, keys))
+
+
+EMPTY = np.array([], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deliveries())
+@example((3, EMPTY, EMPTY, EMPTY))
+@example((2, np.array([1, 1, 1]), np.array([5, 2, 9]), np.array([4, 4, 4])))
+def test_min_by_key_matches_the_lexsort_reference(case):
+    n, dsts, values, keys = case
+    np.testing.assert_array_equal(
+        receive_min_by_key(n, dsts, values, keys),
+        lexsort_min_by_key(n, dsts, values, keys),
+    )
 
 
 class TestAllSorted:

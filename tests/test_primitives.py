@@ -106,9 +106,9 @@ class TestClusterDissolve:
     def test_small_clusters_dissolve(self):
         sim = build_sim(64)
         cl = manual_clustering(sim, 8)
-        cl.follow[:4] = UNCLUSTERED
-        cl.follow[4:8] = 4  # one cluster of 4
-        cl.follow[4] = 4
+        cl.set_follow(np.s_[:4], UNCLUSTERED)
+        cl.set_follow(np.s_[4:8], 4)  # one cluster of 4
+        cl.set_follow(4, 4)
         cl.check_invariants()
         doomed = cluster_dissolve(sim, cl, 8)
         assert 4 in doomed.tolist()
@@ -237,7 +237,7 @@ class TestClusterPush:
     def test_unclustered_receipts(self):
         sim = build_sim(128)
         cl = manual_clustering(sim, 8)
-        cl.follow[64:] = UNCLUSTERED  # half the network unclustered
+        cl.set_follow(np.s_[64:], UNCLUSTERED)  # half the network unclustered
         cl.active[cl.leaders()] = True
         senders = np.flatnonzero(cl.active_member_mask())
         out = cluster_push(sim, cl, senders=senders)
@@ -369,7 +369,7 @@ class TestUnclusteredPullRound:
     def test_pullers_join(self):
         sim = build_sim(256)
         cl = manual_clustering(sim, 8)
-        cl.follow[128:] = UNCLUSTERED
+        cl.set_follow(np.s_[128:], UNCLUSTERED)
         joined = unclustered_pull_round(sim, cl)
         assert joined > 0
         cl.check_invariants()

@@ -86,8 +86,8 @@ def test_receive_counts_total(data):
 def test_resize_is_partition_with_bounded_sizes(n, s, seed):
     sim = build_sim(n, seed=seed)
     cl = Clustering(sim.net)
-    cl.follow[:] = 0  # one giant cluster led by node 0
-    cl.follow[0] = 0
+    cl.set_follow(np.s_[:], 0)  # one giant cluster led by node 0
+    cl.set_follow(0, 0)
     cluster_resize(sim, cl, s)
     cl.check_invariants()
     leaders = cl.leaders()
@@ -126,7 +126,7 @@ def test_merge_conserves_membership(n_clusters, size, seed, merge_count):
     sim = build_sim(max(n, 2), seed=seed)
     cl = Clustering(sim.net)
     idx = np.arange(n)
-    cl.follow[:n] = (idx // size) * size
+    cl.set_follow(np.s_[:n], (idx // size) * size)
     cl.check_invariants()
     before = cl.clustered_count()
 

@@ -13,7 +13,7 @@ class TestUnclusteredPull:
     def test_everyone_joins(self):
         sim = build_sim(2048)
         cl = manual_clustering(sim, 2048)  # one cluster...
-        cl.follow[1024:] = UNCLUSTERED  # ...but half unclustered
+        cl.set_follow(np.s_[1024:], UNCLUSTERED)  # ...but half unclustered
         remaining = unclustered_nodes_pull(sim, cl, rounds=8)
         assert remaining == 0
         assert cl.clustered_count() == 2048
@@ -24,7 +24,7 @@ class TestUnclusteredPull:
         sim = build_sim(n)
         cl = manual_clustering(sim, n)
         k = n // 10  # 10% unclustered
-        cl.follow[-k:] = UNCLUSTERED
+        cl.set_follow(np.s_[-k:], UNCLUSTERED)
         sim.telemetry = Telemetry().begin_run({})
         unclustered_nodes_pull(sim, cl, rounds=10)
         fracs = [k / n] + [
@@ -46,7 +46,7 @@ class TestUnclusteredPull:
     def test_resize_interleave_caps_sizes(self):
         sim = build_sim(1024)
         cl = manual_clustering(sim, 16)
-        cl.follow[512:] = UNCLUSTERED
+        cl.set_follow(np.s_[512:], UNCLUSTERED)
         unclustered_nodes_pull(sim, cl, rounds=8, resize_to=16)
         sizes = cl.sizes()[cl.leaders()]
         assert sizes.max() <= 31
@@ -59,8 +59,8 @@ class TestBoundedClusterPush:
         cl = manual_clustering(sim, 16)
         # cluster only ~12%: emulate cluster2's state after merge-all by
         # keeping one cluster and unclustering the rest
-        cl.follow[n // 8 :] = UNCLUSTERED
-        cl.follow[: n // 8] = 0
+        cl.set_follow(np.s_[n // 8 :], UNCLUSTERED)
+        cl.set_follow(np.s_[: n // 8], 0)
         cl.check_invariants()
         before = cl.clustered_count()
         bounded_cluster_push(sim, cl, growth_stop=1.1, rounds_cap=10)
@@ -79,7 +79,7 @@ class TestBoundedClusterPush:
         n = 2**12
         sim = build_sim(n)
         cl = manual_clustering(sim, 8)
-        cl.follow[n // 4 :] = UNCLUSTERED
+        cl.set_follow(np.s_[n // 4 :], UNCLUSTERED)
         bounded_cluster_push(
             sim, cl, growth_stop=1.1, rounds_cap=12, resize_to=16
         )
@@ -91,7 +91,7 @@ class TestBoundedClusterPush:
         n = 2**13
         sim = build_sim(n)
         cl = manual_clustering(sim, 16)
-        cl.follow[n // 8 :] = UNCLUSTERED
-        cl.follow[: n // 8] = 0
+        cl.set_follow(np.s_[n // 8 :], UNCLUSTERED)
+        cl.set_follow(np.s_[: n // 8], 0)
         bounded_cluster_push(sim, cl, growth_stop=1.1, rounds_cap=12)
         assert sim.metrics.messages <= 12 * n

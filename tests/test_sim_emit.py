@@ -1,9 +1,12 @@
 """Unit tests for ``Simulator.emit``, the one sink for coarse events."""
 
 import numpy as np
+import pytest
 
 from repro import broadcast
+from repro.core.clustering import Clustering
 from repro.obs.telemetry import Telemetry
+from repro.sim.engine import Simulator
 
 from helpers import build_sim
 
@@ -46,3 +49,26 @@ class TestEmit:
         # The rest of the run is still recorded with events off.
         assert off.runs[0].summary["rounds"] == on.runs[0].summary["rounds"]
         assert len(off.runs[0].series) == len(on.runs[0].series)
+
+
+@pytest.mark.parametrize("algorithm", ["cluster2", "push-pull"])
+@pytest.mark.parametrize("collect", [None, False], ids=["off", "no-events"])
+def test_runs_that_record_no_events_build_no_payload(algorithm, collect, monkeypatch):
+    """Every ``emit`` call sits under ``sim.records_events``, so a run
+    with telemetry off, or on with ``collect_events=False``, never
+    reaches ``emit`` and evaluates none of its payloads — nor
+    Cluster2's clustered counts, which only payloads read."""
+    calls = []
+    monkeypatch.setattr(Simulator, "emit", lambda sim, kind, **data: calls.append(kind))
+    counted = Clustering.clustered_count
+
+    def clustered_count(cl):
+        calls.append("clustered_count")
+        return counted(cl)
+
+    monkeypatch.setattr(Clustering, "clustered_count", clustered_count)
+    telemetry = None if collect is None else Telemetry(collect_events=collect)
+    broadcast(256, algorithm, seed=1, telemetry=telemetry)
+    assert calls == []
+    broadcast(256, algorithm, seed=1, telemetry=Telemetry())
+    assert calls  # the same run records events once they are collected
