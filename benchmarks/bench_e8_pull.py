@@ -15,7 +15,7 @@ import pytest
 from bench_common import emit
 from repro.analysis.tables import Table
 from repro.core.clustering import UNCLUSTERED, Clustering
-from repro.core.pull_phase import unclustered_nodes_pull
+from repro.core.phases import SequentialBackend, pull
 from repro.obs.telemetry import Telemetry
 from repro.sim.engine import Simulator
 from repro.sim.metrics import Metrics
@@ -33,7 +33,7 @@ def run_pull(start_fraction: float, seed: int):
     k = int(start_fraction * N)
     cl.set_follow(np.s_[N - k :], UNCLUSTERED)  # ...minus the starting deficit
     sim.telemetry = Telemetry().begin_run({})
-    unclustered_nodes_pull(sim, cl, rounds=12)
+    pull(SequentialBackend(sim, cl), rounds=12)
     fractions = [start_fraction] + [
         e["data"]["unclustered"] / N
         for e in sim.telemetry.events

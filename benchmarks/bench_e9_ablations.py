@@ -22,13 +22,10 @@ import pytest
 
 from bench_common import emit
 from repro.analysis.tables import Table
+from repro.core import phases
 from repro.core.clustering import Clustering
 from repro.core.constants import LAPTOP
-from repro.core.grow import grow_initial_clusters_v2
-from repro.core.merge_phase import merge_all_clusters
 from repro.core.primitives import cluster_share_rumor
-from repro.core.pull_phase import bounded_cluster_push, unclustered_nodes_pull
-from repro.core.square import square_clusters_v2
 from repro.sim.engine import Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
@@ -46,20 +43,20 @@ def build(seed):
 
 def run_variant(seed: int, *, squaring=True, bounded_push=True, merge_reps=4):
     sim, cl = build(seed)
+    b = phases.SequentialBackend(sim, cl)
     p = LAPTOP.cluster2(N)
-    grow_initial_clusters_v2(sim, cl, p)
+    phases.grow_v2(b, p)
     if squaring:
-        square_clusters_v2(sim, cl, p)
-    merge_all_clusters(sim, cl, reps=merge_reps)
+        phases.square_v2(b, p)
+    phases.merge_all(b, reps=merge_reps)
     clusters_after_merge = cl.cluster_count()
     if bounded_push:
-        bounded_cluster_push(
-            sim,
-            cl,
+        phases.bounded_push(
+            b,
             growth_stop=p.bounded_push_growth_stop,
             rounds_cap=p.bounded_push_rounds_cap,
         )
-    unclustered_nodes_pull(sim, cl, p.pull_rounds)
+    phases.pull(b, p.pull_rounds)
     informed = np.zeros(N, dtype=bool)
     informed[0] = True
     informed = cluster_share_rumor(sim, cl, informed)

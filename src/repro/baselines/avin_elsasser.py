@@ -33,17 +33,14 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.constants import LAPTOP, Profile
-from repro.core.grow import grow_initial_clusters_v1
-from repro.core.merge_phase import merge_all_clusters
+from repro.core.phases import SequentialBackend, grow_v1, merge_all, pull, share
 from repro.core.primitives import (
     cluster_activate,
     cluster_dissolve,
     cluster_merge,
     cluster_push,
     cluster_resize,
-    cluster_share_rumor,
 )
-from repro.core.pull_phase import unclustered_nodes_pull
 from repro.core.result import AlgorithmReport, report_from_sim
 from repro.registry import register_algorithm
 from repro.sim.delivery import NOTHING
@@ -105,7 +102,8 @@ def avin_elsasser(
     # (this part of the machinery predates the squaring trick).
     p1 = profile.cluster1(n)
     cl = Clustering(sim.net)
-    grow_initial_clusters_v1(sim, cl, p1)
+    b = SequentialBackend(sim, cl)
+    grow_v1(b, p1)
 
     # Phase 2: capped group growth.  Like SquareClusters, but each active
     # cluster may direct only min(s, g) recruiters per iteration.
@@ -143,14 +141,12 @@ def avin_elsasser(
                     clustered=cl.clustered_count(),
                 )
 
-    merge_all_clusters(sim, cl, reps=4)
-    unclustered_nodes_pull(sim, cl, rounds=p1.pull_rounds)
+    merge_all(b, reps=4)
+    pull(b, p1.pull_rounds)
 
-    informed = np.zeros(n, dtype=bool)
-    if sim.net.alive[source]:
-        informed[source] = True
-    with sim.metrics.phase("share"):
-        informed = cluster_share_rumor(sim, cl, informed)
+    informed = np.zeros((1, n), dtype=bool)
+    informed[0, source] = sim.net.alive[source]
+    informed = share(b, informed)[0]
 
     return report_from_sim(
         "avin-elsasser",

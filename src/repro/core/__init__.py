@@ -4,9 +4,9 @@ Layout mirrors the paper:
 
 * :mod:`repro.core.clustering` / :mod:`repro.core.primitives` — Section 3
   (clusterings and the eight cluster coordination macros);
-* :mod:`repro.core.grow`, :mod:`repro.core.square`,
-  :mod:`repro.core.merge_phase`, :mod:`repro.core.pull_phase` — the phase
-  procedures shared by the algorithms;
+* :mod:`repro.core.phases` — the phase procedures shared by the
+  algorithms, written once for both tiers: the sequential backend and
+  the ``(R, n)`` :class:`~repro.sim.batch_cluster.ClusterBatch`;
 * :mod:`repro.core.cluster1` — Algorithm 1 (Section 4);
 * :mod:`repro.core.cluster2` — Algorithm 2 (Section 5);
 * :mod:`repro.core.cluster3` — Algorithm 4, Θ(Δ)-clustering (Section 7);

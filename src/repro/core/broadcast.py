@@ -627,7 +627,7 @@ def run_replications(
     ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`) records one
     run handle per sequential replication, or one per vector chunk (the
     chunk is the vector engine's unit of execution — its spans time the
-    phase drivers, its series carries batch-aggregate samples).  A
+    recipe's phases, its series carries batch-aggregate samples).  A
     sequential run handle also holds the algorithm's coarse events
     (unless the collector's ``collect_events`` is off).  Sharded
     runs give each shard a fresh collector and merge them back in shard

@@ -29,12 +29,8 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.constants import LAPTOP, Cluster2Params, Profile
-from repro.core.grow import grow_initial_clusters_v2
-from repro.core.merge_phase import merge_all_clusters
-from repro.core.primitives import cluster_share_rumor
-from repro.core.pull_phase import bounded_cluster_push, unclustered_nodes_pull
+from repro.core.phases import SequentialBackend, cluster2_phases, share
 from repro.core.result import AlgorithmReport, report_from_sim
-from repro.core.square import square_clusters_v2
 from repro.registry import (
     register_algorithm,
     register_batch_runner,
@@ -69,22 +65,12 @@ def cluster2(
     if sim.telemetry is not None:
         sim.telemetry.add_probe("clusters", lambda s, cl=cl: float(cl.cluster_count()))
 
-    grow_initial_clusters_v2(sim, cl, p)
-    square_report = square_clusters_v2(sim, cl, p)
-    merge_reps = merge_all_clusters(sim, cl, reps=p.merge_reps)
-    bounded_cluster_push(
-        sim,
-        cl,
-        growth_stop=p.bounded_push_growth_stop,
-        rounds_cap=p.bounded_push_rounds_cap,
-    )
-    unclustered_nodes_pull(sim, cl, p.pull_rounds)
+    b = SequentialBackend(sim, cl)
+    square_report, merge_reps = cluster2_phases(b, p)
 
-    informed = np.zeros(sim.net.n, dtype=bool)
-    if sim.net.alive[source]:
-        informed[source] = True
-    with sim.metrics.phase("share"):
-        informed = cluster_share_rumor(sim, cl, informed)
+    informed = np.zeros((1, sim.net.n), dtype=bool)
+    informed[0, source] = sim.net.alive[source]
+    informed = share(b, informed)[0]
 
     if sim.records_events:
         sim.emit("done", clusters=cl.cluster_count())
@@ -116,16 +102,7 @@ def cluster2_task_transport(
     p.check_n(sim.net.n)
 
     def build(sim: Simulator, cl: Clustering) -> None:
-        grow_initial_clusters_v2(sim, cl, p)
-        square_clusters_v2(sim, cl, p)
-        merge_all_clusters(sim, cl, reps=p.merge_reps)
-        bounded_cluster_push(
-            sim,
-            cl,
-            growth_stop=p.bounded_push_growth_stop,
-            rounds_cap=p.bounded_push_rounds_cap,
-        )
-        unclustered_nodes_pull(sim, cl, p.pull_rounds)
+        cluster2_phases(SequentialBackend(sim, cl), p)
 
     return run_cluster_task(sim, state, build)
 

@@ -27,11 +27,9 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.constants import LAPTOP, Cluster3Params, Profile
-from repro.core.grow import grow_initial_clusters_v2
-from repro.core.merge_phase import merge_to_delta_clusters
-from repro.core.primitives import cluster_resize
-from repro.core.pull_phase import bounded_cluster_push, unclustered_nodes_pull
-from repro.core.square import square_clusters_v2
+from repro.core.phases import SequentialBackend, bounded_push, grow_v2, pull, square_v2
+from repro.core.primitives import cluster_activate, cluster_merge, cluster_push, cluster_resize
+from repro.sim.delivery import NOTHING
 from repro.sim.engine import Simulator
 
 
@@ -53,13 +51,43 @@ class DeltaClusteringReport:
     def all_clustered(self) -> bool:
         return self.unclustered == 0
 
-    @property
-    def sizes_within_theta_delta(self) -> bool:
-        """Sizes within [target/2, 2*target] — the Θ(Δ) guarantee with the
-        constants of our profile (Definition 1 up to C'')."""
-        return self.min_size >= max(1, self.target_size // 2) and (
-            self.max_size <= 2 * self.target_size
+
+def merge_to_delta_clusters(
+    sim: Simulator,
+    cl: Clustering,
+    params: Cluster3Params,
+    current_size: int,
+) -> None:
+    """Algorithm 4, Procedure MergeClusters.
+
+    Instead of coalescing to one cluster, activate clusters with
+    probability ``merge_activate_coeff * s / target_size`` (paper:
+    ``10 s / (Δ/C'')``) and have inactive clusters join a *uniformly
+    random* received active ID, which spreads them evenly: roughly one
+    cluster in ``target_size/(10 s)`` becomes a recruiter and grows to
+    ``~target_size/10``, within a constant of the Θ(Δ) target, which
+    BoundedClusterPush and the final resize then normalise.
+    ``current_size`` is the nominal cluster size ``s`` reached by
+    SquareClusters.
+    """
+    with sim.metrics.phase("merge-delta"):
+        p = min(1.0, params.merge_activate_coeff * current_size / params.target_size)
+        cluster_activate(sim, cl, p)
+        leaders = cl.leaders()
+        if len(leaders) and not cl.active[leaders].any():
+            cl.active[sim.net.min_uid_index(leaders)] = True
+        senders = np.flatnonzero(cl.active_member_mask())
+        outcome = cluster_push(
+            sim, cl, senders=senders, reduce="any", label="MergeDeltaPush"
         )
+        new_leader = np.where(cl.active, NOTHING, outcome.leader_receipt)
+        cluster_merge(sim, cl, new_leader)
+        if sim.records_events:
+            sim.emit(
+                "merge-delta",
+                activate_prob=round(p, 4),
+                clusters=cl.cluster_count(),
+            )
 
 
 def cluster3(
@@ -98,22 +126,22 @@ def cluster3(
     if sim.telemetry is not None:
         sim.telemetry.add_probe("clusters", lambda s, cl=cl: float(cl.cluster_count()))
 
-    grow_initial_clusters_v2(sim, cl, p2)
-    square_report = square_clusters_v2(sim, cl, p2, stop_at=p3.square_until)
+    b = SequentialBackend(sim, cl)
+    grow_v2(b, p2)
+    square_report = square_v2(b, p2, stop_at=p3.square_until)
     # Nominal size reached by the squaring loop (>= its floor even when the
     # loop body never ran because the floor already exceeded the target).
     s = max(p2.square_floor, square_report.final_nominal_size)
     s = min(s, max(2, p3.target_size))  # never activate with prob > ~1
 
     merge_to_delta_clusters(sim, cl, p3, s)
-    bounded_cluster_push(
-        sim,
-        cl,
+    bounded_push(
+        b,
         growth_stop=p3.bounded_push_growth_stop,
         rounds_cap=p3.bounded_push_rounds_cap,
         resize_to=p3.target_size,
     )
-    unclustered_nodes_pull(sim, cl, p3.pull_rounds, resize_to=p3.target_size)
+    pull(b, p3.pull_rounds, resize_to=p3.target_size)
     with sim.metrics.phase("final-resize"):
         cluster_resize(sim, cl, p3.target_size)
 

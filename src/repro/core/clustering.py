@@ -23,7 +23,7 @@ substitution 3).
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -236,11 +236,6 @@ class Clustering:
             out[lead] = counts[lead]
         return out
 
-    def members_of(self, leader: int) -> np.ndarray:
-        """Indices of the cluster led by ``leader`` (leader included)."""
-        self._sync()
-        return np.flatnonzero((self.follow == leader) & self.net.alive)
-
     def by_cluster(self, members: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``members`` laid out cluster by cluster (by leader index), in
         ascending uid order within each cluster — the layout
@@ -319,11 +314,6 @@ class Clustering:
         # Dead nodes may retain stale follow values; they are filtered by
         # every accessor, so only check they are never counted as leaders.
         assert not ((self.follow[dead] == dead) & alive[dead]).any()
-
-    def single_cluster(self) -> Optional[int]:
-        """The unique leader if exactly one cluster exists, else None."""
-        lead = self.leaders()
-        return int(lead[0]) if len(lead) == 1 else None
 
     def summary(self) -> str:
         """One-line state summary for logs."""

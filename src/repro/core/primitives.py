@@ -187,12 +187,11 @@ class ClusterPushOutcome:
     ``leader_receipt[l]`` — for each leader ``l``, the digest (a node
     index, interpreted as a cluster ID via its uid) assembled from its own
     receipts and its followers' relays; ``NOTHING`` if the cluster received
-    no push.  ``unclustered_receipt[u]`` — the digest at unclustered node
-    ``u`` (used by the recruiting phases); ``NOTHING`` if none.
+    no push (and at every non-leader).  Recruiting unclustered nodes is
+    :func:`grow_push_round`'s job, not ClusterPUSH's.
     """
 
     leader_receipt: np.ndarray
-    unclustered_receipt: np.ndarray
 
 
 def cluster_push(
@@ -260,10 +259,7 @@ def cluster_push(
         # Uniform-enough tie-break: prefer the relayed digest when present,
         # otherwise the leader's own receipt.
         leader_receipt = np.where(at_leader != NOTHING, at_leader, own)
-    leader_receipt = np.where(lead_mask, leader_receipt, NOTHING)
-
-    unclustered_receipt = np.where(cl.unclustered_mask(), digest, NOTHING)
-    return ClusterPushOutcome(leader_receipt, unclustered_receipt)
+    return ClusterPushOutcome(np.where(lead_mask, leader_receipt, NOTHING))
 
 
 def _delivered_payload(

@@ -5,7 +5,7 @@ The simulation stack accounts *what* happened (rounds, messages, bits —
 
 * :mod:`repro.obs.spans` — nestable wall-clock timers
   (``perf_counter``-based) attached to ``Metrics`` phases and to the
-  batch engines' chunk/phase drivers;
+  batch engines' chunks and recipe phases;
 * :mod:`repro.obs.probes` — a bounded columnar per-round sample series
   (informed fraction, alive count, cluster count, cumulative
   messages/bits), decimating above a cap so n = 2^18 runs stay cheap;

@@ -40,10 +40,14 @@ resize assigns new leaders directly).  Merge therefore resolves its
 leader-level target chains up front and repoints members straight to
 their final leader — no global chain compression pass anywhere.
 
-Replications diverge (per-rep loop exits, conditional resizes, idle
-retries): every primitive therefore takes an ``act`` array of replication
-rows and charges rounds/messages/bits/fan-in only at those rows, so the
-batch stays correct when the drivers shrink their active set mid-phase.
+The phases themselves are not written here: :mod:`repro.core.phases`
+holds the one Cluster1/Cluster2 recipe, and :class:`ClusterBatch` is its
+``(R, n)`` backend (the sequential tier is the one-row
+:class:`repro.core.phases.SequentialBackend`).  Replications diverge
+(per-rep loop exits, conditional resizes, idle retries): every primitive
+therefore takes an ``act`` array of replication rows and charges
+rounds/messages/bits/fan-in only at those rows, so the batch stays
+correct when the recipe shrinks its active set mid-phase.
 
 Accounting follows the engine (:mod:`repro.sim.engine`) rule for rule on
 the zero-adversity path this executor serves: every push is charged when
@@ -58,10 +62,11 @@ corpus; ``tests/test_batch_cluster_pin.py`` pins its own outputs.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core import phases
 from repro.core.clustering import UNCLUSTERED, split_chunks
 from repro.core.constants import LAPTOP, Cluster1Params, Cluster2Params, Profile
 from repro.obs.spans import maybe_span
@@ -459,13 +464,47 @@ class ClusterBatch(BatchLedger):
         return d, digest[d]
 
     # ------------------------------------------------------------------
+    # The phase recipe's row queries (repro.core.phases); no rounds
+    # ------------------------------------------------------------------
+
+    #: The vector tier records no algorithm events.
+    records_events = False
+    #: Vector runs see no dynamics (``vector_unavailable`` refuses them).
+    liveness_changed = False
+
+    def phase(self, name: str):
+        """A phase of the recipe: a telemetry span when one is attached."""
+        return maybe_span(self.telemetry, name)
+
+    def leaders(self, act) -> Tuple[np.ndarray, np.ndarray]:
+        """Local rows and node columns of every leader at rows ``act``,
+        row-major, off the (cached) member view: a scan right before a
+        primitive warms the cache the primitive then reuses."""
+        m = self._members(act)
+        return m.r[m.lead], m.c[m.lead]
+
+    def leader_sizes(self, act) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-leader cluster sizes without spending rounds (the
+        accounted measurement is :meth:`cluster_size`); the same
+        ``(rows, cols, sizes)`` row-major leader order."""
+        g = np.asarray(act)
+        m = self._members(act)
+        counts = m.counts(len(g), self.n)
+        return m.r[m.lead], m.c[m.lead], counts[m.flat[m.lead]]
+
+    def unclustered_counts(self, act) -> np.ndarray:
+        """Unclustered nodes per row of ``act``."""
+        return np.count_nonzero(self._gather(act)[1] == UNCLUSTERED, axis=1)
+
+    # ------------------------------------------------------------------
     # Section 3.2 primitives, batched
     # ------------------------------------------------------------------
 
-    def seed_singletons(self, prob: float) -> None:
+    def seed_singletons(self, prob: float) -> int:
         """Seed singleton active clusters with probability ``prob`` per
-        node (local coins, no round), with the same zero-seed fallback
-        as :func:`repro.core.grow.seed_singleton_clusters`."""
+        node (local coins, no round); a row whose coins all missed seeds
+        node 0, as the sequential backend seeds one node.  Returns the
+        number of seeds over all rows."""
         if not 0.0 < prob <= 1.0:
             raise ValueError(f"seed probability must be in (0,1], got {prob}")
         coins = self.rng.random((self.reps, self.n)) < prob
@@ -475,6 +514,7 @@ class ClusterBatch(BatchLedger):
         self.active |= coins
         self._follow_ver += 1
         self._leaders = int(np.count_nonzero(self.follow == self._cols))
+        return self._leaders
 
     def cluster_activate(self, act, p: Optional[float]) -> None:
         """ClusterActivate(p); ``p=None`` is the deterministic
@@ -516,15 +556,6 @@ class ClusterBatch(BatchLedger):
             self._fold_clock(g, fr, fc, fl)  # count pull round
         return m.r[m.lead], m.c[m.lead], counts[m.flat[m.lead]]
 
-    def leader_sizes(self, act) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-leader cluster sizes without spending rounds (driver
-        bookkeeping; the accounted measurement is :meth:`cluster_size`).
-        Same ``(rows, cols, sizes)`` row-major leader order."""
-        g = np.asarray(act)
-        m = self._members(act)
-        counts = m.counts(len(g), self.n)
-        return m.r[m.lead], m.c[m.lead], counts[m.flat[m.lead]]
-
     def cluster_dissolve(self, act, s: int) -> None:
         """ClusterDissolve(s) (two rounds): clusters smaller than ``s``
         disband."""
@@ -559,7 +590,7 @@ class ClusterBatch(BatchLedger):
 
         Returns the *post-split* ``(rows, cols, sizes)`` leader triplet
         (unsplit leaders first, then the split chunks' new leaders) —
-        free bookkeeping the grow driver would otherwise re-scan for.
+        free bookkeeping the grow phase would otherwise re-scan for.
         """
         if s < 1:
             raise ValueError(f"target size must be >= 1, got {s}")
@@ -646,10 +677,10 @@ class ClusterBatch(BatchLedger):
 
         ``senders`` selects the pushing members: ``"active"`` (members
         of active clusters) or ``"clustered"`` (every member).  Returns
-        the sparse receipt pairs ``(leader_dst, leader_vals,
-        unclustered_dst, unclustered_vals)`` — flat positions in the
-        local ``A * n`` space and the cluster IDs digested there — the
-        batched :class:`repro.core.primitives.ClusterPushOutcome`.
+        the leaders' receipts as a ``(rows, cols, ids)`` triplet in
+        row-major leader order: each leader that received something and
+        the cluster ID (a leader column) digested there, the batched
+        :class:`repro.core.primitives.ClusterPushOutcome`.
         """
         if reduce not in ("min", "any"):
             raise ValueError(f"reduce must be 'min' or 'any', got {reduce!r}")
@@ -678,9 +709,7 @@ class ClusterBatch(BatchLedger):
             d1, v1 = self._receive_any_pairs(dst, vals, A * n)
 
         recv_F = m.flatF[d1]
-        clustered = recv_F != UNCLUSTERED
-        cl_w = np.flatnonzero(clustered)  # clustered receivers
-        uncl_w = np.flatnonzero(~clustered)
+        cl_w = np.flatnonzero(recv_F != UNCLUSTERED)  # clustered receivers
         d_cl, F_cl = d1[cl_w], recv_F[cl_w]
         r_cl, c_cl = self._rowcol(d_cl)
         own = F_cl == c_cl
@@ -717,24 +746,22 @@ class ClusterBatch(BatchLedger):
             order = np.argsort(cand_d * np.int64(2) + pref)
             heads = order[_run_heads(cand_d[order])]
             lead_d, lead_v = cand_d[heads], cand_v[heads]
-        return lead_d, lead_v, d1[uncl_w], v1[uncl_w]
+        return (*self._rowcol(lead_d), lead_v)
 
-    def cluster_merge(self, act, m_flat: np.ndarray, m_target: np.ndarray) -> None:
-        """ClusterMerge (one round): the clusters whose leaders sit at
-        local flat positions ``m_flat`` merge into the (same-rep)
-        cluster led by node column ``m_target``; a rep with no merging
-        cluster gets the sequential idle round (empty pull set)."""
+    def cluster_merge(self, act, m_r: np.ndarray, m_c: np.ndarray, m_target: np.ndarray) -> None:
+        """ClusterMerge (one round): the clusters led by node columns
+        ``m_c`` at local rows ``m_r`` merge into the (same-rep) cluster
+        led by node column ``m_target``; a rep with no merging cluster
+        gets the sequential idle round (empty pull set)."""
         g = np.asarray(act)
         A, n = len(g), self.n
-        m_r, m_c = self._rowcol(m_flat)
         keep = m_target != m_c
-        m_flat, m_r, m_c, m_target = (
-            m_flat[keep], m_r[keep], m_c[keep], m_target[keep]
-        )
-        if len(m_flat) == 0:  # nothing merges: the (empty) pull round
+        m_r, m_c, m_target = m_r[keep], m_c[keep], m_target[keep]
+        if len(m_c) == 0:  # nothing merges: the (empty) pull round
             self.idle_round(g)
             return
-        base = m_flat - m_c  # local rep row * n
+        base = m_r * n  # local rep row * n
+        m_flat = base + m_c
 
         merging = np.zeros(A * n, dtype=bool)
         merging[m_flat] = True
@@ -832,9 +859,10 @@ class ClusterBatch(BatchLedger):
             self.follow.ravel()[self._global(g, dst[w])] = vals[w]
             self._follow_ver += 1
 
-    def unclustered_pull_round(self, act) -> None:
+    def unclustered_pull_round(self, act) -> np.ndarray:
         """One PULL round: unclustered nodes pull from a random contact;
-        clustered responders answer with their leader's ID."""
+        clustered responders answer with their leader's ID.  Returns the
+        joiners per row of ``act``."""
         g, F = self._gather(act)
         A, n = len(g), self.n
         flatF = F.ravel()
@@ -854,216 +882,31 @@ class ClusterBatch(BatchLedger):
         if len(joined):
             self.follow.ravel()[self._global(g, uflat[joined])] = resp_F[hit]
             self._follow_ver += 1
+        return n_resp
 
 
 # ----------------------------------------------------------------------
-# Phase drivers (batched mirrors of repro.core.{grow,square,merge_phase,
-# pull_phase} control flow, with per-rep divergence via act subsets)
+# Batch runners (registered on the cluster1/cluster2 AlgorithmSpecs)
 # ----------------------------------------------------------------------
 
 
-def _leader_flats(state: ClusterBatch, act) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The global row array and local (rows, cols) of every leader at
-    rows ``act``, off the (cached) member view — a driver scan right
-    before a primitive warms the cache the primitive then reuses."""
-    m = state._members(act)
-    return np.asarray(act), m.r[m.lead], m.c[m.lead]
+def _share_outcome(name: str, state: ClusterBatch, sources: np.ndarray) -> BatchOutcome:
+    """ClusterShare from each row's source, then the chunk's outcome.
 
-
-def _has_active_leader(state: ClusterBatch, act: np.ndarray) -> np.ndarray:
-    g, lr, lc = _leader_flats(state, act)
-    alive = state.active[g[lr], lc]
-    out = np.zeros(len(g), dtype=bool)
-    out[lr[alive]] = True
-    return out
-
-
-def _grow_v1(state: ClusterBatch, p: Cluster1Params) -> None:
-    state.seed_singletons(p.seed_prob)
-    act = np.arange(state.reps)
-    for _ in range(p.grow_rounds):
-        state.grow_push_round(act, active_only=False)
-
-
-def _grow_v2(state: ClusterBatch, p: Cluster2Params) -> None:
-    state.seed_singletons(p.seed_prob)
-    all_reps = np.arange(state.reps)
-    state.cluster_activate(all_reps, None)
-    # Per-leader sizes of the previous measurement (0 at non-leaders),
-    # the batched mirror of the sequential driver's prev_sizes array.
-    prev = np.zeros((state.reps, state.n), dtype=np.float64)
-    lr, lc, sz = state.leader_sizes(all_reps)
-    prev[lr, lc] = sz
-    act = all_reps
-    for _ in range(p.grow_rounds_cap):
-        act = act[_has_active_leader(state, act)]
-        if len(act) == 0:
-            break
-        state.grow_push_round(act, active_only=True)
-        lr, lc, sz = state.cluster_size(act)
-        gl = act[lr]
-        sz = sz.astype(np.float64)
-        big = sz >= p.big_size
-        grew = sz / np.maximum(prev[gl, lc], 1.0)
-        stalled = big & (grew < p.growth_stop_factor)
-        state.active[gl[stalled], lc[stalled]] = False
-        # Big clusters still growing get split (per-rep conditional: only
-        # the reps that hold one pay the two ClusterResize rounds).
-        resizing = np.zeros(len(act), dtype=bool)
-        resizing[lr[big & ~stalled]] = True
-        prev[act] = 0.0
-        if resizing.any():
-            sub = act[resizing]
-            lr2, lc2, sz2 = state.cluster_resize(sub, p.big_size)
-            prev[sub[lr2], lc2] = sz2
-            keep = ~resizing[lr]
-            prev[gl[keep], lc[keep]] = sz[keep]
-        else:
-            prev[gl, lc] = sz
-    state.active[:, :] = False
-
-
-def _ensure_some_active(state: ClusterBatch, act: np.ndarray) -> None:
-    """Batched :func:`repro.core.square._ensure_some_active`: reps whose
-    activation coin missed every cluster promote their smallest-uid leader
-    and account one extra activation round."""
-    g, lr, lc = _leader_flats(state, act)
-    alive = state.active[g[lr], lc]
-    has_lead = np.zeros(len(g), dtype=bool)
-    has_lead[lr] = True
-    has_active = np.zeros(len(g), dtype=bool)
-    has_active[lr[alive]] = True
-    fix = has_lead & ~has_active
-    if not fix.any():
-        return
-    sel = fix[lr]
-    u = state.uid[g[lr[sel]], lc[sel]]
-    order = np.lexsort((u, lr[sel]))
-    rs = lr[sel][order]
-    cs = lc[sel][order]
-    first = np.ones(len(rs), dtype=bool)
-    first[1:] = rs[1:] != rs[:-1]
-    state.active[g[rs[first]], cs[first]] = True
-    state.idle_round(g[np.flatnonzero(fix)])
-
-
-def _recruit_inactive(state: ClusterBatch, act: np.ndarray, *, reduce: str) -> None:
-    """One ClusterPUSH / ClusterMerge repetition (active clusters recruit
-    inactive ones), with the sequential static guard."""
-    g = np.asarray(act)
-    lead_d, lead_v, _, _ = state.cluster_push(act, "active", reduce)
-    lr, lc = state._rowcol(lead_d)
-    inactive = ~state.active[g[lr], lc]
-    m_flat, m_target = lead_d[inactive], lead_v[inactive]
-    if len(m_flat):
-        if not state.active[g[lr[inactive]], m_target].all():
-            raise RuntimeError("merge target is not an active cluster")
-    state.cluster_merge(act, m_flat, m_target)
-
-
-def _square(
-    state: ClusterBatch,
-    *,
-    s0: int,
-    dissolve_at: int,
-    target: float,
-    step: Callable[[int], int],
-    reduce: str,
-) -> None:
-    """SquareClusters: the s-progression is a pure function of the params,
-    so every replication runs the same iteration count (rectangular)."""
-    all_reps = np.arange(state.reps)
-    state.cluster_dissolve(all_reps, dissolve_at)
-    s = s0
-    while s <= target:
-        state.cluster_resize(all_reps, s)
-        state.cluster_activate(all_reps, 1.0 / s)
-        _ensure_some_active(state, all_reps)
-        for _ in range(2):
-            _recruit_inactive(state, all_reps, reduce=reduce)
-        s = step(s)
-
-
-def _merge_all(state: ClusterBatch, reps_param: int) -> None:
-    all_reps = np.arange(state.reps)
-    mandatory = min(2, max(1, reps_param))
-    act = all_reps
-    for rep_i in range(max(1, reps_param)):
-        if rep_i >= mandatory:
-            lead_counts = (state.follow[act] == state._cols[None, :]).sum(axis=1)
-            act = act[lead_counts > 1]
-            if len(act) == 0:
-                break
-        g = act
-        lead_d, lead_v, _, _ = state.cluster_push(act, "clustered", "min")
-        lr, lc = state._rowcol(lead_d)
-        # Merge towards strictly smaller uids only (acyclic; the global
-        # minimum never moves).
-        better = state.uid[g[lr], lead_v] < state.uid[g[lr], lc]
-        state.cluster_merge(act, lead_d[better], lead_v[better])
-
-
-def _bounded_push(state: ClusterBatch, *, growth_stop: float, rounds_cap: int) -> None:
-    all_reps = np.arange(state.reps)
-    state.cluster_activate(all_reps, None)
-    act = all_reps
-    carried = None  # last measurement: (local leader rows, sizes)
-    for _ in range(rounds_cap):
-        keep = _has_active_leader(state, act)
-        # Grow rounds never create or remove leaders, so size triplets
-        # stay aligned element for element across iterations; last
-        # iteration's measurement doubles as this iteration's baseline
-        # (restricted to the leaders of the rows still in play).
-        before = carried[1][keep[carried[0]]] if carried is not None else None
-        act = act[keep]
-        if len(act) == 0:
-            break
-        if before is None:
-            _, _, before = state.leader_sizes(act)
-        state.grow_push_round(act, active_only=True)
-        lr, lc, after = state.cluster_size(act)
-        grew = after.astype(np.float64) / np.clip(before, 1.0, None)
-        stalled = grew < growth_stop
-        state.active[act[lr[stalled]], lc[stalled]] = False
-        carried = (lr, after)
-    state.active[:, :] = False
-
-
-def _pull(state: ClusterBatch, rounds: int) -> None:
-    act = np.arange(state.reps)
-    for _ in range(rounds):
-        remaining = (state.follow[act] == UNCLUSTERED).any(axis=1)
-        act = act[remaining]
-        if len(act) == 0:
-            break
-        state.unclustered_pull_round(act)
-
-
-def _outcome(name: str, state: ClusterBatch, informed: np.ndarray) -> BatchOutcome:
-    # Cluster runners run their fixed phase schedule, never an
-    # early-completion watch, so ``completion_round`` stays -1 (mirrors
-    # the sequential reports, whose spread_rounds equals rounds).  The
-    # final sample adds the informed fraction, now known.
-    counts = informed.sum(axis=1)
+    Cluster runners run their fixed phase schedule, never an
+    early-completion watch, so ``completion_round`` stays -1 (mirrors
+    the sequential reports, whose spread_rounds equals rounds).  The
+    final sample adds the informed fraction, now known.
+    """
+    informed = np.zeros((state.reps, state.n), dtype=bool)
+    informed[np.arange(state.reps), sources] = True
+    counts = phases.share(state, informed).sum(axis=1)
     return state.outcome(
         name,
         counts,
         counts == state.n,
         final={"informed": float(counts.sum() / (state.reps * state.n))},
     )
-
-
-def _share_from_sources(
-    state: ClusterBatch, sources: np.ndarray
-) -> np.ndarray:
-    informed = np.zeros((state.reps, state.n), dtype=bool)
-    informed[np.arange(state.reps), sources] = True
-    return state.cluster_share(np.arange(state.reps), informed)
-
-
-# ----------------------------------------------------------------------
-# Batch runners (registered on the cluster1/cluster2 AlgorithmSpecs)
-# ----------------------------------------------------------------------
 
 
 def batched_cluster1(
@@ -1091,24 +934,8 @@ def batched_cluster1(
         overlay=overlay,
     )
     sources = resolve_sources(source, reps, n, rng)
-    with maybe_span(telemetry, "grow"):
-        _grow_v1(state, p)
-    with maybe_span(telemetry, "square"):
-        _square(
-            state,
-            s0=p.min_cluster_size,
-            dissolve_at=p.min_cluster_size,
-            target=p.square_target,
-            step=p.square_step,
-            reduce="min",
-        )
-    with maybe_span(telemetry, "merge"):
-        _merge_all(state, p.merge_reps)
-    with maybe_span(telemetry, "pull"):
-        _pull(state, p.pull_rounds)
-    with maybe_span(telemetry, "share"):
-        informed = _share_from_sources(state, sources)
-    return _outcome("cluster1", state, informed)
+    phases.cluster1_phases(state, p)
+    return _share_outcome("cluster1", state, sources)
 
 
 def batched_cluster2(
@@ -1138,27 +965,5 @@ def batched_cluster2(
         overlay=overlay,
     )
     sources = resolve_sources(source, reps, n, rng)
-    with maybe_span(telemetry, "grow"):
-        _grow_v2(state, p)
-    with maybe_span(telemetry, "square"):
-        _square(
-            state,
-            s0=p.square_floor,
-            dissolve_at=p.dissolve_floor,
-            target=p.square_target,
-            step=p.square_step,
-            reduce="any",
-        )
-    with maybe_span(telemetry, "merge"):
-        _merge_all(state, p.merge_reps)
-    with maybe_span(telemetry, "bounded-push"):
-        _bounded_push(
-            state,
-            growth_stop=p.bounded_push_growth_stop,
-            rounds_cap=p.bounded_push_rounds_cap,
-        )
-    with maybe_span(telemetry, "pull"):
-        _pull(state, p.pull_rounds)
-    with maybe_span(telemetry, "share"):
-        informed = _share_from_sources(state, sources)
-    return _outcome("cluster2", state, informed)
+    phases.cluster2_phases(state, p)
+    return _share_outcome("cluster2", state, sources)

@@ -35,3 +35,14 @@ def manual_clustering(sim: Simulator, cluster_size: int):
     cl.set_follow(np.s_[:], (idx // cluster_size) * cluster_size)
     cl.check_invariants()
     return cl
+
+
+def members_of(cl, leader: int) -> np.ndarray:
+    """Indices of the cluster led by ``leader`` (leader included)."""
+    return np.flatnonzero(cl.clustered_mask() & (cl.follow == leader))
+
+
+def single_cluster(cl):
+    """The unique leader if exactly one cluster exists, else None."""
+    lead = cl.leaders()
+    return int(lead[0]) if len(lead) == 1 else None

@@ -259,10 +259,9 @@ class TestResizeAndViewPatch:
         state = grown_state(n, reps, seed, rounds)
         act = pick_act(kind, reps, seed)
         # The MergeAllClusters step: merge toward strictly smaller uids.
-        lead_d, lead_v, _, _ = state.cluster_push(act, "clustered", "min")
-        lr, lc = state._rowcol(lead_d)
+        lr, lc, lead_v = state.cluster_push(act, "clustered", "min")
         better = state.uid[act[lr], lead_v] < state.uid[act[lr], lc]
-        state.cluster_merge(act, lead_d[better], lead_v[better])
+        state.cluster_merge(act, lr[better], lc[better], lead_v[better])
         view = state._members(act)
         assert_same_view(view, reference_members(state, act))
         if len(act) == reps and better.any():
@@ -321,10 +320,9 @@ class TestKeptClusterCount:
         state.cluster_size(act)
         state.cluster_resize(act, s)
         state.cluster_dissolve(act, s)
-        lead_d, lead_v, _, _ = state.cluster_push(act, "clustered", "min")
-        lr, lc = state._rowcol(lead_d)
+        lr, lc, lead_v = state.cluster_push(act, "clustered", "min")
         better = state.uid[act[lr], lead_v] < state.uid[act[lr], lc]
-        state.cluster_merge(act, lead_d[better], lead_v[better])
+        state.cluster_merge(act, lr[better], lc[better], lead_v[better])
         state.unclustered_pull_round(act)
         state.cluster_share(act, np.zeros((len(act), n), dtype=bool))
         state._cluster_count()

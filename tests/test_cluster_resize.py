@@ -10,7 +10,12 @@ the same split count and charge the same rounds, messages and bits.
 
 Both tiers split through :func:`repro.core.clustering.split_chunks`; a
 one-row ``ClusterBatch`` holding the same clustering, with uid ranks for
-uids, must end where the sequential primitive does.
+uids, must end where the sequential backend of the phase recipe
+(:class:`repro.core.phases.SequentialBackend`) does.  The same holds for
+every primitive that draws no coin (ClusterSize, ClusterDissolve, a
+merge toward smaller-uid targets, ClusterShare, activate-all): same
+``follow``, ``active``, returned triplets and informed mask, the same
+ledger totals, and the same answers to the recipe's row queries.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clustering import UNCLUSTERED, Clustering
+from repro.core.phases import SequentialBackend
 from repro.core.primitives import cluster_resize
 from repro.sim.batch_cluster import ClusterBatch
 from repro.sim.dynamics import AdversitySchedule, CrashAt
@@ -28,6 +34,8 @@ from repro.sim.engine import Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 from repro.sim.rng import make_rng
+
+from helpers import members_of
 
 
 def reference_resize(sim: Simulator, cl: Clustering, s: int) -> int:
@@ -60,7 +68,7 @@ def reference_resize(sim: Simulator, cl: Clustering, s: int) -> int:
         k = int(k_per_leader[leader])
         if k <= 1:
             continue
-        members = cl.members_of(int(leader))
+        members = members_of(cl, int(leader))
         members = members[np.argsort(uid[members])]
         size = len(members)
         chunk = (np.arange(size) * k) // size
@@ -160,23 +168,100 @@ def test_crash_at_the_pull_commit_resizes_the_survivors():
     assert cl.sizes()[leaders].sum() == 60
     uid = sim.net.uid
     for leader in leaders:
-        assert uid[leader] == uid[cl.members_of(int(leader))].max()
+        assert uid[leader] == uid[members_of(cl, int(leader))].max()
 
 
-@pytest.mark.parametrize("case", range(40))
-def test_one_split_on_both_tiers(case):
+def one_row_worlds(case):
+    """A drawn clustering twice: the sequential backend over it, and a
+    one-row ``ClusterBatch`` holding the same ``follow`` and ``active``,
+    with uid ranks for uids.  Also returns the case's data generator."""
     data = np.random.default_rng(1000 + case)
     n = int(data.integers(16, 601))
     clusters = int(data.integers(1, 9))
     sim, cl = build_world(n, 1000 + case, clusters, 0.0, 0.2, None, 0.0)
-    s = pick_s(cl, int(data.integers(0, 10**6)))
     batch = ClusterBatch(n, 1, make_rng(case))
     batch.follow[0] = cl.follow
     batch.active[0] = cl.active
     batch.uid[0] = np.argsort(np.argsort(sim.net.uid))
-    rows, cols, sizes = batch.cluster_resize(np.arange(1), s)
-    cluster_resize(sim, cl, s)
-    np.testing.assert_array_equal(batch.follow[0], cl.follow)
-    np.testing.assert_array_equal(batch.active[0], cl.active)
-    np.testing.assert_array_equal(np.sort(cols), cl.leaders())
-    np.testing.assert_array_equal(cl.sizes()[cols], sizes)
+    return data, SequentialBackend(sim, cl), batch
+
+
+def by_leader(triplet):
+    """A leader triplet in leader-column order (one row)."""
+    rows, cols, values = triplet
+    order = np.argsort(cols)
+    return rows[order], cols[order], values[order]
+
+
+def assert_same_tiers(seq: SequentialBackend, batch: ClusterBatch) -> None:
+    """Same clustering, same row queries, same ledger on both tiers."""
+    np.testing.assert_array_equal(batch.follow[0], seq.cl.follow)
+    np.testing.assert_array_equal(batch.active[0], seq.cl.active)
+    act = np.arange(1)
+    for query in ("leaders", "leader_sizes"):
+        for ours, theirs in zip(getattr(seq, query)(act), getattr(batch, query)(act)):
+            np.testing.assert_array_equal(ours, theirs)
+    np.testing.assert_array_equal(seq.unclustered_counts(act), batch.unclustered_counts(act))
+    m = seq.sim.metrics
+    assert (batch.rounds[0], batch.messages[0], batch.bits[0], batch.max_fanin[0]) == (
+        m.rounds, m.messages, m.bits, m.max_fanin,
+    )
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_one_split_on_both_tiers(case):
+    data, seq, batch = one_row_worlds(case)
+    assert_same_tiers(seq, batch)
+    s = pick_s(seq.cl, int(data.integers(0, 10**6)))
+    act = np.arange(1)
+    for ours, theirs in zip(
+        by_leader(seq.cluster_resize(act, s)), by_leader(batch.cluster_resize(act, s))
+    ):
+        np.testing.assert_array_equal(ours, theirs)
+    assert_same_tiers(seq, batch)
+
+
+def min_uid_targets(data, seq: SequentialBackend):
+    """About half the leaders, each merging toward a random leader of
+    smaller uid (chains included)."""
+    _, lead = seq.leaders(np.arange(1))
+    uid = seq.sim.net.uid
+    cols, targets = [], []
+    for leader in lead:
+        smaller = lead[uid[lead] < uid[leader]]
+        if len(smaller) and data.random() < 0.5:
+            cols.append(leader)
+            targets.append(data.choice(smaller))
+    cols = np.array(cols, dtype=np.int64)
+    return np.zeros(len(cols), dtype=np.int64), cols, np.array(targets, dtype=np.int64)
+
+
+@pytest.mark.parametrize("case", range(25))
+@pytest.mark.parametrize("op", ["size", "dissolve", "merge", "share", "activate-all"])
+def test_one_primitive_on_both_tiers(op, case):
+    """Every coin-free primitive ends where the sequential one does, on
+    the state, the returned triplet or mask, and the ledger."""
+    data, seq, batch = one_row_worlds(case)
+    act = np.arange(1)
+    if op == "size":
+        ours, theirs = seq.cluster_size(act), batch.cluster_size(act)
+    elif op == "dissolve":
+        s = pick_s(seq.cl, int(data.integers(0, 10**6)))
+        ours, theirs = seq.cluster_dissolve(act, s), batch.cluster_dissolve(act, s)
+    elif op == "merge":
+        rows, cols, targets = min_uid_targets(data, seq)
+        seq.cluster_merge(act, rows, cols, targets)
+        batch.cluster_merge(act, rows, cols, targets)
+        ours = theirs = None  # only the sequential merge counts its merges
+    elif op == "share":
+        informed = data.random((1, seq.n)) < 0.3
+        ours, theirs = seq.cluster_share(act, informed), batch.cluster_share(act, informed)
+    else:
+        ours, theirs = seq.cluster_activate(act, None), batch.cluster_activate(act, None)
+    if ours is None:
+        assert theirs is None
+    else:
+        for a, b in zip(ours if isinstance(ours, tuple) else (ours,),
+                        theirs if isinstance(theirs, tuple) else (theirs,)):
+            np.testing.assert_array_equal(a, b)
+    assert_same_tiers(seq, batch)

@@ -6,7 +6,7 @@ import pytest
 from repro.core.clustering import UNCLUSTERED, Clustering
 from repro.sim.network import Network
 
-from helpers import build_sim, manual_clustering
+from helpers import build_sim, manual_clustering, members_of, single_cluster
 
 
 class TestBasics:
@@ -49,7 +49,7 @@ class TestBasics:
     def test_members_of(self):
         sim = build_sim(32)
         cl = manual_clustering(sim, 8)
-        members = cl.members_of(8)
+        members = members_of(cl, 8)
         assert sorted(members.tolist()) == list(range(8, 16))
 
     def test_summary_text(self):
@@ -135,9 +135,9 @@ class TestInvariants:
     def test_single_cluster_detection(self):
         sim = build_sim(16)
         cl = manual_clustering(sim, 16)
-        assert cl.single_cluster() == 0
+        assert single_cluster(cl) == 0
         cl2 = manual_clustering(sim, 8)
-        assert cl2.single_cluster() is None
+        assert single_cluster(cl2) is None
 
     def test_dead_nodes_not_counted(self):
         sim = build_sim(16)

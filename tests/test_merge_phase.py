@@ -4,16 +4,17 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.constants import LAPTOP
-from repro.core.merge_phase import merge_all_clusters, merge_to_delta_clusters
+from repro.core.cluster3 import merge_to_delta_clusters
+from repro.core.phases import SequentialBackend, merge_all
 
-from helpers import build_sim, manual_clustering
+from helpers import build_sim, manual_clustering, single_cluster
 
 
 class TestMergeAll:
     def test_coalesces_to_one_cluster(self):
         sim = build_sim(1024)
         cl = manual_clustering(sim, 32)  # 32 clusters of 32
-        merge_all_clusters(sim, cl, reps=4)
+        merge_all(SequentialBackend(sim, cl), reps=4)
         assert cl.cluster_count() == 1
 
     def test_survivor_is_smallest_uid(self):
@@ -21,35 +22,35 @@ class TestMergeAll:
         cl = manual_clustering(sim, 32)
         leaders_before = cl.leaders()
         min_leader = sim.net.min_uid_index(leaders_before)
-        merge_all_clusters(sim, cl, reps=4)
-        assert cl.single_cluster() == min_leader
+        merge_all(SequentialBackend(sim, cl), reps=4)
+        assert single_cluster(cl) == min_leader
 
     def test_two_reps_usually_suffice(self):
         wins = 0
         for seed in range(5):
             sim = build_sim(1024, seed=seed)
             cl = manual_clustering(sim, 64)
-            used = merge_all_clusters(sim, cl, reps=4)
+            used = merge_all(SequentialBackend(sim, cl), reps=4)
             wins += used <= 2
         assert wins >= 3  # w.h.p. claim, empirically most seeds
 
     def test_single_cluster_noop_fast(self):
         sim = build_sim(256)
         cl = manual_clustering(sim, 256)
-        used = merge_all_clusters(sim, cl, reps=4)
+        used = merge_all(SequentialBackend(sim, cl), reps=4)
         assert used == 2  # the mandated two repetitions, no more
         assert cl.cluster_count() == 1
 
     def test_invariants(self):
         sim = build_sim(512)
         cl = manual_clustering(sim, 16)
-        merge_all_clusters(sim, cl)
+        merge_all(SequentialBackend(sim, cl))
         cl.check_invariants()
 
     def test_phase_recorded(self):
         sim = build_sim(256)
         cl = manual_clustering(sim, 16)
-        merge_all_clusters(sim, cl)
+        merge_all(SequentialBackend(sim, cl))
         assert "merge-all" in sim.metrics.phases
 
 

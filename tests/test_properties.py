@@ -15,7 +15,7 @@ from repro.core.primitives import cluster_merge, cluster_resize
 from repro.sim.delivery import NOTHING, receive_any, receive_counts, receive_min_by_key
 from repro.sim.rng import make_rng
 
-from helpers import build_sim
+from helpers import build_sim, members_of
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_resize_is_partition_with_bounded_sizes(n, s, seed):
     if n // s >= 2:
         uid = sim.net.uid
         for leader in leaders:
-            assert uid[leader] == uid[cl.members_of(int(leader))].max()
+            assert uid[leader] == uid[members_of(cl, int(leader))].max()
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.clustering import UNCLUSTERED, Clustering
-from repro.core.pull_phase import bounded_cluster_push, unclustered_nodes_pull
+from repro.core.phases import SequentialBackend, bounded_push, pull
 from repro.obs.telemetry import Telemetry
 
 from helpers import build_sim, manual_clustering
@@ -14,7 +14,7 @@ class TestUnclusteredPull:
         sim = build_sim(2048)
         cl = manual_clustering(sim, 2048)  # one cluster...
         cl.set_follow(np.s_[1024:], UNCLUSTERED)  # ...but half unclustered
-        remaining = unclustered_nodes_pull(sim, cl, rounds=8)
+        remaining = pull(SequentialBackend(sim, cl), rounds=8)
         assert remaining == 0
         assert cl.clustered_count() == 2048
 
@@ -26,7 +26,7 @@ class TestUnclusteredPull:
         k = n // 10  # 10% unclustered
         cl.set_follow(np.s_[-k:], UNCLUSTERED)
         sim.telemetry = Telemetry().begin_run({})
-        unclustered_nodes_pull(sim, cl, rounds=10)
+        pull(SequentialBackend(sim, cl), rounds=10)
         fracs = [k / n] + [
             e["data"]["unclustered"] / n
             for e in sim.telemetry.events
@@ -40,14 +40,14 @@ class TestUnclusteredPull:
     def test_stops_early_when_none_left(self):
         sim = build_sim(256)
         cl = manual_clustering(sim, 256)
-        unclustered_nodes_pull(sim, cl, rounds=50)
+        pull(SequentialBackend(sim, cl), rounds=50)
         assert sim.metrics.rounds < 50
 
     def test_resize_interleave_caps_sizes(self):
         sim = build_sim(1024)
         cl = manual_clustering(sim, 16)
         cl.set_follow(np.s_[512:], UNCLUSTERED)
-        unclustered_nodes_pull(sim, cl, rounds=8, resize_to=16)
+        pull(SequentialBackend(sim, cl), rounds=8, resize_to=16)
         sizes = cl.sizes()[cl.leaders()]
         assert sizes.max() <= 31
 
@@ -63,7 +63,7 @@ class TestBoundedClusterPush:
         cl.set_follow(np.s_[: n // 8], 0)
         cl.check_invariants()
         before = cl.clustered_count()
-        bounded_cluster_push(sim, cl, growth_stop=1.1, rounds_cap=10)
+        bounded_push(SequentialBackend(sim, cl), growth_stop=1.1, rounds_cap=10)
         after = cl.clustered_count()
         assert after > 0.5 * n > before
 
@@ -71,7 +71,7 @@ class TestBoundedClusterPush:
         n = 2048
         sim = build_sim(n)
         cl = manual_clustering(sim, n)  # everyone already clustered
-        bounded_cluster_push(sim, cl, growth_stop=1.1, rounds_cap=10)
+        bounded_push(SequentialBackend(sim, cl), growth_stop=1.1, rounds_cap=10)
         # no growth possible -> stalls after the first check
         assert sim.metrics.rounds <= 8
 
@@ -80,8 +80,8 @@ class TestBoundedClusterPush:
         sim = build_sim(n)
         cl = manual_clustering(sim, 8)
         cl.set_follow(np.s_[n // 4 :], UNCLUSTERED)
-        bounded_cluster_push(
-            sim, cl, growth_stop=1.1, rounds_cap=12, resize_to=16
+        bounded_push(
+            SequentialBackend(sim, cl), growth_stop=1.1, rounds_cap=12, resize_to=16
         )
         sizes = cl.sizes()[cl.leaders()]
         assert sizes.max() <= 47  # 2*resize_to - 1 plus one round of joins
@@ -93,5 +93,5 @@ class TestBoundedClusterPush:
         cl = manual_clustering(sim, 16)
         cl.set_follow(np.s_[n // 8 :], UNCLUSTERED)
         cl.set_follow(np.s_[: n // 8], 0)
-        bounded_cluster_push(sim, cl, growth_stop=1.1, rounds_cap=12)
+        bounded_push(SequentialBackend(sim, cl), growth_stop=1.1, rounds_cap=12)
         assert sim.metrics.messages <= 12 * n
