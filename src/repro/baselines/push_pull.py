@@ -19,18 +19,15 @@ from repro.registry import (
     register_batch_runner,
     register_task_transport,
 )
-from repro.sim.batch import (
-    BatchLedger,
-    BatchOutcome,
-    batched_k_rumor,
-    batched_min_max,
-    batched_push_sum,
-    resolve_sources,
-    uniform_rounds,
-)
+from repro.sim.batch import BatchLedger, BatchOutcome, resolve_sources, uniform_rounds
 from repro.sim.caps import round_cap
 from repro.sim.engine import Simulator
-from repro.tasks.transports import run_uniform_broadcast, run_uniform_transport
+from repro.tasks.state import ExtremeState, KRumorState, PushSumState
+from repro.tasks.transports import (
+    run_uniform_broadcast,
+    run_uniform_transport,
+    uniform_batch_runner,
+)
 
 
 @register_algorithm(
@@ -152,10 +149,13 @@ def push_pull_task_transport(
     )
 
 
-#: ``run_replications(..., task=..., engine="vector")`` entry points:
-#: the batched ``(R, n)`` task executors of :mod:`repro.sim.batch` under
-#: the push-pull (uniform exchange) pattern — push-sum mass exchange,
-#: k-rumor all-cast, and min/max dissemination.
-register_batch_runner("push-pull", task="push-sum")(batched_push_sum)
-register_batch_runner("push-pull", task="k-rumor")(batched_k_rumor)
-register_batch_runner("push-pull", task="min-max")(batched_min_max)
+#: ``run_replications(..., task=..., engine="vector")`` entry points: the
+#: one batch task transport (:func:`repro.tasks.transports.run_uniform_batch`)
+#: over each task's state — push-sum mass exchange, k-rumor all-cast,
+#: and min/max dissemination.
+for _task, _state in (
+    ("push-sum", PushSumState),
+    ("k-rumor", KRumorState),
+    ("min-max", ExtremeState),
+):
+    register_batch_runner("push-pull", task=_task)(uniform_batch_runner(_state))

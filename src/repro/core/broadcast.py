@@ -156,7 +156,7 @@ def check_config(
     :class:`~repro.registry.IncompatibleTaskError`) on every engine.
     Rules an algorithm, a task state or a graph owns stay with it:
     Cluster2's ``n >= 4``, the task knobs' values
-    (:func:`repro.sim.batch.check_k` and its siblings), a ring's ``n > 2k``.
+    (:func:`repro.tasks.state.check_k` and its siblings), a ring's ``n > 2k``.
     """
     check_positive_int("n", n)
     if source is not None:
@@ -666,11 +666,12 @@ def run_replications(
     fallback_reason = reason if engine == "auto" else None
     if engine == "auto":
         engine = "reset" if reason is not None else "vector"
-    # Batch runners whose work arrays are (R, n, w)-shaped (k-rumor:
-    # w = k) declare the per-node weight so the element budget bounds
-    # the true footprint, not just R * n.
-    weigh = getattr(checked.runner, "elements_per_node", None)
-    weight = weigh(checked.task_kwargs) if weigh else 1
+    # A task state whose positions hold w elements each (k-rumor: w = k)
+    # weighs each node w, so the element budget bounds the true footprint
+    # of its batch chunks, not just R * n.
+    weight = 1
+    if engine == "vector" and checked.task != BROADCAST_TASK:
+        weight = get_task(checked.task).factory.elements_per_node(checked.task_kwargs)
 
     if workers is not None:
         # Each shard is its own run_replications call, in this process or
@@ -714,9 +715,7 @@ def run_replications(
             # Deterministic graphs are identical across replications and
             # chunks; bind once (the rng is required but unconsumed).
             graph = checked.topology.bind(n, make_rng(derive_seed(base_seed, "net")))
-        done = 0
-        while done < reps:
-            take = batch_size(n, reps - done, batch_elems, elements_per_node=weight)
+        for done, take in _shard_plan("vector", n, reps, batch_elems, weight):
             rng = make_rng(derive_seed(base_seed, "vector", _seed_offset + done))
             if not checked.topology.complete and not checked.topology.deterministic:
                 # Random graphs resample per chunk: replications within a
@@ -771,7 +770,6 @@ def run_replications(
                 telemetry.finish_run(tel_run, outcome=outcome)
             for i in range(outcome.reps):
                 feed(done + i, None, outcome.rep_scalars(i))
-            done += take
         return summary
 
     replication = ReplicationEngine._checked(checked)
@@ -806,9 +804,10 @@ def _shard_plan(
     """Contiguous ``(start, count)`` shard blocks.
 
     The plan is a pure function of the configuration (never the worker
-    count): vector shards are exactly the serial engine's chunk
-    sequence, sequential shards are balanced blocks, so any ``workers``
-    value yields the same shard summaries in the same merge order.
+    count): vector shards are the chunks the serial vector loop walks
+    (this one plan), sequential shards are balanced blocks, so any
+    ``workers`` value yields the same shard summaries in the same merge
+    order.
     """
     if engine == "vector":
         plan = []

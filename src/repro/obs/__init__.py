@@ -31,7 +31,6 @@ from repro.obs.probes import RoundSeries
 from repro.obs.report import render_critical_path, render_report
 from repro.obs.sink import (
     TELEMETRY_SCHEMA_VERSION,
-    TelemetrySink,
     read_jsonl,
     validate_records,
     write_jsonl,
@@ -58,7 +57,6 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "Telemetry",
     "TelemetryConfig",
-    "TelemetrySink",
     "maybe_span",
     "path_record",
     "read_jsonl",

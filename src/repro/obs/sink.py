@@ -225,19 +225,3 @@ def validate_records(records: List[Dict[str, Any]]) -> List[str]:
             )
     return problems
 
-
-class TelemetrySink:
-    """A JSONL destination for one :class:`~repro.obs.telemetry.Telemetry`."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    def write(self, telemetry) -> int:
-        """Export the collector; returns the record count."""
-        return write_jsonl(telemetry.records(), self.path)
-
-    def read(self) -> List[Dict[str, Any]]:
-        return read_jsonl(self.path)
-
-    def validate(self) -> List[str]:
-        return validate_records(self.read())

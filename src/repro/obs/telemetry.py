@@ -353,6 +353,6 @@ class Telemetry:
 
     def write(self, path: str) -> int:
         """Export as JSONL; returns the record count."""
-        from repro.obs.sink import TelemetrySink
+        from repro.obs.sink import write_jsonl
 
-        return TelemetrySink(path).write(self)
+        return write_jsonl(self.records(), path)

@@ -347,9 +347,10 @@ def register_batch_runner(
     topologies, under ``scheduler="event"`` and with telemetry by
     accepting ``graph=``, ``overlay=`` and ``telemetry=``
     (:func:`repro.core.broadcast.vector_unavailable` reads them, through
-    ``functools.wraps`` wrappers too).  The only attribute read off a
-    runner is an optional ``elements_per_node(task_kwargs)`` chunking
-    weight, for runners whose work arrays are wider than ``(R, n)``.
+    ``functools.wraps`` wrappers too).  Nothing else is read off a
+    runner: a task's chunk weight, for batch state wider than ``(R, n)``,
+    is its state class's
+    :meth:`~repro.tasks.state.TaskState.elements_per_node`.
 
     Returns the function unchanged.
     """

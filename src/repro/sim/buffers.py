@@ -1,7 +1,7 @@
 """Reusable scratch arrays for the vector tier's per-round intermediates.
 
 A leaf module (it imports only numpy), so both the clock overlay in
-:mod:`repro.sim.schedule` and the batch runners in :mod:`repro.sim.batch`
+:mod:`repro.sim.schedule` and the task states in :mod:`repro.tasks.state`
 can hold a pool without an import cycle.
 """
 
@@ -21,15 +21,16 @@ class BufferPool:
     * a :class:`~repro.sim.schedule.BatchClockOverlay` keeps one for its
       full rounds' int64 targets and completion matrix — one overlay per
       vector chunk, so one workspace per chunk;
-    * the push-sum and min-max batch runners keep one per chunk for the
-      row blocks their rounds gather (:mod:`repro.sim.batch`).
+    * a :class:`~repro.tasks.state.PushSumState` keeps one for the
+      ``(value, weight)`` halves it stages each round — one state per
+      vector chunk on the batch tier.
 
     Within a round the owner asks the pool for scratch space via
     :meth:`take`; the pool keeps one backing array per ``name`` (grown
     geometrically, never shrunk) and returns an **exact-size view** of
     it.  Nothing is ever zeroed: every byte of a view handed out is
     overwritten by its consumer before it is read (the overlay's
-    ``copyto`` / ``complete_full`` and the runners' row gathers each fill
+    ``copyto`` / ``complete_full`` and the push-sum staging each fill
     the whole view), so stale data from a previous round can never alias
     into fresh results.  That no-stale-reads contract is what the
     reuse-poisoning test pins: ``tests/test_batch_cluster_pin.py`` fills

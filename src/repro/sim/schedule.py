@@ -457,6 +457,8 @@ class EventSchedulerSpec:
         """
         model = self.resolve_delay(net.topology)
         bound = model.bind(net.n, net.graph, rng)
+        # As in make_batch_overlay: the complete graph never draws a -1.
+        bound.no_void = net.graph is None
         overlay = BatchClockOverlay(bound, rng, 1, net.n, model=model)
         contacts = None
         if self.trace:

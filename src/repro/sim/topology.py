@@ -418,7 +418,8 @@ class BatchBoundDelay:
     stream, so algorithm coins stay untouched.
     """
 
-    #: Set by :func:`repro.sim.schedule.make_batch_overlay` when the
+    #: Set by :func:`repro.sim.schedule.make_batch_overlay` and
+    #: :meth:`repro.sim.schedule.EventSchedulerSpec.bind` when the
     #: topology can never produce a ``-1`` "nobody to call" sentinel
     #: (the complete graph) — samplers then skip validity scans.
     no_void = False
@@ -519,14 +520,16 @@ class _BatchSlowdownBound(BatchBoundDelay):
         dsts = np.asarray(dsts, dtype=np.int64)
         n = self._slow.shape[1]
         flat = self._slow.ravel()
-        valid = (dsts >= 0) & (dsts < n)
-        dst_keys = np.where(valid, dsts, 0)
+        # The complete graph never dials the void: no validity scan.
+        valid = None if self.no_void else (dsts >= 0) & (dsts < n)
+        dst_keys = dsts if valid is None else np.where(valid, dsts, 0)
         if rows is not None:
             offsets = np.asarray(rows, dtype=np.int64) * n
             srcs = srcs + offsets
-            dst_keys += offsets
+            dst_keys = dst_keys + offsets
         hit = flat.take(srcs)
-        hit |= valid & flat.take(dst_keys)
+        slowed_dst = flat.take(dst_keys)
+        hit |= slowed_dst if valid is None else valid & slowed_dst
         return np.where(hit, self._slowed, self._base)
 
     def _hit_full(self, rows, targets):

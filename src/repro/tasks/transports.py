@@ -32,7 +32,16 @@ patterns cover the registered algorithms:
     after construction — the direct-addressing payoff the paper's
     broadcast results rest on, applied to aggregation.
 
-Both transports merge each round's deliveries inside its
+:func:`run_uniform_batch`
+    The random phone call pattern on the ``(R, n)`` vector tier: the
+    same role split and the same state methods as
+    :func:`run_uniform_task` in ``"push-pull"`` mode, over ``R``
+    replication rows of one state (:mod:`repro.tasks.state`'s row
+    layout) driven by :func:`repro.sim.batch.uniform_rounds`.  It is
+    PUSH-PULL's batch runner for every task but broadcast
+    (:func:`uniform_batch_runner`).
+
+The sequential transports merge each round's deliveries inside its
 ``with sim.round(...)`` block, record the task's error after every
 committed round into :attr:`repro.sim.metrics.Metrics.error_series` via
 an engine commit hook, and stop as soon as the task's completion
@@ -47,7 +56,7 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.result import AlgorithmReport, report_from_sim
-from repro.sim.batch import check_max_rounds
+from repro.sim.batch import BatchLedger, BatchOutcome, check_max_rounds, uniform_rounds
 from repro.sim.caps import round_cap
 from repro.sim.engine import Simulator
 from repro.tasks.state import BroadcastState, TaskState
@@ -332,3 +341,131 @@ def run_cluster_task(
                 sim.emit("task.catchup", pending=len(pending))
 
     return _finish_report(sim, state, completion())
+
+
+def _row_charges(a: int, n: int, bits, mask) -> tuple:
+    """Per row of an ``(a * n)`` block: how many of its ``mask``ed
+    messages there are (every position when ``None``) and their total
+    ``bits`` (one size for all, or one per position)."""
+    scalar = np.ndim(bits) == 0
+    if mask is None:
+        return n, n * bits if scalar else bits.reshape(a, n).sum(axis=1)
+    count = np.count_nonzero(mask.reshape(a, n), axis=1)
+    if scalar:
+        return count, count * bits
+    return count, np.where(mask, bits, 0).reshape(a, n).sum(axis=1)
+
+
+def run_uniform_batch(
+    state: TaskState,
+    rng: np.random.Generator,
+    *,
+    max_rounds: Optional[int] = None,
+    telemetry=None,
+    overlay=None,
+) -> BatchOutcome:
+    """Drive every row of ``state`` over uniform PUSH-PULL calls, stopped
+    per row at completion: the batch tier's task transport.
+
+    Each round (:func:`~repro.sim.batch.uniform_rounds`) every node of
+    every running row dials one uniform other node of its row.  Content
+    holders push through :meth:`~TaskState.begin_push` /
+    :meth:`~TaskState.finish_push` (everyone, under
+    :meth:`~TaskState.all_push`), the others pull from their contact
+    through :meth:`~TaskState.has_content` /
+    :meth:`~TaskState.deliver_pull`, and each row is charged its pushes
+    plus its answered pulls at their :meth:`~TaskState.payload_bits` —
+    the engine's rule, so a one-row state given the same contacts ends
+    exactly as :func:`run_uniform_task` leaves it.  A row freezes (no
+    more contacts or charges) once every node in it is complete.
+    ``max_rounds`` defaults to the task's :meth:`~TaskState.cap_schedule`.
+
+    ``telemetry`` (a :class:`repro.obs.telemetry.RunTelemetry` handle)
+    samples the mean ``task_error`` over the rows and the count of
+    ``active_reps``; ``overlay`` (a
+    :class:`repro.sim.schedule.BatchClockOverlay`) folds each round into
+    the per-row clocks, never drawing from ``rng``.
+    """
+    n, reps = state.n, state.reps
+    if max_rounds is None:
+        schedule, knobs = state.cap_schedule()
+        max_rounds = round_cap(schedule, n, **knobs)
+    everyone = np.ones(reps * n, dtype=bool)
+    positions = np.arange(reps * n, dtype=np.int64)
+
+    def exchange(act, flat_t, valid):
+        a = len(act)
+        if a == reps:
+            # Whole-row path: the chunk-local targets are the state's
+            # positions, and full-row reads are views.
+            nodes, dsts = slice(None), flat_t
+        else:
+            shift = np.repeat((act - np.arange(a)) * n, n)
+            nodes, dsts = positions[: a * n] + shift, flat_t + shift
+        state.begin_round()
+        payload = state.payload_bits(nodes)
+        if state.all_push():
+            state.finish_push(state.begin_push(nodes), nodes, dsts)
+            msgs, bits = _row_charges(a, n, payload, None)
+        else:
+            content = state.has_content(nodes)
+            local = np.flatnonzero(content)
+            pushers = local if a == reps else nodes[local]
+            state.finish_push(state.begin_push(pushers), pushers, dsts[local])
+            # Block-local reads: a contact stays inside its row.
+            answered = ~content & content[flat_t]
+            local = np.flatnonzero(answered)
+            receivers = local if a == reps else nodes[local]
+            state.deliver_pull(receivers, dsts[local])
+            msgs, bits = _row_charges(a, n, payload, content)
+            responses, response_bits = _row_charges(
+                a, n, payload if np.ndim(payload) == 0 else payload[flat_t], answered
+            )
+            msgs, bits = msgs + responses, bits + response_bits
+        state.end_round()
+        return msgs, bits
+
+    def columns(ledger: BatchLedger) -> dict:
+        return {
+            "task_error": float(state.row_errors(everyone).mean()),
+            "active_reps": int(np.count_nonzero(ledger.completion < 0)),
+        }
+
+    ledger = BatchLedger(n, reps, telemetry=telemetry, overlay=overlay, columns=columns)
+    uniform_rounds(
+        ledger, rng, max_rounds, exchange, lambda rows: state.row_counts(rows) == n
+    )
+    return ledger.outcome(
+        "push-pull",
+        state.row_counts(),
+        ledger.completion >= 0,
+        task_error=state.row_errors(everyone),
+        **state.row_error_breakdown(everyone),
+    )
+
+
+def uniform_batch_runner(state_type: type) -> Callable[..., BatchOutcome]:
+    """PUSH-PULL's batch runner for the task whose state is ``state_type``:
+    its ``batch`` constructor draws the rows, :func:`run_uniform_batch`
+    runs them."""
+
+    def runner(
+        n: int,
+        reps: int,
+        rng: np.random.Generator,
+        *,
+        message_bits: int = 256,
+        source: Optional[int] = 0,
+        max_rounds: Optional[int] = None,
+        telemetry=None,
+        overlay=None,
+        **task_kwargs,
+    ) -> BatchOutcome:
+        state = state_type.batch(
+            n, reps, rng, message_bits=message_bits, source=source, **task_kwargs
+        )
+        return run_uniform_batch(
+            state, rng, max_rounds=max_rounds, telemetry=telemetry, overlay=overlay
+        )
+
+    return runner

@@ -38,7 +38,6 @@ import pytest
 
 from repro.baselines.push_pull import batched_push_pull
 from repro.obs import Telemetry
-from repro.sim.batch import batched_k_rumor, batched_min_max, batched_push_sum
 from repro.sim.batch_cluster import batched_cluster1, batched_cluster2
 from repro.sim.buffers import BufferPool
 from repro.sim.rng import derive_seed, make_rng
@@ -53,14 +52,16 @@ from repro.sim.topology import (
     UniformJitterDelay,
     resolve_topology,
 )
+from repro.tasks.state import ExtremeState, KRumorState, PushSumState
+from repro.tasks.transports import uniform_batch_runner
 
 RUNNERS = {
     "cluster1": batched_cluster1,
     "cluster2": batched_cluster2,
     "push-pull": batched_push_pull,
-    "push-sum": batched_push_sum,
-    "min-max": batched_min_max,
-    "k-rumor": batched_k_rumor,
+    "push-sum": uniform_batch_runner(PushSumState),
+    "min-max": uniform_batch_runner(ExtremeState),
+    "k-rumor": uniform_batch_runner(KRumorState),
 }
 #: Runner keyword arguments beyond the shared ones.
 RUNNER_KWARGS = {"k-rumor": {"k": 4}}

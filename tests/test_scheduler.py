@@ -328,3 +328,39 @@ class TestSchedulerSurface:
             assert now >= previous
             previous = now
         assert np.all(sched.clocks() >= 0.0)
+
+
+class TestCompleteGraphNeverDialsTheVoid:
+    """The one-row bind marks the complete graph's bound delay
+    ``no_void``, and the straggler sampler then reads every destination
+    as a real node.  Any ``-1`` reaching it would wrap to the last node."""
+
+    @pytest.mark.parametrize("algorithm", ["cluster2", "push-pull"])
+    @pytest.mark.parametrize("schedule", [None, "loss:0.05,crash@3:0.2"])
+    def test_no_negative_destination_reaches_the_delay(
+        self, algorithm, schedule, monkeypatch
+    ):
+        from repro.sim.topology import _BatchSlowdownBound
+
+        delays = _BatchSlowdownBound.delays
+        seen = []
+
+        def checked(self, rows, srcs, dsts, rng):
+            assert self.no_void
+            dsts = np.asarray(dsts)
+            assert len(dsts) == 0 or dsts.min() >= 0, dsts.min()
+            seen.append(len(dsts))
+            return delays(self, rows, srcs, dsts, rng)
+
+        monkeypatch.setattr(_BatchSlowdownBound, "delays", checked)
+        straggler = NodeSlowdownDelay(base=1.0, fraction=0.05, factor=10.0)
+        for seed in range(3):
+            report = broadcast(
+                512,
+                algorithm,
+                seed=seed,
+                scheduler=EventSchedulerSpec(delay=straggler),
+                schedule=schedule,
+            )
+            assert report.extras["sim_time"] > 0
+        assert sum(seen) > 0

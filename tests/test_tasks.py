@@ -30,6 +30,7 @@ from repro.registry import (
     task_names,
     unregister_task,
 )
+from repro.tasks.state import ExtremeState, KRumorState, PushSumState
 
 TASK_MATRIX = [
     ("k-rumor", {"k": 4}),
@@ -292,40 +293,28 @@ class TestTaskScenarios:
 
 
 class TestVectorisedTaskRunners:
-    """The batched k-rumor and min-max executors (repro.sim.batch):
-    statistically equivalent to the reset engine, deterministic, and
-    schedule-identical — the same contract the push-sum batch runner
-    pinned in PR 4."""
+    """The batch task transport (repro.tasks.transports.run_uniform_batch)
+    over the push-sum, k-rumor and min-max states: statistically
+    equivalent to the reset engine, deterministic, and
+    schedule-identical."""
 
-    def test_k_rumor_statistically_equivalent_to_reset(self):
+    @pytest.mark.parametrize(
+        "task,task_kwargs",
+        [("k-rumor", {"k": 8}), ("min-max", {}), ("push-sum", {})],
+    )
+    def test_statistically_equivalent_to_reset(self, task, task_kwargs):
         vec = run_replications(
-            512, "push-pull", reps=60, task="k-rumor",
-            task_kwargs={"k": 8}, engine="vector",
+            512, "push-pull", reps=60, task=task,
+            task_kwargs=task_kwargs, engine="vector",
         )
         seq = run_replications(
-            512, "push-pull", reps=60, task="k-rumor",
-            task_kwargs={"k": 8}, engine="reset",
+            512, "push-pull", reps=60, task=task,
+            task_kwargs=task_kwargs, engine="reset",
         )
         assert vec.success_rate == seq.success_rate == 1.0
         assert abs(vec.spread_rounds.mean - seq.spread_rounds.mean) < 1.5
-        assert abs(
-            vec.messages_per_node.mean - seq.messages_per_node.mean
-        ) < 0.1 * seq.messages_per_node.mean
-        assert abs(
-            vec.bits_per_node.mean - seq.bits_per_node.mean
-        ) < 0.1 * seq.bits_per_node.mean
-
-    def test_min_max_statistically_equivalent_to_reset(self):
-        vec = run_replications(
-            512, "push-pull", reps=60, task="min-max", engine="vector"
-        )
-        seq = run_replications(
-            512, "push-pull", reps=60, task="min-max", engine="reset"
-        )
-        assert vec.success_rate == seq.success_rate == 1.0
-        assert abs(vec.spread_rounds.mean - seq.spread_rounds.mean) < 1.5
-        # All-push semantics: exactly one message per node per active
-        # round in both engines.
+        # Min-max and push-sum push from every node: exactly one message
+        # per node per active round in both engines.
         assert abs(
             vec.messages_per_node.mean - seq.messages_per_node.mean
         ) < 0.1 * seq.messages_per_node.mean
@@ -353,9 +342,11 @@ class TestVectorisedTaskRunners:
         assert s.reps == 11 and s.success_rate == 1.0
 
     def test_batched_k_rumor_distinct_sources(self):
-        from repro.sim.batch import batched_k_rumor
         from repro.sim.rng import make_rng
+        from repro.tasks.state import KRumorState
+        from repro.tasks.transports import uniform_batch_runner
 
+        batched_k_rumor = uniform_batch_runner(KRumorState)
         out = batched_k_rumor(64, 5, make_rng(0), k=16, max_rounds=0)
         # k distinct sources: exactly k held rumors at round 0, never
         # fewer (a collision would merge two columns onto one node).
@@ -363,13 +354,81 @@ class TestVectorisedTaskRunners:
         assert (out.task_error == 1.0 - 16 / (64.0 * 16)).all()
 
     def test_batched_min_max_mode_max(self):
-        from repro.sim.batch import batched_min_max
         from repro.sim.rng import make_rng
+        from repro.tasks.state import ExtremeState
+        from repro.tasks.transports import uniform_batch_runner
 
+        batched_min_max = uniform_batch_runner(ExtremeState)
         out = batched_min_max(128, 10, make_rng(0), mode="max")
         assert out.success.all()
         with pytest.raises(ValueError, match="mode"):
             batched_min_max(128, 2, make_rng(0), mode="median")
+
+
+class TestOneRowCrossTier:
+    """A one-row state runs the same on both tiers.  Two deep copies of
+    one ``reps = 1`` state, one driven through the batch task transport
+    and one through the sequential loop with the batch rounds' contacts,
+    end with bit-identical arrays and the same ledger."""
+
+    @pytest.mark.parametrize(
+        "state_type,knobs",
+        [
+            (KRumorState, {"k": 3}),
+            (PushSumState, {}),
+            (ExtremeState, {"mode": "max"}),
+        ],
+    )
+    def test_batch_transport_matches_run_uniform_task(
+        self, state_type, knobs, monkeypatch
+    ):
+        import copy
+
+        import repro.sim.batch as batch
+        from repro.sim.rng import make_rng
+        from repro.tasks.transports import run_uniform_batch, run_uniform_task
+
+        from helpers import build_sim
+
+        n = 300
+        state = state_type.batch(n, 1, make_rng(11), **knobs)
+        on_batch, on_sim = copy.deepcopy(state), copy.deepcopy(state)
+
+        contacts = []
+        draw = batch.random_targets_batch
+
+        def recorded(rng, reps, n, dtype=None):
+            targets = draw(rng, reps, n, dtype)
+            contacts.append(targets[0].astype(np.int64))
+            return targets
+
+        monkeypatch.setattr(batch, "random_targets_batch", recorded)
+        out = run_uniform_batch(on_batch, make_rng(12))
+
+        sim = build_sim(n)
+        committed = []
+        sim.add_commit_hook(lambda s: committed.append(s.metrics.rounds))
+        sim.random_targets = lambda srcs: contacts[len(committed)][srcs]
+        completion = run_uniform_task(sim, on_sim, mode="push-pull")
+
+        arrays = {
+            name: value
+            for name, value in vars(on_batch).items()
+            if isinstance(value, np.ndarray)
+        }
+        assert arrays
+        for name, value in arrays.items():
+            other = getattr(on_sim, name)
+            assert (other.dtype, other.shape) == (value.dtype, value.shape), name
+            assert other.tobytes() == value.tobytes(), name
+        m = sim.metrics
+        assert len(contacts) == m.rounds == out.rounds[0] > 0
+        assert (m.messages, m.bits, m.max_fanin) == (
+            out.messages[0],
+            out.bits[0],
+            out.max_fanin[0],
+        )
+        assert (-1 if completion is None else completion) == out.completion_round[0]
 
 
 class TestPushSumMassRestoration:

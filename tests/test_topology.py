@@ -481,10 +481,11 @@ class TestReviewHardening:
         assert (lean.informed == fresh.informed).all()
 
     def test_vector_chunking_weights_k_rumor_by_k(self):
-        from repro.sim.batch import batch_size, batched_k_rumor
+        from repro.sim.batch import batch_size
+        from repro.tasks.state import KRumorState
 
         k = 16
-        weight = batched_k_rumor.elements_per_node({"k": k})
+        weight = KRumorState.elements_per_node({"k": k})
         assert weight == k
         # The budget bounds R * n * k: with elems for exactly two reps'
         # (n, k) slabs, batches are 2 reps, not 2 * k.
