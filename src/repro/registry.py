@@ -433,7 +433,9 @@ class TaskSpec:
         already-failed, if the run has pre-run failures) network.  The
         default ``"broadcast"`` task has no factory: it is the legacy
         single-rumor path, dispatched by :func:`repro.core.broadcast`
-        itself.
+        itself.  A task that runs on the vector engine has a
+        :class:`~repro.tasks.state.TaskState` class here, whose
+        ``elements_per_node`` sizes the vector chunks.
     category:
         ``"dissemination"`` (completion = everyone holds some content) or
         ``"aggregation"`` (completion = everyone's estimate of a global

@@ -365,6 +365,7 @@ class KRumorState(TaskState):
         super().__init__(net.n)
         alive = net.alive_indices()
         check_k(k, len(alive))
+        self._start(k, message_bits)
         # Sources: the broadcast ``source`` seeds rumor 0 when alive (so
         # k=1 degenerates to the familiar single-source setting); the
         # remaining k-1 sources are distinct uniform alive nodes.
@@ -372,10 +373,9 @@ class KRumorState(TaskState):
         if source is not None and net.alive[source]:
             sources.append(int(source))
         pool = alive[~np.isin(alive, sources)]
-        extra = rng.choice(pool, size=int(k) - len(sources), replace=False)
+        extra = rng.choice(pool, size=self.k - len(sources), replace=False)
         sources.extend(int(s) for s in extra)
-        self.sources = np.asarray(sources[: int(k)], dtype=np.int64)
-        self._start(k, message_bits)
+        self.sources = np.asarray(sources[: self.k], dtype=np.int64)
         self.holds[self.sources, np.arange(self.k)] = True
         self._snap = self.holds.copy()
 
