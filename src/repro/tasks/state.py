@@ -560,7 +560,9 @@ class PushSumState(TaskState):
         np.copyto(self._est_snap, self.est)
 
     def end_round(self) -> None:
-        np.divide(self.v, self.w, out=self.est, where=self.w > WEIGHT_FLOOR)
+        held = self.w > WEIGHT_FLOOR
+        # An unmasked divide is about twice as fast as a masked one.
+        np.divide(self.v, self.w, out=self.est, where=True if held.all() else held)
 
     def all_push(self) -> bool:
         return True
@@ -614,24 +616,24 @@ class PushSumState(TaskState):
         return followers[self.w[followers] > WEIGHT_FLOOR]
 
     def _rel_err(self) -> np.ndarray:
-        """Each position's relative distance from its row's mean (inf
+        """Each position's relative distance from its row's mean (NaN
         where it holds no estimate), as ``(reps, n)``."""
         err = np.subtract(self.est.reshape(self.reps, self.n), self.mu[:, None])
         np.abs(err, out=err)
         err /= self._scale[:, None]
-        # Non-finite exactly where the estimate is (the mean and scale are
-        # finite): no estimate held.
-        err[~np.isfinite(err)] = np.inf
         return err
 
     def completion_mask(self) -> np.ndarray:
+        # NaN compares False: a node without an estimate is not done.
         return (self._rel_err() <= self.tol).ravel()
 
     def row_errors(self, alive: np.ndarray) -> np.ndarray:
         """Max relative error of the alive estimates per row (inf if any
         holds none, 0 for a row with none alive: errors are >= 0)."""
+        err = self._rel_err()
+        err[np.isnan(err)] = np.inf
         live = alive.reshape(self.reps, self.n)
-        return self._rel_err().max(axis=1, initial=0.0, where=live)
+        return err.max(axis=1, initial=0.0, where=live)
 
     def repaired_target(self, alive: np.ndarray) -> np.ndarray:
         """Per row, the self-consistent mean of the surviving injected mass.
