@@ -61,9 +61,15 @@ import numpy as np
 #: versus the old ``2**22`` cap.  Most are allocated fresh each round;
 #: the clock overlay's int64 targets and completion matrix live in a
 #: workspace held for the whole chunk
-#: (:class:`~repro.sim.schedule.BatchClockOverlay`).  Python dispatch
-#: per round is tens of microseconds, so even a few-rep chunk amortises
-#: it.
+#: (:class:`~repro.sim.schedule.BatchClockOverlay`).  Above the cap a
+#: chunk is one replication, and each intermediate is ``8 n`` bytes
+#: (2 MiB at ``n = 2**18``).  The cluster tier frees a block twice that
+#: size at each chunk's end, which lifts glibc's mmap and trim
+#: thresholds above them, so more of them reuse heap memory rather
+#: than being faulted in again
+#: (:class:`~repro.sim.batch_cluster.ClusterBatch`).
+#: Python dispatch per round is tens of microseconds, so even a few-rep
+#: chunk amortises it.
 DEFAULT_BATCH_ELEMS = 2**16
 
 
@@ -330,11 +336,13 @@ def uniform_rounds(
             break
         if graph is None:
             targets = random_targets_batch(rng, a, n)
+        else:
+            targets = graph.sample_contacts_batch(a, nodes, rng)
+        if graph is None or graph.no_void:  # no -1 draws: nothing to mask
             valid = None
             flat_t = (targets + offsets[:a]).ravel()
             arrived = flat_t
         else:
-            targets = graph.sample_contacts_batch(a, nodes, rng)
             valid = (targets >= 0).ravel()
             flat_t = (np.where(targets >= 0, targets, 0) + offsets[:a]).ravel()
             arrived = flat_t[valid]

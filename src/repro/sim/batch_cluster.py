@@ -49,6 +49,22 @@ therefore takes an ``act`` array of replication rows and charges
 rounds/messages/bits/fan-in only at those rows, so the batch stays
 correct when the recipe shrinks its active set mid-phase.
 
+Memory: the primitives allocate their ``(A * n)`` digests, flags and
+gathers fresh on every call (2 MiB each at int64 for one row of
+n = 2^18).  glibc maps a block of at least its mmap threshold on its
+own, and hands free memory at the top of its heap back to the OS once
+it exceeds the trim threshold.  Both follow the largest mapped block
+freed so far (the mmap threshold becomes its size, up to 32 MiB, and
+the trim threshold twice that; mallopt(3)).  :class:`ClusterBatch`
+therefore allocates ``follow`` and ``uid`` as the two rows of one
+``(2, R, n)`` block: freed at each chunk's end, it is the largest block
+the process frees, so the heap keeps twice as much memory at its top
+and more of the temporaries reuse it, rather than being faulted in
+again call after call.  How many still fault depends on where
+longer-lived allocations happen to sit in the heap.  At
+``R * n = 2^22`` each temporary is 32 MiB, the ceiling, so the block
+cannot lift the thresholds there.
+
 Accounting follows the engine (:mod:`repro.sim.engine`) rule for rule on
 the zero-adversity path this executor serves: every push is charged when
 sent (including ``-1`` void contacts on a restricted topology — charged,
@@ -242,7 +258,15 @@ class ClusterBatch(BatchLedger):
         self.graph = graph
         self._leaders = 0  # live clusters over all rows (see _cluster_count)
         self.sizes = MessageSizes(self.n, rumor_bits=message_bits)
-        self.follow = np.full((reps, n), UNCLUSTERED, dtype=np.int64)
+        # ``follow`` and ``uid`` are the two rows of one (2, R, n) block.
+        # Freed at the chunk's end, it is the largest block the process
+        # frees, so glibc's dynamic thresholds (mallopt(3)) lift the mmap
+        # threshold to its size (~4 MiB at R * n = 2^18) and the trim
+        # threshold to twice that (~8 MiB).  More of the primitives'
+        # per-call (A * n) temporaries then reuse heap memory instead of
+        # being faulted in again on every call (see the module docstring).
+        self.follow, self.uid = np.empty((2, reps, n), dtype=np.int64)
+        self.follow.fill(UNCLUSTERED)
         self.active = np.zeros((reps, n), dtype=bool)
         # The primitives write both through ``ravel()``, which silently
         # copies a non-contiguous array; they are only ever written in
@@ -251,8 +275,8 @@ class ClusterBatch(BatchLedger):
         # A per-replication uniform random total order over the nodes:
         # everything the algorithms do with IdSpace uids is order
         # comparisons, for which a random permutation is equidistributed.
-        self.uid = rng.permuted(
-            np.tile(np.arange(n, dtype=np.int64), (reps, 1)), axis=1
+        rng.permuted(
+            np.tile(np.arange(n, dtype=np.int64), (reps, 1)), axis=1, out=self.uid
         )
         self._cols = np.arange(n, dtype=np.int64)
         # Row/column splits of flat indices dominate the member view;

@@ -58,14 +58,3 @@ class BufferPool:
             buf = np.empty(capacity, dtype=dtype)
             self._buffers[name] = buf
         return buf[:size]
-
-    def poison(self, fill: int = -(2**31) + 1) -> None:
-        """Overwrite every held buffer with ``fill`` (tests only): any
-        consumer that reads pooled bytes it did not write this round will
-        produce garbage the reuse-poisoning test can detect."""
-        for buf in self._buffers.values():
-            buf.fill(fill)
-
-    def nbytes(self) -> int:
-        """Total bytes currently held (for memory budget reporting)."""
-        return sum(buf.nbytes for buf in self._buffers.values())

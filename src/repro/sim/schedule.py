@@ -414,10 +414,11 @@ def make_batch_overlay(
     ]
     shared = make_rng(derive_seed(base_seed, "vector-delay", str(first_rep)))
     bound = model.bind_batch(n, reps, graph, rep_rngs, shared)
-    # The complete graph (graph is None) never draws a -1 "nobody to
-    # call" sentinel, so the overlay and samplers can skip validity
-    # scans on the hot path.
-    bound.no_void = graph is None
+    # Neither the complete graph (graph is None) nor a graph without an
+    # isolated node draws a -1 "nobody to call" sentinel (the vector
+    # tier runs no crashes), so the overlay and samplers can skip
+    # validity scans on the hot path.
+    bound.no_void = graph is None or graph.no_void
     return BatchClockOverlay(bound, shared, reps, n, model=model)
 
 
@@ -457,7 +458,8 @@ class EventSchedulerSpec:
         """
         model = self.resolve_delay(net.topology)
         bound = model.bind(net.n, net.graph, rng)
-        # As in make_batch_overlay: the complete graph never draws a -1.
+        # As in make_batch_overlay, but only the complete graph: crashes
+        # can isolate a node of a bound graph here.
         bound.no_void = net.graph is None
         overlay = BatchClockOverlay(bound, rng, 1, net.n, model=model)
         contacts = None

@@ -171,6 +171,9 @@ class ContactGraph:
         #: neighbor, and the degree is a scalar draw bound.
         d0 = int(self.degrees[0]) if self.n else 0
         self._regular_degree = d0 if d0 > 0 and (self.degrees == d0).all() else None
+        #: Every node has a neighbor, so a structural draw (``alive=None``)
+        #: never returns the ``-1`` "nobody to call" sentinel.
+        self.no_void = bool((self.degrees > 0).all())
         self._edge_keys_cache: Optional[np.ndarray] = None
         self._alive_epoch: Optional[int] = None
         self._alive_indptr = self.indptr
@@ -421,7 +424,8 @@ class BatchBoundDelay:
     #: Set by :func:`repro.sim.schedule.make_batch_overlay` and
     #: :meth:`repro.sim.schedule.EventSchedulerSpec.bind` when the
     #: topology can never produce a ``-1`` "nobody to call" sentinel
-    #: (the complete graph) — samplers then skip validity scans.
+    #: (the complete graph; on the vector tier also a graph with no
+    #: isolated node) — samplers then skip validity scans.
     no_void = False
 
     def __init__(self, constant: Optional[float] = None) -> None:

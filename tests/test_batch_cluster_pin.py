@@ -406,9 +406,9 @@ def test_poisoned_overlay_workspace_changes_nothing(name, monkeypatch):
     """The overlay's workspace views are fully written before they are
     read: with every view filled with a sentinel as it is handed out, a
     full round that read a pooled byte it did not write that round
-    would move the digest.  Integer views get ``BufferPool.poison``'s
-    fill, an out-of-range node index; float views get NaN, which
-    survives the clock fold's maxima (a large negative fill would not)."""
+    would move the digest.  Integer views get an out-of-range node
+    index; float views get NaN, which survives the clock fold's maxima
+    (a large negative fill would not)."""
     take = BufferPool.take
     calls = []
 

@@ -7,16 +7,35 @@ contract: every draw is uniform over the caller's alive neighborhood,
 never the caller itself, and ``-1`` exactly when the caller has no
 alive neighbor — for a structural draw (``alive=None``) and a shared
 ``(n,)`` mask alike.
+
+A graph with no isolated node records so (``ContactGraph.no_void``):
+its structural draws never return ``-1``, so the vector tier's round
+loop takes the complete graph's unmasked path on it.  That path must
+give the masked path's outcome bit for bit, and a graph with an
+isolated node must keep charging that node's void push.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.push_pull import batched_push_pull
 from repro.sim.rng import make_rng
-from repro.sim.topology import ErdosRenyiGnp, RandomRegular, Ring, Torus2D
+from repro.sim.schedule import EventSchedulerSpec, make_batch_overlay
+from repro.sim.topology import (
+    ContactGraph,
+    ErdosRenyiGnp,
+    NodeSlowdownDelay,
+    RandomRegular,
+    Ring,
+    Torus2D,
+    _csr_from_edges,
+)
 
 N = 64
 
@@ -67,6 +86,9 @@ class TestBatchSamplingContract:
         callers = np.arange(N)
         targets = graph.sample_contacts_batch(3, callers, make_rng(seed + 1))
         assert (targets >= 0).all() or (graph.degrees == 0).any()
+        assert graph.no_void == bool((graph.degrees > 0).all())
+        if graph.no_void:
+            assert (targets >= 0).all()
         hit = targets >= 0
         rows, cols = np.nonzero(hit)
         assert graph.reachable(callers[cols], targets[rows, cols]).all()
@@ -79,3 +101,54 @@ class TestBatchSamplingContract:
         caller = np.array([10])
         targets = graph.sample_contacts_batch(400, caller, make_rng(1))
         assert set(np.unique(targets)) == set(graph.neighbors(10))
+
+
+class TestVoidFreeRounds:
+    def test_isolated_node_push_is_charged_never_delivered(self):
+        # A 5-cycle on nodes 0-4 and an isolated node 5 as the source:
+        # each round its push goes to the void (charged, undelivered)
+        # and no neighbor can pull from it.
+        n, reps, rounds = 6, 3, 7
+        u = np.arange(5)
+        graph = ContactGraph("cycle+isolated", n, *_csr_from_edges(n, u, (u + 1) % 5))
+        assert not graph.no_void
+        out = batched_push_pull(
+            n, reps, make_rng(0), source=5, max_rounds=rounds, graph=graph,
+            message_bits=16,
+        )
+        assert (out.rounds == rounds).all()
+        assert (out.messages == rounds).all()
+        assert (out.bits == rounds * 16).all()
+        assert (out.informed_counts == 1).all() and not out.success.any()
+
+    @pytest.mark.parametrize(
+        "delay", [None, NodeSlowdownDelay(base=1.0, fraction=0.02, factor=10.0)]
+    )
+    def test_unmasked_path_equals_masked_path(self, monkeypatch, delay):
+        # RandomRegular(d=8) has no isolated node: its rounds skip the
+        # validity mask, which must change nothing, clock overlay included.
+        n, reps, seed = 1000, 4, 11
+        spec = RandomRegular(d=8)
+
+        def run(no_void: bool):
+            graph = spec.bind(n, make_rng(seed))
+            assert graph.no_void
+            if not no_void:
+                monkeypatch.setattr(graph, "no_void", False)
+            overlay = None
+            if delay is not None:
+                overlay = make_batch_overlay(
+                    EventSchedulerSpec(delay=delay), spec, n, reps, graph,
+                    base_seed=seed, first_rep=0,
+                )
+            return batched_push_pull(
+                n, reps, make_rng(seed + 1), graph=graph, overlay=overlay
+            )
+
+        unmasked, masked = run(True), run(False)
+        for field in dataclasses.fields(unmasked):
+            a, b = getattr(unmasked, field.name), getattr(masked, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
