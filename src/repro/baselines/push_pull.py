@@ -1,9 +1,12 @@
 """Uniform PUSH-PULL gossip.
 
 Each round every node contacts one uniformly random node: informed nodes
-push the rumor, uninformed nodes pull it
-(:func:`repro.tasks.transports.run_uniform_task` in ``"push-pull"`` mode
-over a :class:`~repro.tasks.state.BroadcastState`).  Completes in
+push the rumor, uninformed nodes pull it.  Both tiers run the rule of
+:class:`~repro.tasks.state.BroadcastState`: the sequential one through
+:func:`repro.tasks.transports.run_uniform_task` in ``"push-pull"`` mode,
+the ``(R, n)`` vector one through
+:func:`repro.tasks.transports.run_uniform_batch`, which also runs the
+vector task runners registered here.  Completes in
 ``log3 n + O(log log n)`` rounds [10]; message-complexity ``Theta(log n)``
 per node because the uninformed keep pulling (mostly unsuccessfully) all
 along and the informed keep pushing until the end.
@@ -19,11 +22,12 @@ from repro.registry import (
     register_batch_runner,
     register_task_transport,
 )
-from repro.sim.batch import BatchLedger, BatchOutcome, resolve_sources, uniform_rounds
+from repro.sim.batch import BatchLedger, BatchOutcome
 from repro.sim.caps import round_cap
 from repro.sim.engine import Simulator
-from repro.tasks.state import ExtremeState, KRumorState, PushSumState
+from repro.tasks.state import BroadcastState, ExtremeState, KRumorState, PushSumState
 from repro.tasks.transports import (
+    run_uniform_batch,
     run_uniform_broadcast,
     run_uniform_transport,
     uniform_batch_runner,
@@ -62,79 +66,42 @@ def batched_push_pull(
     telemetry=None,
     overlay=None,
 ) -> BatchOutcome:
-    """PUSH-PULL over its full w.h.p. schedule, ``reps`` replications at
-    once in ``(reps, n)`` arrays (see :mod:`repro.sim.batch`).
+    """PUSH-PULL broadcast over its full w.h.p. schedule, ``reps``
+    replications at once: a :class:`~repro.tasks.state.BroadcastState`
+    informed at ``source`` (a uniform node per row when ``None``), run to
+    the cap by :func:`~repro.tasks.transports.run_uniform_batch` with the
+    engine's accounting — every node initiates each round (informed push,
+    uninformed pull), a push is one ``message_bits``-bit message, a pull
+    charges one response iff the responder holds the rumor, and every
+    contact counts toward its target's fan-in.  On a bound
+    :class:`~repro.sim.topology.ContactGraph` (``graph``) an isolated
+    node's ``-1`` contact is a charged-but-undelivered push (and an
+    unanswered pull), exactly the engine's restricted-topology rule.
 
-    Accounting matches the engine path message for message: every node
-    initiates each round (informed push, uninformed pull); a push is one
-    ``message_bits``-bit message; a pull charges one response iff the
-    responder holds the rumor; every contact counts toward its target's
-    fan-in.  All replications run the same fixed schedule, so the batch
-    stays rectangular and one set of numpy ops per round advances — and
-    accounts — all of them.
-
-    With a bound :class:`~repro.sim.topology.ContactGraph` (``graph``),
-    contacts come from :meth:`~repro.sim.topology.ContactGraph.sample_contacts_batch`
-    instead of the uniform draw: an isolated node's ``-1`` contact is a
-    charged-but-undelivered push (and an unanswered pull), exactly the
-    engine's restricted-topology rule.
-
-    ``telemetry`` (a :class:`repro.obs.telemetry.RunTelemetry` handle, or
-    ``None``) samples the batch every ``probe_every`` steps: mean
-    informed fraction and cumulative messages/bits over all replications
-    in the chunk, plus a forced final sample so series totals match the
-    outcome exactly.
-
-    ``overlay`` (a :class:`repro.sim.schedule.BatchClockOverlay`, or
-    ``None``) is the event tier: every round's contacts — one per node,
-    serving both the push and the pull lane — fold into the per-rep
-    clock matrix, and the outcome carries per-rep ``sim_time``.  The
-    overlay draws only from its own delay streams, so the batch's
-    rounds/messages/bits are bit-identical with it on or off.
+    ``telemetry`` (a :class:`repro.obs.telemetry.RunTelemetry` handle)
+    samples the chunk's mean informed fraction and cumulative
+    messages/bits every ``probe_every`` rounds, plus a forced final
+    sample equal to the outcome.  ``overlay`` (a
+    :class:`repro.sim.schedule.BatchClockOverlay`) folds each round's
+    contacts into the per-rep clocks and adds ``sim_time``; it draws only
+    from its own delay streams, so rounds, messages and bits are the
+    same with it on or off.
     """
-    cap = max_rounds if max_rounds is not None else round_cap("push-pull", n, graph)
-    sources = resolve_sources(source, reps, n, rng)
-    informed = np.zeros((reps, n), dtype=bool)
-    informed[np.arange(reps), sources] = True
-    flat_informed = informed.ravel()  # view — stays in sync with `informed`
-
-    def exchange(act, flat_t, valid):
-        # The schedule runs to its cap, so ``act`` is every row, every
-        # round.  Synchronous semantics: responders and push senders act
-        # on the informed set as of the round's start.
-        target_informed = flat_informed[flat_t]
-        if valid is not None:
-            target_informed &= valid
-        pull_hits = ~informed & target_informed.reshape(reps, n)
-        # Pushes + answered pulls are the content messages (a void -1
-        # push is still charged).
-        messages = informed.sum(axis=1) + pull_hits.sum(axis=1)
-        # Deliveries.  The round-start informed set is read out into the
-        # delivery index array before the scatter below mutates it, so
-        # no snapshot copy is needed.
-        deliver = flat_informed if valid is None else flat_informed & valid
-        flat_informed[flat_t[deliver]] = True
-        np.logical_or(informed, pull_hits, out=informed)
-        return messages, messages * int(message_bits)
-
+    state = BroadcastState.batch(n, reps, rng, message_bits=message_bits, source=source)
     ledger = BatchLedger(
         n,
         reps,
         telemetry=telemetry,
         overlay=overlay,
-        columns=lambda _: {"informed": float(informed.mean())},
+        columns=lambda _: {"informed": float(state.informed.mean())},
     )
-    uniform_rounds(
-        ledger,
-        rng,
-        cap,
-        exchange,
-        lambda act: informed.all(axis=1)[act],
-        graph=graph,
-        run_to_cap=True,
+    if max_rounds is None:
+        max_rounds = round_cap("push-pull", n, graph)
+    run_uniform_batch(
+        state, rng, ledger, max_rounds=max_rounds, graph=graph, run_to_cap=True
     )
-    informed_counts = informed.sum(axis=1)
-    return ledger.outcome("push-pull", informed_counts, informed_counts == n)
+    informed = state.row_counts()
+    return ledger.outcome("push-pull", informed, informed == n)
 
 
 @register_task_transport("push-pull")
@@ -150,7 +117,7 @@ def push_pull_task_transport(
 
 
 #: ``run_replications(..., task=..., engine="vector")`` entry points: the
-#: one batch task transport (:func:`repro.tasks.transports.run_uniform_batch`)
+#: one vector round loop (:func:`repro.tasks.transports.run_uniform_batch`)
 #: over each task's state — push-sum mass exchange, k-rumor all-cast,
 #: and min/max dissemination.
 for _task, _state in (

@@ -16,22 +16,21 @@ accounting in one :class:`BatchLedger`: the per-rep rounds, messages,
 bits, fan-in and completion, charged with the engine's conventions
 (:mod:`repro.sim.metrics`), a telemetry sample every ``probe_every``-th
 committed round (idle rounds included), the forced final sample, and
-the outcome itself.  The uniform random-phone-call runners share one
-round loop, :func:`uniform_rounds`: it draws one contact per node,
-hands the round to the runner's exchange step, folds it into the clock
-overlay and charges it, so a runner supplies only that step, a done
-test, its telemetry columns and its outcome extras.  Two runners use
-it: PUSH-PULL broadcast (:mod:`repro.baselines.push_pull`) and the
-batch task transport (:func:`repro.tasks.transports.run_uniform_batch`).
-The phase-structured cluster pipeline (Cluster1/Cluster2,
+the outcome itself.  The uniform random-phone-call runners — PUSH-PULL
+broadcast and its push-sum, k-rumor and min-max task runners — are one
+round loop, :func:`repro.tasks.transports.run_uniform_batch`, which
+draws each round's contacts here (:func:`random_targets_batch`, or the
+bound graph's sampler), counts their fan-in (:func:`per_rep_max_fanin`),
+folds them into the clock overlay and charges the ledger.  The
+phase-structured cluster pipeline (Cluster1/Cluster2,
 :mod:`repro.sim.batch_cluster`) charges the same ledger from its own
 primitives.
 
-This module knows no task.  What a push-sum, k-rumor or min-max message
-means (initial draws, merge, payload bits, completion, error) is written
-once, in :mod:`repro.tasks.state`, whose states hold ``R`` replication
-rows in flat arrays of ``R * n`` positions (row ``r``'s node ``i`` at
-``r * n + i``) and serve both tiers.
+This module knows no task.  What a broadcast, push-sum, k-rumor or
+min-max message means (initial draws, merge, payload bits, completion,
+error) is written once, in :mod:`repro.tasks.state`, whose states hold
+``R`` replication rows in flat arrays of ``R * n`` positions (row
+``r``'s node ``i`` at ``r * n + i``) and serve both tiers.
 
 Determinism: a batch is a deterministic function of its generator and
 shape.  The draws are made at the canonical lean index dtype (int32 for
@@ -295,71 +294,6 @@ def resolve_sources(
     return np.full(reps, int(source), dtype=np.int64)
 
 
-def uniform_rounds(
-    ledger: BatchLedger,
-    rng: np.random.Generator,
-    cap: int,
-    exchange: Callable,
-    done: Callable,
-    *,
-    graph=None,
-    run_to_cap: bool = False,
-) -> None:
-    """Up to ``cap`` random-phone-call rounds over ``ledger``'s chunk.
-
-    Each round every node of every running replication dials one
-    contact: a uniform other node, or on a bound ``graph`` a random
-    neighbour (``-1`` when it has none).  ``exchange(act, flat_t,
-    valid)`` applies the round to rows ``act`` and returns their
-    ``(messages, bits)`` charges; ``flat_t`` is each caller's rep-offset
-    flat target (``i * n + target`` for ``act[i]``) and ``valid`` masks
-    the contacts that exist (``None`` when all do).  The one contact
-    serves both the push and the pull lane: the round folds into the
-    clock overlay as one full round, and each arrived contact counts
-    toward its target's fan-in.  ``done(rows)`` tells which rows have
-    finished; the ledger records the first round it holds (0 before any
-    round), and finished rows freeze — no more contacts or charges —
-    unless ``run_to_cap`` (PUSH-PULL's fixed w.h.p. schedule).
-    """
-    n = ledger.n
-    rows = np.arange(ledger.reps, dtype=np.int64)
-    nodes = np.arange(n, dtype=np.int64)
-    # intp offsets: bincount and fancy indexing cast narrower index
-    # arrays per use, so lean dtypes lose here.
-    offsets = rows[:, None] * n
-    finished = done(rows)
-    ledger.completion[finished] = 0
-    act = rows if run_to_cap else rows[~finished]
-    for step in range(cap):
-        a = len(act)
-        if a == 0:
-            break
-        if graph is None:
-            targets = random_targets_batch(rng, a, n)
-        else:
-            targets = graph.sample_contacts_batch(a, nodes, rng)
-        if graph is None or graph.no_void:  # no -1 draws: nothing to mask
-            valid = None
-            flat_t = (targets + offsets[:a]).ravel()
-            arrived = flat_t
-        else:
-            valid = (targets >= 0).ravel()
-            flat_t = (np.where(targets >= 0, targets, 0) + offsets[:a]).ravel()
-            arrived = flat_t[valid]
-        # Fan-in first: its bincount is freed before the exchange step
-        # allocates, which measured fewer page faults per round.
-        fan = per_rep_max_fanin(arrived, a, n)
-        msgs, bits = exchange(act, flat_t, valid)
-        if ledger.overlay is not None:
-            # A void -1 target occupies its caller without delivering.
-            ledger.overlay.full_round(act, targets, valid)
-        finished = done(act)
-        ledger.completion[act[finished & (ledger.completion[act] < 0)]] = step + 1
-        ledger.charge(act, msgs, bits, fan)
-        if not run_to_cap:
-            act = act[~finished]
-
-
 def is_integer(value) -> bool:
     """Whether ``value`` is an int or a numpy integer (never a ``bool``)."""
     return isinstance(value, (int, np.integer)) and not isinstance(
@@ -382,9 +316,10 @@ def check_max_rounds(max_rounds: "int | None") -> None:
     ``None`` (run the default schedule) passes; anything else must be a
     non-negative integer (numpy integers included), or a one-line
     ``ValueError`` is raised.  The run-config check
-    (:func:`repro.core.broadcast.check_config`), the sequential round
-    loop that plugin algorithms call directly
-    (:func:`~repro.tasks.transports.run_uniform_task`) and the
+    (:func:`repro.core.broadcast.check_config`), the uniform round loops
+    that plugin algorithms and batch runners call directly
+    (:func:`~repro.tasks.transports.run_uniform_task`,
+    :func:`~repro.tasks.transports.run_uniform_batch`) and the
     median-counter loop call this, so a bad cap is one config error
     everywhere rather than a negative round count, a silently rounded-up
     float or a traceback from ``range()``.

@@ -28,13 +28,14 @@ Per-row constants (push-sum's mean and scale, min-max's target) are
 length-``reps`` arrays, and :meth:`TaskState.row_counts` /
 :meth:`TaskState.row_errors` report per row.  The sequential tier is
 the ``reps = 1`` case, where a position is a node index: the factories
-(``KRumorState(net, rng, ...)``) build it, and
-:func:`repro.tasks.transports.run_uniform_task` (uniform random calls)
-and :func:`repro.tasks.transports.run_cluster_task` (the paper's
+(``KRumorState(net, rng, ...)``, ``BroadcastState(net, source)``) build
+it, and :func:`repro.tasks.transports.run_uniform_task` (uniform random
+calls) and :func:`repro.tasks.transports.run_cluster_task` (the paper's
 cluster structure) drive it.  Each built-in state's ``batch``
 constructor draws ``reps`` rows at once, all nodes alive, and
-:func:`repro.tasks.transports.run_uniform_batch` drives them over
-:func:`repro.sim.batch.uniform_rounds`.
+:func:`repro.tasks.transports.run_uniform_batch`, the vector tier's one
+uniform round loop, drives them: broadcast included, so the PUSH-PULL
+broadcast's vector runner is that loop over a :class:`BroadcastState`.
 
 Synchronous semantics: a transport brackets every engine round with
 :meth:`TaskState.begin_round` / :meth:`TaskState.end_round`.  Payloads
@@ -87,10 +88,25 @@ def check_mode(mode) -> None:
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
 
 
+def _is_mask(positions) -> bool:
+    """Whether ``positions`` is a boolean mask over every position."""
+    return isinstance(positions, np.ndarray) and positions.dtype == bool
+
+
+def _paired(values: np.ndarray, positions) -> np.ndarray:
+    """The entries of ``values`` that pair with ``positions``: ``values``
+    itself for an index array (one entry per index), the selected
+    entries for a slice or a mask (one entry per position)."""
+    if isinstance(positions, slice) or _is_mask(positions):
+        return values[positions]
+    return values
+
+
 def _delivered(token, srcs):
     """The staged payloads of the delivered senders ``srcs``: all of them
     when the transport hands back the staged senders themselves (the
-    batch tier's whole-row path), else a subset found by binary search."""
+    batch tier's whole-row path, whose slices and masks always are), else
+    a subset found by binary search."""
     staged_srcs, *staged = token
     if srcs is staged_srcs:
         return staged
@@ -100,8 +116,13 @@ def _delivered(token, srcs):
 
 def _take(matrix: np.ndarray, nodes) -> np.ndarray:
     """``matrix``'s rows at ``nodes``: a view for a slice, else one
-    ``np.take`` (fancy-indexing short rows costs about ten times as much)."""
-    return matrix[nodes] if isinstance(nodes, slice) else np.take(matrix, nodes, axis=0)
+    ``np.compress`` (a mask) or ``np.take`` (indices): fancy- or
+    mask-indexing short rows costs about ten times as much."""
+    if isinstance(nodes, slice):
+        return matrix[nodes]
+    if _is_mask(nodes):
+        return np.compress(nodes, matrix, axis=0)
+    return np.take(matrix, nodes, axis=0)
 
 
 def _fold_columns(op, matrix: np.ndarray, dtype=bool) -> np.ndarray:
@@ -119,10 +140,15 @@ class TaskState(abc.ABC):
 
     Subclasses hold numpy arrays over ``reps * n`` positions (or
     ``(reps * n, k)``) and implement the content/merge/evaluation
-    surface the transports drive.  ``nodes``/``srcs`` arguments are
-    sorted unique positions: index arrays (transports build them with
-    ``np.flatnonzero``), or ``slice(None)`` for every position, which
-    reads whole rows as views.
+    surface the transports drive.  ``nodes``/``srcs``/``receivers``
+    arguments select positions in one of three forms: sorted unique
+    index arrays (the sequential tier, and the batch tier on a subset of
+    rows), ``slice(None)`` for every position (whole rows, read as
+    views), or a boolean mask over every position (whole rows).  An
+    array paired with them (``dsts``, ``responders``) has one entry per
+    index for an index array and one per position for a slice or a
+    mask, of which only the selected ones are read; :func:`_paired`
+    picks those out.
     """
 
     #: Registered task name (stamped into reports).
@@ -252,10 +278,10 @@ class TaskState(abc.ABC):
         idx = np.flatnonzero(alive)
         return bool(self.completion_mask()[idx].all()) if len(idx) else True
 
-    def row_counts(self, rows=None) -> np.ndarray:
-        """Complete positions per row of ``rows`` (default: every row)."""
+    def row_counts(self) -> np.ndarray:
+        """Complete positions per row."""
         done = self.completion_mask().reshape(self.reps, self.n)
-        return np.count_nonzero(done if rows is None else done[rows], axis=1)
+        return np.count_nonzero(done, axis=1)
 
     def row_errors(self, alive: np.ndarray) -> np.ndarray:
         """Per row, the distance from completion over the ``alive``
@@ -320,6 +346,26 @@ class BroadcastState(TaskState):
         self.informed[source] = net.alive[source]
         self._snap = self.informed.copy()
 
+    @classmethod
+    def batch(
+        cls,
+        n: int,
+        reps: int,
+        rng: np.random.Generator,
+        *,
+        message_bits: int = 256,
+        source: Optional[int] = 0,
+    ) -> "BroadcastState":
+        """``reps`` rows, every node alive, each informed at ``source`` (a
+        uniform node per row when ``None``)."""
+        state = cls._rows(n, reps)
+        state.rumor_bits = int(message_bits)
+        state.informed = np.zeros(reps * n, dtype=bool)
+        sources = resolve_sources(source, reps, n, rng)
+        state.informed[np.arange(reps, dtype=np.int64) * n + sources] = True
+        state._snap = state.informed.copy()
+        return state
+
     def begin_round(self) -> None:
         np.copyto(self._snap, self.informed)
 
@@ -333,10 +379,16 @@ class BroadcastState(TaskState):
         return None
 
     def finish_push(self, token, srcs: np.ndarray, dsts: np.ndarray) -> None:
-        self.informed[dsts] = True
+        if not self.informed.all():  # else a push informs no one new
+            self.informed[_paired(dsts, srcs)] = True
 
     def deliver_pull(self, receivers: np.ndarray, responders: np.ndarray) -> None:
-        self.informed[receivers] = True
+        # The rumor is all a response carries: who answered is enough.
+        if _is_mask(receivers):
+            # An OR pass: a masked store branches on every position.
+            np.logical_or(self.informed, receivers, out=self.informed)
+        else:
+            self.informed[receivers] = True
 
     def completion_mask(self) -> np.ndarray:
         return self.informed
@@ -436,12 +488,17 @@ class KRumorState(TaskState):
 
     def finish_push(self, token, srcs, dsts: np.ndarray) -> None:
         (rows,) = _delivered(token, srcs)
+        dsts = _paired(dsts, srcs)
         # OR is exact in any order: one scatter per rumor.
         for j in range(self.k):
             column = self.holds[:, j]
             column[dsts[rows[:, j]]] = True
 
     def deliver_pull(self, receivers: np.ndarray, responders: np.ndarray) -> None:
+        if _is_mask(receivers):
+            # Short rows store through indices several times faster.
+            receivers = np.flatnonzero(receivers)
+            responders = responders[receivers]
         merged = np.take(self._snap, responders, axis=0)
         merged |= np.take(self.holds, receivers, axis=0)
         self.holds[receivers] = merged
@@ -594,6 +651,7 @@ class PushSumState(TaskState):
 
     def finish_push(self, token, srcs, dsts: np.ndarray) -> None:
         v_out, w_out = _delivered(token, srcs)
+        dsts = _paired(dsts, srcs)
         np.add.at(self.v, dsts, v_out)
         np.add.at(self.w, dsts, w_out)
 
@@ -601,7 +659,7 @@ class PushSumState(TaskState):
         # Mass cannot move through a pull response without the responder
         # splitting among an unknown number of pullers; push-sum only
         # disseminates *estimates* on the pull path.
-        self.adopt(receivers, responders)
+        self.adopt(receivers, _paired(responders, receivers))
 
     def estimate_mask(self, nodes: np.ndarray) -> np.ndarray:
         return np.isfinite(self._est_snap[nodes])
@@ -759,11 +817,11 @@ class ExtremeState(TaskState):
 
     def finish_push(self, token, srcs, dsts: np.ndarray) -> None:
         (staged,) = _delivered(token, srcs)
-        self._merge_at(self.best, dsts, staged)
+        self._merge_at(self.best, _paired(dsts, srcs), staged)
 
     def deliver_pull(self, receivers: np.ndarray, responders: np.ndarray) -> None:
         self.best[receivers] = self._merge(
-            self.best[receivers], self._snap[responders]
+            self.best[receivers], self._snap[_paired(responders, receivers)]
         )
 
     def completion_mask(self) -> np.ndarray:

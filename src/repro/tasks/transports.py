@@ -37,9 +37,13 @@ patterns cover the registered algorithms:
     same role split and the same state methods as
     :func:`run_uniform_task` in ``"push-pull"`` mode, over ``R``
     replication rows of one state (:mod:`repro.tasks.state`'s row
-    layout) driven by :func:`repro.sim.batch.uniform_rounds`.  It is
-    PUSH-PULL's batch runner for every task but broadcast
-    (:func:`uniform_batch_runner`).
+    layout).  It is the vector tier's one uniform round loop: the
+    PUSH-PULL broadcast runner
+    (:func:`repro.baselines.push_pull.batched_push_pull`) drives it over
+    a :class:`~repro.tasks.state.BroadcastState` and PUSH-PULL's task
+    runners (:func:`uniform_batch_runner`) over each task's state; each
+    entry point builds its own :class:`~repro.sim.batch.BatchLedger` and
+    outcome.
 
 The sequential transports merge each round's deliveries inside its
 ``with sim.round(...)`` block, record the task's error after every
@@ -56,7 +60,13 @@ import numpy as np
 
 from repro.core.clustering import Clustering
 from repro.core.result import AlgorithmReport, report_from_sim
-from repro.sim.batch import BatchLedger, BatchOutcome, check_max_rounds, uniform_rounds
+from repro.sim.batch import (
+    BatchLedger,
+    BatchOutcome,
+    check_max_rounds,
+    per_rep_max_fanin,
+    random_targets_batch,
+)
 from repro.sim.caps import round_cap
 from repro.sim.engine import Simulator
 from repro.tasks.state import BroadcastState, TaskState
@@ -187,6 +197,149 @@ def run_uniform_task(
     return completion
 
 
+def _row_charges(a: int, n: int, bits, mask) -> tuple:
+    """Per row of an ``(a * n)`` block: how many of its ``mask``ed
+    messages there are (every position when ``None``) and their total
+    ``bits`` (one size for all, or one per position)."""
+    scalar = np.ndim(bits) == 0
+    if mask is None:
+        return n, n * bits if scalar else bits.reshape(a, n).sum(axis=1)
+    count = np.count_nonzero(mask.reshape(a, n), axis=1)
+    if scalar:
+        return count, count * bits
+    return count, np.where(mask, bits, 0).reshape(a, n).sum(axis=1)
+
+
+def _select(where, dsts: np.ndarray, mask):
+    """The positions of ``where`` that ``mask`` (a block-local mask, or
+    ``None`` for all) selects, with their contacts ``dsts``: on whole rows
+    (``where`` is a slice) the mask itself and the contacts as they stand,
+    on a subset of rows index arrays."""
+    if mask is None:
+        return where, dsts
+    if isinstance(where, slice):
+        return mask, dsts
+    local = np.flatnonzero(mask)
+    return where[local], dsts[local]
+
+
+def _exchange(state: TaskState, act: np.ndarray, flat_t: np.ndarray, valid) -> tuple:
+    """One round of :func:`run_uniform_batch` at rows ``act`` over the
+    block-local contacts ``flat_t`` (``valid`` masks the ones that exist,
+    ``None`` when all do); returns each row's ``(messages, bits)``.
+
+    A function of its own so that the round's temporaries are freed
+    before the next round draws: kept alive into it, they took a 16-rep
+    push-pull call at n = 2^14 from about 3k to 14k minor page faults."""
+    n, a = state.n, len(act)
+    if a == state.reps:
+        # Whole rows: the block is the state's own positions.
+        where, dsts = slice(None), flat_t
+    else:
+        # Block row i is state row act[i]: shift it by (act[i] - i) * n.
+        where = (act[:, None] * n + np.arange(n)).ravel()
+        dsts = (flat_t.reshape(a, n) + (act - np.arange(a))[:, None] * n).ravel()
+    state.begin_round()
+    payload = state.payload_bits(where)
+    if state.all_push():
+        content, senders = None, valid
+    else:
+        content = state.has_content(where)
+        senders = content if valid is None else content & valid
+    pushers, to = _select(where, dsts, senders)
+    state.finish_push(state.begin_push(pushers), pushers, to)
+    msgs, bits = _row_charges(a, n, payload, content)
+    if content is not None and not content.all():  # someone pulls
+        # Block-local reads: a contact stays inside its row.
+        answered = ~content & content[flat_t]
+        if valid is not None:
+            answered &= valid
+        state.deliver_pull(*_select(where, dsts, answered))
+        responses, response_bits = _row_charges(
+            a, n, payload if np.ndim(payload) == 0 else payload[flat_t], answered
+        )
+        msgs, bits = msgs + responses, bits + response_bits
+    state.end_round()
+    return msgs, bits
+
+
+def run_uniform_batch(
+    state: TaskState,
+    rng: np.random.Generator,
+    ledger: BatchLedger,
+    *,
+    max_rounds: Optional[int] = None,
+    graph=None,
+    run_to_cap: bool = False,
+) -> None:
+    """Drive every row of ``state`` over uniform PUSH-PULL calls and
+    charge them to ``ledger``: the vector tier's one uniform round loop.
+
+    Each round every node of every running row dials one contact: a
+    uniform other node of its row, or on a bound ``graph`` a random
+    neighbour (``-1`` when it has none).  Content holders push through
+    :meth:`~TaskState.begin_push` / :meth:`~TaskState.finish_push`
+    (everyone, under :meth:`~TaskState.all_push`), the others pull from
+    their contact through :meth:`~TaskState.has_content` /
+    :meth:`~TaskState.deliver_pull`, and each row is charged its pushes
+    plus its answered pulls at their :meth:`~TaskState.payload_bits` —
+    the engine's rule, so a one-row state given the same contacts ends
+    exactly as :func:`run_uniform_task` leaves it.  A void ``-1`` contact
+    is charged but never delivered, and a pull through it goes
+    unanswered.  The one contact serves both lanes: the round folds into
+    the ledger's clock overlay as one full round, and each arrived
+    contact counts toward its target's fan-in.
+
+    The ledger records the first round after which every node of a row
+    is complete (0 before any round).  A finished row freezes — no more
+    contacts or charges — unless ``run_to_cap`` (a fixed schedule with no
+    local stopping rule, as PUSH-PULL broadcast's).  ``max_rounds``
+    defaults to the task's :meth:`~TaskState.cap_schedule`.
+    """
+    check_max_rounds(max_rounds)
+    n, reps = state.n, state.reps
+    if max_rounds is None:
+        schedule, knobs = state.cap_schedule()
+        max_rounds = round_cap(schedule, n, graph, **knobs)
+    rows = np.arange(reps, dtype=np.int64)
+    nodes = np.arange(n, dtype=np.int64)
+    # intp offsets: bincount and fancy indexing cast narrower index
+    # arrays per use, so lean dtypes lose here.
+    offsets = rows[:, None] * n
+    done = state.completion_mask().reshape(reps, n).all(axis=1)
+    ledger.completion[done] = 0
+    act = rows if run_to_cap else rows[~done]
+    for step in range(max_rounds):
+        a = len(act)
+        if a == 0:
+            break
+        if graph is None:
+            targets = random_targets_batch(rng, a, n)
+        else:
+            targets = graph.sample_contacts_batch(a, nodes, rng)
+        # Block-local contacts: row i of the block is row act[i].
+        if graph is None or graph.no_void:  # no -1 draws: nothing to mask
+            valid = None
+            flat_t = (targets + offsets[:a]).ravel()
+            arrived = flat_t
+        else:
+            valid = (targets >= 0).ravel()
+            flat_t = (np.where(targets >= 0, targets, 0) + offsets[:a]).ravel()
+            arrived = flat_t[valid]
+        # Fan-in first: its bincount is freed before the exchange
+        # allocates, which measured fewer page faults per round.
+        fan = per_rep_max_fanin(arrived, a, n)
+        msgs, bits = _exchange(state, act, flat_t, valid)
+        if ledger.overlay is not None:
+            # A void -1 target occupies its caller without delivering.
+            ledger.overlay.full_round(act, targets, valid)
+        done = state.completion_mask().reshape(reps, n).all(axis=1)[act]
+        ledger.completion[act[done & (ledger.completion[act] < 0)]] = step + 1
+        ledger.charge(act, msgs, bits, fan)
+        if not run_to_cap:
+            act = act[~done]
+
+
 def run_uniform_transport(
     sim: Simulator,
     state: TaskState,
@@ -220,6 +373,56 @@ def run_uniform_broadcast(
             sim, state, mode=mode, max_rounds=max_rounds, run_to_cap=True, name=mode
         )
     return report_from_sim(mode, sim, state.informed, completion_round=completion)
+
+
+def uniform_batch_runner(state_type: type) -> Callable[..., BatchOutcome]:
+    """PUSH-PULL's batch runner for the task whose state is ``state_type``:
+    its ``batch`` constructor draws the rows, :func:`run_uniform_batch`
+    runs them, each row stopped at its completion.
+
+    ``telemetry`` (a :class:`repro.obs.telemetry.RunTelemetry` handle)
+    samples the mean ``task_error`` over the rows and the count of
+    ``active_reps``; ``overlay`` (a
+    :class:`repro.sim.schedule.BatchClockOverlay`) folds each round into
+    the per-row clocks, never drawing from ``rng``.
+    """
+
+    def runner(
+        n: int,
+        reps: int,
+        rng: np.random.Generator,
+        *,
+        message_bits: int = 256,
+        source: Optional[int] = 0,
+        max_rounds: Optional[int] = None,
+        telemetry=None,
+        overlay=None,
+        **task_kwargs,
+    ) -> BatchOutcome:
+        state = state_type.batch(
+            n, reps, rng, message_bits=message_bits, source=source, **task_kwargs
+        )
+        everyone = np.ones(reps * n, dtype=bool)
+
+        def columns(ledger: BatchLedger) -> dict:
+            return {
+                "task_error": float(state.row_errors(everyone).mean()),
+                "active_reps": int(np.count_nonzero(ledger.completion < 0)),
+            }
+
+        ledger = BatchLedger(
+            n, reps, telemetry=telemetry, overlay=overlay, columns=columns
+        )
+        run_uniform_batch(state, rng, ledger, max_rounds=max_rounds)
+        return ledger.outcome(
+            "push-pull",
+            state.row_counts(),
+            ledger.completion >= 0,
+            task_error=state.row_errors(everyone),
+            **state.row_error_breakdown(everyone),
+        )
+
+    return runner
 
 
 def run_cluster_task(
@@ -341,131 +544,3 @@ def run_cluster_task(
                 sim.emit("task.catchup", pending=len(pending))
 
     return _finish_report(sim, state, completion())
-
-
-def _row_charges(a: int, n: int, bits, mask) -> tuple:
-    """Per row of an ``(a * n)`` block: how many of its ``mask``ed
-    messages there are (every position when ``None``) and their total
-    ``bits`` (one size for all, or one per position)."""
-    scalar = np.ndim(bits) == 0
-    if mask is None:
-        return n, n * bits if scalar else bits.reshape(a, n).sum(axis=1)
-    count = np.count_nonzero(mask.reshape(a, n), axis=1)
-    if scalar:
-        return count, count * bits
-    return count, np.where(mask, bits, 0).reshape(a, n).sum(axis=1)
-
-
-def run_uniform_batch(
-    state: TaskState,
-    rng: np.random.Generator,
-    *,
-    max_rounds: Optional[int] = None,
-    telemetry=None,
-    overlay=None,
-) -> BatchOutcome:
-    """Drive every row of ``state`` over uniform PUSH-PULL calls, stopped
-    per row at completion: the batch tier's task transport.
-
-    Each round (:func:`~repro.sim.batch.uniform_rounds`) every node of
-    every running row dials one uniform other node of its row.  Content
-    holders push through :meth:`~TaskState.begin_push` /
-    :meth:`~TaskState.finish_push` (everyone, under
-    :meth:`~TaskState.all_push`), the others pull from their contact
-    through :meth:`~TaskState.has_content` /
-    :meth:`~TaskState.deliver_pull`, and each row is charged its pushes
-    plus its answered pulls at their :meth:`~TaskState.payload_bits` —
-    the engine's rule, so a one-row state given the same contacts ends
-    exactly as :func:`run_uniform_task` leaves it.  A row freezes (no
-    more contacts or charges) once every node in it is complete.
-    ``max_rounds`` defaults to the task's :meth:`~TaskState.cap_schedule`.
-
-    ``telemetry`` (a :class:`repro.obs.telemetry.RunTelemetry` handle)
-    samples the mean ``task_error`` over the rows and the count of
-    ``active_reps``; ``overlay`` (a
-    :class:`repro.sim.schedule.BatchClockOverlay`) folds each round into
-    the per-row clocks, never drawing from ``rng``.
-    """
-    n, reps = state.n, state.reps
-    if max_rounds is None:
-        schedule, knobs = state.cap_schedule()
-        max_rounds = round_cap(schedule, n, **knobs)
-    everyone = np.ones(reps * n, dtype=bool)
-    positions = np.arange(reps * n, dtype=np.int64)
-
-    def exchange(act, flat_t, valid):
-        a = len(act)
-        if a == reps:
-            # Whole-row path: the chunk-local targets are the state's
-            # positions, and full-row reads are views.
-            nodes, dsts = slice(None), flat_t
-        else:
-            shift = np.repeat((act - np.arange(a)) * n, n)
-            nodes, dsts = positions[: a * n] + shift, flat_t + shift
-        state.begin_round()
-        payload = state.payload_bits(nodes)
-        if state.all_push():
-            state.finish_push(state.begin_push(nodes), nodes, dsts)
-            msgs, bits = _row_charges(a, n, payload, None)
-        else:
-            content = state.has_content(nodes)
-            local = np.flatnonzero(content)
-            pushers = local if a == reps else nodes[local]
-            state.finish_push(state.begin_push(pushers), pushers, dsts[local])
-            # Block-local reads: a contact stays inside its row.
-            answered = ~content & content[flat_t]
-            local = np.flatnonzero(answered)
-            receivers = local if a == reps else nodes[local]
-            state.deliver_pull(receivers, dsts[local])
-            msgs, bits = _row_charges(a, n, payload, content)
-            responses, response_bits = _row_charges(
-                a, n, payload if np.ndim(payload) == 0 else payload[flat_t], answered
-            )
-            msgs, bits = msgs + responses, bits + response_bits
-        state.end_round()
-        return msgs, bits
-
-    def columns(ledger: BatchLedger) -> dict:
-        return {
-            "task_error": float(state.row_errors(everyone).mean()),
-            "active_reps": int(np.count_nonzero(ledger.completion < 0)),
-        }
-
-    ledger = BatchLedger(n, reps, telemetry=telemetry, overlay=overlay, columns=columns)
-    uniform_rounds(
-        ledger, rng, max_rounds, exchange, lambda rows: state.row_counts(rows) == n
-    )
-    return ledger.outcome(
-        "push-pull",
-        state.row_counts(),
-        ledger.completion >= 0,
-        task_error=state.row_errors(everyone),
-        **state.row_error_breakdown(everyone),
-    )
-
-
-def uniform_batch_runner(state_type: type) -> Callable[..., BatchOutcome]:
-    """PUSH-PULL's batch runner for the task whose state is ``state_type``:
-    its ``batch`` constructor draws the rows, :func:`run_uniform_batch`
-    runs them."""
-
-    def runner(
-        n: int,
-        reps: int,
-        rng: np.random.Generator,
-        *,
-        message_bits: int = 256,
-        source: Optional[int] = 0,
-        max_rounds: Optional[int] = None,
-        telemetry=None,
-        overlay=None,
-        **task_kwargs,
-    ) -> BatchOutcome:
-        state = state_type.batch(
-            n, reps, rng, message_bits=message_bits, source=source, **task_kwargs
-        )
-        return run_uniform_batch(
-            state, rng, max_rounds=max_rounds, telemetry=telemetry, overlay=overlay
-        )
-
-    return runner

@@ -386,6 +386,24 @@ class TestRunSpecReplication:
                 64, "push-pull", reps=2, engine=engine, task=task, max_rounds=max_rounds
             )
 
+    @pytest.mark.parametrize("task", ["broadcast", "push-sum", "min-max", "k-rumor"])
+    @pytest.mark.parametrize("max_rounds", [-1, 2.5])
+    def test_bad_max_rounds_rejected_by_direct_batch_runners(self, task, max_rounds):
+        # The batch runners are public entry points too (tests and
+        # third-party tasks build them with uniform_batch_runner): the one
+        # vector round loop checks the cap, as run_uniform_task does.
+        from repro.baselines.push_pull import batched_push_pull
+        from repro.tasks.state import ExtremeState, KRumorState, PushSumState
+        from repro.tasks.transports import uniform_batch_runner
+
+        states = {"push-sum": PushSumState, "min-max": ExtremeState, "k-rumor": KRumorState}
+        runner = (
+            batched_push_pull if task == "broadcast" else uniform_batch_runner(states[task])
+        )
+        match = f"^max_rounds must be a non-negative integer, got {max_rounds}$"
+        with pytest.raises(ValueError, match=match):
+            runner(64, 2, make_rng(0), max_rounds=max_rounds)
+
     @pytest.mark.parametrize("engine", ["vector", "reset"])
     def test_numpy_integer_max_rounds_accepted(self, engine):
         summary = run_replications(

@@ -30,7 +30,7 @@ from repro.registry import (
     task_names,
     unregister_task,
 )
-from repro.tasks.state import ExtremeState, KRumorState, PushSumState
+from repro.tasks.state import BroadcastState, ExtremeState, KRumorState, PushSumState
 
 TASK_MATRIX = [
     ("k-rumor", {"k": 4}),
@@ -367,13 +367,14 @@ class TestVectorisedTaskRunners:
 
 class TestOneRowCrossTier:
     """A one-row state runs the same on both tiers.  Two deep copies of
-    one ``reps = 1`` state, one driven through the batch task transport
-    and one through the sequential loop with the batch rounds' contacts,
+    one ``reps = 1`` state, one driven through the vector round loop and
+    one through the sequential loop with the batch rounds' contacts,
     end with bit-identical arrays and the same ledger."""
 
     @pytest.mark.parametrize(
         "state_type,knobs",
         [
+            (BroadcastState, {}),
             (KRumorState, {"k": 3}),
             (PushSumState, {}),
             (ExtremeState, {"mode": "max"}),
@@ -384,9 +385,9 @@ class TestOneRowCrossTier:
     ):
         import copy
 
-        import repro.sim.batch as batch
+        import repro.tasks.transports as transports
+        from repro.sim.batch import BatchLedger
         from repro.sim.rng import make_rng
-        from repro.tasks.transports import run_uniform_batch, run_uniform_task
 
         from helpers import build_sim
 
@@ -395,21 +396,22 @@ class TestOneRowCrossTier:
         on_batch, on_sim = copy.deepcopy(state), copy.deepcopy(state)
 
         contacts = []
-        draw = batch.random_targets_batch
+        draw = transports.random_targets_batch
 
         def recorded(rng, reps, n, dtype=None):
             targets = draw(rng, reps, n, dtype)
             contacts.append(targets[0].astype(np.int64))
             return targets
 
-        monkeypatch.setattr(batch, "random_targets_batch", recorded)
-        out = run_uniform_batch(on_batch, make_rng(12))
+        monkeypatch.setattr(transports, "random_targets_batch", recorded)
+        ledger = BatchLedger(n, 1, columns=lambda _: {})
+        transports.run_uniform_batch(on_batch, make_rng(12), ledger)
 
         sim = build_sim(n)
         committed = []
         sim.add_commit_hook(lambda s: committed.append(s.metrics.rounds))
         sim.random_targets = lambda srcs: contacts[len(committed)][srcs]
-        completion = run_uniform_task(sim, on_sim, mode="push-pull")
+        completion = transports.run_uniform_task(sim, on_sim, mode="push-pull")
 
         arrays = {
             name: value
@@ -422,13 +424,53 @@ class TestOneRowCrossTier:
             assert (other.dtype, other.shape) == (value.dtype, value.shape), name
             assert other.tobytes() == value.tobytes(), name
         m = sim.metrics
-        assert len(contacts) == m.rounds == out.rounds[0] > 0
+        assert len(contacts) == m.rounds == ledger.rounds[0] > 0
         assert (m.messages, m.bits, m.max_fanin) == (
-            out.messages[0],
-            out.bits[0],
-            out.max_fanin[0],
+            ledger.messages[0],
+            ledger.bits[0],
+            ledger.max_fanin[0],
         )
-        assert (-1 if completion is None else completion) == out.completion_round[0]
+        assert (-1 if completion is None else completion) == ledger.completion[0]
+
+
+class TestWholeRowForms:
+    """On whole rows the vector round loop hands the split-role states
+    boolean masks over every position, with every position's contact;
+    index arrays with their paired contacts must leave the same state,
+    round after round."""
+
+    @pytest.mark.parametrize(
+        "state_type,knobs", [(BroadcastState, {}), (KRumorState, {"k": 3})]
+    )
+    def test_masks_match_index_arrays(self, state_type, knobs):
+        import copy
+
+        from repro.sim.batch import random_targets_batch
+        from repro.sim.rng import make_rng
+
+        n, reps = 200, 3
+        state = state_type.batch(n, reps, make_rng(5), source=None, **knobs)
+        by_mask, by_index = copy.deepcopy(state), copy.deepcopy(state)
+        rng = make_rng(6)
+        offsets = np.arange(reps)[:, None] * n
+        for _ in range(8):
+            contacts = (random_targets_batch(rng, reps, n) + offsets).ravel()
+            for s, masks in ((by_mask, True), (by_index, False)):
+                s.begin_round()
+                content = s.has_content(slice(None))
+                answered = ~content & content[contacts]
+                if masks:
+                    pushers, pushed, pullers, pulled = content, contacts, answered, contacts
+                else:
+                    pushers, pullers = np.flatnonzero(content), np.flatnonzero(answered)
+                    pushed, pulled = contacts[pushers], contacts[pullers]
+                s.finish_push(s.begin_push(pushers), pushers, pushed)
+                s.deliver_pull(pullers, pulled)
+                s.end_round()
+            for name, value in vars(by_mask).items():
+                if isinstance(value, np.ndarray):
+                    assert value.tobytes() == getattr(by_index, name).tobytes(), name
+        assert by_mask.row_counts().sum() > state.row_counts().sum()
 
 
 class TestPushSumMassRestoration:
