@@ -21,8 +21,6 @@ sentinel for nodes that received nothing.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 #: Sentinel for "received nothing" in index-valued outputs.
@@ -86,27 +84,3 @@ def receive_min_by_key(
     np.minimum.at(best, dsts[won], values[won])
     out[dsts] = best[dsts]
     return out
-
-
-def receive_all_sorted(
-    dsts: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group deliveries by destination.
-
-    Returns ``(unique_dsts, start_offsets, sorted_values)`` such that the
-    values received by ``unique_dsts[i]`` are
-    ``sorted_values[start_offsets[i]:start_offsets[i+1]]``.  Used by
-    node-granular protocols (Name-Dropper) where the full multiset matters.
-    """
-    if len(dsts) == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    order = np.argsort(dsts, kind="stable")
-    d = dsts[order]
-    v = values[order]
-    uniq, starts = np.unique(d, return_index=True)
-    offsets = np.append(starts, len(d)).astype(np.int64)
-    return uniq.astype(np.int64), offsets, v

@@ -78,16 +78,8 @@ class MessageSizes:
         """Bits for a message carrying the broadcast payload."""
         return self.rumor_bits
 
-    def rumor_with_ids(self, k: int) -> int:
-        """Bits for rumor plus ``k`` piggybacked IDs (used by baselines)."""
-        return self.rumor_bits + self.ids(k)
-
     def counter(self) -> int:
         """Bits for a round/state counter (used by median-counter [10])."""
         # Counters in [10] are O(log log n); a count_bits field is a safe
         # over-approximation and keeps the accounting simple.
         return self.count_bits
-
-    def is_minimal(self, bits: int) -> bool:
-        """True when ``bits`` is O(log n)-sized (id, count, or flag)."""
-        return bits <= 4 * self.id_bits

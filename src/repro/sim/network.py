@@ -223,14 +223,6 @@ class Network:
     # Addressing helpers
     # ------------------------------------------------------------------
 
-    def uid_of(self, index: int) -> int:
-        """The O(log n)-bit address of node ``index``."""
-        return int(self.uid[index])
-
-    def index_by_uid(self) -> dict:
-        """uid -> index map (built on demand; not used on hot paths)."""
-        return {int(u): i for i, u in enumerate(self.uid)}
-
     def min_uid_index(self, indices: Optional[np.ndarray] = None) -> int:
         """Index of the node with the smallest uid among ``indices``.
 

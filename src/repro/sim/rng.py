@@ -9,7 +9,7 @@ changing the number of draws in one phase never perturbs another.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Union
 
 import numpy as np
 
@@ -78,10 +78,3 @@ def derive_seed(base_seed: int, *parts: object) -> int:
     """Deterministically combine ``base_seed`` with arbitrary labels."""
     label = "/".join(str(p) for p in parts)
     return seeds_for(base_seed, [label])[label]
-
-
-def optional_rng(rng: Optional[np.random.Generator], seed: SeedLike = 0) -> np.random.Generator:
-    """Return ``rng`` if given, else a generator built from ``seed``."""
-    if rng is not None:
-        return rng
-    return make_rng(seed)

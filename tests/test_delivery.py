@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.sim.delivery import (
     NOTHING,
-    receive_all_sorted,
     receive_any,
     receive_counts,
     receive_min_by_key,
@@ -135,17 +134,3 @@ def test_min_by_key_matches_the_lexsort_reference(case):
         receive_min_by_key(n, dsts, values, keys),
         lexsort_min_by_key(n, dsts, values, keys),
     )
-
-
-class TestAllSorted:
-    def test_groups(self):
-        dsts = np.array([2, 0, 2, 1])
-        values = np.array([10, 20, 30, 40])
-        uniq, offsets, vals = receive_all_sorted(dsts, values)
-        assert uniq.tolist() == [0, 1, 2]
-        got = {int(u): sorted(vals[offsets[i] : offsets[i + 1]].tolist()) for i, u in enumerate(uniq)}
-        assert got == {0: [20], 1: [40], 2: [10, 30]}
-
-    def test_empty(self):
-        uniq, offsets, vals = receive_all_sorted(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert len(uniq) == 0 and offsets.tolist() == [0] and len(vals) == 0

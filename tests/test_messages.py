@@ -30,18 +30,6 @@ class TestMessageSizes:
     def test_rumor_default(self):
         assert MessageSizes(256).rumor() == DEFAULT_RUMOR_BITS
 
-    def test_rumor_with_ids(self):
-        sizes = MessageSizes(256, rumor_bits=100)
-        assert sizes.rumor_with_ids(2) == 100 + 2 * sizes.id_bits
-
-    def test_counter_is_minimal(self):
-        sizes = MessageSizes(2**16)
-        assert sizes.is_minimal(sizes.counter())
-
-    def test_rumor_may_not_be_minimal(self):
-        sizes = MessageSizes(16, rumor_bits=10_000)
-        assert not sizes.is_minimal(sizes.rumor())
-
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             MessageSizes(0)

@@ -61,16 +61,6 @@ class TestFailures:
 
 
 class TestAddressing:
-    def test_uid_of(self):
-        net = Network(10, rng=0)
-        assert net.uid_of(3) == int(net.uid[3])
-
-    def test_index_by_uid_roundtrip(self):
-        net = Network(64, rng=1)
-        table = net.index_by_uid()
-        for i in range(64):
-            assert table[net.uid_of(i)] == i
-
     def test_min_uid_index_global(self):
         net = Network(64, rng=1)
         assert net.min_uid_index() == int(np.argmin(net.uid))

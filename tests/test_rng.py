@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import derive_seed, make_rng, optional_rng, seeds_for, spawn_rngs
+from repro.sim.rng import derive_seed, make_rng, seeds_for, spawn_rngs
 
 
 class TestMakeRng:
@@ -68,9 +68,3 @@ class TestDerivedSeeds:
 
     def test_base_seed_matters(self):
         assert derive_seed(1, "net") != derive_seed(2, "net")
-
-
-def test_optional_rng():
-    g = make_rng(0)
-    assert optional_rng(g) is g
-    assert isinstance(optional_rng(None, 3), np.random.Generator)
