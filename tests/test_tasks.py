@@ -374,10 +374,10 @@ class TestOneRowCrossTier:
     @pytest.mark.parametrize(
         "state_type,knobs",
         [
-            (BroadcastState, {}),
             (KRumorState, {"k": 3}),
             (PushSumState, {}),
             (ExtremeState, {"mode": "max"}),
+            (BroadcastState, {}),
         ],
     )
     def test_batch_transport_matches_run_uniform_task(
